@@ -221,7 +221,7 @@ def decompose(frames: NormalizedFrames, config: RunConfig):
         cost = append_noise_column(cost, config.noise_amplitude)
         labels = labels + ["noise"]
     acts = unmix(frames, cost, config.solver_config(),
-                 variant=OST_VARIANTS[config.method], threads=config.threads)
+                 variant=OST_VARIANTS[config.method])
     pitch_acts = Activations(values=acts.values[:len(midi)],
                              frame_hop_seconds=acts.frame_hop_seconds)
     return pitch_acts, labels, acts
@@ -586,7 +586,8 @@ def _add_common_flags(p):
     p.add_argument("--config", default=None, metavar="FILE",
                    help="key=value defaults; explicit flags override")
     p.add_argument("--threads", type=int, default=None,
-                   help="frame-parallel worker threads")
+                   help="frame-parallel worker threads for plca (the OST "
+                        "solvers are batched and ignore it)")
     p.add_argument("--seed", type=int, default=None,
                    help="RNG seed for synthetic inputs")
 

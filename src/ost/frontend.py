@@ -75,6 +75,10 @@ class NormalizedFrames:
         self.active_mask = np.asarray(self.active_mask, dtype=bool)
         if self.columns.ndim != 2:
             raise ValueError("columns must be an M x N matrix")
+        if not np.all(np.isfinite(self.columns)):
+            raise ValueError("columns must be finite")
+        if np.any(self.columns < 0):
+            raise ValueError("columns must be non-negative")
         if self.active_mask.shape != (self.columns.shape[1],):
             raise ValueError("active_mask length must match the frame count")
         if self.freqs is None:

@@ -9,18 +9,35 @@ M x K cost. Transporting onto Dirac targets decouples row-wise, so:
   re-solving the assignment against a cost augmented with a per-column
   penalty derived from the current column masses;
 - ost_combined_frame runs the same MM loop with the entropic inner solve.
+
+These per-frame functions build the dense plan (and, on request, the
+objective trace) and are the reference for `unmix`, which solves all active
+frames at once without either. Its ost_g loop works on column masses and
+stops a frame once they repeat (the step depends on them alone, so every
+later iteration would be identical). Its ost_eg step uses that the group
+penalty p only rescales columns: softmax_k(-(c_ik + p_k)/lambda_e) =
+E_ik w_k / sum_k E_ik w_k, with E = exp(-C/lambda_e) computed once. For a
+block of frames V one MM step is H = W * E^T (V / E W), two matrix products
+in place of an M x K exp per frame (the scaling step of Sinkhorn's
+algorithm); rows where E W underflows are solved by the per-frame softmax.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .costs import CostMatrix
+from .errors import NumericError
 from .frontend import NormalizedFrames
 
 DEFAULT_MM_ITERATIONS = 10
 EMPTY_COLUMN_MASS = 1e-12  # mass floor used when linearizing sqrt at an empty column
+# Frames per block of the batched ost_eg step; bounds its M x block temporaries.
+MM_BLOCK_FRAMES = 128
+# Entries of E W below this are near the subnormal range, where they lose
+# relative precision (and V / E W nears overflow); their rows are re-solved
+# with per-row max subtraction.
+UNDERFLOW_FLOOR = 1e-280
 
 VARIANTS = ("ost", "ost_e", "ost_g", "ost_eg")
 
@@ -98,12 +115,18 @@ def _assign(values: np.ndarray, v: np.ndarray):
     return plan, h, labels
 
 
+def _gibbs_kernel(values: np.ndarray, lambda_e: float) -> np.ndarray:
+    """exp(-c/lambda_e) with each row scaled so that its largest entry is 1
+    (per-row max subtraction in the exponent)."""
+    z = -values / lambda_e
+    z -= z.max(axis=1, keepdims=True)
+    return np.exp(z)
+
+
 def _softmax_labels(values: np.ndarray, lambda_e: float) -> np.ndarray:
     """Row-softmax labelling matrix exp(-c/lambda_e), rows normalized,
     computed with per-row max subtraction."""
-    z = -values / lambda_e
-    z -= z.max(axis=1, keepdims=True)
-    labels = np.exp(z)
+    labels = _gibbs_kernel(values, lambda_e)
     labels /= labels.sum(axis=1, keepdims=True)
     return labels
 
@@ -216,23 +239,77 @@ def _wrap_plan(plan: np.ndarray, cost: CostMatrix) -> TransportPlan:
                          col_fundamentals=cost.col_freqs)
 
 
-def unmix(frames: NormalizedFrames, cost: CostMatrix,
-          config: SolverConfig = None, variant: str = "ost",
-          threads: int = 1) -> Activations:
-    """Apply a per-frame solver to every active frame column.
+def _group_mm(values: np.ndarray, v: np.ndarray, config: SolverConfig) -> np.ndarray:
+    """ost_group_frame's masses for every column of v (M x N), each frame
+    stopping at its fixed point. The hard step does not factorise, so
+    frames stay in a loop: stacking them only adds a frames x M x K
+    temporary, and measured slower."""
+    lam = config.lambda_g
+    k = values.shape[1]
+    first = np.argmin(values, axis=1)
+    out = np.empty((k, v.shape[1]))
+    for j in range(v.shape[1]):
+        frame = np.ascontiguousarray(v[:, j])
+        h = np.bincount(first, weights=frame, minlength=k)
+        for _ in range(config.mm_iterations):
+            r = _group_penalty_row(h)
+            labels = np.argmin(values + lam * r[None, :], axis=1)
+            new = np.bincount(labels, weights=frame, minlength=k)
+            if np.array_equal(new, h):
+                break
+            h = new
+        out[:, j] = h
+    return out
 
-    Masked frames yield zero activation columns. For `ost` the row argmins
-    are computed once and reused across frames; `ost_e` is a single
-    labelling-matrix product. The MM variants solve frame by frame,
-    optionally across a thread pool (results are identical to threads=1
-    since frames are independent).
+
+def _combined_mm(values: np.ndarray, v: np.ndarray, config: SolverConfig) -> np.ndarray:
+    """ost_combined_frame's masses for every column of v (M x N), by the
+    factorised step H = W * E^T (V / E W) over blocks of frames. Every
+    iteration runs: the entropic loop has no exact fixed point."""
+    lam_e, lam_g = config.lambda_e, config.lambda_g
+    kernel = _gibbs_kernel(values, lam_e)
+    labels = kernel / kernel.sum(axis=1, keepdims=True)
+    out = np.empty((values.shape[1], v.shape[1]))
+    for start in range(0, v.shape[1], MM_BLOCK_FRAMES):
+        block = v[:, start:start + MM_BLOCK_FRAMES]
+        mass = block > 0
+        h = labels.T @ block
+        for _ in range(config.mm_iterations):
+            pen = lam_g * _group_penalty_row(h)
+            w = np.exp(-(pen - pen.min(axis=0)) / lam_e)
+            s = kernel @ w
+            under = mass & (s < UNDERFLOW_FLOOR)
+            ratio = np.divide(block, s, out=np.zeros_like(s), where=mass & ~under)
+            h = w * (kernel.T @ ratio)
+            if under.any():
+                _add_underflowed_rows(h, values, block, pen, under, lam_e)
+        out[:, start:start + MM_BLOCK_FRAMES] = h
+    return out
+
+
+def _add_underflowed_rows(h, values, block, pen, under, lam_e):
+    """Add to h the mass of the (row, frame) pairs flagged in `under`, each
+    row solved by the softmax ost_combined_frame evaluates. Grouped by
+    frame, so the temporaries stay within one M x K matrix."""
+    for j in np.flatnonzero(under.any(axis=0)):
+        rows = np.flatnonzero(under[:, j])
+        labels = _softmax_labels(values[rows] + pen[:, j][None, :], lam_e)
+        h[:, j] += labels.T @ block[rows, j]
+
+
+def unmix(frames: NormalizedFrames, cost: CostMatrix,
+          config: SolverConfig = None, variant: str = "ost") -> Activations:
+    """Solve every active frame column with one batched kernel per variant
+    (see the module docstring); masked frames yield zero columns.
+
+    `ost_g` matches ost_group_frame bit for bit; `ost_eg` sums in another
+    order and matches ost_combined_frame to rounding. Raises NumericError
+    if the activations are not finite.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     if config is None:
         config = SolverConfig()
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     columns = frames.columns
     if columns.shape[0] != cost.values.shape[0]:
         raise ValueError("frame rows must match cost rows")
@@ -249,23 +326,15 @@ def unmix(frames: NormalizedFrames, cost: CostMatrix,
         h = np.zeros((k, active.size))
         np.add.at(h, labels, v_active)
         out[:, active] = h
+    elif variant == "ost_g":
+        out[:, active] = _group_mm(cost.values, v_active, config)
+    elif config.lambda_e <= 0:
+        raise ValueError(f"variant {variant} requires lambda_e > 0")
     elif variant == "ost_e":
-        if config.lambda_e <= 0:
-            raise ValueError("variant ost_e requires lambda_e > 0")
         labels = _softmax_labels(cost.values, config.lambda_e)
         out[:, active] = labels.T @ v_active
     else:
-        solver = ost_group_frame if variant == "ost_g" else ost_combined_frame
-
-        def solve_one(j):
-            _, h = solver(v_active[:, j], cost, config)
-            return h
-
-        if threads == 1:
-            for j in range(active.size):
-                out[:, active[j]] = solve_one(j)
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                for j, h in enumerate(pool.map(solve_one, range(active.size))):
-                    out[:, active[j]] = h
+        out[:, active] = _combined_mm(cost.values, v_active, config)
+    if not np.all(np.isfinite(out)):
+        raise NumericError(f"variant {variant} produced non-finite activations")
     return Activations(values=out, frame_hop_seconds=frames.frame_hop_seconds)

@@ -223,6 +223,13 @@ class TestContainers:
         np.testing.assert_array_equal(frames.freqs, [1.0, 2.0, 3.0])
         assert frames.n_frames == 2
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5])
+    def test_normalized_frames_reject_non_finite_and_negative(self, bad):
+        columns = np.full((3, 2), 1.0 / 3.0)
+        columns[1, 1] = bad
+        with pytest.raises(ValueError):
+            NormalizedFrames(columns=columns, active_mask=np.array([True, True]))
+
     def test_normalized_frames_mask_length_checked(self):
         with pytest.raises(ValueError):
             NormalizedFrames(columns=np.ones((3, 2)),

@@ -5,17 +5,23 @@ Oracles used here:
 - KKT stationarity for the entropic solve: on each row the quantity
   c_ik + lambda_e * (1 + log t_ik) must be constant across the columns that
   carry mass, which pins the row softmax as the unique optimum;
-- the penalized-objective traces for the MM loops, which must never increase.
+- the penalized-objective traces for the MM loops, which must never increase;
+- the per-frame MM solvers for the batched kernels of `unmix`: bit for bit
+  for ost_g, within 1e-12 for ost_eg (its factorised step sums in another
+  order).
 """
 
 import numpy as np
 import pytest
 
-from ost.costs import CostMatrix, harmonic_cost
+from ost import solvers
+from ost.costs import CostMatrix, append_noise_column, harmonic_cost
+from ost.errors import NumericError
 from ost.frontend import NormalizedFrames
-from ost.solvers import (Activations, SolverConfig, TransportPlan, entropy_term,
-                         group_term, ost_combined_frame, ost_entropic_frame,
-                         ost_frame, ost_group_frame, transport_objective, unmix)
+from ost.solvers import (MM_BLOCK_FRAMES, Activations, SolverConfig, TransportPlan,
+                         entropy_term, group_term, ost_combined_frame,
+                         ost_entropic_frame, ost_frame, ost_group_frame,
+                         transport_objective, unmix)
 
 
 def toy_cost(values):
@@ -250,20 +256,26 @@ class TestColumnPermutationEquivariance:
         np.testing.assert_allclose(h_perm, h[perm], atol=1e-12)
 
 
-class TestUnmix:
-    def make_frames(self, rng, m, n, inactive=()):
-        columns = rng.dirichlet(np.ones(m), size=n).T
-        mask = np.ones(n, dtype=bool)
-        for idx in inactive:
-            columns[:, idx] = 0.0
-            mask[idx] = False
-        return NormalizedFrames(columns=columns, active_mask=mask,
-                                frame_hop_seconds=0.25)
+def make_frames(rng, m, n, inactive=(), zero_bins=0, concentration=1.0):
+    """Dirichlet frames, `inactive` columns zeroed and masked; `zero_bins`
+    random bins of each frame set to exactly zero before renormalizing."""
+    columns = rng.dirichlet(np.full(m, concentration), size=n).T
+    if zero_bins:
+        for j in range(n):
+            columns[rng.choice(m, size=zero_bins, replace=False), j] = 0.0
+        columns /= columns.sum(axis=0)
+    mask = np.ones(n, dtype=bool)
+    mask[list(inactive)] = False
+    columns[:, ~mask] = 0.0
+    return NormalizedFrames(columns=columns, active_mask=mask,
+                            frame_hop_seconds=0.25)
 
+
+class TestUnmix:
     @pytest.mark.parametrize("variant", ["ost", "ost_e", "ost_g", "ost_eg"])
     def test_matches_per_frame_solvers(self, variant):
         rng = np.random.default_rng(50)
-        frames = self.make_frames(rng, 12, 7, inactive=(2,))
+        frames = make_frames(rng, 12, 7, inactive=(2,))
         cost = toy_cost(rng.uniform(0, 3, size=(12, 4)))
         config = SolverConfig(lambda_e=0.6, lambda_g=1.2)
         acts = unmix(frames, cost, config, variant=variant)
@@ -284,19 +296,9 @@ class TestUnmix:
                 _, h = ost_combined_frame(v, cost, config)
             np.testing.assert_allclose(acts.values[:, n], h, atol=1e-12)
 
-    @pytest.mark.parametrize("variant", ["ost_g", "ost_eg"])
-    def test_thread_pool_is_bitwise_identical(self, variant):
-        rng = np.random.default_rng(51)
-        frames = self.make_frames(rng, 16, 9)
-        cost = toy_cost(rng.uniform(0, 3, size=(16, 5)))
-        config = SolverConfig(lambda_e=0.4, lambda_g=2.0)
-        single = unmix(frames, cost, config, variant=variant, threads=1)
-        pooled = unmix(frames, cost, config, variant=variant, threads=3)
-        np.testing.assert_array_equal(single.values, pooled.values)
-
     def test_all_frames_masked(self):
         rng = np.random.default_rng(52)
-        frames = self.make_frames(rng, 6, 3, inactive=(0, 1, 2))
+        frames = make_frames(rng, 6, 3, inactive=(0, 1, 2))
         cost = toy_cost(rng.uniform(0, 3, size=(6, 2)))
         acts = unmix(frames, cost)
         np.testing.assert_array_equal(acts.values, np.zeros((2, 3)))
@@ -315,17 +317,120 @@ class TestUnmix:
 
     def test_validation(self):
         rng = np.random.default_rng(53)
-        frames = self.make_frames(rng, 6, 3)
+        frames = make_frames(rng, 6, 3)
         cost = toy_cost(rng.uniform(0, 3, size=(6, 2)))
         with pytest.raises(ValueError):
             unmix(frames, cost, variant="sinkhorn")
         with pytest.raises(ValueError):
-            unmix(frames, cost, threads=0)
-        with pytest.raises(ValueError):
             unmix(frames, cost, SolverConfig(lambda_e=0.0), variant="ost_e")
+        with pytest.raises(ValueError):
+            unmix(frames, cost, SolverConfig(lambda_e=0.0), variant="ost_eg")
         bad_cost = toy_cost(rng.uniform(0, 3, size=(5, 2)))
         with pytest.raises(ValueError):
             unmix(frames, bad_cost)
+
+
+def oracle_masses(frames, cost, config, variant):
+    solver = ost_group_frame if variant == "ost_g" else ost_combined_frame
+    out = np.zeros((cost.values.shape[1], frames.n_frames))
+    for n in np.flatnonzero(frames.active_mask):
+        _, out[:, n] = solver(frames.columns[:, n], cost, config)
+    return out
+
+
+def assert_matches_oracle(frames, cost, config, variant):
+    got = unmix(frames, cost, config, variant=variant).values
+    expected = oracle_masses(frames, cost, config, variant)
+    if variant == "ost_g":
+        np.testing.assert_array_equal(got, expected)
+    else:
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
+class TestBatchedMM:
+    """unmix's batched ost_g / ost_eg kernels against the per-frame solvers."""
+
+    @pytest.mark.parametrize("variant", ["ost_g", "ost_eg"])
+    def test_several_blocks_with_masked_frames(self, variant):
+        rng = np.random.default_rng(60)
+        n = 2 * MM_BLOCK_FRAMES + 7
+        inactive = (0, 5, MM_BLOCK_FRAMES - 1, MM_BLOCK_FRAMES, 200, n - 1)
+        frames = make_frames(rng, 10, n, inactive=inactive)
+        cost = toy_cost(rng.uniform(0, 3, size=(10, 4)))
+        config = SolverConfig(lambda_e=0.4, lambda_g=2.0)
+        assert_matches_oracle(frames, cost, config, variant)
+
+    @pytest.mark.parametrize("variant", ["ost_g", "ost_eg"])
+    def test_noise_column(self, variant):
+        rng = np.random.default_rng(61)
+        freqs = np.arange(1.0, 41.0) * 25.0
+        cost = append_noise_column(harmonic_cost(freqs, [100.0, 150.0, 220.0],
+                                                 eps0=10.0), 400.0)
+        frames = make_frames(rng, 40, 9, inactive=(3,))
+        config = SolverConfig(lambda_e=200.0, lambda_g=300.0)
+        assert_matches_oracle(frames, cost, config, variant)
+        masses = unmix(frames, cost, config, variant=variant).values
+        assert masses[-1].sum() > 0  # the noise column takes part
+
+    @pytest.mark.parametrize("variant", ["ost_g", "ost_eg"])
+    def test_exact_cost_ties(self, variant):
+        # integer costs with two identical columns: ties are everywhere,
+        # and ost_g must break them to the lowest index as the oracle does
+        rng = np.random.default_rng(62)
+        values = rng.integers(0, 3, size=(12, 4)).astype(float)
+        values[:, 3] = values[:, 1]
+        frames = make_frames(rng, 12, 20)
+        config = SolverConfig(lambda_e=0.5, lambda_g=0.3)
+        assert_matches_oracle(frames, toy_cost(values), config, variant)
+
+    @pytest.mark.parametrize("variant", ["ost_g", "ost_eg"])
+    def test_many_iterations(self, variant):
+        # a low concentration spreads bin masses over orders of magnitude,
+        # so late MM steps move little mass: an exit on nearly repeated
+        # masses, rather than on exactly repeated ones, would show here
+        rng = np.random.default_rng(63)
+        frames = make_frames(rng, 16, 25, inactive=(7,), concentration=0.3)
+        cost = toy_cost(rng.uniform(0, 3, size=(16, 5)))
+        config = SolverConfig(lambda_e=0.4, lambda_g=1.5, mm_iterations=50)
+        assert_matches_oracle(frames, cost, config, variant)
+        if variant == "ost_g":
+            # every frame reaches its fixed point well before 50 iterations,
+            # so the batched loop takes its early exit on all of them
+            for n in np.flatnonzero(frames.active_mask):
+                _, _, trace = ost_group_frame(frames.columns[:, n], cost, config,
+                                              return_trace=True)
+                assert trace[-1] == trace[-25]
+
+    def test_underflow_rows_use_the_per_frame_softmax(self, monkeypatch):
+        # small lambda_e with a large group penalty: where a row costs more
+        # than ~645 lambda_e extra on the frame's least-penalised column,
+        # E @ W underflows and the guard solves that row directly; some
+        # bins are exactly zero (no 0/0 allowed)
+        rng = np.random.default_rng(64)
+        frames = make_frames(rng, 30, 40, inactive=(11,), zero_bins=5)
+        cost = toy_cost(rng.uniform(0, 30, size=(30, 6)))
+        config = SolverConfig(lambda_e=0.01, lambda_g=10.0)
+        guarded = []
+        original = solvers._add_underflowed_rows
+
+        def spy(h, values, block, pen, under, lam_e):
+            guarded.append(int(under.sum()))
+            original(h, values, block, pen, under, lam_e)
+
+        monkeypatch.setattr(solvers, "_add_underflowed_rows", spy)
+        assert_matches_oracle(frames, cost, config, "ost_eg")
+        assert sum(guarded) > 0
+
+    @pytest.mark.parametrize("variant", ["ost", "ost_e", "ost_g", "ost_eg"])
+    def test_non_finite_output_raises(self, variant):
+        # finite frames (not on the simplex) whose masses overflow
+        frames = NormalizedFrames(columns=np.full((3, 1), 1e308),
+                                  active_mask=np.array([True]))
+        cost = toy_cost([[0.0, 5.0]] * 3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError):
+                unmix(frames, cost, SolverConfig(lambda_e=1.0, lambda_g=1.0),
+                      variant=variant)
 
 
 class TestContainersAndConfig:
