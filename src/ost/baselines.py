@@ -13,7 +13,7 @@ from .costs import CostMatrix
 from .dictionary import Dictionary
 from .errors import LpGuardError, LpInfeasibleError, LpUnboundedError, NumericError
 from .frontend import NormalizedFrames
-from .solvers import Activations
+from .solvers import MM_BLOCK_FRAMES, Activations
 
 KL_FLOOR = 1e-300
 LP_TOL = 1e-9
@@ -70,33 +70,51 @@ def kl_divergence(v, vhat) -> float:
     return float(np.sum(v[support] * np.log(v[support] / vhat[support])))
 
 
-def _plca_frame(v, w, max_iter, rel_tol):
-    k = w.shape[1]
-    h = np.full(k, 1.0 / k)
-    trace = []
-    prev = None
-    for _ in range(max_iter):
+def _plca_block(w, v, max_iter, rel_tol):
+    """EM on all columns of v at once. A column leaves the live set when it
+    stops, so the arrays shrink only on iterations where some column stops.
+    Off the support of v the objective term 0 * log(1 / vhat) is 0, so no
+    mask is needed. Returns (h, iterations, objective traces)."""
+    k, b = w.shape[1], v.shape[1]
+    h_out, iters = np.empty((k, b)), np.empty(b, dtype=int)
+    trace_buf = np.empty((b, max_iter))
+    live = np.arange(b)
+    v_log = np.where(v > 0, v, 1.0)
+    h = np.full((k, b), 1.0 / k)
+    vhat = np.maximum(w @ h, KL_FLOOR)
+    prev = np.full(b, np.nan)  # compares false: no stop on the first iteration
+    for it in range(1, max_iter + 1):
+        h *= w.T @ (v / vhat)
+        total = h.sum(axis=0)
+        total[total == 0] = 1.0  # a frame whose mass vanished stays at zero
+        h /= total
         vhat = np.maximum(w @ h, KL_FLOOR)
-        h = h * (w.T @ (v / vhat))
-        total = h.sum()
-        if total > 0:
-            h /= total
-        obj = kl_divergence(v, np.maximum(w @ h, KL_FLOOR))
-        trace.append(obj)
-        if prev is not None and abs(prev - obj) <= rel_tol * max(abs(prev), KL_FLOOR):
-            break
+        obj = np.sum(v * np.log(v_log / vhat), axis=0)
+        trace_buf[live, it - 1] = obj
+        done = (np.abs(prev - obj) <= rel_tol * np.maximum(np.abs(prev), KL_FLOOR)) \
+            | (it == max_iter)
         prev = obj
-    return h, np.array(trace)
+        if done.any():
+            stopped, keep = live[done], ~done
+            h_out[:, stopped] = h[:, done]
+            iters[stopped] = it
+            live = live[keep]
+            if live.size == 0:
+                break
+            h, v, v_log, vhat, prev = (h[:, keep], v[:, keep], v_log[:, keep],
+                                       vhat[:, keep], prev[keep])
+    return h_out, iters, [trace_buf[j, :iters[j]].copy() for j in range(b)]
 
 
 def plca_unmix(frames: NormalizedFrames, dictionary: Dictionary,
-               max_iter: int = PLCA_MAX_ITER, rel_tol: float = PLCA_REL_TOL,
-               threads: int = 1):
-    """Per-frame multiplicative EM for min D_KL(v | W h) on the simplex.
+               max_iter: int = PLCA_MAX_ITER, rel_tol: float = PLCA_REL_TOL):
+    """Multiplicative EM for min D_KL(v | W h) on the simplex, per frame.
 
     h starts uniform; the update h_k <- h_k * sum_i w_ik v_i / (Wh)_i is
-    followed by renormalization. Stops when the relative objective change
-    drops below rel_tol or after max_iter iterations.
+    followed by renormalization. A frame stops when the relative objective
+    change drops below rel_tol (from its second iteration) or after max_iter
+    iterations. Active frames run in blocks of MM_BLOCK_FRAMES, one matrix
+    product pair per step. Raises NumericError on non-finite activations.
     """
     if dictionary.kind != "harmonic":
         raise ValueError("plca_unmix requires stored templates (kind='harmonic')")
@@ -113,20 +131,14 @@ def plca_unmix(frames: NormalizedFrames, dictionary: Dictionary,
     traces = [np.array([])] * n
     iters = np.zeros(n, dtype=int)
     active = np.flatnonzero(frames.active_mask)
-
-    def solve_one(idx):
-        return _plca_frame(frames.columns[:, idx], w, max_iter, rel_tol)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(solve_one, active))
-    else:
-        results = [solve_one(idx) for idx in active]
-    for idx, (h, trace) in zip(active, results):
-        out[:, idx] = h
-        traces[idx] = trace
-        iters[idx] = trace.size
+    for start in range(0, active.size, MM_BLOCK_FRAMES):
+        idx = active[start:start + MM_BLOCK_FRAMES]
+        out[:, idx], iters[idx], block_traces = _plca_block(
+            w, frames.columns[:, idx], max_iter, rel_tol)
+        for j, trace in zip(idx, block_traces):
+            traces[j] = trace
+    if not np.all(np.isfinite(out)):
+        raise NumericError("plca produced non-finite activations")
     acts = Activations(values=out, frame_hop_seconds=frames.frame_hop_seconds)
     return acts, PlcaState(h_matrix=out, objective_traces=traces, iterations=iters)
 

@@ -1,8 +1,9 @@
 """Command-line tools: transcribe, toy, sweep, bench, eval.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error
-(unreadable audio, malformed tables), 3 numeric failure (infeasible or
-unbounded programs, guard violations, NaN propagation).
+(unreadable audio, malformed tables), 3 numeric failure: infeasible or
+unbounded programs, guard violations, non-finite solver output
+(`NumericError`).
 
 Every command accepts ``--config FILE`` with ``key=value`` lines (keys are
 the long flag names with underscores); explicit flags override file entries.
@@ -104,7 +105,6 @@ class RunConfig:
     damping: float = DEFAULT_DAMPING
     n_partials: int = DEFAULT_N_PARTIALS
     seed: int = 0
-    threads: int = 1
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(lambda_e=self.lambda_e or 0.0,
@@ -154,8 +154,7 @@ def build_run_config(args, methods=None) -> RunConfig:
                                       DEFAULT_KERNEL_WIDTH_BINS),
         damping=_or_default(args, "damping", DEFAULT_DAMPING),
         n_partials=_or_default(args, "n_partials", DEFAULT_N_PARTIALS),
-        seed=_or_default(args, "seed", 0),
-        threads=_or_default(args, "threads", 1))
+        seed=_or_default(args, "seed", 0))
     _check_ranges(config)
     return config
 
@@ -181,7 +180,6 @@ def _check_ranges(config: RunConfig):
         (config.kernel_width_bins > 0, "--kernel-width-bins must be positive"),
         (config.damping >= 0, "--damping must be non-negative"),
         (config.n_partials >= 1, "--n-partials must be at least 1"),
-        (config.threads >= 1, "--threads must be at least 1"),
     ]
     for ok, message in checks:
         if not ok:
@@ -206,7 +204,7 @@ def decompose(frames: NormalizedFrames, config: RunConfig):
             else float(frames.freqs[0])
         dictionary = make_harmonic_dictionary(
             frames.freqs, fundamentals, config.template_params(bin_hz))
-        acts, _ = plca_unmix(frames, dictionary, threads=config.threads)
+        acts, _ = plca_unmix(frames, dictionary)
         return acts, labels, acts
     if config.method == "ot_h":
         bin_hz = float(frames.freqs[1] - frames.freqs[0]) if len(frames.freqs) > 1 \
@@ -585,9 +583,6 @@ def _add_template_flags(p):
 def _add_common_flags(p):
     p.add_argument("--config", default=None, metavar="FILE",
                    help="key=value defaults; explicit flags override")
-    p.add_argument("--threads", type=int, default=None,
-                   help="frame-parallel worker threads for plca (the OST "
-                        "solvers are batched and ignore it)")
     p.add_argument("--seed", type=int, default=None,
                    help="RNG seed for synthetic inputs")
 
@@ -728,8 +723,8 @@ def main(argv=None) -> int:
             FileNotFoundError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (LpInfeasibleError, LpUnboundedError, LpGuardError, NumericError,
-            FloatingPointError) as exc:
+    except (LpInfeasibleError, LpUnboundedError, LpGuardError,
+            NumericError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (OstError, ValueError) as exc:

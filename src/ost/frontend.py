@@ -48,6 +48,8 @@ class Spectrogram:
             raise ValueError("values must be an M x N matrix")
         if self.values.shape[0] != self.freqs.shape[0]:
             raise ValueError("freqs length must match the number of rows")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("spectrogram values must be finite")
         if np.any(self.values < 0):
             raise ValueError("spectrogram values must be non-negative")
         if np.any(np.diff(self.freqs) <= 0):
@@ -100,8 +102,6 @@ def decode_wav(path) -> AudioBuffer:
     """
     try:
         sample_rate, data = scipy.io.wavfile.read(path)
-    except UnsupportedEncodingError:
-        raise
     except (OSError, ValueError) as exc:
         raise DecodeError(f"cannot read WAV file {path!r}: {exc}") from exc
 

@@ -69,6 +69,8 @@ class Activations:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2:
             raise ValueError("values must be a K x N matrix")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("activations must be finite")
         if np.any(self.values < 0):
             raise ValueError("activations must be non-negative")
         if self.frame_hop_seconds <= 0:

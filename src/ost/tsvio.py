@@ -13,7 +13,6 @@ import numpy as np
 from .dictionary import Dictionary, midi_to_freq
 from .errors import DataError
 from .evaluation import EvalReport, PianoRoll
-from .frontend import NormalizedFrames, Spectrogram
 from .solvers import Activations
 
 
@@ -81,16 +80,6 @@ def read_matrix(path):
 
 def frame_times(n_frames: int, hop_seconds: float, t0: float = 0.0) -> np.ndarray:
     return t0 + hop_seconds * np.arange(n_frames)
-
-
-def write_spectrogram(path, spec: Spectrogram, t0: float = 0.0):
-    times = frame_times(spec.values.shape[1], spec.frame_hop_seconds, t0)
-    write_matrix(path, spec.values, spec.freqs, times, "freq_hz\\time_s")
-
-
-def write_frames(path, frames: NormalizedFrames, t0: float = 0.0):
-    times = frame_times(frames.n_frames, frames.frame_hop_seconds, t0)
-    write_matrix(path, frames.columns, frames.freqs, times, "freq_hz\\time_s")
 
 
 def activation_row_labels(dictionary: Dictionary, midi_pitches=None,

@@ -13,15 +13,17 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from ost.baselines import (LpProblem, OT_LP_MAX_BINS, kl_divergence,
+from ost.baselines import (KL_FLOOR, LpProblem, OT_LP_MAX_BINS,
+                           PLCA_MAX_ITER, PLCA_REL_TOL, kl_divergence,
                            ot_unmix_lp, plca_unmix, solve_lp,
                            wasserstein_divergence)
 from ost.costs import CostMatrix, harmonic_cost, quadratic_cost
 from ost.dictionary import Dictionary, make_dirac_dictionary
-from ost.errors import (LpGuardError, LpInfeasibleError, LpUnboundedError)
+from ost.errors import (LpGuardError, LpInfeasibleError, LpUnboundedError,
+                        NumericError)
 from ost.evaluation import l1_activation_error, make_toy_scenario
 from ost.frontend import NormalizedFrames
-from ost.solvers import ost_frame, transport_objective
+from ost.solvers import MM_BLOCK_FRAMES, ost_frame, transport_objective
 
 
 def enumerate_lp_vertices(objective, eq_matrix, eq_rhs):
@@ -190,19 +192,6 @@ class TestPlcaUnmix:
         np.testing.assert_array_equal(acts.values[:, ~mask], 0.0)
         assert state.iterations[1] == 0 and state.objective_traces[1].size == 0
 
-    def test_threads_do_not_change_results(self):
-        rng = np.random.default_rng(5)
-        templates = rng.uniform(0.01, 1.0, size=(14, 4))
-        templates /= templates.sum(axis=0)
-        d = Dictionary(fundamentals=100.0 * (1 + np.arange(4)),
-                       kind="harmonic", templates=templates)
-        columns = rng.dirichlet(np.ones(14), size=8).T
-        frames = NormalizedFrames(columns=columns,
-                                  active_mask=np.ones(8, dtype=bool))
-        a1, _ = plca_unmix(frames, d, threads=1)
-        a3, _ = plca_unmix(frames, d, threads=3)
-        np.testing.assert_array_equal(a1.values, a3.values)
-
     def test_requires_stored_templates(self):
         d = make_dirac_dictionary([100.0, 200.0])
         with pytest.raises(ValueError):
@@ -217,6 +206,124 @@ class TestPlcaUnmix:
             plca_unmix(frames, d, max_iter=0)
         with pytest.raises(ValueError):
             plca_unmix(frames, d, rel_tol=-1e-3)
+
+    def test_non_finite_output_raises(self):
+        # finite frames (not on the simplex) whose ratios v / Wh overflow
+        frames = NormalizedFrames(columns=np.full((12, 1), 1e308),
+                                  active_mask=np.array([True]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError):
+                plca_unmix(frames, disjoint_dictionary(12, 3))
+
+
+def plca_frame_reference(v, w, max_iter, rel_tol):
+    """The per-frame EM loop plca_unmix batches: returns (h, trace)."""
+    k = w.shape[1]
+    h = np.full(k, 1.0 / k)
+    trace = []
+    prev = None
+    for _ in range(max_iter):
+        vhat = np.maximum(w @ h, KL_FLOOR)
+        h = h * (w.T @ (v / vhat))
+        total = h.sum()
+        if total > 0:
+            h /= total
+        obj = kl_divergence(v, np.maximum(w @ h, KL_FLOOR))
+        trace.append(obj)
+        if prev is not None and abs(prev - obj) <= rel_tol * max(abs(prev), KL_FLOOR):
+            break
+        prev = obj
+    return h, np.array(trace)
+
+
+def random_dictionary(rng, m, k):
+    templates = rng.uniform(0.0, 1.0, size=(m, k)) ** 4
+    templates /= templates.sum(axis=0)
+    return Dictionary(fundamentals=100.0 * (1 + np.arange(k)),
+                      kind="harmonic", templates=templates)
+
+
+class TestBatchedPlca:
+    """plca_unmix against the per-frame loop: activations and traces to
+    1e-12, iteration counts exactly."""
+
+    def assert_matches_reference(self, frames, d, **kwargs):
+        max_iter = kwargs.get("max_iter", PLCA_MAX_ITER)
+        rel_tol = kwargs.get("rel_tol", PLCA_REL_TOL)
+        acts, state = plca_unmix(frames, d, **kwargs)
+        np.testing.assert_array_equal(acts.values, state.h_matrix)
+        for j in range(frames.n_frames):
+            trace = state.objective_traces[j]
+            if not frames.active_mask[j]:
+                np.testing.assert_array_equal(acts.values[:, j], 0.0)
+                assert state.iterations[j] == 0 and trace.size == 0
+                continue
+            h, ref_trace = plca_frame_reference(frames.columns[:, j],
+                                                d.templates, max_iter, rel_tol)
+            np.testing.assert_allclose(acts.values[:, j], h, rtol=0, atol=1e-12)
+            assert state.iterations[j] == ref_trace.size == trace.size
+            np.testing.assert_allclose(trace, ref_trace, rtol=1e-12, atol=1e-12)
+        return state
+
+    def test_blocks_with_masked_edges_sparse_support_and_spread_stops(self):
+        rng = np.random.default_rng(11)
+        m, n = 40, 2 * MM_BLOCK_FRAMES + 44
+        d = random_dictionary(rng, m, 8)
+        alphas = rng.choice([0.2, 1.0, 5.0], size=n)
+        columns = np.stack([rng.dirichlet(np.full(m, a)) for a in alphas], axis=1)
+        sparse = np.arange(n) % 3 == 0
+        columns[:m // 2, sparse] = 0.0
+        columns /= columns.sum(axis=0)
+        mask = np.ones(n, dtype=bool)
+        edges = [MM_BLOCK_FRAMES - 1, MM_BLOCK_FRAMES, 2 * MM_BLOCK_FRAMES - 1]
+        mask[edges] = False
+        columns[:, edges] = 0.0
+        frames = NormalizedFrames(columns=columns, active_mask=mask)
+        state = self.assert_matches_reference(frames, d)
+        assert np.unique(state.iterations[mask]).size > 10
+        assert state.iterations.max() < PLCA_MAX_ITER
+
+    def test_frame_off_every_template_keeps_zero_mass(self):
+        # two templates on bins 0-7; the middle frame lives on bins 8-11
+        full = disjoint_dictionary(12, 3)
+        d = Dictionary(fundamentals=full.fundamentals[:2], kind="harmonic",
+                       templates=full.templates[:, :2])
+        columns = np.full((12, 3), 1.0 / 12)
+        columns[:, 1] = 0.0
+        columns[8:, 1] = 0.25
+        frames = NormalizedFrames(columns=columns,
+                                  active_mask=np.ones(3, dtype=bool))
+        # every frame is solved in one step, so at rel_tol=0 the repeated
+        # objective stops it at the second iteration
+        state = self.assert_matches_reference(frames, d, rel_tol=0.0)
+        np.testing.assert_array_equal(state.h_matrix[:, 1], 0.0)
+        np.testing.assert_array_equal(state.iterations, 2)
+
+    def test_single_iteration(self):
+        rng = np.random.default_rng(12)
+        columns = rng.dirichlet(np.ones(20), size=5).T
+        frames = NormalizedFrames(columns=columns,
+                                  active_mask=np.ones(5, dtype=bool))
+        state = self.assert_matches_reference(frames, random_dictionary(rng, 20, 4),
+                                              max_iter=1)
+        np.testing.assert_array_equal(state.iterations, 1)
+
+    def test_zero_tolerance_runs_to_the_cap(self):
+        # rel_tol=0 stops only on an exactly repeated objective, which on a
+        # plateau depends on rounding; 25 iterations stay clear of plateaus.
+        rng = np.random.default_rng(13)
+        columns = rng.dirichlet(np.ones(20), size=6).T
+        frames = NormalizedFrames(columns=columns,
+                                  active_mask=np.ones(6, dtype=bool))
+        state = self.assert_matches_reference(frames, random_dictionary(rng, 20, 4),
+                                              max_iter=25, rel_tol=0.0)
+        np.testing.assert_array_equal(state.iterations, 25)
+
+    def test_single_frame(self):
+        rng = np.random.default_rng(14)
+        frames = single_frame(rng.dirichlet(np.ones(64)))
+        state = self.assert_matches_reference(frames, random_dictionary(rng, 64, 9))
+        assert state.iterations[0] > 2
 
 
 class TestSolveLp:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import ost
+from ost import baselines
 from ost.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, RunConfig,
                      decompose, main, transcription_clock)
 from ost.evaluation import (NoteEvent, PianoRoll, f_measure,
@@ -96,6 +97,21 @@ class TestUsageErrors:
     def test_unknown_flag(self, capsys):
         assert main(["toy", "a", "--frobnicate"]) == EXIT_USAGE
 
+    def test_threads_flag_is_gone(self, capsys, duet, tmp_path):
+        outdir = tmp_path / "out"
+        code = main(["transcribe", str(duet / "duet.wav"), "--method", "plca",
+                     "--threads", "2"] + DUET_FLAGS
+                    + ["--output-dir", str(outdir)])
+        assert code == EXIT_USAGE
+        assert "--threads" in capsys.readouterr().err
+        config = tmp_path / "run.cfg"
+        config.write_text("threads=2\n")
+        code = main(["transcribe", str(duet / "duet.wav"), "--method", "plca",
+                     "--config", str(config)] + DUET_FLAGS
+                    + ["--output-dir", str(outdir)])
+        assert code == EXIT_USAGE
+        assert not outdir.exists()
+
     def test_missing_subcommand(self, capsys):
         assert main([]) == EXIT_USAGE
 
@@ -156,6 +172,23 @@ class TestNumericExit:
                      "--output-dir", str(outdir)])
         assert code == EXIT_NUMERIC
         assert "numeric error" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_non_finite_plca_maps_to_numeric_code(self, capsys, duet,
+                                                  tmp_path, monkeypatch):
+        solve_block = baselines._plca_block
+
+        def poisoned(*args):
+            h, iters, traces = solve_block(*args)
+            h[0, 0] = np.nan
+            return h, iters, traces
+
+        monkeypatch.setattr(baselines, "_plca_block", poisoned)
+        outdir = tmp_path / "out"
+        code = main(["transcribe", str(duet / "duet.wav"), "--method", "plca"]
+                    + DUET_FLAGS + ["--output-dir", str(outdir)])
+        assert code == EXIT_NUMERIC
+        assert "non-finite" in capsys.readouterr().err
         assert not outdir.exists()
 
 
@@ -287,17 +320,6 @@ class TestTranscribe:
             outdir / "duet.ost.activations.tsv")
         assert labels[-1] == "noise"
         assert values.shape[0] == 14
-
-    def test_threads_are_bitwise_identical(self, capsys, duet, tmp_path):
-        outs = []
-        for threads, sub in (("1", "a"), ("2", "b")):
-            outdir = tmp_path / sub
-            code = main(["transcribe", str(duet / "duet.wav"),
-                         "--method", "ost_g", "--threads", threads]
-                        + DUET_FLAGS + ["--output-dir", str(outdir)])
-            assert code == EXIT_OK
-            outs.append((outdir / "duet.ost_g.activations.tsv").read_bytes())
-        assert outs[0] == outs[1]
 
     def test_eval_reproduces_transcribe_scores(self, capsys, note50,
                                                tmp_path):

@@ -217,6 +217,14 @@ class TestContainers:
             Spectrogram(values=np.ones((2, 2)), freqs=np.array([2.0, 1.0]),
                         frame_hop_seconds=1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_spectrogram_rejects_non_finite(self, bad):
+        values = np.ones((2, 3))
+        values[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Spectrogram(values=values, freqs=np.array([1.0, 2.0]),
+                        frame_hop_seconds=1.0)
+
     def test_normalized_frames_default_freqs(self):
         frames = NormalizedFrames(columns=np.ones((3, 2)) / 3.0,
                                   active_mask=np.array([True, True]))

@@ -448,6 +448,13 @@ class TestContainersAndConfig:
         with pytest.raises(ValueError):
             Activations(values=np.ones((2, 2)), frame_hop_seconds=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_activations_reject_non_finite(self, bad):
+        values = np.ones((2, 3))
+        values[0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Activations(values=values)
+
     def test_solver_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(lambda_e=-1.0)
