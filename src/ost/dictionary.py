@@ -66,6 +66,8 @@ class Dictionary:
                                np.asarray(self.templates, dtype=np.float64))
             if self.templates.shape[1] != self.fundamentals.size:
                 raise ValueError("template count must match fundamentals")
+            if not np.all(np.isfinite(self.templates)):
+                raise ValueError("templates must be finite")
             if np.any(self.templates < 0):
                 raise ValueError("templates must be non-negative")
             sums = self.templates.sum(axis=0)

@@ -32,7 +32,8 @@ from .frontend import NormalizedFrames
 
 DEFAULT_MM_ITERATIONS = 10
 EMPTY_COLUMN_MASS = 1e-12  # mass floor used when linearizing sqrt at an empty column
-# Frames per block of the batched ost_eg step; bounds its M x block temporaries.
+# Frames per block of the batched ost and ost_eg steps; bounds their M x block
+# temporaries.
 MM_BLOCK_FRAMES = 128
 # Entries of E W below this are near the subnormal range, where they lose
 # relative precision (and V / E W nears overflow); their rows are re-solved
@@ -241,6 +242,23 @@ def _wrap_plan(plan: np.ndarray, cost: CostMatrix) -> TransportPlan:
                          col_fundamentals=cost.col_freqs)
 
 
+def _hard_assign(values: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """ost_frame's masses for every column of v (M x N), bit for bit: per
+    block of frames, one flat bincount over (column, frame) cells sums each
+    cell's rows in ascending order, as ost_frame does. Blocks bound the
+    index array to M x MM_BLOCK_FRAMES."""
+    labels = np.argmin(values, axis=1)
+    k = values.shape[1]
+    out = np.empty((k, v.shape[1]))
+    for start in range(0, v.shape[1], MM_BLOCK_FRAMES):
+        block = v[:, start:start + MM_BLOCK_FRAMES]
+        n = block.shape[1]
+        cells = (labels[:, None] * n + np.arange(n)).ravel()
+        h = np.bincount(cells, weights=block.ravel(), minlength=k * n)
+        out[:, start:start + n] = h.reshape(k, n)
+    return out
+
+
 def _group_mm(values: np.ndarray, v: np.ndarray, config: SolverConfig) -> np.ndarray:
     """ost_group_frame's masses for every column of v (M x N), each frame
     stopping at its fixed point. The hard step does not factorise, so
@@ -304,9 +322,9 @@ def unmix(frames: NormalizedFrames, cost: CostMatrix,
     """Solve every active frame column with one batched kernel per variant
     (see the module docstring); masked frames yield zero columns.
 
-    `ost_g` matches ost_group_frame bit for bit; `ost_eg` sums in another
-    order and matches ost_combined_frame to rounding. Raises NumericError
-    if the activations are not finite.
+    `ost` and `ost_g` match ost_frame and ost_group_frame bit for bit;
+    `ost_eg` sums in another order and matches ost_combined_frame to
+    rounding. Raises NumericError if the activations are not finite.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -324,10 +342,7 @@ def unmix(frames: NormalizedFrames, cost: CostMatrix,
     v_active = columns[:, active]
 
     if variant == "ost":
-        labels = np.argmin(cost.values, axis=1)
-        h = np.zeros((k, active.size))
-        np.add.at(h, labels, v_active)
-        out[:, active] = h
+        out[:, active] = _hard_assign(cost.values, v_active)
     elif variant == "ost_g":
         out[:, active] = _group_mm(cost.values, v_active, config)
     elif config.lambda_e <= 0:

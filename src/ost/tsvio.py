@@ -10,9 +10,8 @@ import tempfile
 
 import numpy as np
 
-from .dictionary import Dictionary, midi_to_freq
 from .errors import DataError
-from .evaluation import EvalReport, PianoRoll
+from .evaluation import EvalReport, FrameClock, PianoRoll
 from .solvers import Activations
 
 
@@ -42,13 +41,28 @@ def atomic_write_text(path, text: str):
         raise
 
 
+def _row_cells(values: np.ndarray):
+    """Formatter for the rows of `values`, chosen once by dtype: each call
+    returns a row's cells, each led by a tab, with the bytes _format gives.
+    `%.12g` is the C routine behind format(x, ".12g"); integers use `%d`,
+    which stays exact beyond 12 digits."""
+    kind = values.dtype.kind
+    if kind == "b":
+        return lambda row: "".join(np.where(row, "\t1", "\t0").tolist())
+    if kind in "fiu":
+        template = ("\t%.12g" if kind == "f" else "\t%d") * values.shape[1]
+        return lambda row: template % tuple(row.tolist())
+    return lambda row: "".join(["\t" + _format(x) for x in row])
+
+
 def matrix_text(values, row_labels, col_labels, corner: str) -> str:
     values = np.asarray(values)
     if values.shape != (len(row_labels), len(col_labels)):
         raise ValueError("label counts must match the matrix shape")
     lines = ["\t".join([corner] + [_format(c) for c in col_labels])]
+    cells = _row_cells(values)
     for label, row in zip(row_labels, values):
-        lines.append("\t".join([_format(label)] + [_format(x) for x in row]))
+        lines.append(_format(label) + cells(row))
     return "\n".join(lines) + "\n"
 
 
@@ -78,25 +92,8 @@ def read_matrix(path):
     return values, row_labels, col_labels
 
 
-def frame_times(n_frames: int, hop_seconds: float, t0: float = 0.0) -> np.ndarray:
-    return t0 + hop_seconds * np.arange(n_frames)
-
-
-def activation_row_labels(dictionary: Dictionary, midi_pitches=None,
-                          noise: bool = False):
-    """Row labels for an activation table: MIDI numbers when known, else
-    fundamentals in Hz, plus a trailing `noise` row when one exists."""
-    if midi_pitches is not None:
-        labels = [str(int(m)) for m in midi_pitches]
-    else:
-        labels = [_format(f) for f in dictionary.fundamentals]
-    if noise:
-        labels.append("noise")
-    return labels
-
-
 def write_activations(path, acts: Activations, row_labels, t0: float = 0.0):
-    times = frame_times(acts.values.shape[1], acts.frame_hop_seconds, t0)
+    times = FrameClock(acts.values.shape[1], acts.frame_hop_seconds, t0).centers()
     write_matrix(path, acts.values, row_labels, times, "component\\time_s")
 
 
@@ -111,9 +108,9 @@ def read_activations(path):
 
 
 def write_pianoroll(path, roll: PianoRoll, t0: float = 0.0):
-    times = frame_times(roll.active.shape[1], roll.frame_hop_seconds, t0)
+    times = FrameClock(roll.active.shape[1], roll.frame_hop_seconds, t0).centers()
     labels = list(range(roll.midi_low, roll.midi_high + 1))
-    write_matrix(path, roll.active.astype(int), labels, times, "midi\\time_s")
+    write_matrix(path, roll.active, labels, times, "midi\\time_s")
 
 
 def write_report(path, report: EvalReport = None, extra=None):
@@ -141,17 +138,6 @@ def write_ground_truth(path, events):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def write_dictionary(path, dictionary: Dictionary):
-    if dictionary.kind == "dirac":
-        lines = ["fundamental_hz"]
-        lines += [_format(f) for f in dictionary.fundamentals]
-        atomic_write_text(path, "\n".join(lines) + "\n")
-    else:
-        write_matrix(path, dictionary.templates,
-                     [f"bin{i}" for i in range(dictionary.templates.shape[0])],
-                     dictionary.fundamentals, "bin\\fundamental_hz")
-
-
 def format_table(headers, rows) -> str:
     """Monospace table for terminal summaries (not TSV)."""
     cells = [[_format(x) for x in row] for row in rows]
@@ -164,13 +150,3 @@ def format_table(headers, rows) -> str:
     out = [line(headers), line(["-" * w for w in widths])]
     out += [line(row) for row in cells]
     return "\n".join(out)
-
-
-def midi_labels_for(fundamentals, midi_pitches) -> list:
-    """Sanity-checked MIDI labels: each pitch must map to its fundamental."""
-    labels = []
-    for m, f in zip(midi_pitches, fundamentals):
-        if abs(midi_to_freq(m) - f) > 1e-6 * f:
-            raise ValueError("midi pitches do not match fundamentals")
-        labels.append(str(int(m)))
-    return labels

@@ -201,8 +201,9 @@ def test_criterion_6_bench_speedup(capsys):
     assert speedup >= 100.0
     assert elapsed < 300.0
     print(f"criterion 6 bench speedup: PASS "
-          f"(ost {speedup:.0f}x faster per frame than plca at its "
-          f"1000-iteration cap, {elapsed:.1f}s)")
+          f"(ost {speedup:.0f}x faster per frame than PLCA at rel_tol=0 "
+          f"(stops on an exactly repeated objective, at most 1000 "
+          f"iterations); {elapsed:.1f}s)")
 
 
 def _make_piece(seed, duration=30.0, midi_low=45, midi_high=80):

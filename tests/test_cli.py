@@ -321,6 +321,30 @@ class TestTranscribe:
         assert labels[-1] == "noise"
         assert values.shape[0] == 14
 
+    def test_activations_table_reads_back(self, capsys, duet, tmp_path):
+        # the written table holds decompose's activations, noise row
+        # included, to the 12 significant digits the writer keeps, on the
+        # transcription clock
+        outdir = tmp_path / "out"
+        code = main(["transcribe", str(duet / "duet.wav"), "--method", "ost_e",
+                     "--lambda-e", "100", "--noise-amplitude", "50"]
+                    + DUET_FLAGS + ["--output-dir", str(outdir)])
+        assert code == EXIT_OK
+        values, labels, times = read_activations(
+            outdir / "duet.ost_e.activations.tsv")
+
+        audio = decode_wav(duet / "duet.wav")
+        frames = normalize_frames(stft_magnitude(audio, 512, 256))
+        cfg = RunConfig(method="ost_e", lambda_e=100.0, noise_amplitude=50.0,
+                        midi_low=55, midi_high=67, window_len=512, hop=256)
+        _, expected_labels, acts = decompose(frames, cfg)
+        clock = transcription_clock(frames, cfg, audio.sample_rate)
+        assert labels == expected_labels
+        assert values.shape == acts.values.shape
+        assert np.count_nonzero(values) > values.size // 2
+        np.testing.assert_allclose(values, acts.values, rtol=1e-11, atol=0)
+        np.testing.assert_allclose(times, clock.centers(), rtol=1e-11, atol=0)
+
     def test_eval_reproduces_transcribe_scores(self, capsys, note50,
                                                tmp_path):
         outdir = tmp_path / "out"

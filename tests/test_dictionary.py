@@ -137,6 +137,13 @@ class TestDictionaryValidation:
             Dictionary(fundamentals=np.array([100.0]), kind="harmonic",
                        templates=bad)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_harmonic_templates_must_be_finite(self, bad):
+        # NaN passes both the sign and the column-sum checks on its own.
+        with pytest.raises(ValueError, match="finite"):
+            Dictionary(fundamentals=np.array([100.0, 200.0]), kind="harmonic",
+                       templates=np.array([[bad, 0.5], [bad, 0.5]]))
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             HarmonicTemplateParams(kernel_width=0.0)

@@ -6,8 +6,8 @@ Oracles used here:
   c_ik + lambda_e * (1 + log t_ik) must be constant across the columns that
   carry mass, which pins the row softmax as the unique optimum;
 - the penalized-objective traces for the MM loops, which must never increase;
-- the per-frame MM solvers for the batched kernels of `unmix`: bit for bit
-  for ost_g, within 1e-12 for ost_eg (its factorised step sums in another
+- the per-frame solvers for the batched kernels of `unmix`: bit for bit
+  for ost and ost_g, within 1e-12 for ost_eg (its factorised step sums in another
   order).
 """
 
@@ -331,26 +331,28 @@ class TestUnmix:
 
 
 def oracle_masses(frames, cost, config, variant):
-    solver = ost_group_frame if variant == "ost_g" else ost_combined_frame
+    per_frame = {"ost": lambda v, c, _: ost_frame(v, c),
+                 "ost_g": ost_group_frame, "ost_eg": ost_combined_frame}
     out = np.zeros((cost.values.shape[1], frames.n_frames))
     for n in np.flatnonzero(frames.active_mask):
-        _, out[:, n] = solver(frames.columns[:, n], cost, config)
+        _, out[:, n] = per_frame[variant](frames.columns[:, n], cost, config)
     return out
 
 
 def assert_matches_oracle(frames, cost, config, variant):
     got = unmix(frames, cost, config, variant=variant).values
     expected = oracle_masses(frames, cost, config, variant)
-    if variant == "ost_g":
+    if variant in ("ost", "ost_g"):
         np.testing.assert_array_equal(got, expected)
     else:
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
 class TestBatchedMM:
-    """unmix's batched ost_g / ost_eg kernels against the per-frame solvers."""
+    """unmix's batched ost / ost_g / ost_eg kernels against the per-frame
+    solvers: bit for bit for ost and ost_g."""
 
-    @pytest.mark.parametrize("variant", ["ost_g", "ost_eg"])
+    @pytest.mark.parametrize("variant", ["ost", "ost_g", "ost_eg"])
     def test_several_blocks_with_masked_frames(self, variant):
         rng = np.random.default_rng(60)
         n = 2 * MM_BLOCK_FRAMES + 7
@@ -360,7 +362,7 @@ class TestBatchedMM:
         config = SolverConfig(lambda_e=0.4, lambda_g=2.0)
         assert_matches_oracle(frames, cost, config, variant)
 
-    @pytest.mark.parametrize("variant", ["ost_g", "ost_eg"])
+    @pytest.mark.parametrize("variant", ["ost", "ost_g", "ost_eg"])
     def test_noise_column(self, variant):
         rng = np.random.default_rng(61)
         freqs = np.arange(1.0, 41.0) * 25.0
@@ -372,10 +374,11 @@ class TestBatchedMM:
         masses = unmix(frames, cost, config, variant=variant).values
         assert masses[-1].sum() > 0  # the noise column takes part
 
-    @pytest.mark.parametrize("variant", ["ost_g", "ost_eg"])
+    @pytest.mark.parametrize("variant", ["ost", "ost_g", "ost_eg"])
     def test_exact_cost_ties(self, variant):
         # integer costs with two identical columns: ties are everywhere,
-        # and ost_g must break them to the lowest index as the oracle does
+        # and ost / ost_g must break them to the lowest index as the oracle
+        # does
         rng = np.random.default_rng(62)
         values = rng.integers(0, 3, size=(12, 4)).astype(float)
         values[:, 3] = values[:, 1]

@@ -5,15 +5,65 @@ import os
 import numpy as np
 import pytest
 
-from ost.dictionary import make_dirac_dictionary, midi_to_freq
 from ost.errors import DataError
 from ost.evaluation import EvalReport, NoteEvent, PianoRoll, parse_ground_truth
 from ost.solvers import Activations
-from ost.tsvio import (activation_row_labels, atomic_write_text, format_table,
-                       frame_times, matrix_text, midi_labels_for,
+from ost.tsvio import (atomic_write_text, format_table, matrix_text,
                        read_activations, read_matrix, write_activations,
-                       write_dictionary, write_ground_truth, write_matrix,
-                       write_pianoroll, write_report)
+                       write_ground_truth, write_matrix, write_pianoroll,
+                       write_report)
+
+
+def _format_cell(x) -> str:
+    if isinstance(x, (bool, np.bool_)):
+        return "1" if x else "0"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        return format(float(x), ".12g")
+    return str(x)
+
+
+def matrix_text_per_cell(values, row_labels, col_labels, corner):
+    """Reference for matrix_text: formats every cell on its own, with the
+    isinstance chain matrix_text ran per cell before it picked one
+    formatter per matrix."""
+    lines = ["\t".join([corner] + [_format_cell(c) for c in col_labels])]
+    for label, row in zip(row_labels, np.asarray(values)):
+        lines.append("\t".join([_format_cell(label)]
+                               + [_format_cell(x) for x in row]))
+    return "\n".join(lines) + "\n"
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 9.99999999999e-6, 1e-5, 1e16,
+               123456789012345678.0, 0.1 + 0.2, np.nan, np.inf, -np.inf,
+               -1.5, 1e-300, 2.5e300, 1.0 / 3.0, 123456789012.5]
+
+
+def _wide_floats():
+    rng = np.random.default_rng(70)
+    signs = rng.choice([-1.0, 1.0], size=(7, 40))
+    return signs * 10.0 ** rng.uniform(-310, 308, size=(7, 40))
+
+
+MATRICES = {
+    "float_edges": np.array([EDGE_FLOATS, EDGE_FLOATS[::-1]]),
+    "float_wide_range": _wide_floats(),
+    "float32": np.array([[0.0, -0.0, 1e-45, 9.99999999999e-6, 1e-5, 1e16,
+                          0.1 + 0.2, np.nan, np.inf, -np.inf, 3.4e38, 0.7]],
+                        dtype=np.float32),
+    "longdouble": np.array([[0.1, 1e-5, 2.0 / 3.0]], dtype=np.longdouble),
+    "int64": np.array([[123456789012345, -7, 0], [1, 2**62, -(2**63)]],
+                      dtype=np.int64),
+    "uint64": np.array([[2**64 - 1, 0]], dtype=np.uint64),
+    "bool": np.random.default_rng(71).random((5, 9)) < 0.3,
+    "object": np.array([["a", 1.5, 2, True]], dtype=object),
+    "float_0xn": np.zeros((0, 3)),
+    "float_mx0": np.zeros((2, 0)),
+    "int_mx0": np.zeros((2, 0), dtype=np.int64),
+    "bool_0xn": np.zeros((0, 3), dtype=bool),
+    "bool_mx0": np.zeros((3, 0), dtype=bool),
+}
 
 
 class TestAtomicWrite:
@@ -62,6 +112,15 @@ class TestMatrixRoundTrip:
         text = matrix_text(np.array([[True, False]]), ["row"], [1, 2], "c")
         assert text == "c\t1\t2\nrow\t1\t0\n"
 
+    @pytest.mark.parametrize("name", sorted(MATRICES))
+    def test_bytes_match_per_cell_formatting(self, name):
+        values = MATRICES[name]
+        m, n = values.shape
+        rows = [f"r{i}" for i in range(m)]
+        cols = 0.25 + 0.5 * np.arange(n)
+        assert (matrix_text(values, rows, cols, "c")
+                == matrix_text_per_cell(values, rows, cols, "c"))
+
     def test_read_errors(self, tmp_path):
         empty = tmp_path / "empty.tsv"
         empty.write_text("")
@@ -75,13 +134,6 @@ class TestMatrixRoundTrip:
         alpha.write_text("c\ta\nrow\tx\n")
         with pytest.raises(DataError):
             read_matrix(alpha)
-
-
-class TestFrameTimes:
-    def test_offsets(self):
-        np.testing.assert_allclose(frame_times(3, 0.5, t0=1.0),
-                                   [1.0, 1.5, 2.0])
-        assert frame_times(0, 0.5).size == 0
 
 
 class TestActivationsRoundTrip:
@@ -100,23 +152,6 @@ class TestActivationsRoundTrip:
         path.write_text("component\\time_s\tearly\n48\t0.5\n")
         with pytest.raises(DataError):
             read_activations(path)
-
-
-class TestRowLabels:
-    def test_midi_labels_preferred(self):
-        d = make_dirac_dictionary([midi_to_freq(48), midi_to_freq(60)])
-        assert activation_row_labels(d, midi_pitches=[48, 60]) == ["48", "60"]
-
-    def test_fundamentals_fallback_and_noise(self):
-        d = make_dirac_dictionary([110.0, 220.0])
-        assert activation_row_labels(d) == ["110", "220"]
-        assert activation_row_labels(d, noise=True) == ["110", "220", "noise"]
-
-    def test_midi_labels_for_checks_consistency(self):
-        fundamentals = [midi_to_freq(48), midi_to_freq(60)]
-        assert midi_labels_for(fundamentals, [48, 60]) == ["48", "60"]
-        with pytest.raises(ValueError):
-            midi_labels_for(fundamentals, [48, 61])
 
 
 class TestPianoRollWriter:
@@ -159,25 +194,6 @@ class TestGroundTruthWriter:
         assert parse_ground_truth(path) == events
         header = path.read_text().split("\n", 1)[0]
         assert header == "OnsetTime\tOffsetTime\tMidiPitch"
-
-
-class TestDictionaryWriter:
-    def test_dirac_single_column(self, tmp_path):
-        path = tmp_path / "dict.tsv"
-        write_dictionary(path, make_dirac_dictionary([110.0, 220.0]))
-        assert path.read_text() == "fundamental_hz\n110\n220\n"
-
-    def test_harmonic_matrix(self, tmp_path):
-        from ost.dictionary import Dictionary
-        path = tmp_path / "dict.tsv"
-        templates = np.array([[0.75, 0.25], [0.25, 0.75]])
-        d = Dictionary(fundamentals=np.array([100.0, 200.0]),
-                       kind="harmonic", templates=templates)
-        write_dictionary(path, d)
-        values, rows, cols = read_matrix(path)
-        np.testing.assert_allclose(values, templates)
-        assert rows == ["bin0", "bin1"]
-        assert [float(c) for c in cols] == [100.0, 200.0]
 
 
 class TestFormatTable:
