@@ -1,8 +1,10 @@
 """Reference methods: PLCA, exact-LP transport, and divergence evaluators.
 
-The LP solver is a dense two-phase revised simplex with Bland's rule. It is
-deliberately independent of the closed-form solvers so the reduced problem
-can be cross-checked against an exact optimizer.
+LPs are solved by HiGHS' dual revised simplex (scipy's linprog). The exact
+solver is kept as the oracle because it shares nothing with the closed
+forms: it optimises over every plan with the given marginals, without the
+row-by-row split that Dirac targets allow, so agreement checks that split
+rather than restating it.
 """
 
 from dataclasses import dataclass, field
@@ -17,6 +19,7 @@ from .solvers import MM_BLOCK_FRAMES, Activations
 
 KL_FLOOR = 1e-300
 LP_TOL = 1e-9
+LP_MIN_TOL = 1e-10  # HiGHS ignores, with a warning, feasibility tolerances below this
 LP_GUARD = 5000
 OT_LP_MAX_BINS = 64
 PLCA_MAX_ITER = 1000
@@ -143,156 +146,38 @@ def plca_unmix(frames: NormalizedFrames, dictionary: Dictionary,
     return acts, PlcaState(h_matrix=out, objective_traces=traces, iterations=iters)
 
 
-# ---------------------------------------------------------------------------
-# Dense two-phase revised simplex with Bland's rule.
-
-
-def _refactorize(a, b, basis):
-    basis_matrix = a[:, basis]
-    try:
-        b_inv = np.linalg.inv(basis_matrix)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError("singular basis during refactorization") from exc
-    return b_inv, b_inv @ b
-
-
-def _simplex_iterate(a, b, c, basis, b_inv, x_basic, tol, enter_limit, max_iter,
-                     refactor_every=64):
-    """Run simplex pivots until optimality/unboundedness.
-
-    Entering variable: most-negative reduced cost while the walk makes
-    progress; after a long streak of degenerate pivots the rule drops to
-    Bland's lowest-index choice (with Bland ties on the leaving row) until
-    a positive step escapes the vertex, which keeps the walk cycle-free.
-    Mutates basis/b_inv/x_basic in place; returns the final (b_inv, x_basic).
-    """
-    m, _ = a.shape
-    in_basis = np.zeros(c.size, dtype=bool)
-    in_basis[basis] = True
-    stall_limit = 2 * m + 16
-    stalled = 0
-    for iteration in range(max_iter):
-        if iteration and iteration % refactor_every == 0:
-            b_inv, x_basic = _refactorize(a, b, basis)
-        duals = c[basis] @ b_inv
-        reduced = c[:enter_limit] - duals @ a[:, :enter_limit]
-        eligible = np.flatnonzero((reduced < -tol) & ~in_basis[:enter_limit])
-        if eligible.size == 0:
-            return b_inv, x_basic
-        if stalled > stall_limit:
-            j = int(eligible[0])
-        else:
-            j = int(eligible[np.argmin(reduced[eligible])])
-        direction = b_inv @ a[:, j]
-        positive = direction > tol
-        if not np.any(positive):
-            raise LpUnboundedError("objective unbounded below")
-        rows = np.flatnonzero(positive)
-        ratios = x_basic[rows] / direction[rows]
-        theta = ratios.min()
-        near = rows[ratios <= theta + tol * (1.0 + abs(theta))]
-        r = int(near[np.argmin(np.asarray(basis)[near])])
-        stalled = stalled + 1 if theta <= tol else 0
-        # pivot on row r, column j
-        in_basis[basis[r]] = False
-        in_basis[j] = True
-        pivot = direction[r]
-        x_basic -= (theta if theta > 0 else 0.0) * direction
-        x_basic[r] = theta if theta > 0 else 0.0
-        b_inv[r] /= pivot
-        others = np.arange(m) != r
-        b_inv[others] -= np.outer(direction[others], b_inv[r])
-        basis[r] = j
-        np.maximum(x_basic, 0.0, out=x_basic)
-    raise NumericError("simplex iteration limit exceeded")
-
-
 def solve_lp(problem: LpProblem, tol: float = LP_TOL, guard: int = LP_GUARD):
-    """Solve min c.x s.t. Ax = b, x >= 0 by dense revised simplex.
+    """Solve min c.x s.t. Ax = b, x >= 0 with HiGHS' dual revised simplex.
 
-    Returns (x, objective). Raises LpInfeasibleError / LpUnboundedError /
-    LpGuardError. Product-form updates can drift on ill-conditioned bases,
-    so a failed feasibility check retries with a tighter refactorization
-    cadence before giving up.
+    Returns (x, objective); tol is HiGHS' primal and dual feasibility
+    tolerance, at least LP_MIN_TOL. Raises LpGuardError above `guard`
+    variables (before any solve), LpInfeasibleError / LpUnboundedError on
+    those outcomes, and NumericError on any other solver failure or when the
+    returned point misses a constraint by more than 1e-9 relative to the
+    largest |b|.
     """
     n = problem.n_variables
     if n > guard:
         raise LpGuardError(f"{n} variables exceed the desk-scale guard ({guard})")
-    last = None
-    for refactor_every in (64, 8, 1):
-        try:
-            return _solve_lp_once(problem, tol, refactor_every)
-        except NumericError as exc:
-            last = exc
-    raise last
+    if not tol >= LP_MIN_TOL:
+        raise ValueError(f"tol must be at least {LP_MIN_TOL}")
+    from scipy.optimize import linprog  # ~0.17 s to import; keep it off start-up
 
-
-def _solve_lp_once(problem: LpProblem, tol: float, refactor_every: int):
-    a = problem.eq_matrix.copy()
-    b = problem.eq_rhs.copy()
-    c = problem.objective
-    n = problem.n_variables
-    m = b.size
-    if m == 0:
-        return np.zeros(n), 0.0
-    flip = b < 0
-    a[flip] *= -1.0
-    b[flip] *= -1.0
-    max_iter = 5000 + 50 * (m + n)
-
-    # Phase 1: minimize the sum of artificial variables.
-    a1 = np.hstack([a, np.eye(m)])
-    c1 = np.concatenate([np.zeros(n), np.ones(m)])
-    basis = list(range(n, n + m))
-    b_inv = np.eye(m)
-    x_basic = b.copy()
-    b_inv, x_basic = _simplex_iterate(a1, b, c1, basis, b_inv, x_basic,
-                                      tol, n + m, max_iter, refactor_every)
-    if float(c1[basis] @ x_basic) > 1e-8 * max(1.0, np.abs(b).sum()):
-        raise LpInfeasibleError("phase-1 optimum is positive: no feasible point")
-
-    # Drive remaining artificials out of the basis; rows where no original
-    # column can pivot are redundant and dropped.
-    redundant = []
-    for r in range(m):
-        if basis[r] < n:
-            continue
-        tableau_row = b_inv[r] @ a
-        candidates = np.flatnonzero(np.abs(tableau_row) > 1e-7)
-        candidates = [j for j in candidates if j not in basis]
-        if candidates:
-            j = int(candidates[0])
-            direction = b_inv @ a1[:, j]
-            pivot = direction[r]
-            b_inv[r] /= pivot
-            others = np.arange(m) != r
-            b_inv[others] -= np.outer(direction[others], b_inv[r])
-            basis[r] = j
-        else:
-            redundant.append(r)
-    if redundant:
-        keep = [r for r in range(m) if r not in redundant]
-        a = a[keep]
-        b = b[keep]
-        m = len(keep)
-        basis = [basis[r] for r in keep]
-        if any(idx >= n for idx in basis):
-            raise NumericError("redundant-row elimination left an artificial basic")
-        b_inv, x_basic = _refactorize(a, b, basis)
-    else:
-        b_inv, x_basic = _refactorize(a, b, basis)
-
-    # Phase 2 on original columns only.
-    b_inv, x_basic = _simplex_iterate(a, b, c, basis, b_inv, x_basic,
-                                      tol, n, max_iter, refactor_every)
-    b_inv, x_basic = _refactorize(a, b, basis)
-    np.maximum(x_basic, 0.0, out=x_basic)
-    x = np.zeros(n)
-    x[basis] = x_basic
-    residual = np.abs(problem.eq_matrix @ x - problem.eq_rhs).max() if m else 0.0
-    if residual > 1e-9 * max(1.0, np.abs(problem.eq_rhs).max()):
+    res = linprog(problem.objective, A_eq=problem.eq_matrix, b_eq=problem.eq_rhs,
+                  bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": tol,
+                           "dual_feasibility_tolerance": tol})
+    if res.status == 2:
+        raise LpInfeasibleError(res.message)
+    if res.status == 3:
+        raise LpUnboundedError(res.message)
+    if res.status != 0:
+        raise NumericError(f"LP solver failed: {res.message}")
+    x = np.maximum(res.x, 0.0)  # HiGHS keeps bounds only to within tol
+    residual = np.abs(problem.eq_matrix @ x - problem.eq_rhs).max(initial=0.0)
+    if residual > 1e-9 * max(1.0, np.abs(problem.eq_rhs).max(initial=0.0)):
         raise NumericError(f"constraint residual {residual:.3e} exceeds tolerance")
-    return x, float(c @ x)
+    return x, float(problem.objective @ x)
 
 
 def wasserstein_divergence(v, vhat, cost: CostMatrix) -> float:

@@ -45,8 +45,6 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 METHODS = ("plca", "ot_h", "ost", "ost_e", "ost_g", "ost_eg")
-OST_VARIANTS = {"ost": "ost", "ost_e": "ost_e", "ost_g": "ost_g",
-                "ost_eg": "ost_eg"}
 
 # Which methods each tunable belongs to. Passing a flag whose method set
 # does not cover the requested method is a configuration error.
@@ -218,8 +216,7 @@ def decompose(frames: NormalizedFrames, config: RunConfig):
     if config.noise_amplitude is not None:
         cost = append_noise_column(cost, config.noise_amplitude)
         labels = labels + ["noise"]
-    acts = unmix(frames, cost, config.solver_config(),
-                 variant=OST_VARIANTS[config.method])
+    acts = unmix(frames, cost, config.solver_config(), variant=config.method)
     pitch_acts = Activations(values=acts.values[:len(midi)],
                              frame_hop_seconds=acts.frame_hop_seconds)
     return pitch_acts, labels, acts
@@ -344,8 +341,7 @@ def cmd_toy(args) -> int:
             acts = ot_unmix_lp(frames, toy.dictionary, full_cost)
             h = acts.values[:, 0]
         else:
-            acts = unmix(frames, reduced, config.solver_config(),
-                         variant=OST_VARIANTS[method])
+            acts = unmix(frames, reduced, config.solver_config(), variant=method)
             h = acts.values[:, 0]
         seconds = time.perf_counter() - start
         rows.append((method, l1_activation_error(h, toy.h_true), seconds))

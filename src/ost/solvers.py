@@ -339,7 +339,9 @@ def unmix(frames: NormalizedFrames, cost: CostMatrix,
     active = np.flatnonzero(frames.active_mask)
     if active.size == 0:
         return Activations(values=out, frame_hop_seconds=frames.frame_hop_seconds)
-    v_active = columns[:, active]
+    # No kernel writes into its frame argument, so an all-active input is
+    # passed as is, without an M x N copy.
+    v_active = columns if active.size == n else columns[:, active]
 
     if variant == "ost":
         out[:, active] = _hard_assign(cost.values, v_active)

@@ -1,4 +1,4 @@
-"""Baseline method tests: PLCA, the dense simplex, exact transport, joint LP.
+"""Baseline method tests: PLCA, the LP solver, exact transport, joint LP.
 
 Two independent oracles drive the LP checks:
 - brute-force enumeration of basic solutions on tiny instances (every vertex
@@ -9,15 +9,17 @@ Two independent oracles drive the LP checks:
 """
 
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ost.baselines import (KL_FLOOR, LpProblem, OT_LP_MAX_BINS,
-                           PLCA_MAX_ITER, PLCA_REL_TOL, kl_divergence,
-                           ot_unmix_lp, plca_unmix, solve_lp,
+from ost.baselines import (KL_FLOOR, LP_MIN_TOL, LpProblem, OT_LP_MAX_BINS,
+                           PLCA_MAX_ITER, PLCA_REL_TOL, _reduced_lp_frame,
+                           kl_divergence, ot_unmix_lp, plca_unmix, solve_lp,
                            wasserstein_divergence)
-from ost.costs import CostMatrix, harmonic_cost, quadratic_cost
+from ost.costs import (CostMatrix, append_noise_column, harmonic_cost,
+                       quadratic_cost)
 from ost.dictionary import Dictionary, make_dirac_dictionary
 from ost.errors import (LpGuardError, LpInfeasibleError, LpUnboundedError,
                         NumericError)
@@ -357,6 +359,20 @@ class TestSolveLp:
                                         abs=1e-9)
             np.testing.assert_allclose(eq @ x, rhs, atol=1e-9)
 
+    def test_small_cost_differences_are_resolved(self):
+        # reduced costs near 1e-7 sit between tol (1e-9) and HiGHS' default
+        # feasibility tolerances (1e-7): the optimum is found only if tol
+        # reaches the solver
+        rng = np.random.default_rng(7)
+        for _ in range(4):
+            v = rng.dirichlet(np.ones(4))
+            vhat = rng.dirichlet(np.ones(4))
+            costs = rng.uniform(0.0, 10.0, size=(4, 4)) * 1e-7
+            c, eq, rhs = transport_lp_arrays(v, vhat, costs)
+            _, obj = solve_lp(LpProblem(objective=c, eq_matrix=eq, eq_rhs=rhs))
+            assert obj == pytest.approx(enumerate_lp_vertices(c, eq, rhs),
+                                        rel=1e-9)
+
     def test_random_feasible_lps_match_enumeration(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
@@ -409,6 +425,30 @@ class TestSolveLp:
                             eq_rhs=np.array([0.0]))
         with pytest.raises(LpGuardError):
             solve_lp(problem)
+
+    @pytest.mark.parametrize("status, x", [(1, None), (4, None),
+                                           (0, np.array([1.0 + 1e-8]))])
+    def test_solver_failure_or_residual_is_numeric_error(self, monkeypatch,
+                                                         status, x):
+        # 1: iteration limit, 4: numerical difficulties, 0 with a point that
+        # misses its constraint by 1e-8
+        import scipy.optimize
+        monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: SimpleNamespace(
+            status=status, message="stub", x=x))
+        problem = LpProblem(objective=np.array([1.0]),
+                            eq_matrix=np.array([[1.0]]), eq_rhs=np.array([1.0]))
+        with pytest.raises(NumericError):
+            solve_lp(problem)
+
+    def test_tolerance_below_the_solver_floor_is_rejected(self):
+        # HiGHS would ignore such a tolerance and solve at its default
+        problem = LpProblem(objective=np.array([1.0]),
+                            eq_matrix=np.array([[1.0]]), eq_rhs=np.array([1.0]))
+        for tol in (0.0, 1e-12, np.nan):
+            with pytest.raises(ValueError):
+                solve_lp(problem, tol=tol)
+        x, _ = solve_lp(problem, tol=LP_MIN_TOL)
+        np.testing.assert_allclose(x, [1.0], atol=1e-12)
 
     def test_problem_validation(self):
         with pytest.raises(ValueError):
@@ -574,6 +614,55 @@ class TestOtUnmixLp:
         acts = ot_unmix_lp(frames, d, cost)
         np.testing.assert_array_equal(acts.values[:, 1], 0.0)
         assert acts.values[:, 0].sum() == pytest.approx(1.0)
+
+
+def tied_costs(name):
+    """Reduced costs whose rows have several cheapest columns."""
+    if name == "integer_duplicate_column":
+        values = np.random.default_rng(12).integers(0, 3, size=(16, 5)).astype(float)
+        values[:, 4] = values[:, 1]
+        return CostMatrix(values=values, row_freqs=np.arange(1.0, 17.0),
+                          col_freqs=np.arange(1.0, 6.0))
+    freqs = 50.0 * np.arange(1, 33)  # every bin sits on a harmonic
+    fundamentals = [100.0, 150.0, 200.0, 300.0]
+    if name == "eps0_zero":
+        return harmonic_cost(freqs, fundamentals, eps0=0.0, octave_scaling=False)
+    # a flat partial penalty equal to the noise amplitude: exact partials
+    # tie with the noise column
+    return append_noise_column(
+        harmonic_cost(freqs, fundamentals, eps0=5.0, octave_scaling=False), 5.0)
+
+
+class TestClosedFormAgainstLp:
+    """ost_frame against the exact reduced LP on costs with exact ties.
+
+    With ties the optimal h is not unique, so the closed form is checked
+    by its objective and by the row marginals of both plans."""
+
+    @pytest.mark.parametrize("name", ["integer_duplicate_column", "eps0_zero",
+                                      "flat_penalty_noise_tie"])
+    def test_objective_and_marginals(self, name):
+        cost = tied_costs(name)
+        values = cost.values
+        m = values.shape[0]
+        tied_rows = (values == values.min(axis=1, keepdims=True)).sum(axis=1) > 1
+        assert tied_rows.sum() >= 3
+        rng = np.random.default_rng(13)
+        frames = [np.full(m, 1.0 / m), np.eye(m)[int(np.argmax(tied_rows))]]
+        for _ in range(6):
+            v = rng.dirichlet(np.ones(m))
+            v[rng.choice(m, size=m // 4, replace=False)] = 0.0
+            frames.append(v / v.sum())
+        for v in frames:
+            plan, h = ost_frame(v, cost)
+            h_lp, lp_plan, objective = _reduced_lp_frame(v, values)
+            assert transport_objective(plan.plan, values) == pytest.approx(
+                objective, abs=1e-9)
+            np.testing.assert_allclose(plan.plan.sum(axis=1), v, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(lp_plan.sum(axis=1), v, rtol=0, atol=1e-12)
+            assert np.all(lp_plan >= 0)
+            assert h.sum() == pytest.approx(1.0, abs=1e-12)
+            assert h_lp.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestJointLpOnToyScenario:

@@ -23,6 +23,15 @@ from ost.synth import render_notes
 from ost.tsvio import read_activations, read_matrix, write_ground_truth
 
 
+def source_tree_env():
+    """Environment for a fresh interpreter that imports `ost` from the same
+    source tree as this test process."""
+    src_dir = str(Path(ost.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(
+        filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": pythonpath}
+
+
 def write_wav(path, buf):
     pcm = np.clip(np.round(buf.samples * 32768.0), -32768.0,
                   32767.0).astype("<i2")
@@ -452,15 +461,22 @@ class TestConsoleScript:
         ep = EntryPoint(name="ost", value=target, group="console_scripts")
         assert ep.load() is main
 
-        src_dir = str(Path(ost.__file__).resolve().parents[1])
-        pythonpath = os.pathsep.join(
-            filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": pythonpath}
         launcher = (f"import sys; from {ep.module} import {ep.attr}; "
                     f"sys.exit({ep.attr}())")
         proc = subprocess.run(
             [sys.executable, "-c", launcher, "bench", "--frames", "0"],
             capture_output=True, text=True, timeout=120, cwd=tmp_path,
-            env=env)
+            env=source_tree_env())
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stdout.startswith("method"), proc.stderr
+
+
+class TestStartup:
+    def test_cli_import_leaves_lp_solver_unloaded(self, tmp_path):
+        # scipy.optimize takes ~0.17 s to import; only solve_lp needs it
+        probe = "import sys, ost.cli; print('scipy.optimize' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, timeout=120, cwd=tmp_path,
+                              env=source_tree_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -315,6 +315,16 @@ class TestUnmix:
         acts = unmix(frames, cost)
         np.testing.assert_allclose(acts.values[:, 0], [0.0, 1.0, 0.0], atol=0)
 
+    @pytest.mark.parametrize("variant", ["ost", "ost_e", "ost_g", "ost_eg"])
+    def test_kernels_do_not_write_into_frames(self, variant):
+        # with every frame active unmix hands frames.columns itself to the
+        # kernels, uncopied; a write into the read-only array would raise
+        rng = np.random.default_rng(54)
+        frames = make_frames(rng, 12, MM_BLOCK_FRAMES + 3)
+        frames.columns.flags.writeable = False
+        cost = toy_cost(rng.uniform(0, 3, size=(12, 4)))
+        unmix(frames, cost, SolverConfig(lambda_e=0.6, lambda_g=1.2), variant=variant)
+
     def test_validation(self):
         rng = np.random.default_rng(53)
         frames = make_frames(rng, 6, 3)
