@@ -23,18 +23,20 @@ import numpy as np
 
 from .baselines import OT_LP_MAX_BINS, ot_unmix_lp, plca_unmix
 from .costs import append_noise_column, harmonic_cost
-from .dictionary import (HarmonicTemplateParams, make_harmonic_dictionary,
-                         midi_to_freq)
+from .dictionary import (DEFAULT_DAMPING, DEFAULT_N_PARTIALS, Dictionary,
+                         HarmonicTemplateParams, make_dirac_dictionary,
+                         make_harmonic_dictionary, midi_range_fundamentals)
 from .errors import (DataError, DecodeError, LpGuardError, LpInfeasibleError,
                      LpUnboundedError, NumericError, OstError,
                      UnsupportedEncodingError)
-from .evaluation import (SCENARIO_ALIASES, FrameClock, events_to_roll,
-                         f_measure, l1_activation_error, load_ground_truth,
+from .evaluation import (SCENARIO_ALIASES, TOY_BINS, TOY_F_MAX, FrameClock,
+                         PianoRoll, events_to_roll, f_measure,
+                         l1_activation_error, load_ground_truth,
                          make_toy_scenario, parse_ground_truth,
                          threshold_activations)
 from .frontend import (DEFAULT_HOP, DEFAULT_WINDOW_LEN, NormalizedFrames,
                        decode_wav, normalize_frames, stft_magnitude)
-from .solvers import Activations, SolverConfig, unmix
+from .solvers import DEFAULT_MM_ITERATIONS, Activations, SolverConfig, unmix
 from . import tsvio
 
 logger = logging.getLogger(__name__)
@@ -45,6 +47,8 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 METHODS = ("plca", "ot_h", "ost", "ost_e", "ost_g", "ost_eg")
+TEMPLATE_METHODS = {"plca", "ot_h"}
+TEMPLATE_FLAGS = ("kernel_width_bins", "damping", "n_partials")
 
 # Which methods each tunable belongs to. Passing a flag whose method set
 # does not cover the requested method is a configuration error.
@@ -54,21 +58,34 @@ METHOD_FLAGS = {
     "lambda_g": {"ost_g", "ost_eg"},
     "mm_iterations": {"ost_g", "ost_eg"},
     "noise_amplitude": {"ost", "ost_e", "ost_g", "ost_eg"},
+    **{name: TEMPLATE_METHODS for name in TEMPLATE_FLAGS},
 }
-TEMPLATE_METHODS = {"plca", "ot_h"}
-TEMPLATE_FLAGS = ("kernel_width_bins", "damping", "n_partials")
+
+# Type and help of each optional setting flag; a command registers only
+# those it honours, so passing any other one is a usage error.
+FLAG_SPECS = {
+    "epsilon0": (float, "harmonic-cost octave penalty scale, Hz^2"),
+    "lambda_e": (float, "entropic regularization weight (ost_e, ost_eg)"),
+    "lambda_g": (float, "group-sparsity weight (ost_g, ost_eg)"),
+    "mm_iterations": (int, "majorize-minimize iterations (ost_g, ost_eg)"),
+    "noise_amplitude": (float, "append a flat-cost noise column at this cost"),
+    "kernel_width_bins": (float, "Gaussian partial width in frequency bins"),
+    "damping": (float, "exponential partial-amplitude damping rate"),
+    "n_partials": (int, "partials per synthesized template"),
+    "midi_low": (int, "lowest MIDI pitch of the dictionary"),
+    "midi_high": (int, "highest MIDI pitch of the dictionary"),
+    "window_len": (int, "STFT window length in samples"),
+    "hop": (int, "STFT hop in samples"),
+    "seed": (int, "RNG seed for synthetic inputs"),
+}
+DECOMPOSE_FLAGS = ("midi_low", "midi_high", "window_len", "hop") + tuple(METHOD_FLAGS)
 
 DEFAULT_EPSILON0 = 1.0
 DEFAULT_LAMBDA_E = 300.0
 DEFAULT_LAMBDA_G = 300.0
-DEFAULT_MM_ITERATIONS = 10
 DEFAULT_MIDI_LOW = 21
 DEFAULT_MIDI_HIGH = 108
 DEFAULT_KERNEL_WIDTH_BINS = 2.0
-DEFAULT_DAMPING = 0.3
-DEFAULT_N_PARTIALS = 8
-DEFAULT_TOY_BINS = 8192
-DEFAULT_TOY_F_MAX = 2800.0
 DEFAULT_TOY_METHODS = "plca,ost,ost_e,ost_g,ost_eg"
 
 SWEEP_EPSILON0 = (1e0, 1e1, 1e2, 1e3, 1e4)
@@ -109,36 +126,40 @@ class RunConfig:
                             lambda_g=self.lambda_g or 0.0,
                             mm_iterations=self.mm_iterations)
 
-    def template_params(self, bin_hz: float) -> HarmonicTemplateParams:
-        return HarmonicTemplateParams(
-            kernel_width=self.kernel_width_bins * bin_hz,
-            damping=self.damping, n_partials=self.n_partials)
+    def harmonic_dictionary(self, freqs, fundamentals) -> Dictionary:
+        """Harmonic templates on the bin grid `freqs`, with the kernel width
+        in bins of the grid spacing (of the only frequency on a 1-bin grid)."""
+        bin_hz = float(freqs[1] - freqs[0]) if len(freqs) > 1 else float(freqs[0])
+        return make_harmonic_dictionary(freqs, fundamentals, HarmonicTemplateParams(
+            kernel_width=self.kernel_width_bins * bin_hz, damping=self.damping,
+            n_partials=self.n_partials))
 
 
 def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
+def _check_applies(names, methods):
+    """Every setting in `names` must apply to at least one of `methods`."""
+    for name in names:
+        if name in METHOD_FLAGS and not set(methods) & METHOD_FLAGS[name]:
+            raise UsageError(f"{_flag(name)} does not apply to "
+                             f"method {'/'.join(sorted(methods))}")
+
+
 def build_run_config(args, methods=None) -> RunConfig:
     """Turn parsed flags into a validated RunConfig.
 
-    `methods` widens the applicability check to a set of methods (the toy
-    command runs several at once); otherwise args.method governs.
+    `methods` widens the applicability check to a set of methods (toy and
+    bench run several at once; there the template flags shape the
+    synthetic problem itself, so they apply to all); otherwise args.method
+    governs.
     """
-    active = set(methods) if methods is not None else {args.method}
-    for name in METHOD_FLAGS:
-        value = getattr(args, name, None)
-        if value is not None and not (active & METHOD_FLAGS[name]):
-            raise UsageError(f"{_flag(name)} does not apply to "
-                             f"method {'/'.join(sorted(active))}")
-    if methods is None:
-        for name in TEMPLATE_FLAGS:
-            value = getattr(args, name, None)
-            if value is not None and args.method not in TEMPLATE_METHODS:
-                raise UsageError(f"{_flag(name)} only applies to methods "
-                                 "that synthesize templates (plca, ot_h)")
+    given = [n for n in METHOD_FLAGS if getattr(args, n, None) is not None
+             and (methods is None or n not in TEMPLATE_FLAGS)]
+    _check_applies(given, {args.method} if methods is None else methods)
     config = RunConfig(
-        method=args.method if methods is None else sorted(active)[0],
+        method=args.method if methods is None else sorted(methods)[0],
         epsilon0=_or_default(args, "epsilon0", DEFAULT_EPSILON0),
         lambda_e=_or_default(args, "lambda_e", DEFAULT_LAMBDA_E),
         lambda_g=_or_default(args, "lambda_g", DEFAULT_LAMBDA_G),
@@ -163,20 +184,22 @@ def _or_default(args, name, default):
 
 
 def _check_ranges(config: RunConfig):
+    inf = np.inf
     checks = [
-        (config.epsilon0 >= 0, "--epsilon0 must be non-negative"),
-        (config.lambda_e > 0, "--lambda-e must be positive"),
-        (config.lambda_g > 0, "--lambda-g must be positive"),
+        (0 <= config.epsilon0 < inf, "--epsilon0 must be finite and non-negative"),
+        (0 < config.lambda_e < inf, "--lambda-e must be finite and positive"),
+        (0 < config.lambda_g < inf, "--lambda-g must be finite and positive"),
         (config.mm_iterations >= 1, "--mm-iterations must be at least 1"),
-        (config.noise_amplitude is None or config.noise_amplitude >= 0,
-         "--noise-amplitude must be non-negative"),
+        (config.noise_amplitude is None or 0 <= config.noise_amplitude < inf,
+         "--noise-amplitude must be finite and non-negative"),
         (0 <= config.midi_low <= config.midi_high <= 127,
          "--midi-low/--midi-high must satisfy 0 <= low <= high <= 127"),
         (config.window_len >= 2 and config.window_len % 2 == 0,
          "--window-len must be a positive even integer"),
         (0 < config.hop, "--hop must be positive"),
-        (config.kernel_width_bins > 0, "--kernel-width-bins must be positive"),
-        (config.damping >= 0, "--damping must be non-negative"),
+        (0 < config.kernel_width_bins < inf,
+         "--kernel-width-bins must be finite and positive"),
+        (0 <= config.damping < inf, "--damping must be finite and non-negative"),
         (config.n_partials >= 1, "--n-partials must be at least 1"),
     ]
     for ok, message in checks:
@@ -185,7 +208,27 @@ def _check_ranges(config: RunConfig):
 
 
 # ---------------------------------------------------------------------------
-# decomposition shared by transcribe and sweep
+# decomposition shared by transcribe, toy and sweep
+
+
+def solve(method: str, frames: NormalizedFrames, dictionary: Dictionary,
+          config: RunConfig) -> Activations:
+    """Run one method: the only place a method name picks a solver.
+
+    plca and ot_h unmix onto the dictionary's templates (ot_h over the full
+    bin-to-bin cost). The OST variants read only its fundamentals, with the
+    reduced cost plus, when config.noise_amplitude is set, a noise column
+    whose activations form a trailing row.
+    """
+    if method == "plca":
+        return plca_unmix(frames, dictionary)[0]
+    if method == "ot_h":
+        cost = harmonic_cost(frames.freqs, frames.freqs, config.epsilon0)
+        return ot_unmix_lp(frames, dictionary, cost)
+    cost = harmonic_cost(frames.freqs, dictionary.fundamentals, config.epsilon0)
+    if config.noise_amplitude is not None:
+        cost = append_noise_column(cost, config.noise_amplitude)
+    return unmix(frames, cost, config.solver_config(), variant=method)
 
 
 def decompose(frames: NormalizedFrames, config: RunConfig):
@@ -194,32 +237,18 @@ def decompose(frames: NormalizedFrames, config: RunConfig):
     Returns (activations restricted to pitch rows, row labels including a
     possible trailing noise row, full activations).
     """
-    midi = list(range(config.midi_low, config.midi_high + 1))
-    fundamentals = np.array([midi_to_freq(m) for m in midi])
-    labels = [str(m) for m in midi]
-    if config.method == "plca":
-        bin_hz = float(frames.freqs[1] - frames.freqs[0]) if len(frames.freqs) > 1 \
-            else float(frames.freqs[0])
-        dictionary = make_harmonic_dictionary(
-            frames.freqs, fundamentals, config.template_params(bin_hz))
-        acts, _ = plca_unmix(frames, dictionary)
+    labels = [str(m) for m in range(config.midi_low, config.midi_high + 1)]
+    fundamentals = midi_range_fundamentals(config.midi_low, config.midi_high)
+    if config.method in TEMPLATE_METHODS:
+        dictionary = config.harmonic_dictionary(frames.freqs, fundamentals)
+    else:
+        dictionary = make_dirac_dictionary(fundamentals)
+    acts = solve(config.method, frames, dictionary, config)
+    if acts.values.shape[0] == len(labels):
         return acts, labels, acts
-    if config.method == "ot_h":
-        bin_hz = float(frames.freqs[1] - frames.freqs[0]) if len(frames.freqs) > 1 \
-            else float(frames.freqs[0])
-        dictionary = make_harmonic_dictionary(
-            frames.freqs, fundamentals, config.template_params(bin_hz))
-        cost = harmonic_cost(frames.freqs, frames.freqs, config.epsilon0)
-        acts = ot_unmix_lp(frames, dictionary, cost)
-        return acts, labels, acts
-    cost = harmonic_cost(frames.freqs, fundamentals, config.epsilon0)
-    if config.noise_amplitude is not None:
-        cost = append_noise_column(cost, config.noise_amplitude)
-        labels = labels + ["noise"]
-    acts = unmix(frames, cost, config.solver_config(), variant=config.method)
-    pitch_acts = Activations(values=acts.values[:len(midi)],
+    pitch_acts = Activations(values=acts.values[:len(labels)],
                              frame_hop_seconds=acts.frame_hop_seconds)
-    return pitch_acts, labels, acts
+    return pitch_acts, labels + ["noise"], acts
 
 
 def transcription_clock(frames: NormalizedFrames, config: RunConfig,
@@ -277,11 +306,7 @@ def cmd_transcribe(args) -> int:
     extra = {f"wall_time_seconds.{k}": v for k, v in sorted(timings.items())}
     extra["method"] = config.method
     extra["frames"] = frames.n_frames
-    if report is not None:
-        report.wall_time_seconds = {}
-        tsvio.write_report(report_path, report, extra=extra)
-    else:
-        tsvio.write_report(report_path, extra=extra)
+    tsvio.write_report(report_path, report, extra=extra)
     written.append(report_path)
 
     print(f"method={config.method} frames={frames.n_frames} "
@@ -328,30 +353,17 @@ def cmd_toy(args) -> int:
     frames = NormalizedFrames(columns=toy.frame[:, None],
                               active_mask=np.array([True]),
                               freqs=toy.freqs)
-    fundamentals = toy.dictionary.fundamentals
-    reduced = harmonic_cost(toy.freqs, fundamentals, config.epsilon0)
     rows = []
     for method in methods:
         start = time.perf_counter()
-        if method == "plca":
-            acts, _ = plca_unmix(frames, toy.dictionary)
-            h = acts.values[:, 0]
-        elif method == "ot_h":
-            full_cost = harmonic_cost(toy.freqs, toy.freqs, config.epsilon0)
-            acts = ot_unmix_lp(frames, toy.dictionary, full_cost)
-            h = acts.values[:, 0]
-        else:
-            acts = unmix(frames, reduced, config.solver_config(), variant=method)
-            h = acts.values[:, 0]
+        h = solve(method, frames, toy.dictionary, config).values[:, 0]
         seconds = time.perf_counter() - start
         rows.append((method, l1_activation_error(h, toy.h_true), seconds))
-    table = tsvio.format_table(("method", "l1_error", "seconds"), rows)
+    headers = ("method", "l1_error", "seconds")
     print(f"scenario={toy.which} seed={config.seed} bins={args.bins}")
-    print(table)
+    print(tsvio.format_table(headers, rows))
     if args.output is not None:
-        text = "method\tl1_error\tseconds\n" + "".join(
-            f"{m}\t{e:.12g}\t{s:.12g}\n" for m, e, s in rows)
-        tsvio.atomic_write_text(args.output, text)
+        tsvio.atomic_write_text(args.output, tsvio.table_text(headers, rows))
         print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -360,10 +372,12 @@ def cmd_toy(args) -> int:
 # sweep
 
 
+SWEEPABLE = ("damping", "epsilon0", "kernel_width_bins", "lambda_e",
+             "lambda_g", "noise_amplitude")
+
+
 def _parse_grid(entries, method):
     """--grid name=v1,v2,... entries to an axis dict, or defaults."""
-    sweepable = {"epsilon0", "lambda_e", "lambda_g", "noise_amplitude",
-                 "kernel_width_bins", "damping"}
     if entries:
         axes = {}
         for entry in entries:
@@ -371,14 +385,10 @@ def _parse_grid(entries, method):
                 raise UsageError(f"--grid needs name=v1,v2,... (got {entry!r})")
             name, _, values = entry.partition("=")
             name = name.strip().replace("-", "_")
-            if name not in sweepable:
+            if name not in SWEEPABLE:
                 raise UsageError(f"cannot sweep {name!r}; choose from "
-                                 + ", ".join(sorted(sweepable)))
-            if name in METHOD_FLAGS and method not in METHOD_FLAGS[name]:
-                raise UsageError(f"{name} does not apply to method {method}")
-            if name in ("kernel_width_bins", "damping") \
-                    and method not in TEMPLATE_METHODS:
-                raise UsageError(f"{name} does not apply to method {method}")
+                                 + ", ".join(SWEEPABLE))
+            _check_applies([name], {method})
             try:
                 points = [float(x) for x in values.split(",") if x.strip()]
             except ValueError as exc:
@@ -400,14 +410,13 @@ def cmd_sweep(args) -> int:
     config = build_run_config(args)
     axes = _parse_grid(args.grid, config.method)
     if args.sweep_noise:
-        if config.method not in METHOD_FLAGS["noise_amplitude"]:
-            raise UsageError("--sweep-noise does not apply to method "
-                             + config.method)
+        _check_applies(["noise_amplitude"], {config.method})
         axes.setdefault("noise_amplitude", list(SWEEP_NOISE))
     names = sorted(axes)
     points = list(itertools.product(*(axes[n] for n in names)))
-    if not points:
-        raise UsageError("empty sweep grid")
+    configs = [replace(config, **dict(zip(names, values))) for values in points]
+    for cfg in configs:
+        _check_ranges(cfg)
 
     audio = decode_wav(args.wav)
     spec = stft_magnitude(audio, config.window_len, config.hop)
@@ -422,42 +431,30 @@ def cmd_sweep(args) -> int:
         pitch_acts, _, _ = decompose(frames, cfg)
         sliced = Activations(values=pitch_acts.values[:, report_slice],
                              frame_hop_seconds=pitch_acts.frame_hop_seconds)
-        ref = _slice_roll(truth, report_slice)
-        return f_measure(threshold_activations(sliced, ref), ref), pitch_acts
+        ref = PianoRoll(active=truth.active[:, report_slice],
+                        midi_low=truth.midi_low, midi_high=truth.midi_high,
+                        frame_hop_seconds=truth.frame_hop_seconds)
+        return f_measure(threshold_activations(sliced, ref), ref)
 
     rows, best = [], None
-    for values in points:
-        cfg = replace(config, **{n: v for n, v in zip(names, values)})
-        if "mm_iterations" in names:
-            cfg = replace(cfg, mm_iterations=int(cfg.mm_iterations))
-        report, _ = score(val_slice, cfg)
-        rows.append(tuple(values) + (report.f_measure,))
-        if best is None or report.f_measure > best[1]:
-            best = (cfg, report.f_measure, tuple(values))
+    for values, cfg in zip(points, configs):
+        val_f = score(val_slice, cfg).f_measure
+        rows.append(values + (val_f,))
+        if best is None or val_f > best[1]:
+            best = (cfg, val_f, values)
     best_cfg, best_val_f, best_values = best
-    test_report, _ = score(test_slice, best_cfg)
+    test_f = score(test_slice, best_cfg).f_measure
 
-    print(tsvio.format_table(tuple(names) + ("val_f_measure",), rows))
+    headers = tuple(names) + ("val_f_measure",)
+    print(tsvio.format_table(headers, rows))
     summary = " ".join(f"{n}={v:g}" for n, v in zip(names, best_values))
     print(f"best: {summary} val_f_measure={best_val_f:.4f} "
-          f"test_f_measure={test_report.f_measure:.4f}")
+          f"test_f_measure={test_f:.4f}")
     if args.output is not None:
-        lines = ["\t".join(tuple(names) + ("val_f_measure",))]
-        for row in rows:
-            lines.append("\t".join(format(x, ".12g") for x in row))
-        lines.append("")
-        lines.append(f"best\t{summary}")
-        lines.append(f"test_f_measure\t{test_report.f_measure:.12g}")
-        tsvio.atomic_write_text(args.output, "\n".join(lines) + "\n")
+        tsvio.atomic_write_text(args.output, tsvio.table_text(
+            headers, rows + [(), ("best", summary), ("test_f_measure", test_f)]))
         print(f"wrote {args.output}")
     return EXIT_OK
-
-
-def _slice_roll(roll, frame_slice):
-    from .evaluation import PianoRoll
-    return PianoRoll(active=roll.active[:, frame_slice],
-                     midi_low=roll.midi_low, midi_high=roll.midi_high,
-                     frame_hop_seconds=roll.frame_hop_seconds)
 
 
 # ---------------------------------------------------------------------------
@@ -481,11 +478,8 @@ def cmd_bench(args) -> int:
     freqs = (np.arange(m) + 1) * (BENCH_SAMPLE_RATE / 2.0 / m)
     frames = NormalizedFrames(columns=columns, active_mask=np.ones(n, bool),
                               freqs=freqs)
-    midi = np.arange(BENCH_MIDI_LOW, BENCH_MIDI_LOW + k)
-    fundamentals = np.array([midi_to_freq(int(p)) for p in midi])
-    bin_hz = freqs[1] - freqs[0] if m > 1 else freqs[0]
-    dictionary = make_harmonic_dictionary(freqs, fundamentals,
-                                          config.template_params(bin_hz))
+    fundamentals = midi_range_fundamentals(BENCH_MIDI_LOW, BENCH_MIDI_LOW + k - 1)
+    dictionary = config.harmonic_dictionary(freqs, fundamentals)
     cost = harmonic_cost(freqs, fundamentals, config.epsilon0)
     solver = config.solver_config()
 
@@ -505,10 +499,7 @@ def cmd_bench(args) -> int:
     print(f"bins={m} notes={k} frames={n} seed={config.seed}")
     print(tsvio.format_table(headers, rows))
     if args.output is not None:
-        lines = ["\t".join(headers)]
-        for name, total, per, speed in rows:
-            lines.append(f"{name}\t{total:.12g}\t{per:.12g}\t{speed:.12g}")
-        tsvio.atomic_write_text(args.output, "\n".join(lines) + "\n")
+        tsvio.atomic_write_text(args.output, tsvio.table_text(headers, rows))
         print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -551,36 +542,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_solver_flags(p):
-    p.add_argument("--epsilon0", type=float, default=None,
-                   help="harmonic-cost octave penalty scale, Hz^2")
-    p.add_argument("--lambda-e", type=float, default=None, dest="lambda_e",
-                   help="entropic regularization weight (ost_e, ost_eg)")
-    p.add_argument("--lambda-g", type=float, default=None, dest="lambda_g",
-                   help="group-sparsity weight (ost_g, ost_eg)")
-    p.add_argument("--mm-iterations", type=int, default=None,
-                   dest="mm_iterations",
-                   help="majorize-minimize iterations (ost_g, ost_eg)")
-    p.add_argument("--noise-amplitude", type=float, default=None,
-                   dest="noise_amplitude",
-                   help="append a flat-cost noise column at this cost")
-
-
-def _add_template_flags(p):
-    p.add_argument("--kernel-width-bins", type=float, default=None,
-                   dest="kernel_width_bins",
-                   help="Gaussian partial width in frequency bins")
-    p.add_argument("--damping", type=float, default=None,
-                   help="exponential partial-amplitude damping rate")
-    p.add_argument("--n-partials", type=int, default=None, dest="n_partials",
-                   help="partials per synthesized template")
-
-
-def _add_common_flags(p):
+def _add_flags(p, names):
     p.add_argument("--config", default=None, metavar="FILE",
                    help="key=value defaults; explicit flags override")
-    p.add_argument("--seed", type=int, default=None,
-                   help="RNG seed for synthetic inputs")
+    for name in names:
+        kind, text = FLAG_SPECS[name]
+        p.add_argument(_flag(name), type=kind, default=None, dest=name,
+                       help=text)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -595,13 +563,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--ground-truth", default=None, dest="ground_truth",
                    help="MAPS-style TSV of note events; enables scoring")
     p.add_argument("--output-dir", default=".", dest="output_dir")
-    p.add_argument("--midi-low", type=int, default=None, dest="midi_low")
-    p.add_argument("--midi-high", type=int, default=None, dest="midi_high")
-    p.add_argument("--window-len", type=int, default=None, dest="window_len")
-    p.add_argument("--hop", type=int, default=None)
-    _add_solver_flags(p)
-    _add_template_flags(p)
-    _add_common_flags(p)
+    _add_flags(p, DECOMPOSE_FLAGS)
     p.set_defaults(func=cmd_transcribe)
 
     p = sub.add_parser("toy", help="misspecified-unmixing comparison table")
@@ -610,13 +572,10 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", default=DEFAULT_TOY_METHODS,
                    help="comma list out of " + ",".join(METHODS) + " or "
                         "'all'; ot_h needs --bins <= %d" % OT_LP_MAX_BINS)
-    p.add_argument("--bins", type=int, default=DEFAULT_TOY_BINS)
-    p.add_argument("--f-max", type=float, default=DEFAULT_TOY_F_MAX,
-                   dest="f_max")
+    p.add_argument("--bins", type=int, default=TOY_BINS)
+    p.add_argument("--f-max", type=float, default=TOY_F_MAX, dest="f_max")
     p.add_argument("--output", default=None, help="also write the table here")
-    _add_solver_flags(p)
-    _add_template_flags(p)
-    _add_common_flags(p)
+    _add_flags(p, [n for n in METHOD_FLAGS if n != "noise_amplitude"] + ["seed"])
     p.set_defaults(func=cmd_toy, method=None)
 
     p = sub.add_parser("sweep", help="grid-search hyper-parameters")
@@ -630,13 +589,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep-noise", action="store_true", dest="sweep_noise",
                    help="add the default noise-amplitude axis")
     p.add_argument("--output", default=None)
-    p.add_argument("--midi-low", type=int, default=None, dest="midi_low")
-    p.add_argument("--midi-high", type=int, default=None, dest="midi_high")
-    p.add_argument("--window-len", type=int, default=None, dest="window_len")
-    p.add_argument("--hop", type=int, default=None)
-    _add_solver_flags(p)
-    _add_template_flags(p)
-    _add_common_flags(p)
+    _add_flags(p, DECOMPOSE_FLAGS)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bench", help="time PLCA vs OST on random frames")
@@ -644,16 +597,14 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--notes", type=int, default=60)
     p.add_argument("--frames", type=int, default=100)
     p.add_argument("--output", default=None)
-    _add_solver_flags(p)
-    _add_template_flags(p)
-    _add_common_flags(p)
+    _add_flags(p, ("epsilon0", "lambda_e") + TEMPLATE_FLAGS + ("seed",))
     p.set_defaults(func=cmd_bench, method="ost")
 
     p = sub.add_parser("eval", help="score an activations TSV against truth")
     p.add_argument("activations")
     p.add_argument("--ground-truth", required=True, dest="ground_truth")
     p.add_argument("--output", default=None)
-    _add_common_flags(p)
+    _add_flags(p, ())
     p.set_defaults(func=cmd_eval)
     return parser
 

@@ -1,7 +1,7 @@
 """Ground-truth ingestion, piano rolls, scoring, and toy unmixing scenarios."""
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,7 +99,7 @@ class PianoRoll:
 
 @dataclass(eq=False)
 class EvalReport:
-    """Pooled frame-level scores plus per-frame counts."""
+    """Pooled frame-level scores and counts."""
 
     precision: float
     recall: float
@@ -107,10 +107,6 @@ class EvalReport:
     tp: int
     fp: int
     fn: int
-    tp_frames: np.ndarray = None
-    fp_frames: np.ndarray = None
-    fn_frames: np.ndarray = None
-    wall_time_seconds: dict = field(default_factory=dict)
 
 
 def events_to_roll(events, midi_range, clock: FrameClock) -> PianoRoll:
@@ -189,16 +185,12 @@ def f_measure(estimate: PianoRoll, truth: PianoRoll) -> EvalReport:
     if estimate.active.shape != truth.active.shape:
         raise ValueError("piano-roll shapes must match")
     est, ref = estimate.active, truth.active
-    tp_frames = (est & ref).sum(axis=0)
-    fp_frames = (est & ~ref).sum(axis=0)
-    fn_frames = (~est & ref).sum(axis=0)
-    tp, fp, fn = int(tp_frames.sum()), int(fp_frames.sum()), int(fn_frames.sum())
+    tp, fp, fn = (int(m.sum()) for m in (est & ref, est & ~ref, ~est & ref))
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     return EvalReport(precision=precision, recall=recall, f_measure=f,
-                      tp=tp, fp=fp, fn=fn, tp_frames=tp_frames,
-                      fp_frames=fp_frames, fn_frames=fn_frames)
+                      tp=tp, fp=fp, fn=fn)
 
 
 def l1_activation_error(h_est, h_true) -> float:
@@ -231,10 +223,7 @@ def make_toy_scenario(which: str, seed: int, bins: int = TOY_BINS,
                       kernel_width_bins: float = TOY_KERNEL_WIDTH_BINS,
                       damping: float = TOY_DAMPING,
                       n_partials: int = TOY_N_PARTIALS,
-                      shift_pct: float = TOY_SHIFT_PCT,
-                      amp_range=TOY_AMP_RANGE,
-                      residual_decay: float = TOY_RESIDUAL_DECAY,
-                      weights=TOY_WEIGHTS) -> ToyScenario:
+                      shift_pct: float = TOY_SHIFT_PCT) -> ToyScenario:
     """Build one misspecified-unmixing draw.
 
     shifted_fundamentals ("a"): mix templates 1 and 4 with each note's
@@ -242,8 +231,8 @@ def make_toy_scenario(which: str, seed: int, bins: int = TOY_BINS,
     shift propagated to all partials.
 
     wrong_amplitudes ("b"): mix templates 1 and 6 at the exact frequencies
-    but with the partial amplitudes redrawn log-uniformly in amp_range
-    around a residual_decay envelope much flatter than the dictionary's,
+    but with the partial amplitudes redrawn log-uniformly in TOY_AMP_RANGE
+    around a TOY_RESIDUAL_DECAY envelope much flatter than the dictionary's,
     so the observed timbre no longer follows the modeled exponential
     envelope (each column renormalizes before mixing).
 
@@ -265,19 +254,19 @@ def make_toy_scenario(which: str, seed: int, bins: int = TOY_BINS,
     clean_weights = np.exp(-damping * np.arange(1, n_partials + 1))
     pair = TOY_PAIR_A if which == "shifted_fundamentals" else TOY_PAIR_B
     v = np.zeros_like(freqs)
-    for note, weight in zip(pair, weights):
+    for note, weight in zip(pair, TOY_WEIGHTS):
         nu = fundamentals[note]
         if which == "shifted_fundamentals":
             sign = rng.choice((-1.0, 1.0))
             nu = nu * (1.0 + sign * shift_pct / 100.0)
             partial_weights = clean_weights
         else:
-            lo, hi = np.log(amp_range[0]), np.log(amp_range[1])
-            decay = np.exp(-residual_decay * np.arange(1, n_partials + 1))
+            lo, hi = np.log(TOY_AMP_RANGE[0]), np.log(TOY_AMP_RANGE[1])
+            decay = np.exp(-TOY_RESIDUAL_DECAY * np.arange(1, n_partials + 1))
             partial_weights = decay * np.exp(rng.uniform(lo, hi, n_partials))
         col = harmonic_column(freqs, nu, sigma, partial_weights)
         v += weight * (col / col.sum())
     h_true = np.zeros(len(fundamentals))
-    h_true[list(pair)] = weights
+    h_true[list(pair)] = TOY_WEIGHTS
     return ToyScenario(freqs=freqs, frame=v, h_true=h_true,
                        dictionary=dictionary, which=which, seed=seed)

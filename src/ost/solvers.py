@@ -85,7 +85,6 @@ class SolverConfig:
     lambda_e: float = 0.0
     lambda_g: float = 0.0
     mm_iterations: int = DEFAULT_MM_ITERATIONS
-    tie_break: str = "lowest_index"
 
     def __post_init__(self):
         if self.lambda_e < 0:
@@ -94,8 +93,6 @@ class SolverConfig:
             raise ValueError("lambda_g must be non-negative")
         if self.mm_iterations < 1:
             raise ValueError("mm_iterations must be >= 1")
-        if self.tie_break != "lowest_index":
-            raise ValueError("only lowest_index tie-breaking is supported")
 
 
 def _check_frame(v, cost: CostMatrix) -> np.ndarray:

@@ -115,14 +115,12 @@ def write_pianoroll(path, roll: PianoRoll, t0: float = 0.0):
 
 def write_report(path, report: EvalReport = None, extra=None):
     """Key/value table: scores and counts (when a report is given) plus any
-    wall times and extra pairs."""
+    extra pairs."""
     pairs = []
     if report is not None:
         pairs += [("precision", report.precision), ("recall", report.recall),
                   ("f_measure", report.f_measure), ("tp", report.tp),
                   ("fp", report.fp), ("fn", report.fn)]
-        for name, seconds in sorted(report.wall_time_seconds.items()):
-            pairs.append((f"wall_time_seconds.{name}", seconds))
     if extra:
         pairs.extend(extra.items() if isinstance(extra, dict) else extra)
     lines = [f"{key}\t{_format(value)}" for key, value in pairs]
@@ -130,12 +128,17 @@ def write_report(path, report: EvalReport = None, extra=None):
 
 
 def write_ground_truth(path, events):
-    lines = ["\t".join(("OnsetTime", "OffsetTime", "MidiPitch"))]
-    for ev in events:
-        lines.append("\t".join((_format(ev.onset_seconds),
-                                _format(ev.offset_seconds),
-                                str(ev.midi_pitch))))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = [(ev.onset_seconds, ev.offset_seconds, ev.midi_pitch) for ev in events]
+    atomic_write_text(path, table_text(("OnsetTime", "OffsetTime", "MidiPitch"),
+                                       rows))
+
+
+def table_text(headers, rows) -> str:
+    """TSV text of a header line and rows of cells (an empty row gives a
+    blank line)."""
+    lines = ["\t".join(headers)]
+    lines += ["\t".join([_format(x) for x in row]) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def format_table(headers, rows) -> str:

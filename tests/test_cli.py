@@ -140,6 +140,41 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
 
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--method", "ost", "--grid", "epsilon0=-1"],
+        ["sweep", "--method", "ost_e", "--grid", "lambda_e=0"],
+        ["sweep", "--method", "ost_g", "--grid", "lambda_g=inf"],
+        ["sweep", "--method", "ost", "--grid", "noise_amplitude=-1"],
+        ["sweep", "--method", "plca", "--grid", "damping=-1"],
+        ["sweep", "--method", "plca", "--grid", "kernel_width_bins=0"],
+        ["transcribe", "--method", "ost", "--epsilon0", "inf"],
+        ["transcribe", "--method", "ost_e", "--lambda-e", "inf"],
+        ["transcribe", "--method", "ost_g", "--lambda-g", "inf"],
+        ["transcribe", "--method", "ost", "--noise-amplitude", "inf"],
+        ["transcribe", "--method", "plca", "--damping", "inf"],
+        ["transcribe", "--method", "plca", "--kernel-width-bins", "inf"],
+    ])
+    def test_out_of_range_value_beats_missing_wav(self, capsys, tmp_path,
+                                                  argv):
+        inputs = [str(tmp_path / "missing.wav")]
+        if argv[0] == "sweep":
+            inputs += ["--ground-truth", str(tmp_path / "t.tsv")]
+        assert main(argv[:1] + inputs + argv[1:]) == EXIT_USAGE
+        assert "must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["toy", "a", "--bins", "64", "--noise-amplitude", "1e-9"],
+        ["bench", "--frames", "0", "--noise-amplitude", "10"],
+        ["bench", "--frames", "0", "--lambda-g", "10"],
+        ["bench", "--frames", "0", "--mm-iterations", "5"],
+        ["transcribe", "missing.wav", "--seed", "3"],
+        ["eval", "a.tsv", "--ground-truth", "t.tsv", "--epsilon0", "1"],
+    ])
+    def test_flag_a_command_ignores_is_unknown(self, capsys, argv):
+        assert main(argv) == EXIT_USAGE
+        assert argv[-2] in capsys.readouterr().err
+
+
 class TestDataErrors:
     def test_missing_wav_leaves_no_outputs(self, capsys, tmp_path):
         outdir = tmp_path / "out"
@@ -240,6 +275,18 @@ class TestToy:
                    for row in lines[1:]}
         assert written == printed
         assert list(written) == ["plca", "ost", "ost_e", "ost_g", "ost_eg"]
+
+
+    def test_output_file_header_and_method_column(self, capsys, tmp_path):
+        target = tmp_path / "table.tsv"
+        assert main(["toy", "a", "--methods", "all", "--bins", "64",
+                     "--f-max", "700", "--seed", "3",
+                     "--output", str(target)]) == EXIT_OK
+        lines = target.read_text().split("\n")
+        assert lines[0] == "method\tl1_error\tseconds"
+        assert [line.split("\t")[0] for line in lines[1:]] \
+            == ["plca", "ot_h", "ost", "ost_e", "ost_g", "ost_eg", ""]
+        assert all(len(line.split("\t")) == 3 for line in lines[1:-1])
 
 
 class TestConfigFile:
@@ -416,6 +463,21 @@ class TestSweep:
         assert abs(float(printed.group(1)) - expected) < 5e-5
 
 
+    def test_output_file_bytes(self, capsys, duet, tmp_path):
+        target = tmp_path / "sweep.tsv"
+        code = main(["sweep", str(duet / "duet.wav"),
+                     "--ground-truth", str(duet / "truth.tsv"),
+                     "--method", "ost", "--grid", "epsilon0=1,10,100",
+                     "--sweep-noise", "--output", str(target)] + DUET_FLAGS)
+        assert code == EXIT_OK
+        rows = "".join(f"{eps}\t{noise}\t{f}\n" for eps in (1, 10, 100)
+                       for noise, f in ((10, "0.304347826087"), (100, 1),
+                                        (1000, 1)))
+        assert target.read_text() == (
+            "epsilon0\tnoise_amplitude\tval_f_measure\n" + rows
+            + "\nbest\tepsilon0=1 noise_amplitude=100\ntest_f_measure\t1\n")
+
+
 class TestBench:
     def test_zero_frames_prints_empty_table(self, capsys):
         assert main(["bench", "--frames", "0"]) == EXIT_OK
@@ -438,6 +500,17 @@ class TestBench:
     def test_single_note_dictionary(self, capsys):
         assert main(["bench", "--bins", "32", "--notes", "1",
                      "--frames", "2"]) == EXIT_OK
+
+
+    def test_output_header_and_method_column(self, capsys, tmp_path):
+        target = tmp_path / "bench.tsv"
+        assert main(["bench", "--bins", "64", "--notes", "4", "--frames", "3",
+                     "--output", str(target)]) == EXIT_OK
+        lines = target.read_text().split("\n")
+        assert lines[0] == "method\ttotal_s\tper_frame_s\tspeedup_vs_plca"
+        assert [line.split("\t")[0] for line in lines[1:]] \
+            == ["plca", "ost", "ost_e", ""]
+        assert lines[1].split("\t")[3] == "1"
 
 
 class TestConsoleScript:

@@ -475,5 +475,3 @@ class TestContainersAndConfig:
             SolverConfig(lambda_g=-0.5)
         with pytest.raises(ValueError):
             SolverConfig(mm_iterations=0)
-        with pytest.raises(ValueError):
-            SolverConfig(tie_break="random")

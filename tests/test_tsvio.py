@@ -169,15 +169,13 @@ class TestReportWriter:
     def test_scores_counts_and_extras(self, tmp_path):
         path = tmp_path / "report.tsv"
         report = EvalReport(precision=0.5, recall=0.25, f_measure=1.0 / 3.0,
-                            tp=2, fp=2, fn=6,
-                            wall_time_seconds={"ost": 0.125})
+                            tp=2, fp=2, fn=6)
         write_report(path, report, extra={"method": "ost"})
         pairs = dict(line.split("\t")
                      for line in path.read_text().strip().split("\n"))
         assert float(pairs["precision"]) == 0.5
         assert float(pairs["recall"]) == 0.25
         assert int(pairs["tp"]) == 2 and int(pairs["fn"]) == 6
-        assert float(pairs["wall_time_seconds.ost"]) == 0.125
         assert pairs["method"] == "ost"
 
     def test_extra_only(self, tmp_path):
