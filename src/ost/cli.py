@@ -551,13 +551,7 @@ def _add_flags(p, names):
                        help=text)
 
 
-def make_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="ost", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", metavar="command")
-    sub.required = True
-
-    p = sub.add_parser("transcribe", help="decompose a WAV into activations",
-                       add_help=True)
+def _transcribe_arguments(p):
     p.add_argument("wav", help="input WAV file (PCM16 or float32)")
     p.add_argument("--method", choices=METHODS, default="ost_e")
     p.add_argument("--ground-truth", default=None, dest="ground_truth",
@@ -566,7 +560,8 @@ def make_parser() -> argparse.ArgumentParser:
     _add_flags(p, DECOMPOSE_FLAGS)
     p.set_defaults(func=cmd_transcribe)
 
-    p = sub.add_parser("toy", help="misspecified-unmixing comparison table")
+
+def _toy_arguments(p):
     p.add_argument("scenario", help="a (shifted fundamentals) or "
                                     "b (wrong amplitudes)")
     p.add_argument("--methods", default=DEFAULT_TOY_METHODS,
@@ -578,7 +573,8 @@ def make_parser() -> argparse.ArgumentParser:
     _add_flags(p, [n for n in METHOD_FLAGS if n != "noise_amplitude"] + ["seed"])
     p.set_defaults(func=cmd_toy, method=None)
 
-    p = sub.add_parser("sweep", help="grid-search hyper-parameters")
+
+def _sweep_arguments(p):
     p.add_argument("wav")
     p.add_argument("--ground-truth", required=True, dest="ground_truth")
     p.add_argument("--method", choices=METHODS, default="ost_e")
@@ -592,7 +588,8 @@ def make_parser() -> argparse.ArgumentParser:
     _add_flags(p, DECOMPOSE_FLAGS)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("bench", help="time PLCA vs OST on random frames")
+
+def _bench_arguments(p):
     p.add_argument("--bins", type=int, default=2048)
     p.add_argument("--notes", type=int, default=60)
     p.add_argument("--frames", type=int, default=100)
@@ -600,12 +597,38 @@ def make_parser() -> argparse.ArgumentParser:
     _add_flags(p, ("epsilon0", "lambda_e") + TEMPLATE_FLAGS + ("seed",))
     p.set_defaults(func=cmd_bench, method="ost")
 
-    p = sub.add_parser("eval", help="score an activations TSV against truth")
+
+def _eval_arguments(p):
     p.add_argument("activations")
     p.add_argument("--ground-truth", required=True, dest="ground_truth")
     p.add_argument("--output", default=None)
     _add_flags(p, ())
     p.set_defaults(func=cmd_eval)
+
+
+# command -> (help line, function adding its arguments)
+COMMANDS = {
+    "transcribe": ("decompose a WAV into activations", _transcribe_arguments),
+    "toy": ("misspecified-unmixing comparison table", _toy_arguments),
+    "sweep": ("grid-search hyper-parameters", _sweep_arguments),
+    "bench": ("time PLCA vs OST on random frames", _bench_arguments),
+    "eval": ("score an activations TSV against truth", _eval_arguments),
+}
+
+
+def make_parser(command) -> argparse.ArgumentParser:
+    """The `ost` parser. Every command is registered by name and help, but
+    only `command` gets its arguments: adding all five commands' arguments
+    took most of a short `ost toy` call. Flags must be spelled in full, so a
+    prefix of a flag is an unknown flag rather than that flag."""
+    parser = _Parser(prog="ost", description=__doc__.splitlines()[0],
+                     allow_abbrev=False)
+    sub = parser.add_subparsers(dest="command", metavar="command")
+    sub.required = True
+    for name, (text, add_arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=text, allow_abbrev=False)
+        if name == command:
+            add_arguments(p)
     return parser
 
 
@@ -658,10 +681,10 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     logging.basicConfig(level=logging.WARNING, format="%(message)s")
-    parser = make_parser()
     try:
         expanded = _expand_config_file(list(argv))
-        args = parser.parse_args(expanded)
+        command = next((t for t in expanded if not t.startswith("-")), None)
+        args = make_parser(command).parse_args(expanded)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

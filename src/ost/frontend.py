@@ -4,10 +4,10 @@ The frontend turns a WAV file into a matrix of non-negative spectral frames
 whose active columns are probability distributions over frequency bins.
 """
 
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.io.wavfile
 
 from .errors import DecodeError, UnsupportedEncodingError
 
@@ -93,37 +93,108 @@ class NormalizedFrames:
         return self.columns.shape[1]
 
 
+# wFormatTag values, and the tail that a WAVE_FORMAT_EXTENSIBLE subformat
+# GUID {XXXXXXXX-0000-0010-8000-00AA00389B71} shares with every plain format
+WAVE_FORMAT_PCM = 1
+WAVE_FORMAT_IEEE_FLOAT = 3
+WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+_GUID_TAIL = bytes.fromhex("800000aa00389b71")
+
+
 def decode_wav(path) -> AudioBuffer:
     """Decode a 16-bit PCM or 32-bit float WAV file to mono samples in [-1, 1].
 
-    Stereo input is downmixed by averaging the two channels. Unreadable
-    files raise DecodeError; any other sample encoding (8-bit, 24/32-bit
-    integer, 64-bit float) raises UnsupportedEncodingError.
+    Containers: little-endian RIFF, big-endian RIFX, and RF64 (sizes from its
+    ds64 chunk). Encodings: format 1 (PCM, 16-bit), format 3 (IEEE float,
+    32-bit), or WAVE_FORMAT_EXTENSIBLE with either as its subformat. Stereo
+    input is downmixed by averaging the two channels. Chunks other than
+    `fmt ` and `data` are skipped, and a `data` chunk cut short by the end of
+    the file yields the whole frames present.
+
+    A missing or unreadable file, a non-WAVE file, a missing `fmt ` or `data`
+    chunk, or non-finite samples raise DecodeError; any other sample encoding
+    (8-bit, 24/32-bit integer, 64-bit float, compressed) or more than two
+    channels raise UnsupportedEncodingError.
     """
     try:
-        sample_rate, data = scipy.io.wavfile.read(path)
-    except (OSError, ValueError) as exc:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        sample_rate, channels, data = _wav_data(raw, path)
+    except (OSError, struct.error) as exc:
         raise DecodeError(f"cannot read WAV file {path!r}: {exc}") from exc
 
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.float32:
-        samples = data.astype(np.float64)
-    else:
-        raise UnsupportedEncodingError(
-            f"unsupported WAV encoding {data.dtype} in {path!r}: "
-            "expected 16-bit PCM or 32-bit float"
-        )
-
-    if samples.ndim == 2:
-        if samples.shape[1] > 2:
-            raise UnsupportedEncodingError(
-                f"{samples.shape[1]}-channel WAV not supported (mono or stereo only)"
-            )
-        samples = samples.mean(axis=1)
+    samples = data.astype(np.float64)
+    if data.dtype.kind == "i":
+        samples /= 32768.0
+    if channels == 2:
+        samples = samples.reshape(-1, 2).mean(axis=1)
     if not np.all(np.isfinite(samples)):
         raise DecodeError(f"non-finite samples in {path!r}")
-    return AudioBuffer(samples=samples, sample_rate=int(sample_rate))
+    return AudioBuffer(samples=samples, sample_rate=sample_rate)
+
+
+def _wav_data(raw: bytes, path):
+    """(sample rate, channels, raw samples of the whole frames in `data`) of
+    a WAV file's bytes."""
+    container = raw[:4]
+    if container not in (b"RIFF", b"RIFX", b"RF64") or raw[8:12] != b"WAVE":
+        raise DecodeError(f"{path!r} is not a RIFF/RIFX/RF64 WAVE file")
+    order = ">" if container == b"RIFX" else "<"
+    pos, rf64_data_size, fmt = 12, None, None
+    if container == b"RF64":
+        if raw[12:16] != b"ds64":
+            raise DecodeError(f"RF64 file {path!r} has no ds64 chunk")
+        ds64_size, _, rf64_data_size = struct.unpack_from("<IQQ", raw, 16)
+        pos = 20 + ds64_size
+    while pos + 8 <= len(raw):
+        chunk_id = raw[pos:pos + 4]
+        size = struct.unpack_from(order + "I", raw, pos + 4)[0]
+        body = pos + 8
+        if chunk_id == b"fmt ":
+            fmt = _wav_format(raw[body:body + size], order, path)
+        elif chunk_id == b"data":
+            if fmt is None:
+                break
+            sample_rate, channels, dtype = fmt
+            if rf64_data_size is not None:
+                size = rf64_data_size
+            n_frames = min(size, len(raw) - body) // (dtype.itemsize * channels)
+            return sample_rate, channels, np.frombuffer(
+                raw, dtype=dtype, count=n_frames * channels, offset=body)
+        pos = body + size + size % 2
+    raise DecodeError(f"no fmt chunk before the data in {path!r}" if fmt is None
+                      else f"no data chunk in {path!r}")
+
+
+def _wav_format(chunk: bytes, order: str, path):
+    """(sample rate, channels, sample dtype) from a `fmt ` chunk body."""
+    if len(chunk) < 16:
+        raise DecodeError(f"fmt chunk of {path!r} is shorter than 16 bytes")
+    tag, channels, rate, byte_rate, block_align, bits = struct.unpack_from(
+        order + "HHIIHH", chunk)
+    if tag == WAVE_FORMAT_EXTENSIBLE:
+        if len(chunk) < 40 or struct.unpack_from(order + "H", chunk, 16)[0] < 22:
+            raise DecodeError(f"truncated WAVE_FORMAT_EXTENSIBLE header in {path!r}")
+        if chunk[28:40] == struct.pack(order + "HH", 0, 0x10) + _GUID_TAIL:
+            tag = struct.unpack_from(order + "I", chunk, 24)[0]
+    if tag == WAVE_FORMAT_PCM and byte_rate != rate * block_align:
+        raise DecodeError(f"invalid WAV header in {path!r}: byte rate {byte_rate}"
+                          f" != {rate} Hz x {block_align}-byte frames")
+    if channels == 0:
+        raise DecodeError(f"WAV header of {path!r} declares no channels")
+    width = block_align // channels
+    if tag == WAVE_FORMAT_PCM and width == 2 and 8 < bits <= 16:
+        dtype = np.dtype(order + "i2")
+    elif tag == WAVE_FORMAT_IEEE_FLOAT and width == 4 and bits == 32:
+        dtype = np.dtype(order + "f4")
+    else:
+        raise UnsupportedEncodingError(
+            f"unsupported WAV encoding (format {tag:#x}, {bits}-bit in "
+            f"{width}-byte samples) in {path!r}: expected 16-bit PCM or 32-bit float")
+    if channels > 2:
+        raise UnsupportedEncodingError(
+            f"{channels}-channel WAV not supported (mono or stereo only)")
+    return rate, channels, dtype
 
 
 def stft_magnitude(audio: AudioBuffer, window_len: int = DEFAULT_WINDOW_LEN,

@@ -174,6 +174,33 @@ class TestUsageErrors:
         assert main(argv) == EXIT_USAGE
         assert argv[-2] in capsys.readouterr().err
 
+    def test_flag_prefixes_are_not_expanded(self, capsys, tmp_path):
+        # a prefix once reached --config, whose file was then never read
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("seed=7\n")
+        assert main(["toy", "a", "--conf", str(cfg)]) == EXIT_USAGE
+        assert "--conf" in capsys.readouterr().err
+        assert main(["bench", "--frames", "0", "--lambda", "5"]) == EXIT_USAGE
+        assert "--lambda" in capsys.readouterr().err
+
+
+def help_texts():
+    """`ost --help` and `ost COMMAND --help` at 80 columns, as printed when
+    every command's arguments were built on each call: "== ost [COMMAND]"
+    heads each text in tests/cli_help.txt."""
+    golden = (Path(__file__).parent / "cli_help.txt").read_text()
+    parts = re.split(r"^== (ost.*)\n", golden, flags=re.M)[1:]
+    return dict(zip(parts[::2], parts[1::2]))
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", ["ost", "ost transcribe", "ost toy",
+                                         "ost sweep", "ost bench", "ost eval"])
+    def test_help_is_unchanged(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main(command.split()[1:] + ["--help"]) == EXIT_OK
+        assert capsys.readouterr().out == help_texts()[command]
+
 
 class TestDataErrors:
     def test_missing_wav_leaves_no_outputs(self, capsys, tmp_path):
@@ -544,12 +571,35 @@ class TestConsoleScript:
         assert proc.stdout.startswith("method"), proc.stderr
 
 
+def run_probe(code, cwd):
+    """Standard output of `code` run in a fresh interpreter on this tree."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, cwd=cwd, env=source_tree_env())
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+LOADED_SCIPY = ("; print(sorted(m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.')))")
+
+
 class TestStartup:
     def test_cli_import_leaves_lp_solver_unloaded(self, tmp_path):
         # scipy.optimize takes ~0.17 s to import; only solve_lp needs it
         probe = "import sys, ost.cli; print('scipy.optimize' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                              text=True, timeout=120, cwd=tmp_path,
-                              env=source_tree_env())
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert run_probe(probe, tmp_path) == "False"
+
+    @pytest.mark.parametrize("module", ["ost", "ost.cli"])
+    def test_import_loads_no_scipy(self, tmp_path, module):
+        # scipy.io alone took ~0.3 s of a 0.6 s start-up
+        assert run_probe(f"import sys, {module}" + LOADED_SCIPY, tmp_path) == "[]"
+
+    def test_transcribe_with_ost_loads_no_scipy(self, note50, tmp_path):
+        argv = ["transcribe", str(note50 / "note50.wav"), "--method", "ost",
+                "--window-len", "1024", "--hop", "512",
+                "--ground-truth", str(note50 / "truth.tsv"),
+                "--output-dir", str(tmp_path / "out")]
+        probe = (f"import sys; from ost.cli import main; assert main({argv!r}) == 0"
+                 + LOADED_SCIPY)
+        assert run_probe(probe, tmp_path).splitlines()[-1] == "[]"
+        assert (tmp_path / "out" / "note50.ost.pianoroll.tsv").exists()

@@ -5,6 +5,9 @@ double loop, so any disagreement points at the frontend rather than at the
 FFT library.
 """
 
+import struct
+import warnings
+
 import numpy as np
 import pytest
 import scipy.io.wavfile
@@ -85,6 +88,156 @@ class TestDecodeWav:
         data = np.array([0.0, np.nan, 0.5], dtype=np.float32)
         scipy.io.wavfile.write(path, 8000, data)
         with pytest.raises(DecodeError):
+            decode_wav(path)
+
+
+def chunk(chunk_id, body, order="<"):
+    """One RIFF chunk: id, size, body and the pad byte of an odd size."""
+    return (chunk_id + struct.pack(order + "I", len(body)) + body
+            + b"\0" * (len(body) % 2))
+
+
+def wav_bytes(data, rate, container=b"RIFF", extensible=False,
+              before=b"", after=b"", cut=0):
+    """A hand-built WAV file of an int16 or float32 array, mono (n,) or
+    multichannel (n, c): `before`/`after` are raw chunks placed around the
+    `data` chunk, and `cut` drops that many bytes from the end of the data
+    while its header keeps the full size."""
+    order = ">" if container == b"RIFX" else "<"
+    data = np.asarray(data)
+    channels = 1 if data.ndim == 1 else data.shape[1]
+    payload = data.astype(data.dtype.newbyteorder(order)).tobytes()
+    tag = 1 if data.dtype.kind == "i" else 3
+    bits = data.dtype.itemsize * 8
+    block_align = data.dtype.itemsize * channels
+    fmt = struct.pack(order + "HHIIHH", 0xFFFE if extensible else tag,
+                      channels, rate, rate * block_align, block_align, bits)
+    if extensible:
+        guid = (struct.pack(order + "IHH", tag, 0, 0x10)
+                + bytes.fromhex("800000aa00389b71"))
+        fmt += struct.pack(order + "HHI", 22, bits, 0) + guid
+    body = chunk(b"fmt ", fmt, order) + before
+    if container == b"RF64":
+        data_chunk = b"data" + struct.pack("<I", 0xFFFFFFFF) + payload
+        riff_size = 4 + 36 + len(body) + len(data_chunk) + len(after)
+        ds64 = chunk(b"ds64", struct.pack("<QQQI", riff_size, len(payload),
+                                          data.shape[0], 0))
+        head = b"RF64" + struct.pack("<I", 0xFFFFFFFF) + b"WAVE" + ds64
+    else:
+        data_chunk = chunk(b"data", payload, order)
+        riff_size = 4 + len(body) + len(data_chunk) + len(after)
+        head = container + struct.pack(order + "I", riff_size) + b"WAVE"
+    raw = head + body + data_chunk + after
+    return raw[:len(raw) - cut] if cut else raw
+
+
+def scipy_samples(path):
+    """The samples and rate that scipy's WAV reader yields, scaled and
+    downmixed as decode_wav specifies: the parity oracle."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.io.wavfile.WavFileWarning)
+        rate, data = scipy.io.wavfile.read(path)
+    samples = data.astype(np.float64)
+    if data.dtype.kind == "i":
+        samples = samples / 32768.0
+    if samples.ndim == 2:
+        samples = samples.mean(axis=1)
+    return samples, rate
+
+
+def signal(dtype, channels, n=101, seed=3):
+    rng = np.random.default_rng(seed)
+    shape = (n,) if channels == 1 else (n, channels)
+    if np.dtype(dtype).kind == "i":
+        return rng.integers(-32768, 32768, size=shape).astype(dtype)
+    return rng.uniform(-1.0, 1.0, size=shape).astype(dtype)
+
+
+class TestWavParity:
+    """decode_wav against scipy.io.wavfile.read, sample for sample."""
+
+    def check(self, path, expected_len=None):
+        buf = decode_wav(path)
+        samples, rate = scipy_samples(path)
+        assert buf.sample_rate == rate
+        assert np.array_equal(buf.samples, samples)
+        if expected_len is not None:
+            assert buf.samples.size == expected_len
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.float32])
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_scipy_written_files(self, tmp_path, dtype, channels):
+        path = tmp_path / "written.wav"
+        scipy.io.wavfile.write(path, 22050, signal(dtype, channels))
+        self.check(path, expected_len=101)
+
+    @pytest.mark.parametrize("container", [b"RIFF", b"RIFX", b"RF64"])
+    @pytest.mark.parametrize("extensible", [False, True])
+    @pytest.mark.parametrize("dtype", [np.int16, np.float32])
+    def test_hand_built_headers(self, tmp_path, container, extensible, dtype):
+        order = ">" if container == b"RIFX" else "<"
+        path = tmp_path / "built.wav"
+        path.write_bytes(wav_bytes(signal(dtype, 2), 44100, container,
+                                   extensible, after=chunk(b"LIST", b"INFO", order)))
+        self.check(path, expected_len=101)
+
+    @pytest.mark.parametrize("container", [b"RIFF", b"RIFX"])
+    def test_odd_chunk_before_data_and_chunk_after(self, tmp_path, container):
+        order = ">" if container == b"RIFX" else "<"
+        path = tmp_path / "chunks.wav"
+        path.write_bytes(wav_bytes(
+            signal(np.int16, 1), 8000, container,
+            before=chunk(b"LIST", b"INFOabc", order),
+            after=chunk(b"LIST", b"INFOxy", order) + chunk(b"JUNK", b"z", order)))
+        self.check(path, expected_len=101)
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.float32])
+    def test_data_cut_mid_sample_keeps_whole_samples(self, tmp_path, dtype):
+        path = tmp_path / "cut.wav"
+        path.write_bytes(wav_bytes(signal(dtype, 1), 8000, cut=1))
+        self.check(path, expected_len=100)
+
+    def test_stereo_cut_mid_frame_keeps_whole_frames(self, tmp_path):
+        # scipy cannot reshape an odd sample count into frames; the oracle
+        # reads the same file cut back to its last whole frame instead.
+        data = signal(np.int16, 2)
+        cut, whole = tmp_path / "cut.wav", tmp_path / "whole.wav"
+        cut.write_bytes(wav_bytes(data, 8000, cut=2))
+        whole.write_bytes(wav_bytes(data[:-1], 8000))
+        samples, rate = scipy_samples(whole)
+        buf = decode_wav(cut)
+        assert buf.sample_rate == rate
+        assert np.array_equal(buf.samples, samples)
+        assert buf.samples.size == 100
+
+    def test_missing_fmt_chunk_raises_decode_error(self, tmp_path):
+        path = tmp_path / "nofmt.wav"
+        body = b"WAVE" + chunk(b"data", signal(np.int16, 1).tobytes())
+        path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        with pytest.raises(DecodeError, match="fmt"):
+            decode_wav(path)
+
+    def test_missing_data_chunk_raises_decode_error(self, tmp_path):
+        path = tmp_path / "nodata.wav"
+        raw = wav_bytes(signal(np.int16, 1), 8000)
+        path.write_bytes(raw[:raw.index(b"data")])
+        with pytest.raises(DecodeError, match="data chunk"):
+            decode_wav(path)
+
+    @pytest.mark.parametrize("container", [b"RIFF", b"RIFX"])
+    def test_24_bit_pcm_rejected(self, tmp_path, container):
+        order = ">" if container == b"RIFX" else "<"
+        fmt = struct.pack(order + "HHIIHH", 1, 1, 8000, 3 * 8000, 3, 24)
+        body = b"WAVE" + chunk(b"fmt ", fmt, order) + chunk(b"data", bytes(30), order)
+        path = tmp_path / "pcm24.wav"
+        path.write_bytes(container + struct.pack(order + "I", len(body)) + body)
+        with pytest.raises(UnsupportedEncodingError):
+            decode_wav(path)
+
+    def test_float64_rejected(self, tmp_path):
+        path = tmp_path / "mono64f.wav"
+        scipy.io.wavfile.write(path, 8000, np.array([0.5, -0.5]))
+        with pytest.raises(UnsupportedEncodingError):
             decode_wav(path)
 
 
