@@ -74,39 +74,65 @@ def kl_divergence(v, vhat) -> float:
 
 
 def _plca_block(w, v, max_iter, rel_tol):
-    """EM on all columns of v at once. A column leaves the live set when it
-    stops, so the arrays shrink only on iterations where some column stops.
-    Off the support of v the objective term 0 * log(1 / vhat) is 0, so no
-    mask is needed. Returns (h, iterations, objective traces)."""
-    k, b = w.shape[1], v.shape[1]
-    h_out, iters = np.empty((k, b)), np.empty(b, dtype=int)
-    trace_buf = np.empty((b, max_iter))
-    live = np.arange(b)
-    v_log = np.where(v > 0, v, 1.0)
-    h = np.full((k, b), 1.0 / k)
-    vhat = np.maximum(w @ h, KL_FLOOR)
-    prev = np.full(b, np.nan)  # compares false: no stop on the first iteration
-    for it in range(1, max_iter + 1):
-        h *= w.T @ (v / vhat)
+    """EM on every column of v in a live set of MM_BLOCK_FRAMES slots, one
+    matrix product pair per step. A column that stops hands its slot and
+    trace row to the next waiting one; once none waits, the set shrinks.
+    ratio = v / vhat gives both the objective (its log where v > 0) and the
+    next update. Returns (h, iterations, objective traces)."""
+    (m, k), n = w.shape, v.shape[1]
+    h_out, iters, traces = np.empty((k, n)), np.empty(n, dtype=int), [None] * n
+    width = min(n, MM_BLOCK_FRAMES)
+    vhat_start = np.maximum(w @ np.full((k, 1), 1.0 / k), KL_FLOOR)
+    frame, row = np.empty(width, dtype=int), np.arange(width)  # column, trace row
+    start, prev = np.empty(width, dtype=int), np.empty(width)  # entry step, objective
+    # a ring over the steps: no column stays for more than max_iter of them
+    trace_buf = np.empty((width, max_iter))
+    h = np.empty((k, width))
+    vs, ratio, vhat = (np.empty((m, width)) for _ in range(3))
+    positive = np.empty((m, width), dtype=bool)
+    log_ratio = np.zeros((m, width))  # only ever finite, so 0 * log_ratio is 0
+    queued, stopped, step = 0, row, 0  # every slot starts empty
+    while True:
+        if stopped.size:
+            refill = stopped[:n - queued]
+            new = np.arange(queued, queued + refill.size)
+            queued += refill.size
+            frame[refill], start[refill] = new, step
+            prev[refill] = np.nan  # compares false: no stop on a first iteration
+            vs[:, refill] = v[:, new]
+            positive[:, refill] = vs[:, refill] > 0
+            h[:, refill] = 1.0 / k
+            ratio[:, refill] = vs[:, refill] / vhat_start
+            if refill.size < stopped.size:  # the queue is empty
+                keep = np.ones(frame.size, dtype=bool)
+                keep[stopped[refill.size:]] = False
+                frame, row, start, prev = (a[keep] for a in (frame, row, start, prev))
+                vs, positive, h, ratio, log_ratio, vhat = (
+                    a[:, keep] for a in (vs, positive, h, ratio, log_ratio, vhat))
+            where = True if positive.all() else positive  # unmasked log is faster
+        if not frame.size:
+            return h_out, iters, traces
+        h *= w.T @ ratio
         total = h.sum(axis=0)
         total[total == 0] = 1.0  # a frame whose mass vanished stays at zero
         h /= total
-        vhat = np.maximum(w @ h, KL_FLOOR)
-        obj = np.sum(v * np.log(v_log / vhat), axis=0)
-        trace_buf[live, it - 1] = obj
-        done = (np.abs(prev - obj) <= rel_tol * np.maximum(np.abs(prev), KL_FLOOR)) \
-            | (it == max_iter)
+        np.matmul(w, h, out=vhat)
+        np.maximum(vhat, KL_FLOOR, out=vhat)
+        np.divide(vs, vhat, out=ratio)
+        np.log(ratio, out=log_ratio, where=where)
+        log_ratio *= vs
+        obj = log_ratio.sum(axis=0)
+        trace_buf[row, step % max_iter] = obj
+        step += 1
+        done = np.abs(prev - obj) <= rel_tol * np.maximum(np.abs(prev), KL_FLOOR)
+        if step >= max_iter:  # no slot reaches the cap in fewer steps
+            done |= start == step - max_iter
         prev = obj
-        if done.any():
-            stopped, keep = live[done], ~done
-            h_out[:, stopped] = h[:, done]
-            iters[stopped] = it
-            live = live[keep]
-            if live.size == 0:
-                break
-            h, v, v_log, vhat, prev = (h[:, keep], v[:, keep], v_log[:, keep],
-                                       vhat[:, keep], prev[keep])
-    return h_out, iters, [trace_buf[j, :iters[j]].copy() for j in range(b)]
+        stopped = np.flatnonzero(done)
+        for s in stopped:
+            j = frame[s]
+            traces[j] = trace_buf[row[s], np.arange(start[s], step) % max_iter]
+            h_out[:, j], iters[j] = h[:, s], step - start[s]
 
 
 def plca_unmix(frames: NormalizedFrames, dictionary: Dictionary,
@@ -116,8 +142,10 @@ def plca_unmix(frames: NormalizedFrames, dictionary: Dictionary,
     h starts uniform; the update h_k <- h_k * sum_i w_ik v_i / (Wh)_i is
     followed by renormalization. A frame stops when the relative objective
     change drops below rel_tol (from its second iteration) or after max_iter
-    iterations. Active frames run in blocks of MM_BLOCK_FRAMES, one matrix
-    product pair per step. Raises NumericError on non-finite activations.
+    iterations. Active frames share a live set of MM_BLOCK_FRAMES slots, one
+    matrix product pair per step: a frame that stops hands its slot to the
+    next waiting frame, so every step runs full width until the queue
+    drains. Raises NumericError on non-finite activations.
     """
     if dictionary.kind != "harmonic":
         raise ValueError("plca_unmix requires stored templates (kind='harmonic')")
@@ -128,18 +156,16 @@ def plca_unmix(frames: NormalizedFrames, dictionary: Dictionary,
         raise ValueError("max_iter must be >= 1")
     if rel_tol < 0:
         raise ValueError("rel_tol must be non-negative")
-    k = w.shape[1]
     n = frames.columns.shape[1]
-    out = np.zeros((k, n))
+    out = np.zeros((w.shape[1], n))
     traces = [np.array([])] * n
     iters = np.zeros(n, dtype=int)
     active = np.flatnonzero(frames.active_mask)
-    for start in range(0, active.size, MM_BLOCK_FRAMES):
-        idx = active[start:start + MM_BLOCK_FRAMES]
-        out[:, idx], iters[idx], block_traces = _plca_block(
-            w, frames.columns[:, idx], max_iter, rel_tol)
-        for j, trace in zip(idx, block_traces):
-            traces[j] = trace
+    # the kernel does not write into v, so an all-active input is not copied
+    v = frames.columns if active.size == n else frames.columns[:, active]
+    out[:, active], iters[active], active_traces = _plca_block(w, v, max_iter, rel_tol)
+    for j, trace in zip(active, active_traces):
+        traces[j] = trace
     if not np.all(np.isfinite(out)):
         raise NumericError("plca produced non-finite activations")
     acts = Activations(values=out, frame_hop_seconds=frames.frame_hop_seconds)

@@ -17,7 +17,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -81,8 +81,6 @@ FLAG_SPECS = {
 DECOMPOSE_FLAGS = ("midi_low", "midi_high", "window_len", "hop") + tuple(METHOD_FLAGS)
 
 DEFAULT_EPSILON0 = 1.0
-DEFAULT_LAMBDA_E = 300.0
-DEFAULT_LAMBDA_G = 300.0
 DEFAULT_MIDI_LOW = 21
 DEFAULT_MIDI_HIGH = 108
 DEFAULT_KERNEL_WIDTH_BINS = 2.0
@@ -108,8 +106,8 @@ class RunConfig:
 
     method: str
     epsilon0: float = DEFAULT_EPSILON0
-    lambda_e: float = None
-    lambda_g: float = None
+    lambda_e: float = 300.0
+    lambda_g: float = 300.0
     mm_iterations: int = DEFAULT_MM_ITERATIONS
     noise_amplitude: float = None
     midi_low: int = DEFAULT_MIDI_LOW
@@ -122,8 +120,7 @@ class RunConfig:
     seed: int = 0
 
     def solver_config(self) -> SolverConfig:
-        return SolverConfig(lambda_e=self.lambda_e or 0.0,
-                            lambda_g=self.lambda_g or 0.0,
+        return SolverConfig(lambda_e=self.lambda_e, lambda_g=self.lambda_g,
                             mm_iterations=self.mm_iterations)
 
     def harmonic_dictionary(self, freqs, fundamentals) -> Dictionary:
@@ -160,27 +157,10 @@ def build_run_config(args, methods=None) -> RunConfig:
     _check_applies(given, {args.method} if methods is None else methods)
     config = RunConfig(
         method=args.method if methods is None else sorted(methods)[0],
-        epsilon0=_or_default(args, "epsilon0", DEFAULT_EPSILON0),
-        lambda_e=_or_default(args, "lambda_e", DEFAULT_LAMBDA_E),
-        lambda_g=_or_default(args, "lambda_g", DEFAULT_LAMBDA_G),
-        mm_iterations=_or_default(args, "mm_iterations", DEFAULT_MM_ITERATIONS),
-        noise_amplitude=getattr(args, "noise_amplitude", None),
-        midi_low=_or_default(args, "midi_low", DEFAULT_MIDI_LOW),
-        midi_high=_or_default(args, "midi_high", DEFAULT_MIDI_HIGH),
-        window_len=_or_default(args, "window_len", DEFAULT_WINDOW_LEN),
-        hop=_or_default(args, "hop", DEFAULT_HOP),
-        kernel_width_bins=_or_default(args, "kernel_width_bins",
-                                      DEFAULT_KERNEL_WIDTH_BINS),
-        damping=_or_default(args, "damping", DEFAULT_DAMPING),
-        n_partials=_or_default(args, "n_partials", DEFAULT_N_PARTIALS),
-        seed=_or_default(args, "seed", 0))
+        **{f.name: getattr(args, f.name) for f in fields(RunConfig)
+           if f.name != "method" and getattr(args, f.name, None) is not None})
     _check_ranges(config)
     return config
-
-
-def _or_default(args, name, default):
-    value = getattr(args, name, None)
-    return default if value is None else value
 
 
 def _check_ranges(config: RunConfig):

@@ -127,12 +127,6 @@ def write_report(path, report: EvalReport = None, extra=None):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def write_ground_truth(path, events):
-    rows = [(ev.onset_seconds, ev.offset_seconds, ev.midi_pitch) for ev in events]
-    atomic_write_text(path, table_text(("OnsetTime", "OffsetTime", "MidiPitch"),
-                                       rows))
-
-
 def table_text(headers, rows) -> str:
     """TSV text of a header line and rows of cells (an empty row gives a
     blank line)."""

@@ -8,6 +8,7 @@ Two independent oracles drive the LP checks:
   computes the exact Wasserstein value without touching any LP machinery.
 """
 
+import tracemalloc
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -326,6 +327,83 @@ class TestBatchedPlca:
         frames = single_frame(rng.dirichlet(np.ones(64)))
         state = self.assert_matches_reference(frames, random_dictionary(rng, 64, 9))
         assert state.iterations[0] > 2
+
+    @staticmethod
+    def queue_by_stop(rng, n, max_iter):
+        """A dictionary whose first template alone covers bins 0-3, and n
+        frames ordered by their stop, slowest last. The first half are one
+        frame on bins 0-3, solved in one step: each stops at the second
+        iteration, and at the first if its slot kept the last objective of
+        the copy before it. The rest are random mixtures, some of which run
+        to max_iter."""
+        m = 24
+        d = random_dictionary(rng, m, 6)
+        templates = d.templates.copy()
+        templates[:4, 1:] = 0.0
+        templates[4:, 0] = 0.0
+        templates /= templates.sum(axis=0)
+        d = Dictionary(fundamentals=d.fundamentals, kind="harmonic",
+                       templates=templates)
+        columns = rng.dirichlet(np.full(m, 0.5), size=n).T
+        columns[4:, 0] = 0.0
+        columns[:, :n // 2] = columns[:, :1] / columns[:, 0].sum()
+        stops = [plca_frame_reference(columns[:, j], templates, max_iter,
+                                      PLCA_REL_TOL)[1].size for j in range(n)]
+        order = np.argsort(stops, kind="stable")
+        frames = NormalizedFrames(columns=columns[:, order],
+                                  active_mask=np.ones(n, dtype=bool))
+        return frames, d
+
+    def test_refill_drain_and_shrink_with_slowest_frames_last(self):
+        # three full turns of the live set and five frames more, so slots are
+        # refilled, the queue drains and the set shrinks to the capped frames
+        max_iter = 60
+        frames, d = self.queue_by_stop(np.random.default_rng(15),
+                                       3 * MM_BLOCK_FRAMES + 5, max_iter)
+        state = self.assert_matches_reference(frames, d, max_iter=max_iter)
+        assert state.iterations[0] == 2
+        assert state.iterations[-1] == max_iter
+        assert (state.iterations == max_iter).sum() > 1
+        assert np.unique(state.iterations).size > 10
+
+    @pytest.mark.parametrize("n", [MM_BLOCK_FRAMES, MM_BLOCK_FRAMES + 1])
+    def test_live_set_width_edges(self, n):
+        rng = np.random.default_rng(16 + n)
+        columns = rng.dirichlet(np.ones(30), size=n).T
+        frames = NormalizedFrames(columns=columns,
+                                  active_mask=np.ones(n, dtype=bool))
+        self.assert_matches_reference(frames, random_dictionary(rng, 30, 5),
+                                      max_iter=200)
+
+    def test_frame_result_does_not_depend_on_its_neighbours(self):
+        max_iter = 60
+        frames, d = self.queue_by_stop(np.random.default_rng(17),
+                                       MM_BLOCK_FRAMES + 40, max_iter)
+        acts, state = plca_unmix(frames, d, max_iter=max_iter)
+        for j in range(frames.n_frames):
+            alone_acts, alone = plca_unmix(single_frame(frames.columns[:, j]), d,
+                                           max_iter=max_iter)
+            assert alone.iterations[0] == state.iterations[j]
+            np.testing.assert_allclose(alone_acts.values[:, 0], acts.values[:, j],
+                                       rtol=0, atol=1e-12)
+
+    def test_trace_buffer_is_bounded_by_the_live_set(self):
+        # an n x max_iter buffer would take 16 MB here; one row per slot
+        # takes MM_BLOCK_FRAMES x max_iter x 8 bytes (1 MB)
+        rng = np.random.default_rng(18)
+        n, max_iter = 2048, 1000
+        columns = rng.dirichlet(np.ones(32), size=n).T
+        frames = NormalizedFrames(columns=columns,
+                                  active_mask=np.ones(n, dtype=bool))
+        d = random_dictionary(rng, 32, 4)
+        tracemalloc.start()
+        try:
+            _, state = plca_unmix(frames, d, max_iter=max_iter)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert state.iterations.max() < max_iter
+        assert peak < n * max_iter * 8 / 4
 
 
 class TestSolveLp:

@@ -20,7 +20,9 @@ from ost.evaluation import (NoteEvent, PianoRoll, f_measure,
 from ost.frontend import decode_wav, normalize_frames, stft_magnitude
 from ost.solvers import Activations
 from ost.synth import render_notes
-from ost.tsvio import read_activations, read_matrix, write_ground_truth
+from ost.tsvio import read_activations, read_matrix
+
+from helpers import write_ground_truth
 
 
 def source_tree_env():

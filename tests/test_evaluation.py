@@ -15,7 +15,8 @@ from ost.evaluation import (FrameClock, NoteEvent, PianoRoll, TOY_PAIR_A,
                             threshold_activations, toy_fundamentals)
 from ost.frontend import NormalizedFrames
 from ost.solvers import Activations, SolverConfig, ost_frame, ost_group_frame
-from ost.tsvio import write_ground_truth
+
+from helpers import write_ground_truth
 
 
 class TestFrameClock:

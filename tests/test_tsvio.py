@@ -10,8 +10,9 @@ from ost.evaluation import EvalReport, NoteEvent, PianoRoll, parse_ground_truth
 from ost.solvers import Activations
 from ost.tsvio import (atomic_write_text, format_table, matrix_text,
                        read_activations, read_matrix, write_activations,
-                       write_ground_truth, write_matrix, write_pianoroll,
-                       write_report)
+                       write_matrix, write_pianoroll, write_report)
+
+from helpers import write_ground_truth
 
 
 def _format_cell(x) -> str:
