@@ -24,8 +24,8 @@ import numpy as np
 from .baselines import OT_LP_MAX_BINS, ot_unmix_lp, plca_unmix
 from .costs import append_noise_column, harmonic_cost
 from .dictionary import (DEFAULT_DAMPING, DEFAULT_N_PARTIALS, Dictionary,
-                         HarmonicTemplateParams, make_dirac_dictionary,
-                         make_harmonic_dictionary, midi_range_fundamentals)
+                         HarmonicTemplateParams, make_harmonic_dictionary,
+                         midi_range_fundamentals)
 from .errors import (DataError, DecodeError, LpGuardError, LpInfeasibleError,
                      LpUnboundedError, NumericError, OstError,
                      UnsupportedEncodingError)
@@ -191,21 +191,22 @@ def _check_ranges(config: RunConfig):
 # decomposition shared by transcribe, toy and sweep
 
 
-def solve(method: str, frames: NormalizedFrames, dictionary: Dictionary,
-          config: RunConfig) -> Activations:
+def solve(method: str, frames: NormalizedFrames, fundamentals: np.ndarray,
+          templates: Dictionary, config: RunConfig) -> Activations:
     """Run one method: the only place a method name picks a solver.
 
-    plca and ot_h unmix onto the dictionary's templates (ot_h over the full
-    bin-to-bin cost). The OST variants read only its fundamentals, with the
-    reduced cost plus, when config.noise_amplitude is set, a noise column
-    whose activations form a trailing row.
+    plca and ot_h unmix onto `templates`, the harmonic dictionary (ot_h over
+    the full bin-to-bin cost). The OST variants take no templates (None) and
+    read only `fundamentals`, with the reduced cost plus, when
+    config.noise_amplitude is set, a noise column whose activations form a
+    trailing row.
     """
     if method == "plca":
-        return plca_unmix(frames, dictionary)[0]
+        return plca_unmix(frames, templates)[0]
     if method == "ot_h":
         cost = harmonic_cost(frames.freqs, frames.freqs, config.epsilon0)
-        return ot_unmix_lp(frames, dictionary, cost)
-    cost = harmonic_cost(frames.freqs, dictionary.fundamentals, config.epsilon0)
+        return ot_unmix_lp(frames, templates, cost)
+    cost = harmonic_cost(frames.freqs, fundamentals, config.epsilon0)
     if config.noise_amplitude is not None:
         cost = append_noise_column(cost, config.noise_amplitude)
     return unmix(frames, cost, config.solver_config(), variant=method)
@@ -219,11 +220,10 @@ def decompose(frames: NormalizedFrames, config: RunConfig):
     """
     labels = [str(m) for m in range(config.midi_low, config.midi_high + 1)]
     fundamentals = midi_range_fundamentals(config.midi_low, config.midi_high)
+    templates = None
     if config.method in TEMPLATE_METHODS:
-        dictionary = config.harmonic_dictionary(frames.freqs, fundamentals)
-    else:
-        dictionary = make_dirac_dictionary(fundamentals)
-    acts = solve(config.method, frames, dictionary, config)
+        templates = config.harmonic_dictionary(frames.freqs, fundamentals)
+    acts = solve(config.method, frames, fundamentals, templates, config)
     if acts.values.shape[0] == len(labels):
         return acts, labels, acts
     pitch_acts = Activations(values=acts.values[:len(labels)],
@@ -335,8 +335,12 @@ def cmd_toy(args) -> int:
                               freqs=toy.freqs)
     rows = []
     for method in methods:
+        # read before the clock: the first read builds the templates, which
+        # a call without plca or ot_h never does
+        templates = toy.dictionary if method in TEMPLATE_METHODS else None
         start = time.perf_counter()
-        h = solve(method, frames, toy.dictionary, config).values[:, 0]
+        h = solve(method, frames, toy.fundamentals, templates,
+                  config).values[:, 0]
         seconds = time.perf_counter() - start
         rows.append((method, l1_activation_error(h, toy.h_true), seconds))
     headers = ("method", "l1_error", "seconds")

@@ -2,6 +2,7 @@
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -204,14 +205,22 @@ def l1_activation_error(h_est, h_true) -> float:
 @dataclass(eq=False)
 class ToyScenario:
     """One synthesized unmixing problem: a frame, its true activations, the
-    clean dictionary, and the bin grid everything lives on."""
+    note fundamentals, and the bin grid everything lives on. `dictionary`,
+    the clean harmonic templates, is built on first read: the OST methods
+    need only the fundamentals."""
 
     freqs: np.ndarray
     frame: np.ndarray
     h_true: np.ndarray
-    dictionary: Dictionary
+    fundamentals: np.ndarray
+    template_params: HarmonicTemplateParams
     which: str
     seed: int
+
+    @cached_property
+    def dictionary(self) -> Dictionary:
+        return make_harmonic_dictionary(self.freqs, self.fundamentals,
+                                        self.template_params)
 
 
 def toy_fundamentals() -> np.ndarray:
@@ -236,7 +245,7 @@ def make_toy_scenario(which: str, seed: int, bins: int = TOY_BINS,
     so the observed timbre no longer follows the modeled exponential
     envelope (each column renormalizes before mixing).
 
-    The returned dictionary is always the clean, unshifted one.
+    The scenario's dictionary is always the clean, unshifted one.
     """
     try:
         which = SCENARIO_ALIASES[which]
@@ -248,7 +257,6 @@ def make_toy_scenario(which: str, seed: int, bins: int = TOY_BINS,
     fundamentals = toy_fundamentals()
     params = HarmonicTemplateParams(kernel_width=sigma, damping=damping,
                                     n_partials=n_partials)
-    dictionary = make_harmonic_dictionary(freqs, fundamentals, params)
 
     rng = np.random.default_rng(seed)
     clean_weights = np.exp(-damping * np.arange(1, n_partials + 1))
@@ -269,4 +277,5 @@ def make_toy_scenario(which: str, seed: int, bins: int = TOY_BINS,
     h_true = np.zeros(len(fundamentals))
     h_true[list(pair)] = TOY_WEIGHTS
     return ToyScenario(freqs=freqs, frame=v, h_true=h_true,
-                       dictionary=dictionary, which=which, seed=seed)
+                       fundamentals=fundamentals, template_params=params,
+                       which=which, seed=seed)

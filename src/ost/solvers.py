@@ -14,7 +14,11 @@ These per-frame functions build the dense plan (and, on request, the
 objective trace) and are the reference for `unmix`, which solves all active
 frames at once without either. Its ost_g loop works on column masses and
 stops a frame once they repeat (the step depends on them alone, so every
-later iteration would be identical). Its ost_eg step uses that the group
+later iteration would be identical), and each step takes the argmin only
+over the columns that can still win a row. Float addition rounds
+monotonically, so this pruning is exact, ties included (see _group_mm);
+the penalty leaves a frame a few notes within a few steps, so most steps
+scan a handful of the K columns. Its ost_eg step uses that the group
 penalty p only rescales columns: softmax_k(-(c_ik + p_k)/lambda_e) =
 E_ik w_k / sum_k E_ik w_k, with E = exp(-C/lambda_e) computed once. For a
 block of frames V one MM step is H = W * E^T (V / E W), two matrix products
@@ -264,18 +268,41 @@ def _hard_assign(values: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _group_mm(values: np.ndarray, v: np.ndarray, config: SolverConfig) -> np.ndarray:
     """ost_group_frame's masses for every column of v (M x N), each frame
     stopping at its fixed point. The hard step does not factorise, so
-    frames stay in a loop: stacking them only adds a frames x M x K
-    temporary, and measured slower."""
+    frames stay in a loop, and each step takes the argmin only over the
+    columns that can still win a row.
+
+    With penalty p and the previous step's labels l (the unpenalised
+    argmin before the first step), every row's new minimum is at most
+    bound = max_i fl(c_{i,l_i} + p_{l_i}). Float addition rounds
+    monotonically, so a column with fl(min_i c_ik + p_k) > bound costs more
+    than bound on every row and wins none, not even a tie. Dropping those
+    columns leaves the argmin as it was: the kept ones stay in ascending
+    order, so ties still break to the lowest index, and each row's
+    previous label is among them, so the set is never empty. Where more
+    than half of the columns stay, the step adds the penalty to all of
+    them, as the oracle does."""
     lam = config.lambda_g
-    k = values.shape[1]
+    m, k = values.shape
+    rows = np.arange(m)
+    by_column = np.ascontiguousarray(values.T)  # kept columns gather as rows
+    cells = by_column.ravel()  # c_ik at i + k * m
+    col_min = values.min(axis=0)
     first = np.argmin(values, axis=1)
     out = np.empty((k, v.shape[1]))
     for j in range(v.shape[1]):
         frame = np.ascontiguousarray(v[:, j])
-        h = np.bincount(first, weights=frame, minlength=k)
+        labels = first
+        h = np.bincount(labels, weights=frame, minlength=k)
         for _ in range(config.mm_iterations):
-            r = _group_penalty_row(h)
-            labels = np.argmin(values + lam * r[None, :], axis=1)
+            pen = lam * _group_penalty_row(h)
+            bound = np.max(cells.take(rows + labels * m) + pen[labels])
+            keep = np.flatnonzero(col_min + pen <= bound)
+            if 2 * keep.size > k:
+                labels = np.argmin(values + pen, axis=1)
+            else:
+                cand = by_column[keep]
+                cand += pen[keep, None]
+                labels = keep[np.argmin(cand, axis=0)]
             new = np.bincount(labels, weights=frame, minlength=k)
             if np.array_equal(new, h):
                 break

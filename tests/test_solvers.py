@@ -16,12 +16,15 @@ import pytest
 
 from ost import solvers
 from ost.costs import CostMatrix, append_noise_column, harmonic_cost
+from ost.dictionary import midi_range_fundamentals
 from ost.errors import NumericError
-from ost.frontend import NormalizedFrames
+from ost.evaluation import NoteEvent
+from ost.frontend import NormalizedFrames, normalize_frames, stft_magnitude
 from ost.solvers import (MM_BLOCK_FRAMES, Activations, SolverConfig, TransportPlan,
                          entropy_term, group_term, ost_combined_frame,
                          ost_entropic_frame, ost_frame, ost_group_frame,
                          transport_objective, unmix)
+from ost.synth import render_notes
 
 
 def toy_cost(values):
@@ -413,6 +416,64 @@ class TestBatchedMM:
                 _, _, trace = ost_group_frame(frames.columns[:, n], cost, config,
                                               return_trace=True)
                 assert trace[-1] == trace[-25]
+
+    def test_group_mm_on_rendered_chords(self):
+        # the piano's 88 notes on a 256-bin grid and lambda_g = 300: the
+        # penalty leaves each frame a few notes within a few steps, so most
+        # steps take the argmin over a handful of kept columns
+        rng = np.random.default_rng(65)
+        events = [NoteEvent(0.08 * c, 0.08 * (c + 1), int(p))
+                  for c in range(4)
+                  for p in rng.choice(np.arange(40, 80), size=3, replace=False)]
+        audio = render_notes(events, sample_rate=16000, seed=65)
+        frames = normalize_frames(stft_magnitude(audio, 512, 256))
+        assert frames.columns.shape[0] >= 256
+        assert 16 <= frames.active_mask.sum() <= 24
+        cost = harmonic_cost(frames.freqs, midi_range_fundamentals(21, 108),
+                             eps0=10.0)
+        config = SolverConfig(lambda_g=300.0)
+        assert_matches_oracle(frames, cost, config, "ost_g")
+        masses = unmix(frames, cost, config, variant="ost_g").values
+        support = (masses[:, frames.active_mask] > 0).sum(axis=0)
+        assert np.mean(support <= 88 // 2) > 0.5
+
+    def test_group_mm_keeps_an_empty_column_at_the_bound(self):
+        # Column 0 is empty after step 1, so at step 2 its smallest cost (row
+        # 0) plus its penalty is exactly the bound, which row 0's step-1
+        # label (column 1) sets. Row 0 ties between columns 0 and 1: column
+        # 0 must stay a candidate and take the row, as in the oracle.
+        # Columns 3-5 cost more than the bound on every row, so step 2
+        # keeps 3 of 6 columns and takes the pruned argmin.
+        v_r, big = 2e-12, 1e7
+        p_empty, p_row = solvers._group_penalty_row(np.array([0.0, v_r]))
+        c_tie = p_empty - p_row  # exact: p_row <= p_empty <= 2 * p_row
+        assert c_tie + p_row == p_empty
+        values = np.array([[0.0, c_tie, big, big, big, big],
+                           [big, 0.0, 0.25, big, big, big],
+                           [big, big, 0.0, big, big, big]])
+        frames = NormalizedFrames(columns=np.array([[v_r], [0.25], [0.75]]),
+                                  active_mask=np.array([True]))
+        config = SolverConfig(lambda_g=1.0, mm_iterations=2)
+        assert_matches_oracle(frames, toy_cost(values), config, "ost_g")
+        masses = unmix(frames, toy_cost(values), config, variant="ost_g").values
+        assert masses[0, 0] == v_r and masses[1, 0] == 0.0
+
+    @pytest.mark.parametrize("case", ["one_column", "eps0_zero", "noise_column"])
+    def test_group_mm_edge_costs(self, case):
+        rng = np.random.default_rng(66)
+        freqs = np.arange(1.0, 61.0) * 25.0
+        notes = 25.0 * np.arange(2, 14)
+        if case == "one_column":
+            cost = harmonic_cost(freqs, [100.0], eps0=10.0)
+        elif case == "eps0_zero":
+            # exact partials cost 0 for a note and for its sub-multiples, so
+            # rows tie across columns
+            cost = harmonic_cost(freqs, notes, eps0=0.0)
+        else:
+            cost = append_noise_column(harmonic_cost(freqs, notes, eps0=10.0),
+                                       400.0)
+        frames = make_frames(rng, 60, 12, inactive=(4,), concentration=0.2)
+        assert_matches_oracle(frames, cost, SolverConfig(lambda_g=300.0), "ost_g")
 
     def test_underflow_rows_use_the_per_frame_softmax(self, monkeypatch):
         # small lambda_e with a large group penalty: where a row costs more
