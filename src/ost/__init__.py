@@ -13,7 +13,7 @@ from .frontend import (AudioBuffer, Spectrogram, NormalizedFrames,
                        decode_wav, stft_magnitude, normalize_frames)
 from .dictionary import (Dictionary, HarmonicTemplateParams, midi_to_freq,
                          midi_range_fundamentals, harmonic_column,
-                         make_harmonic_dictionary, make_dirac_dictionary)
+                         make_harmonic_dictionary)
 from .costs import (CostMatrix, quadratic_cost, harmonic_cost,
                     append_noise_column)
 from .solvers import (SolverConfig, TransportPlan, Activations, ost_frame,
@@ -34,7 +34,6 @@ __all__ = [
     "stft_magnitude", "normalize_frames",
     "Dictionary", "HarmonicTemplateParams", "midi_to_freq",
     "midi_range_fundamentals", "harmonic_column", "make_harmonic_dictionary",
-    "make_dirac_dictionary",
     "CostMatrix", "quadratic_cost", "harmonic_cost", "append_noise_column",
     "SolverConfig", "TransportPlan", "Activations", "ost_frame",
     "ost_entropic_frame", "ost_group_frame", "ost_combined_frame", "unmix",

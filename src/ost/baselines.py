@@ -147,8 +147,6 @@ def plca_unmix(frames: NormalizedFrames, dictionary: Dictionary,
     next waiting frame, so every step runs full width until the queue
     drains. Raises NumericError on non-finite activations.
     """
-    if dictionary.kind != "harmonic":
-        raise ValueError("plca_unmix requires stored templates (kind='harmonic')")
     w = dictionary.templates
     if frames.columns.shape[0] != w.shape[0]:
         raise ValueError("frame rows must match dictionary rows")
@@ -256,40 +254,37 @@ def _reduced_lp_frame(v, cost_values):
     return plan.sum(axis=0), plan, objective
 
 
-def ot_unmix_lp(frames: NormalizedFrames, dictionary: Dictionary,
+def ot_unmix_lp(frames: NormalizedFrames, templates: Dictionary,
                 cost: CostMatrix, return_detail: bool = False):
     """Exact LP unmixing.
 
-    With a harmonic dictionary this solves the joint problem over the full
-    M x M plan and h (M^2 + K variables, both marginal constraint families).
-    With a Dirac dictionary the plan targets the fundamentals directly
-    through the reduced M x K cost, which is the exact LP form of the
-    problem the closed-form solver answers.
+    With a harmonic dictionary as `templates` this solves the joint problem
+    over the full M x M plan and h (M^2 + K variables, both marginal
+    constraint families). With None, Dirac targets: the plan goes straight
+    to the cost's K columns (a noise column included) through the reduced
+    M x K cost, which is the exact LP form of the problem the closed-form
+    solver answers.
     """
     m = frames.columns.shape[0]
     if m > OT_LP_MAX_BINS:
         raise LpGuardError(f"M={m} exceeds the LP unmixing guard ({OT_LP_MAX_BINS})")
     if frames.columns.shape[0] != cost.values.shape[0]:
         raise ValueError("frame rows must match cost rows")
-    if dictionary.kind == "harmonic":
-        if cost.values.shape[1] != m:
-            raise ValueError("harmonic-dictionary unmixing needs a full M x M cost")
-        if dictionary.templates.shape[0] != m:
-            raise ValueError("dictionary rows must match frame rows")
-        k = dictionary.n_templates
-    else:
-        if cost.n_targets < dictionary.n_templates:
-            raise ValueError("reduced cost columns must cover the dictionary")
-        k = cost.n_targets
+    k = cost.n_targets
+    if templates is not None:
+        if k != m or templates.templates.shape[0] != m:
+            raise ValueError("harmonic-dictionary unmixing needs an M x M cost "
+                             "and M-row templates")
+        k = templates.n_templates
     n = frames.columns.shape[1]
     out = np.zeros((k, n))
     details = []
     for idx in np.flatnonzero(frames.active_mask):
         v = frames.columns[:, idx]
-        if dictionary.kind == "harmonic":
-            h, plan, objective = _unmix_lp_frame(v, dictionary.templates, cost.values)
-        else:
+        if templates is None:
             h, plan, objective = _reduced_lp_frame(v, cost.values)
+        else:
+            h, plan, objective = _unmix_lp_frame(v, templates.templates, cost.values)
         out[:, idx] = h
         if return_detail:
             details.append({"frame": int(idx), "plan": plan, "objective": objective})

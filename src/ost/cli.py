@@ -26,9 +26,8 @@ from .costs import append_noise_column, harmonic_cost
 from .dictionary import (DEFAULT_DAMPING, DEFAULT_N_PARTIALS, Dictionary,
                          HarmonicTemplateParams, make_harmonic_dictionary,
                          midi_range_fundamentals)
-from .errors import (DataError, DecodeError, LpGuardError, LpInfeasibleError,
-                     LpUnboundedError, NumericError, OstError,
-                     UnsupportedEncodingError)
+from .errors import (DataError, LpGuardError, LpInfeasibleError,
+                     LpUnboundedError, NumericError, OstError)
 from .evaluation import (SCENARIO_ALIASES, TOY_BINS, TOY_F_MAX, FrameClock,
                          PianoRoll, events_to_roll, f_measure,
                          l1_activation_error, load_ground_truth,
@@ -127,9 +126,12 @@ class RunConfig:
         """Harmonic templates on the bin grid `freqs`, with the kernel width
         in bins of the grid spacing (of the only frequency on a 1-bin grid)."""
         bin_hz = float(freqs[1] - freqs[0]) if len(freqs) > 1 else float(freqs[0])
-        return make_harmonic_dictionary(freqs, fundamentals, HarmonicTemplateParams(
-            kernel_width=self.kernel_width_bins * bin_hz, damping=self.damping,
-            n_partials=self.n_partials))
+        params = HarmonicTemplateParams(kernel_width=self.kernel_width_bins * bin_hz,
+                                        damping=self.damping, n_partials=self.n_partials)
+        try:
+            return make_harmonic_dictionary(freqs, fundamentals, params)
+        except ValueError as exc:  # a note above the top bin, or a comb too narrow for it
+            raise DataError(f"no harmonic templates on this bin grid: {exc}") from exc
 
 
 def _flag(name: str) -> str:
@@ -176,7 +178,8 @@ def _check_ranges(config: RunConfig):
          "--midi-low/--midi-high must satisfy 0 <= low <= high <= 127"),
         (config.window_len >= 2 and config.window_len % 2 == 0,
          "--window-len must be a positive even integer"),
-        (0 < config.hop, "--hop must be positive"),
+        (0 < config.hop <= config.window_len,
+         "--hop must satisfy 0 < hop <= --window-len"),
         (0 < config.kernel_width_bins < inf,
          "--kernel-width-bins must be finite and positive"),
         (0 <= config.damping < inf, "--damping must be finite and non-negative"),
@@ -325,11 +328,14 @@ def cmd_toy(args) -> int:
     if "ot_h" in methods and args.bins > OT_LP_MAX_BINS:
         raise UsageError(f"ot_h solves a dense LP and needs --bins <= "
                          f"{OT_LP_MAX_BINS}; drop ot_h or lower --bins")
-    toy = make_toy_scenario(args.scenario, seed=config.seed, bins=args.bins,
-                            f_max=args.f_max,
-                            kernel_width_bins=config.kernel_width_bins,
-                            damping=config.damping,
-                            n_partials=config.n_partials)
+    try:  # every input of a toy problem is a flag
+        toy = make_toy_scenario(args.scenario, seed=config.seed, bins=args.bins,
+                                f_max=args.f_max,
+                                kernel_width_bins=config.kernel_width_bins,
+                                damping=config.damping,
+                                n_partials=config.n_partials)
+    except ValueError as exc:
+        raise UsageError(f"no toy problem at these settings: {exc}") from exc
     frames = NormalizedFrames(columns=toy.frame[:, None],
                               active_mask=np.array([True]),
                               freqs=toy.freqs)
@@ -411,23 +417,23 @@ def cmd_sweep(args) -> int:
     half = frames.n_frames // 2
     val_slice, test_slice = slice(0, half), slice(half, frames.n_frames)
 
-    def score(report_slice, cfg):
-        pitch_acts, _, _ = decompose(frames, cfg)
+    def score(pitch_acts, report_slice):
         sliced = Activations(values=pitch_acts.values[:, report_slice],
                              frame_hop_seconds=pitch_acts.frame_hop_seconds)
         ref = PianoRoll(active=truth.active[:, report_slice],
                         midi_low=truth.midi_low, midi_high=truth.midi_high,
                         frame_hop_seconds=truth.frame_hop_seconds)
-        return f_measure(threshold_activations(sliced, ref), ref)
+        return f_measure(threshold_activations(sliced, ref), ref).f_measure
 
     rows, best = [], None
     for values, cfg in zip(points, configs):
-        val_f = score(val_slice, cfg).f_measure
+        pitch_acts = decompose(frames, cfg)[0]
+        val_f = score(pitch_acts, val_slice)
         rows.append(values + (val_f,))
         if best is None or val_f > best[1]:
-            best = (cfg, val_f, values)
-    best_cfg, best_val_f, best_values = best
-    test_f = score(test_slice, best_cfg).f_measure
+            best = (pitch_acts, val_f, values)
+    best_acts, best_val_f, best_values = best
+    test_f = score(best_acts, test_slice)
 
     headers = tuple(names) + ("val_f_measure",)
     print(tsvio.format_table(headers, rows))
@@ -500,12 +506,12 @@ def cmd_eval(args) -> int:
     except ValueError as exc:
         raise DataError(f"activation rows must be MIDI numbers or 'noise', "
                         f"got {labels!r}") from exc
-    if midi != list(range(min(midi), max(midi) + 1)):
+    if not midi or midi != list(range(midi[0], midi[-1] + 1)):
         raise DataError("activation rows must cover a contiguous MIDI range")
     hop = float(times[1] - times[0]) if len(times) > 1 else 1.0
     t0 = float(times[0]) if len(times) else 0.0
     clock = FrameClock(n_frames=values.shape[1], hop_seconds=hop, t0=t0)
-    truth = load_ground_truth(args.ground_truth, (min(midi), max(midi)), clock)
+    truth = load_ground_truth(args.ground_truth, (midi[0], midi[-1]), clock)
     acts = Activations(values=values[pitch_rows], frame_hop_seconds=hop)
     report = f_measure(threshold_activations(acts, truth), truth)
     print(f"precision={report.precision:.4f} recall={report.recall:.4f} "
@@ -673,15 +679,11 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DecodeError, UnsupportedEncodingError, DataError,
-            FileNotFoundError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except (LpInfeasibleError, LpUnboundedError, LpGuardError,
             NumericError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (OstError, ValueError) as exc:
+    except (OstError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except SystemExit as exc:

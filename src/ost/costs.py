@@ -13,7 +13,7 @@ import numpy as np
 
 @dataclass(frozen=True, eq=False)
 class CostMatrix:
-    """Dense non-negative transport cost tagged with its construction recipe.
+    """Dense non-negative transport cost between two frequency axes.
 
     When noise_cost is set, `values` has one trailing column beyond
     len(col_freqs), every entry equal to noise_cost.
@@ -22,9 +22,6 @@ class CostMatrix:
     values: np.ndarray
     row_freqs: np.ndarray
     col_freqs: np.ndarray
-    recipe: str = "custom"
-    eps0: float = None
-    octave_scaling: bool = None
     noise_cost: float = None
 
     def __post_init__(self):
@@ -37,8 +34,6 @@ class CostMatrix:
             raise ValueError("cost values must be finite")
         if np.any(self.values < 0):
             raise ValueError("cost values must be non-negative")
-        if self.recipe not in ("quadratic", "harmonic", "custom"):
-            raise ValueError(f"unknown recipe {self.recipe!r}")
         expected_cols = self.col_freqs.size + (1 if self.noise_cost is not None else 0)
         if self.values.shape != (self.row_freqs.size, expected_cols):
             raise ValueError("cost shape does not match frequency axes")
@@ -56,8 +51,7 @@ def quadratic_cost(row_freqs, col_freqs) -> CostMatrix:
     if np.any(row_freqs <= 0) or np.any(col_freqs <= 0):
         raise ValueError("frequencies must be positive")
     values = (row_freqs[:, None] - col_freqs[None, :]) ** 2
-    return CostMatrix(values=values, row_freqs=row_freqs, col_freqs=col_freqs,
-                      recipe="quadratic")
+    return CostMatrix(values=values, row_freqs=row_freqs, col_freqs=col_freqs)
 
 
 def harmonic_cost(row_freqs, col_freqs, eps0: float,
@@ -101,8 +95,7 @@ def harmonic_cost(row_freqs, col_freqs, eps0: float,
         cand = (f - q * nu) ** 2 + pen
         np.minimum(best, np.where(has_branch, cand, np.inf), out=best)
 
-    return CostMatrix(values=best, row_freqs=row_freqs, col_freqs=col_freqs,
-                      recipe="harmonic", eps0=eps0, octave_scaling=octave_scaling)
+    return CostMatrix(values=best, row_freqs=row_freqs, col_freqs=col_freqs)
 
 
 def append_noise_column(cost: CostMatrix, amplitude: float) -> CostMatrix:
@@ -113,6 +106,4 @@ def append_noise_column(cost: CostMatrix, amplitude: float) -> CostMatrix:
         raise ValueError("cost matrix already has a noise column")
     values = np.hstack([cost.values, np.full((cost.values.shape[0], 1), amplitude)])
     return CostMatrix(values=values, row_freqs=cost.row_freqs,
-                      col_freqs=cost.col_freqs, recipe=cost.recipe,
-                      eps0=cost.eps0, octave_scaling=cost.octave_scaling,
-                      noise_cost=float(amplitude))
+                      col_freqs=cost.col_freqs, noise_cost=float(amplitude))

@@ -1,4 +1,4 @@
-"""Note dictionaries: harmonic Gaussian templates and Dirac dictionaries."""
+"""Note dictionaries: pitch fundamentals and harmonic Gaussian templates."""
 
 from dataclasses import dataclass
 
@@ -33,47 +33,33 @@ class HarmonicTemplateParams:
 
 @dataclass(frozen=True, eq=False)
 class Dictionary:
-    """Column-stochastic template matrix plus fundamental frequencies.
-
-    For kind="dirac" the templates are virtual (None): the reduced cost
-    matrix built against the fundamentals replaces them, so no M x K
-    storage is needed.
-    """
+    """Column-stochastic harmonic template matrix plus its fundamental
+    frequencies. A Dirac dictionary needs no container: its fundamentals
+    alone set the reduced cost the OST solvers read."""
 
     fundamentals: np.ndarray
-    kind: str
-    templates: np.ndarray = None
+    templates: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "fundamentals",
                            np.asarray(self.fundamentals, dtype=np.float64))
-        if self.kind not in ("harmonic", "dirac"):
-            raise ValueError(f"unknown dictionary kind {self.kind!r}")
+        object.__setattr__(self, "templates",
+                           np.asarray(self.templates, dtype=np.float64))
         if self.fundamentals.ndim != 1 or self.fundamentals.size == 0:
             raise ValueError("fundamentals must be a non-empty vector")
         if np.any(self.fundamentals <= 0):
             raise ValueError("fundamentals must be positive")
         if len(np.unique(self.fundamentals)) != self.fundamentals.size:
             raise ValueError("fundamentals must be distinct")
-        if self.kind == "dirac":
-            if self.templates is not None:
-                raise ValueError("dirac dictionaries have no stored templates")
-            if np.any(np.diff(self.fundamentals) <= 0):
-                raise ValueError("fundamentals must be strictly increasing")
-        else:
-            if self.templates is None:
-                raise ValueError("harmonic dictionaries require stored templates")
-            object.__setattr__(self, "templates",
-                               np.asarray(self.templates, dtype=np.float64))
-            if self.templates.shape[1] != self.fundamentals.size:
-                raise ValueError("template count must match fundamentals")
-            if not np.all(np.isfinite(self.templates)):
-                raise ValueError("templates must be finite")
-            if np.any(self.templates < 0):
-                raise ValueError("templates must be non-negative")
-            sums = self.templates.sum(axis=0)
-            if np.any(np.abs(sums - 1.0) > 1e-12):
-                raise ValueError("template columns must sum to 1")
+        if self.templates.ndim != 2 or self.templates.shape[1] != self.fundamentals.size:
+            raise ValueError("template count must match fundamentals")
+        if not np.all(np.isfinite(self.templates)):
+            raise ValueError("templates must be finite")
+        if np.any(self.templates < 0):
+            raise ValueError("templates must be non-negative")
+        sums = self.templates.sum(axis=0)
+        if np.any(np.abs(sums - 1.0) > 1e-12):
+            raise ValueError("template columns must sum to 1")
 
     @property
     def n_templates(self) -> int:
@@ -121,8 +107,6 @@ def make_harmonic_dictionary(freqs: np.ndarray, fundamentals,
     """
     freqs = np.asarray(freqs, dtype=np.float64)
     fundamentals = np.atleast_1d(np.asarray(fundamentals, dtype=np.float64))
-    if fundamentals.size == 0:
-        raise ValueError("fundamentals must be non-empty")
     if np.any(fundamentals <= 0) or np.any(fundamentals > freqs[-1]):
         raise ValueError("fundamentals must lie within (0, max(freqs)]")
 
@@ -135,13 +119,5 @@ def make_harmonic_dictionary(freqs: np.ndarray, fundamentals,
             raise ValueError(f"template at {nu} Hz has no mass on the grid")
         templates[:, k] = col / total
     templates[templates < SMALLEST_NORMAL] = 0.0
-    return Dictionary(fundamentals=fundamentals, kind="harmonic", templates=templates)
+    return Dictionary(fundamentals=fundamentals, templates=templates)
 
-
-def make_dirac_dictionary(fundamentals) -> Dictionary:
-    """Dirac dictionary: one virtual spike per fundamental; used with the
-    reduced cost matrix targeting the fundamentals directly."""
-    fundamentals = np.atleast_1d(np.asarray(fundamentals, dtype=np.float64))
-    if fundamentals.size == 0:
-        raise ValueError("fundamentals must be non-empty")
-    return Dictionary(fundamentals=fundamentals, kind="dirac")

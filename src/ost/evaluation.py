@@ -273,6 +273,8 @@ def make_toy_scenario(which: str, seed: int, bins: int = TOY_BINS,
             decay = np.exp(-TOY_RESIDUAL_DECAY * np.arange(1, n_partials + 1))
             partial_weights = decay * np.exp(rng.uniform(lo, hi, n_partials))
         col = harmonic_column(freqs, nu, sigma, partial_weights)
+        if not col.sum() > 0:
+            raise ValueError(f"note at {nu:g} Hz has no mass on the grid")
         v += weight * (col / col.sum())
     h_true = np.zeros(len(fundamentals))
     h_true[list(pair)] = TOY_WEIGHTS

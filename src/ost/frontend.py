@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DecodeError, UnsupportedEncodingError
+from .errors import DataError, DecodeError, UnsupportedEncodingError
 
 DEFAULT_WINDOW_LEN = 4096
 DEFAULT_HOP = 2048
@@ -111,10 +111,10 @@ def decode_wav(path) -> AudioBuffer:
     `fmt ` and `data` are skipped, and a `data` chunk cut short by the end of
     the file yields the whole frames present.
 
-    A missing or unreadable file, a non-WAVE file, a missing `fmt ` or `data`
-    chunk, or non-finite samples raise DecodeError; any other sample encoding
-    (8-bit, 24/32-bit integer, 64-bit float, compressed) or more than two
-    channels raise UnsupportedEncodingError.
+    A missing or unreadable file, a non-WAVE file, an invalid header, a
+    missing `fmt ` or `data` chunk, or non-finite samples raise DecodeError;
+    any other sample encoding (8-bit, 24/32-bit integer, 64-bit float,
+    compressed) or more than two channels raise UnsupportedEncodingError.
     """
     try:
         with open(path, "rb") as fh:
@@ -180,8 +180,8 @@ def _wav_format(chunk: bytes, order: str, path):
     if tag == WAVE_FORMAT_PCM and byte_rate != rate * block_align:
         raise DecodeError(f"invalid WAV header in {path!r}: byte rate {byte_rate}"
                           f" != {rate} Hz x {block_align}-byte frames")
-    if channels == 0:
-        raise DecodeError(f"WAV header of {path!r} declares no channels")
+    if channels == 0 or rate == 0:
+        raise DecodeError(f"WAV header of {path!r}: {channels} channels at {rate} Hz")
     width = block_align // channels
     if tag == WAVE_FORMAT_PCM and width == 2 and 8 < bits <= 16:
         dtype = np.dtype(order + "i2")
@@ -207,9 +207,9 @@ def stft_magnitude(audio: AudioBuffer, window_len: int = DEFAULT_WINDOW_LEN,
     """
     x = audio.samples
     if x.size == 0:
-        raise ValueError("empty audio")
+        raise DataError("empty audio")
     if window_len > x.size:
-        raise ValueError(f"window ({window_len}) longer than signal ({x.size})")
+        raise DataError(f"window ({window_len}) longer than signal ({x.size})")
     if not 0 < hop <= window_len:
         raise ValueError("hop must satisfy 0 < hop <= window_len")
     if window_len % 2 != 0:
@@ -234,9 +234,9 @@ def normalize_frames(spec: Spectrogram,
         raise ValueError("silence_threshold must be non-negative")
     sums = spec.values.sum(axis=0)
     active = sums > silence_threshold
-    columns = np.zeros_like(spec.values)
-    if np.any(active):
-        columns[:, active] = spec.values[:, active] / sums[active]
+    # zeros_like keeps the F order, on which later column sums' bits depend
+    columns = np.divide(spec.values, sums, out=np.zeros_like(spec.values),
+                        where=active)
     return NormalizedFrames(columns=columns, active_mask=active,
                             freqs=spec.freqs.copy(),
                             frame_hop_seconds=spec.frame_hop_seconds)

@@ -16,8 +16,8 @@ from ost.baselines import ot_unmix_lp, plca_unmix, wasserstein_divergence
 from ost.cli import main
 from ost.costs import (CostMatrix, append_noise_column, harmonic_cost,
                        quadratic_cost)
-from ost.dictionary import (HarmonicTemplateParams, make_dirac_dictionary,
-                            make_harmonic_dictionary, midi_to_freq)
+from ost.dictionary import (HarmonicTemplateParams, make_harmonic_dictionary,
+                            midi_to_freq)
 from ost.evaluation import (FrameClock, NoteEvent, events_to_roll, f_measure,
                             l1_activation_error, make_toy_scenario,
                             threshold_activations)
@@ -50,8 +50,7 @@ def test_criterion_1_closed_form_matches_lp_oracle():
         frames = NormalizedFrames(columns=v[:, None],
                                   active_mask=np.array([True]),
                                   freqs=cost.row_freqs)
-        dirac = make_dirac_dictionary(cost.col_freqs)
-        _, details = ot_unmix_lp(frames, dirac, cost, return_detail=True)
+        _, details = ot_unmix_lp(frames, None, cost, return_detail=True)
         lp_plan = details[0]["plan"]
         worst_obj = max(worst_obj, abs(objective - details[0]["objective"]))
         worst_marginal = max(

@@ -21,7 +21,7 @@ from ost.baselines import (KL_FLOOR, LP_MIN_TOL, LpProblem, OT_LP_MAX_BINS,
                            wasserstein_divergence)
 from ost.costs import (CostMatrix, append_noise_column, harmonic_cost,
                        quadratic_cost)
-from ost.dictionary import Dictionary, make_dirac_dictionary
+from ost.dictionary import Dictionary
 from ost.errors import (LpGuardError, LpInfeasibleError, LpUnboundedError,
                         NumericError)
 from ost.evaluation import l1_activation_error, make_toy_scenario
@@ -113,21 +113,20 @@ def disjoint_dictionary(m, k):
     templates = np.zeros((m, k))
     for j in range(k):
         templates[j * block:(j + 1) * block, j] = 1.0 / block
-    return Dictionary(fundamentals=100.0 * (1 + np.arange(k)), kind="harmonic",
-                      templates=templates)
+    return Dictionary(fundamentals=100.0 * (1 + np.arange(k)), templates=templates)
 
 
 class TestPlcaUnmix:
     def test_identity_dictionary_recovers_frame(self):
         d = Dictionary(fundamentals=np.array([100.0, 200.0, 300.0]),
-                       kind="harmonic", templates=np.eye(3))
+                       templates=np.eye(3))
         v = np.array([0.2, 0.7, 0.1])
         acts, state = plca_unmix(single_frame(v), d)
         np.testing.assert_allclose(acts.values[:, 0], v, atol=1e-12)
         assert state.objective_traces[0][-1] < 1e-12
 
     def test_single_template_is_immediate(self):
-        d = Dictionary(fundamentals=np.array([100.0]), kind="harmonic",
+        d = Dictionary(fundamentals=np.array([100.0]),
                        templates=np.full((4, 1), 0.25))
         acts, state = plca_unmix(single_frame([0.1, 0.2, 0.3, 0.4]), d)
         np.testing.assert_array_equal(acts.values[:, 0], [1.0])
@@ -142,7 +141,7 @@ class TestPlcaUnmix:
                            / (2.0 * 3.0 ** 2))
         templates /= templates.sum(axis=0)
         d = Dictionary(fundamentals=100.0 * (1 + np.arange(4)),
-                       kind="harmonic", templates=templates)
+                       templates=templates)
         acts, state = plca_unmix(single_frame(templates[:, 2]), d,
                                  max_iter=1000, rel_tol=0.0)
         assert state.objective_traces[0][-1] < 1e-8
@@ -160,7 +159,7 @@ class TestPlcaUnmix:
         templates = rng.uniform(0.05, 1.0, size=(20, 3))
         templates /= templates.sum(axis=0)
         d = Dictionary(fundamentals=np.array([100.0, 220.0, 330.0]),
-                       kind="harmonic", templates=templates)
+                       templates=templates)
         h_true = np.array([0.3, 0.45, 0.25])
         acts, _ = plca_unmix(single_frame(templates @ h_true), d,
                              max_iter=5000, rel_tol=0.0)
@@ -171,7 +170,7 @@ class TestPlcaUnmix:
         templates = rng.uniform(0.01, 1.0, size=(16, 5))
         templates /= templates.sum(axis=0)
         d = Dictionary(fundamentals=100.0 * (1 + np.arange(5)),
-                       kind="harmonic", templates=templates)
+                       templates=templates)
         columns = rng.dirichlet(np.ones(16), size=6).T
         frames = NormalizedFrames(columns=columns,
                                   active_mask=np.ones(6, dtype=bool))
@@ -184,7 +183,7 @@ class TestPlcaUnmix:
         templates = rng.uniform(0.01, 1.0, size=(10, 4))
         templates /= templates.sum(axis=0)
         d = Dictionary(fundamentals=100.0 * (1 + np.arange(4)),
-                       kind="harmonic", templates=templates)
+                       templates=templates)
         columns = rng.dirichlet(np.ones(10), size=5).T
         mask = np.array([True, False, True, True, False])
         columns[:, ~mask] = 0.0
@@ -194,11 +193,6 @@ class TestPlcaUnmix:
                                    atol=1e-12)
         np.testing.assert_array_equal(acts.values[:, ~mask], 0.0)
         assert state.iterations[1] == 0 and state.objective_traces[1].size == 0
-
-    def test_requires_stored_templates(self):
-        d = make_dirac_dictionary([100.0, 200.0])
-        with pytest.raises(ValueError):
-            plca_unmix(single_frame([0.5, 0.5]), d)
 
     def test_dimension_and_parameter_validation(self):
         d = disjoint_dictionary(12, 3)
@@ -243,7 +237,7 @@ def random_dictionary(rng, m, k):
     templates = rng.uniform(0.0, 1.0, size=(m, k)) ** 4
     templates /= templates.sum(axis=0)
     return Dictionary(fundamentals=100.0 * (1 + np.arange(k)),
-                      kind="harmonic", templates=templates)
+                      templates=templates)
 
 
 class TestBatchedPlca:
@@ -289,7 +283,7 @@ class TestBatchedPlca:
     def test_frame_off_every_template_keeps_zero_mass(self):
         # two templates on bins 0-7; the middle frame lives on bins 8-11
         full = disjoint_dictionary(12, 3)
-        d = Dictionary(fundamentals=full.fundamentals[:2], kind="harmonic",
+        d = Dictionary(fundamentals=full.fundamentals[:2],
                        templates=full.templates[:, :2])
         columns = np.full((12, 3), 1.0 / 12)
         columns[:, 1] = 0.0
@@ -342,8 +336,7 @@ class TestBatchedPlca:
         templates[:4, 1:] = 0.0
         templates[4:, 0] = 0.0
         templates /= templates.sum(axis=0)
-        d = Dictionary(fundamentals=d.fundamentals, kind="harmonic",
-                       templates=templates)
+        d = Dictionary(fundamentals=d.fundamentals, templates=templates)
         columns = rng.dirichlet(np.full(m, 0.5), size=n).T
         columns[4:, 0] = 0.0
         columns[:, :n // 2] = columns[:, :1] / columns[:, 0].sum()
@@ -623,8 +616,7 @@ class TestOtUnmixLp:
         columns = rng.dirichlet(np.ones(24), size=4).T
         frames = NormalizedFrames(columns=columns,
                                   active_mask=np.ones(4, dtype=bool))
-        d = make_dirac_dictionary(fundamentals)
-        acts, details = ot_unmix_lp(frames, d, cost, return_detail=True)
+        acts, details = ot_unmix_lp(frames, None, cost, return_detail=True)
         for n in range(4):
             plan, h = ost_frame(columns[:, n], cost)
             np.testing.assert_allclose(acts.values[:, n], h, atol=1e-9)
@@ -659,20 +651,18 @@ class TestOtUnmixLp:
         # (q=5): min((500-500)^2 + 5, 10) = 5, so tune amplitude below that
         cheap = append_noise_column(harmonic_cost(freqs, [100.0], eps0=1.0),
                                     amplitude=2.0)
-        d = make_dirac_dictionary([100.0])
-        acts = ot_unmix_lp(single_frame([0.6, 0.4]), d, cheap)
+        acts = ot_unmix_lp(single_frame([0.6, 0.4]), None, cheap)
         np.testing.assert_allclose(acts.values[:, 0], [0.6, 0.4], atol=1e-9)
-        acts2 = ot_unmix_lp(single_frame([0.6, 0.4]), d, cost)
+        acts2 = ot_unmix_lp(single_frame([0.6, 0.4]), None, cost)
         np.testing.assert_allclose(acts2.values[:, 0], [1.0, 0.0], atol=1e-9)
 
     def test_guard_on_bin_count(self):
         m = OT_LP_MAX_BINS + 1
         frames = NormalizedFrames(columns=np.full((m, 1), 1.0 / m),
                                   active_mask=np.array([True]))
-        d = make_dirac_dictionary([100.0])
         cost = harmonic_cost(np.arange(1.0, m + 1.0), [100.0], eps0=1.0)
         with pytest.raises(LpGuardError):
-            ot_unmix_lp(frames, d, cost)
+            ot_unmix_lp(frames, None, cost)
 
     def test_harmonic_dictionary_needs_square_cost(self):
         d = disjoint_dictionary(12, 3)
@@ -682,14 +672,13 @@ class TestOtUnmixLp:
             ot_unmix_lp(single_frame(d.templates[:, 0]), d, cost)
 
     def test_masked_frames_left_zero(self):
-        d = make_dirac_dictionary([100.0, 200.0])
         freqs = np.array([100.0, 200.0, 400.0])
-        cost = harmonic_cost(freqs, d.fundamentals, eps0=1.0)
+        cost = harmonic_cost(freqs, [100.0, 200.0], eps0=1.0)
         columns = np.column_stack([np.array([0.5, 0.25, 0.25]),
                                    np.zeros(3)])
         frames = NormalizedFrames(columns=columns,
                                   active_mask=np.array([True, False]))
-        acts = ot_unmix_lp(frames, d, cost)
+        acts = ot_unmix_lp(frames, None, cost)
         np.testing.assert_array_equal(acts.values[:, 1], 0.0)
         assert acts.values[:, 0].sum() == pytest.approx(1.0)
 

@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 
 import ost
-from ost import baselines
+from ost import baselines, cli
 from ost.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, RunConfig,
                      decompose, main, transcription_clock)
 from ost.evaluation import (NoteEvent, PianoRoll, f_measure,
                             load_ground_truth, threshold_activations)
-from ost.frontend import decode_wav, normalize_frames, stft_magnitude
+from ost.frontend import (AudioBuffer, decode_wav, normalize_frames,
+                          stft_magnitude)
 from ost.solvers import Activations
 from ost.synth import render_notes
 from ost.tsvio import read_activations, read_matrix
@@ -104,6 +105,18 @@ class TestUsageErrors:
         code = main(["toy", "a", "--methods", "ot_h", "--bins", "128"])
         assert code == EXIT_USAGE
         assert "--bins" in capsys.readouterr().err
+
+    def test_hop_longer_than_window(self, capsys, tmp_path):
+        code = main(["transcribe", str(tmp_path / "missing.wav"),
+                     "--window-len", "512", "--hop", "513"])
+        assert code == EXIT_USAGE
+        assert "--hop" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("f_max", ["-5", "10"])
+    def test_toy_grid_without_the_notes(self, capsys, f_max):
+        # a negative top frequency, or a grid below every toy fundamental
+        assert main(["toy", "a", "--f-max", f_max]) == EXIT_USAGE
+        assert "toy problem" in capsys.readouterr().err
 
     def test_unknown_flag(self, capsys):
         assert main(["toy", "a", "--frobnicate"]) == EXIT_USAGE
@@ -233,6 +246,60 @@ class TestDataErrors:
         write_ground_truth(truth, [NoteEvent(0.0, 1.0, 60)])
         code = main(["eval", str(acts), "--ground-truth", str(truth)])
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("n_samples", [0, 100])
+    def test_wav_shorter_than_window(self, capsys, tmp_path, n_samples):
+        path = tmp_path / "short.wav"
+        write_wav(path, AudioBuffer(samples=np.zeros(n_samples), sample_rate=8000))
+        code = main(["transcribe", str(path), "--method", "ost",
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_wav_header_with_zero_sample_rate(self, capsys, tmp_path):
+        path = tmp_path / "rate0.wav"
+        write_wav(path, AudioBuffer(samples=np.zeros(8192), sample_rate=8000))
+        raw = bytearray(path.read_bytes())
+        raw[24:32] = bytes(8)  # the fmt chunk's sample rate and byte rate
+        path.write_bytes(bytes(raw))
+        code = main(["transcribe", str(path), "--method", "ost",
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        assert "0 Hz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("table", [
+        "component\\time_s\t0.2\t0.1\n60\t0.5\t0.5\n",  # times fall
+        "component\\time_s\t0.2\t0.2\n60\t0.5\t0.5\n",  # times repeat
+        "component\\time_s\t0.1\t0.2\n60\t-1\t0.5\n",   # negative activation
+        "component\\time_s\t0.1\t0.2\n60\tnan\t0.5\n",  # non-finite activation
+        "component\\time_s\t0.1\t0.2\nnoise\t1\t1\n",   # no pitch rows
+    ])
+    def test_eval_rejects_malformed_activations(self, capsys, tmp_path, table):
+        acts = tmp_path / "acts.tsv"
+        acts.write_text(table)
+        truth = tmp_path / "truth.tsv"
+        write_ground_truth(truth, [NoteEvent(0.0, 1.0, 60)])
+        code = main(["eval", str(acts), "--ground-truth", str(truth)])
+        assert code == EXIT_DATA
+        assert "data error" in capsys.readouterr().err
+
+    def test_templates_above_the_wav_top_bin(self, capsys, note50, tmp_path):
+        # 8 kHz audio tops out at 4 kHz; MIDI 108 sits at 4186 Hz
+        code = main(["transcribe", str(note50 / "note50.wav"), "--method",
+                     "plca", "--output-dir", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        assert "bin grid" in capsys.readouterr().err
+
+    def test_value_error_is_not_a_data_error(self, note50, tmp_path,
+                                             monkeypatch):
+        def broken(*args):
+            raise ValueError("a bug, not bad input")
+
+        monkeypatch.setattr(cli, "decompose", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            main(["transcribe", str(note50 / "note50.wav"), "--method", "ost",
+                  "--output-dir", str(tmp_path / "out")])
 
 
 class TestNumericExit:
@@ -491,6 +558,22 @@ class TestSweep:
         expected = f_measure(threshold_activations(acts, ref), ref).f_measure
         assert abs(float(printed.group(1)) - expected) < 5e-5
 
+
+    def test_each_grid_point_is_decomposed_once(self, capsys, duet,
+                                                monkeypatch):
+        calls = []
+
+        def counted(frames, config):
+            calls.append(config.epsilon0)
+            return decompose(frames, config)
+
+        monkeypatch.setattr(cli, "decompose", counted)
+        code = main(["sweep", str(duet / "duet.wav"),
+                     "--ground-truth", str(duet / "truth.tsv"),
+                     "--method", "ost", "--grid", "epsilon0=1,10,100"]
+                    + DUET_FLAGS)
+        assert code == EXIT_OK
+        assert calls == [1.0, 10.0, 100.0]
 
     def test_output_file_bytes(self, capsys, duet, tmp_path):
         target = tmp_path / "sweep.tsv"

@@ -37,7 +37,6 @@ class TestQuadraticCost:
         np.testing.assert_array_equal(cost.values, [[0.0, 9.0],
                                                     [1.0, 4.0],
                                                     [16.0, 1.0]])
-        assert cost.recipe == "quadratic"
 
     def test_rejects_nonpositive_freqs(self):
         with pytest.raises(ValueError):
@@ -164,8 +163,3 @@ class TestCostMatrixValidation:
         with pytest.raises(ValueError):
             CostMatrix(values=np.array([[np.inf]]), row_freqs=np.array([1.0]),
                        col_freqs=np.array([1.0]))
-
-    def test_recipe_checked(self):
-        with pytest.raises(ValueError):
-            CostMatrix(values=np.ones((1, 1)), row_freqs=np.array([1.0]),
-                       col_freqs=np.array([1.0]), recipe="manhattan")

@@ -1,10 +1,10 @@
-"""Dictionary tests: pitch mapping, Gaussian harmonic combs, Dirac stubs."""
+"""Dictionary tests: pitch mapping, Gaussian harmonic combs, validation."""
 
 import numpy as np
 import pytest
 
 from ost.dictionary import (Dictionary, HarmonicTemplateParams, harmonic_column,
-                            make_dirac_dictionary, make_harmonic_dictionary,
+                            make_harmonic_dictionary,
                             midi_range_fundamentals, midi_to_freq)
 
 
@@ -65,7 +65,6 @@ class TestMakeHarmonicDictionary:
     def test_columns_are_distributions(self):
         fundamentals = midi_range_fundamentals(48, 59)
         d = make_harmonic_dictionary(self.freqs, fundamentals, self.params)
-        assert d.kind == "harmonic"
         assert d.templates.shape == (400, 12)
         np.testing.assert_allclose(d.templates.sum(axis=0), 1.0, atol=1e-12)
         assert np.all(d.templates >= 0)
@@ -101,47 +100,28 @@ class TestMakeHarmonicDictionary:
             make_harmonic_dictionary(coarse, [310.0], params)
 
 
-class TestDiracDictionary:
-    def test_virtual_templates(self):
-        d = make_dirac_dictionary([100.0, 200.0, 400.0])
-        assert d.kind == "dirac"
-        assert d.templates is None
-        assert d.n_templates == 3
-
-    def test_must_increase(self):
-        with pytest.raises(ValueError):
-            make_dirac_dictionary([200.0, 100.0])
-
-    def test_distinct_required(self):
-        with pytest.raises(ValueError):
-            make_dirac_dictionary([100.0, 100.0])
-
-
 class TestDictionaryValidation:
-    def test_kind_checked(self):
-        with pytest.raises(ValueError):
-            Dictionary(fundamentals=np.array([100.0]), kind="wavelet")
-
-    def test_dirac_refuses_templates(self):
-        with pytest.raises(ValueError):
-            Dictionary(fundamentals=np.array([100.0]), kind="dirac",
-                       templates=np.ones((4, 1)) / 4.0)
+    @pytest.mark.parametrize("fundamentals", [[], [100.0, 100.0], [-100.0, 200.0]])
+    def test_fundamentals_checked(self, fundamentals):
+        # empty, repeated and non-positive fundamentals, on valid templates
+        with pytest.raises(ValueError, match="fundamentals"):
+            Dictionary(fundamentals=np.array(fundamentals),
+                       templates=np.full((2, len(fundamentals)), 0.5))
 
     def test_harmonic_requires_templates(self):
         with pytest.raises(ValueError):
-            Dictionary(fundamentals=np.array([100.0]), kind="harmonic")
+            Dictionary(fundamentals=np.array([100.0]), templates=None)
 
     def test_harmonic_columns_must_normalize(self):
         bad = np.full((4, 1), 0.3)
         with pytest.raises(ValueError):
-            Dictionary(fundamentals=np.array([100.0]), kind="harmonic",
-                       templates=bad)
+            Dictionary(fundamentals=np.array([100.0]), templates=bad)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_harmonic_templates_must_be_finite(self, bad):
         # NaN passes both the sign and the column-sum checks on its own.
         with pytest.raises(ValueError, match="finite"):
-            Dictionary(fundamentals=np.array([100.0, 200.0]), kind="harmonic",
+            Dictionary(fundamentals=np.array([100.0, 200.0]),
                        templates=np.array([[bad, 0.5], [bad, 0.5]]))
 
     def test_params_validation(self):

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 import scipy.io.wavfile
 
-from ost.errors import DecodeError, UnsupportedEncodingError
-from ost.frontend import (AudioBuffer, NormalizedFrames, Spectrogram,
-                          decode_wav, normalize_frames, stft_magnitude)
+from ost.errors import DataError, DecodeError, UnsupportedEncodingError
+from ost.frontend import (DEFAULT_SILENCE_THRESHOLD, AudioBuffer,
+                          NormalizedFrames, Spectrogram, decode_wav,
+                          normalize_frames, stft_magnitude)
 
 
 def dft_magnitudes(frame, window):
@@ -307,8 +308,11 @@ class TestStftMagnitude:
         (np.zeros(256), 63, 21),         # odd window has no clean Nyquist bin
     ])
     def test_rejects_bad_framing(self, samples, window_len, hop):
+        # a signal shorter than the window is bad input data; bad framing
+        # parameters are a caller's bug
+        error = DataError if samples.size < window_len else ValueError
         buf = AudioBuffer(samples=samples, sample_rate=8000)
-        with pytest.raises(ValueError):
+        with pytest.raises(error):
             stft_magnitude(buf, window_len=window_len, hop=hop)
 
 
@@ -342,6 +346,21 @@ class TestNormalizeFrames:
         frames = normalize_frames(spec, silence_threshold=1.0)
         assert not frames.active_mask[0]
         np.testing.assert_array_equal(frames.columns, [[0.0], [0.0]])
+
+    def test_columns_bitwise_equal_to_masked_quotient(self):
+        # an STFT with a silent stretch: F-ordered values and masked frames
+        x = np.random.default_rng(5).standard_normal(4096)
+        x[1024:2560] = 0.0
+        spec = stft_magnitude(AudioBuffer(samples=x, sample_rate=8000), 256, 128)
+        frames = normalize_frames(spec)
+        sums = spec.values.sum(axis=0)
+        active = sums > DEFAULT_SILENCE_THRESHOLD
+        expected = np.zeros_like(spec.values)
+        expected[:, active] = spec.values[:, active] / sums[active]
+        assert 0 < active.sum() < active.size
+        np.testing.assert_array_equal(frames.active_mask, active)
+        assert frames.columns.tobytes(order="F") == expected.tobytes(order="F")
+        assert frames.columns.flags.f_contiguous
 
     def test_negative_threshold_rejected(self):
         spec = Spectrogram(values=np.ones((2, 2)), freqs=np.array([1.0, 2.0]),

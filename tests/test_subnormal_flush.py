@@ -100,7 +100,7 @@ def piece_frames():
 def test_plca_matches_unflushed_templates(piece_frames):
     params = template_params(piece_frames.freqs)
     flushed = make_harmonic_dictionary(piece_frames.freqs, FUNDAMENTALS, params)
-    raw = Dictionary(fundamentals=FUNDAMENTALS, kind="harmonic",
+    raw = Dictionary(fundamentals=FUNDAMENTALS,
                      templates=unflushed_templates(piece_frames.freqs, params))
     acts, state = plca_unmix(piece_frames, flushed)
     ref_acts, ref_state = plca_unmix(piece_frames, raw)
