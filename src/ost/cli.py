@@ -325,6 +325,8 @@ def cmd_toy(args) -> int:
     if args.scenario not in SCENARIO_ALIASES:
         raise UsageError("scenario must be one of: "
                          + ", ".join(sorted(SCENARIO_ALIASES)))
+    if args.bins < 1:
+        raise UsageError("--bins must be at least 1")
     if "ot_h" in methods and args.bins > OT_LP_MAX_BINS:
         raise UsageError(f"ot_h solves a dense LP and needs --bins <= "
                          f"{OT_LP_MAX_BINS}; drop ot_h or lower --bins")
@@ -469,7 +471,10 @@ def cmd_bench(args) -> int:
     frames = NormalizedFrames(columns=columns, active_mask=np.ones(n, bool),
                               freqs=freqs)
     fundamentals = midi_range_fundamentals(BENCH_MIDI_LOW, BENCH_MIDI_LOW + k - 1)
-    dictionary = config.harmonic_dictionary(freqs, fundamentals)
+    try:  # the bin grid comes from --bins, so a grid without templates is a flag fault
+        dictionary = config.harmonic_dictionary(freqs, fundamentals)
+    except DataError as exc:
+        raise UsageError(str(exc)) from exc
     cost = harmonic_cost(freqs, fundamentals, config.epsilon0)
     solver = config.solver_config()
 
@@ -508,6 +513,9 @@ def cmd_eval(args) -> int:
                         f"got {labels!r}") from exc
     if not midi or midi != list(range(midi[0], midi[-1] + 1)):
         raise DataError("activation rows must cover a contiguous MIDI range")
+    if midi[0] < 0 or midi[-1] > 127:
+        raise DataError(f"activation rows must be MIDI numbers 0-127, "
+                        f"got {midi[0]}-{midi[-1]}")
     hop = float(times[1] - times[0]) if len(times) > 1 else 1.0
     t0 = float(times[0]) if len(times) else 0.0
     clock = FrameClock(n_frames=values.shape[1], hop_seconds=hop, t0=t0)

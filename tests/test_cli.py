@@ -139,8 +139,21 @@ class TestUsageErrors:
     def test_missing_subcommand(self, capsys):
         assert main([]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("bins", ["0", "-3"])
+    def test_toy_rejects_bins_below_one(self, capsys, bins):
+        assert main(["toy", "a", "--bins", bins]) == EXIT_USAGE
+        assert "--bins must be at least 1" in capsys.readouterr().err
+
     def test_bench_rejects_zero_notes(self, capsys):
         assert main(["bench", "--notes", "0"]) == EXIT_USAGE
+
+    def test_bench_grid_without_templates(self, capsys):
+        # the bench grid comes from --bins: a comb too narrow to touch any
+        # bin is a flag fault, not a data error
+        code = main(["bench", "--bins", "64", "--notes", "4", "--frames", "2",
+                     "--kernel-width-bins", "1e-9"])
+        assert code == EXIT_USAGE
+        assert "bin grid" in capsys.readouterr().err
 
     def test_sweep_empty_grid(self, capsys, tmp_path):
         code = main(["sweep", str(tmp_path / "x.wav"),
@@ -246,6 +259,16 @@ class TestDataErrors:
         write_ground_truth(truth, [NoteEvent(0.0, 1.0, 60)])
         code = main(["eval", str(acts), "--ground-truth", str(truth)])
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("label", ["200", "128", "-1"])
+    def test_eval_rejects_pitches_outside_midi(self, capsys, tmp_path, label):
+        acts = tmp_path / "acts.tsv"
+        acts.write_text(f"component\\time_s\t0\n{label}\t0.5\n")
+        truth = tmp_path / "truth.tsv"
+        write_ground_truth(truth, [NoteEvent(0.0, 1.0, 60)])
+        code = main(["eval", str(acts), "--ground-truth", str(truth)])
+        assert code == EXIT_DATA
+        assert "0-127" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n_samples", [0, 100])
     def test_wav_shorter_than_window(self, capsys, tmp_path, n_samples):

@@ -11,6 +11,8 @@ Oracles used here:
   order).
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -475,25 +477,90 @@ class TestBatchedMM:
         frames = make_frames(rng, 60, 12, inactive=(4,), concentration=0.2)
         assert_matches_oracle(frames, cost, SolverConfig(lambda_g=300.0), "ost_g")
 
-    def test_underflow_rows_use_the_per_frame_softmax(self, monkeypatch):
-        # small lambda_e with a large group penalty: where a row costs more
-        # than ~645 lambda_e extra on the frame's least-penalised column,
-        # E @ W underflows and the guard solves that row directly; some
-        # bins are exactly zero (no 0/0 allowed)
+    @staticmethod
+    def underflow_problem():
+        """Small lambda_e with a large group penalty: where a row costs more
+        than ~645 lambda_e extra on the frame's least-penalised column,
+        E @ W underflows and the guard solves that row directly; some bins
+        are exactly zero (no 0/0 allowed)."""
         rng = np.random.default_rng(64)
         frames = make_frames(rng, 30, 40, inactive=(11,), zero_bins=5)
         cost = toy_cost(rng.uniform(0, 30, size=(30, 6)))
-        config = SolverConfig(lambda_e=0.01, lambda_g=10.0)
-        guarded = []
+        return frames, cost, SolverConfig(lambda_e=0.01, lambda_g=10.0)
+
+    @staticmethod
+    def spy_on_guard(monkeypatch):
+        """Record the `under` mask of every guard call."""
+        masks = []
         original = solvers._add_underflowed_rows
 
         def spy(h, values, block, pen, under, lam_e):
-            guarded.append(int(under.sum()))
+            masks.append(under.copy())
             original(h, values, block, pen, under, lam_e)
 
         monkeypatch.setattr(solvers, "_add_underflowed_rows", spy)
+        return masks
+
+    def test_underflow_rows_use_the_per_frame_softmax(self, monkeypatch):
+        frames, cost, config = self.underflow_problem()
+        masks = self.spy_on_guard(monkeypatch)
         assert_matches_oracle(frames, cost, config, "ost_eg")
+        guarded = [int(under.sum()) for under in masks]
         assert sum(guarded) > 0
+
+    def test_underflow_raises_no_warning(self):
+        # the guarded rows divide by an underflowed E @ W: 0 / 0 and
+        # overflowing quotients are replaced, never reported
+        frames, cost, config = self.underflow_problem()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            unmix(frames, cost, config, variant="ost_eg")
+
+    def test_several_frames_underflow_in_one_step(self, monkeypatch):
+        # the regime of underflow_problem on other data: the guard solves
+        # the pairs of most frames of the block in one call, more than 2M of
+        # them, so in three or more chunks of M pairs
+        rng = np.random.default_rng(67)
+        m, n = 20, 12
+        frames = make_frames(rng, m, n, inactive=(4,), zero_bins=3)
+        cost = toy_cost(rng.uniform(0, 30, size=(m, 5)))
+        config = SolverConfig(lambda_e=0.01, lambda_g=20.0)
+        masks = self.spy_on_guard(monkeypatch)
+        assert_matches_oracle(frames, cost, config, "ost_eg")
+        assert max(int(under.any(axis=0).sum()) for under in masks) >= n - 2
+        assert max(int(under.sum()) for under in masks) > 2 * m
+
+    def test_full_support(self):
+        # the penalty spread is at most 0.5 lambda_g / sqrt(1e-12), so with
+        # lambda_e above it / 746 no weight underflows and both products
+        # run over every column
+        rng = np.random.default_rng(68)
+        frames = make_frames(rng, 16, 12, inactive=(5,), concentration=0.3)
+        cost = toy_cost(rng.uniform(0, 3, size=(16, 5)))
+        config = SolverConfig(lambda_e=1000.0, lambda_g=1.0)
+        spread = 0.5 * config.lambda_g / np.sqrt(solvers.EMPTY_COLUMN_MASS)
+        assert spread / config.lambda_e < -solvers.EXP_ZERO_FLOOR
+        assert_matches_oracle(frames, cost, config, "ost_eg")
+        masses = unmix(frames, cost, config, variant="ost_eg").values
+        assert np.all(masses[:, frames.active_mask] > 0)
+
+    def test_support_shrinks_to_one_column(self):
+        # column 0 is free on every row and the others cost 400 lambda_e
+        # more: after the first step they hold ~1e-174 of mass, their
+        # penalty sits at the mass floor and their weight is exactly 0 in
+        # every frame, so the products run over column 0 alone
+        rng = np.random.default_rng(69)
+        values = rng.uniform(400.0, 500.0, size=(14, 6))
+        values[:, 0] = 0.0
+        frames = make_frames(rng, 14, 10, inactive=(0,))
+        config = SolverConfig(lambda_e=1.0, lambda_g=1.0)
+        assert_matches_oracle(frames, toy_cost(values), config, "ost_eg")
+        masses = unmix(frames, toy_cost(values), config, variant="ost_eg").values
+        active = frames.active_mask
+        assert np.all(masses[1:] == 0.0)
+        np.testing.assert_allclose(masses[0, active],
+                                   frames.columns[:, active].sum(axis=0),
+                                   rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("variant", ["ost", "ost_e", "ost_g", "ost_eg"])
     def test_non_finite_output_raises(self, variant):

@@ -5,7 +5,8 @@ entries below the smallest normal double as 0, because subnormal operands
 slow BLAS products 2x or more. These tests check that no such entry is left
 on a realistic grid, and that the flush does not change what PLCA, ost_e
 and ost_eg compute: each is compared with the same solver run on unflushed
-operands built here.
+operands built here. The Gibbs kernel and the ost_eg weights evaluate exp
+only where the result can be normal or nonzero; that cut is bitwise equal.
 """
 
 import numpy as np
@@ -75,6 +76,24 @@ def test_gibbs_kernel_has_no_subnormal_entries():
     assert subnormal_count(raw) > 0
     assert subnormal_count(kernel) == 0
     np.testing.assert_array_equal(kernel, np.where(raw < SMALLEST_NORMAL, 0.0, raw))
+
+
+def test_exp_cut_is_bitwise_equal():
+    # _gibbs_kernel evaluates exp only for z >= EXP_NORMAL_FLOOR and the MM
+    # weights only for z >= EXP_ZERO_FLOOR: below the first exp is
+    # subnormal (flushed anyway), below the second it is exactly 0
+    z = np.concatenate([np.linspace(-760.0, -700.0, 60001),
+                        [solvers.EXP_NORMAL_FLOOR, solvers.EXP_ZERO_FLOOR,
+                         np.log(SMALLEST_NORMAL)]])
+    z = np.concatenate([z, np.nextafter(z, 0.0), np.nextafter(z, -np.inf)])
+    values = np.stack([np.zeros_like(z), -z], axis=1)  # row max 0 at column 0
+    kernel = solvers._gibbs_kernel(values, 1.0)
+    np.testing.assert_array_equal(kernel[:, 1], np.where(np.exp(z) < SMALLEST_NORMAL,
+                                                         0.0, np.exp(z)))
+    assert np.any((kernel[:, 1] > 0) & (z < -708.3))  # the flush boundary is inside
+    np.testing.assert_array_equal(np.exp(z[z < solvers.EXP_ZERO_FLOOR]), 0.0)
+    assert np.any(np.exp(z[z >= solvers.EXP_ZERO_FLOOR]) > 0)
+    assert np.exp(solvers.EXP_NORMAL_FLOOR) < SMALLEST_NORMAL
 
 
 @pytest.fixture(scope="module")
