@@ -12,14 +12,14 @@ M x K cost. Transporting onto Dirac targets decouples row-wise, so:
 
 These per-frame functions build the dense plan (and, on request, the
 objective trace) and are the reference for `unmix`, which solves all active
-frames at once without either. Its ost_g loop works on column masses and
-stops a frame once they repeat (the step depends on them alone, so every
-later iteration would be identical), and once at most half of the columns
-hold mass each step takes the argmin only over the columns that can still
-win a row. Float addition rounds monotonically, so this pruning is exact,
-ties included (see _group_mm); the penalty leaves a frame a few notes
-within a few steps, so most steps scan a handful of the K columns. Its
-ost_eg step uses that the group penalty p only rescales columns:
+frames at once without either. Both MM variants run on one driver over
+blocks of frames (_mm_blocks); an ost_g frame leaves its block's live set
+once its masses repeat, an ost_eg frame runs every iteration. The ost_g
+step takes each frame's argmin only over the columns that can still win
+one of its rows, exact because float addition rounds monotonically (see
+_group_mm); the penalty leaves a frame a few notes within a few steps, and
+frames that keep about as many columns share one gather. The ost_eg step
+uses that the group penalty p only rescales columns:
 softmax_k(-(c_ik + p_k)/lambda_e) = E_ik w_k / sum_k E_ik w_k, with
 E = exp(-C/lambda_e) computed once. For a block of frames V one MM step is
 H = W * E^T (V / E W), two matrix products in place of an M x K exp per
@@ -46,9 +46,10 @@ from .frontend import NormalizedFrames
 
 DEFAULT_MM_ITERATIONS = 10
 EMPTY_COLUMN_MASS = 1e-12  # mass floor used when linearizing sqrt at an empty column
-# Frames per block of the batched ost and ost_eg steps; bounds their M x block
-# temporaries.
+# Frames per block of the batched ost, ost_g and ost_eg kernels; bounds their
+# M x block temporaries.
 MM_BLOCK_FRAMES = 128
+_GATHER_CELLS = 2 ** 17  # cost cells an ost_g step gathers at once: 1 MB, in cache
 # Entries of E W below this are near the subnormal range, where they lose
 # relative precision (and V / E W nears overflow); their rows are re-solved
 # with per-row max subtraction.
@@ -260,71 +261,112 @@ def _wrap_plan(plan: np.ndarray, cost: CostMatrix) -> TransportPlan:
                          col_fundamentals=cost.col_freqs)
 
 
+def _column_masses(labels: np.ndarray, frames: np.ndarray, k: int) -> np.ndarray:
+    """K x n masses of frames (M x n) whose row i goes to column labels[f, i]
+    (labels n x M, or one M-vector for all frames). One flat bincount visits
+    frame after frame, rows ascending, so each (column, frame) cell sums its
+    rows in ascending order from 0.0, as the per-frame oracles' bincount."""
+    n = frames.shape[1]
+    cells = labels + np.arange(0, n * k, k)[:, None]
+    return np.bincount(cells.ravel(), weights=frames.T.ravel(),
+                       minlength=n * k).reshape(n, k).T
+
+
 def _hard_assign(values: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """ost_frame's masses for every column of v (M x N), bit for bit: per
-    block of frames, one flat bincount over (column, frame) cells sums each
-    cell's rows in ascending order, as ost_frame does. Blocks bound the
-    index array to M x MM_BLOCK_FRAMES."""
+    """ost_frame's masses for every column of v (M x N): the block driver
+    with no step, so that the cell index array stays within one block."""
     labels = np.argmin(values, axis=1)
     k = values.shape[1]
+    return _mm_blocks(v, k, 0, lambda block: (_column_masses(labels, block, k), None), None)
+
+
+def _mm_blocks(v: np.ndarray, k: int, iterations: int, start, step) -> np.ndarray:
+    """Masses of an MM kernel for every column of v (M x N), per block of
+    MM_BLOCK_FRAMES frames. start(block) gives a block's first masses (K x n)
+    and step state (frames along its first axis); step(block, h, state) the
+    next ones and the mask of frames at their fixed point (None: no frame
+    stops), which leave the live set: a step depends on the masses alone."""
     out = np.empty((k, v.shape[1]))
-    for start in range(0, v.shape[1], MM_BLOCK_FRAMES):
-        block = v[:, start:start + MM_BLOCK_FRAMES]
-        n = block.shape[1]
-        cells = (labels[:, None] * n + np.arange(n)).ravel()
-        h = np.bincount(cells, weights=block.ravel(), minlength=k * n)
-        out[:, start:start + n] = h.reshape(k, n)
+    for lo in range(0, v.shape[1], MM_BLOCK_FRAMES):
+        block = v[:, lo:lo + MM_BLOCK_FRAMES]
+        live = np.arange(lo, lo + block.shape[1])
+        h, state = start(block)
+        for _ in range(iterations):
+            h, state, done = step(block, h, state)
+            if done is not None and done.any():
+                out[:, live[done]] = h[:, done]
+                live, block, h, state = live[~done], block[:, ~done], h[:, ~done], state[~done]
+                if live.size == 0:
+                    break
+        out[:, live] = h
     return out
 
 
 def _group_mm(values: np.ndarray, v: np.ndarray, config: SolverConfig) -> np.ndarray:
-    """ost_group_frame's masses for every column of v (M x N), each frame
-    stopping at its fixed point. The hard step does not factorise, so
-    frames stay in a loop, and each step takes the argmin only over the
-    columns that can still win a row.
-
-    With penalty p and the previous step's labels l (the unpenalised
-    argmin before the first step), every row's new minimum is at most
-    bound = max_i fl(c_{i,l_i} + p_{l_i}). Float addition rounds
+    """ost_group_frame's masses for every column of v (M x N), bit for bit,
+    each step taking a frame's argmin only over the columns that can still
+    win one of its rows. With penalty p and the previous step's labels l
+    (the unpenalised argmin before the first step), every row's new minimum
+    is at most bound = max_i fl(c_{i,l_i} + p_{l_i}). Float addition rounds
     monotonically, so a column with fl(min_i c_ik + p_k) > bound costs more
-    than bound on every row and wins none, not even a tie. Dropping those
-    columns leaves the argmin as it was: the kept ones stay in ascending
-    order, so ties still break to the lowest index, and each row's
-    previous label is among them, so every column that holds mass is kept.
+    than bound on every row: it is never a row's minimum, nor ties it.
 
-    Gathering the kept columns costs more than the full add once they are
-    about half of K (at 1024 x 88 both take the same time at 44-50 columns;
-    at 81 the gather is 5x slower). So while more than half of the columns
-    hold mass the step adds the penalty to all of them, as the oracle does,
-    and skips the bound. On piece30 these were exactly the steps that would
-    keep more than half of K."""
-    lam = config.lambda_g
+    A frame that keeps more than half of K takes the full argmin, as the
+    oracle does: gathering would save less than half of its cells. While
+    every live frame holds mass in more than half of K, as at the first
+    step, the bound is not computed. The other frames go to buckets of at
+    most 2, 4, 8, 16, 32 or K/2 kept columns, gathered _GATHER_CELLS cost
+    cells at a time."""
     m, k = values.shape
-    rows = np.arange(m)
-    by_column = np.ascontiguousarray(values.T)  # kept columns gather as rows
-    col_min = values.min(axis=0)
-    first = np.argmin(values, axis=1)
-    out = np.empty((k, v.shape[1]))
-    for j in range(v.shape[1]):
-        frame = np.ascontiguousarray(v[:, j])
-        labels = first
-        h = np.bincount(labels, weights=frame, minlength=k)
-        for _ in range(config.mm_iterations):
-            pen = lam * _group_penalty_row(h)
-            if 2 * np.count_nonzero(h) > k:
-                labels = np.argmin(values + pen, axis=1)
-            else:
-                bound = np.max(by_column[labels, rows] + pen[labels])
-                keep = np.flatnonzero(col_min + pen <= bound)
-                cand = by_column[keep]
-                cand += pen[keep, None]
-                labels = keep[np.argmin(cand, axis=0)]
-            new = np.bincount(labels, weights=frame, minlength=k)
-            if np.array_equal(new, h):
-                break
-            h = new
-        out[:, j] = h
-    return out
+    by_column = np.ascontiguousarray(values.T)  # gathered columns are rows
+    col_min = by_column.min(axis=1)
+    caps = [w for w in (2, 4, 8, 16, 32) if w < k // 2] + [k // 2] * (k > 1)
+    full_step = np.empty((m, k))
+    first = values.argmin(axis=1)
+
+    def start(block):
+        return _column_masses(first, block, k), np.tile(first, (block.shape[1], 1))
+
+    def step(block, h, labels):
+        n = block.shape[1]
+        pen = config.lambda_g * _group_penalty_row(h)
+        full = range(n)
+        if 2 * min((h > 0).sum(axis=0).tolist()) <= k:
+            bound = values[np.arange(m), labels] + pen[labels, np.arange(n)[:, None]]
+            keep = col_min[:, None] + pen <= bound.max(axis=1)
+            bucket = np.searchsorted(caps, np.count_nonzero(keep, axis=0))
+            order = np.argsort(bucket, kind="stable")
+            ends = [0] + np.cumsum(np.bincount(bucket, minlength=len(caps) + 1)).tolist()
+            # each frame's kept columns, then the others, which pad a bucket's
+            # rows and, costing more than the bound, change no minimum
+            ranked = np.argsort(~keep, axis=0, kind="stable")
+            for w, lo, hi in zip(caps, ends, ends[1:]):
+                chunk = max(1, _GATHER_CELLS // (w * m))
+                for c in range(lo, hi, chunk):
+                    sel = order[c:min(c + chunk, hi)]
+                    labels[sel] = _gathered_labels(by_column, pen, ranked[:w, sel].T, sel)
+            full = order[ends[len(caps)]:].tolist()
+        for f in full:  # the oracle's argmin
+            np.add(values, pen[:, f], out=full_step)
+            labels[f] = full_step.argmin(axis=1)
+        new = _column_masses(labels, block, k)
+        return new, labels, (new == h).all(axis=0)
+
+    return _mm_blocks(v, k, config.mm_iterations, start, step)
+
+
+def _gathered_labels(by_column, pen, cols, frames):
+    """The frames' labels over their gathered columns cols (a row of column
+    indices per frame): each row's lowest column whose penalised cost is the
+    row minimum, argmin's tie rule. Min and equality do not round."""
+    k = by_column.shape[0]
+    index = np.min_scalar_type(2 * k - 1).type  # a column, or k plus one
+    cand = by_column[cols]
+    cand += pen[cols, frames[:, None]][:, :, None]
+    low = cand.min(axis=1)
+    key = (cand != low[:, None]).view(np.uint8) * index(k)
+    key += cols.astype(index)[:, :, None]
+    return key.min(axis=1)
 
 
 def _combined_mm(values: np.ndarray, v: np.ndarray, config: SolverConfig) -> np.ndarray:
@@ -339,36 +381,34 @@ def _combined_mm(values: np.ndarray, v: np.ndarray, config: SolverConfig) -> np.
     k = values.shape[1]
     kernel = _gibbs_kernel(values, lam_e)
     labels = kernel / kernel.sum(axis=1, keepdims=True)
-    out = np.empty((k, v.shape[1]))
+
+    def step(block, h, _):
+        pen = lam_g * _group_penalty_row(h)
+        z = (pen.min(axis=0) - pen) / lam_e
+        w = np.exp(z, out=np.zeros_like(z), where=z >= EXP_ZERO_FLOOR)
+        support = np.flatnonzero(w.any(axis=1))
+        full = support.size == k
+        e = kernel if full else kernel[:, support]
+        w_s = w if full else w[support]
+        s = e @ w_s
+        low = s < UNDERFLOW_FLOOR
+        ratio = block / s
+        ratio[low] = 0.0
+        h_s = w_s * (e.T @ ratio)
+        if full:
+            h = h_s
+        else:
+            h = np.zeros_like(w)
+            h[support] = h_s
+        if low.any():
+            _add_underflowed_rows(h, values, block, pen, low & (block > 0), lam_e)
+        return h, None, None
+
     # block / s may overflow or be 0 / 0 where s underflows; those entries
-    # are reset below
+    # are reset in the step
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for start in range(0, v.shape[1], MM_BLOCK_FRAMES):
-            block = v[:, start:start + MM_BLOCK_FRAMES]
-            h = labels.T @ block
-            for _ in range(config.mm_iterations):
-                pen = lam_g * _group_penalty_row(h)
-                z = (pen.min(axis=0) - pen) / lam_e
-                w = np.exp(z, out=np.zeros_like(z), where=z >= EXP_ZERO_FLOOR)
-                support = np.flatnonzero(w.any(axis=1))
-                full = support.size == k
-                e = kernel if full else kernel[:, support]
-                w_s = w if full else w[support]
-                s = e @ w_s
-                low = s < UNDERFLOW_FLOOR
-                ratio = block / s
-                ratio[low] = 0.0
-                h_s = w_s * (e.T @ ratio)
-                if full:
-                    h = h_s
-                else:
-                    h = np.zeros_like(w)
-                    h[support] = h_s
-                if low.any():
-                    _add_underflowed_rows(h, values, block, pen,
-                                          low & (block > 0), lam_e)
-            out[:, start:start + MM_BLOCK_FRAMES] = h
-    return out
+        return _mm_blocks(v, k, config.mm_iterations,
+                          lambda block: (labels.T @ block, None), step)
 
 
 def _add_underflowed_rows(h, values, block, pen, under, lam_e):

@@ -354,6 +354,19 @@ def oracle_masses(frames, cost, config, variant):
     return out
 
 
+def fixed_point_step(v, cost, config):
+    """The first MM step of ost_group_frame whose masses repeat the previous
+    step's, or None if there is none within config.mm_iterations."""
+    previous = ost_frame(v, cost)[1]
+    for t in range(1, config.mm_iterations + 1):
+        _, h = ost_group_frame(v, cost, SolverConfig(lambda_g=config.lambda_g,
+                                                     mm_iterations=t))
+        if np.array_equal(h, previous):
+            return t
+        previous = h
+    return None
+
+
 def assert_matches_oracle(frames, cost, config, variant):
     got = unmix(frames, cost, config, variant=variant).values
     expected = oracle_masses(frames, cost, config, variant)
@@ -389,17 +402,21 @@ class TestBatchedMM:
         masses = unmix(frames, cost, config, variant=variant).values
         assert masses[-1].sum() > 0  # the noise column takes part
 
-    @pytest.mark.parametrize("variant", ["ost", "ost_g", "ost_eg"])
-    def test_exact_cost_ties(self, variant):
-        # integer costs with two identical columns: ties are everywhere,
-        # and ost / ost_g must break them to the lowest index as the oracle
-        # does
+    @staticmethod
+    def exact_ties_problem():
+        """Integer costs with two identical columns: ties are everywhere,
+        and ost / ost_g must break them to the lowest index as the oracle
+        does."""
         rng = np.random.default_rng(62)
         values = rng.integers(0, 3, size=(12, 4)).astype(float)
         values[:, 3] = values[:, 1]
         frames = make_frames(rng, 12, 20)
-        config = SolverConfig(lambda_e=0.5, lambda_g=0.3)
-        assert_matches_oracle(frames, toy_cost(values), config, variant)
+        return frames, toy_cost(values), SolverConfig(lambda_e=0.5, lambda_g=0.3)
+
+    @pytest.mark.parametrize("variant", ["ost", "ost_g", "ost_eg"])
+    def test_exact_cost_ties(self, variant):
+        frames, cost, config = self.exact_ties_problem()
+        assert_matches_oracle(frames, cost, config, variant)
 
     @pytest.mark.parametrize("variant", ["ost_g", "ost_eg"])
     def test_many_iterations(self, variant):
@@ -439,13 +456,14 @@ class TestBatchedMM:
         support = (masses[:, frames.active_mask] > 0).sum(axis=0)
         assert np.mean(support <= 88 // 2) > 0.5
 
-    def test_group_mm_keeps_an_empty_column_at_the_bound(self):
-        # Column 0 is empty after step 1, so at step 2 its smallest cost (row
-        # 0) plus its penalty is exactly the bound, which row 0's step-1
-        # label (column 1) sets. Row 0 ties between columns 0 and 1: column
-        # 0 must stay a candidate and take the row, as in the oracle.
-        # Columns 3-5 cost more than the bound on every row, so step 2
-        # keeps 3 of 6 columns and takes the pruned argmin.
+    @staticmethod
+    def empty_column_problem():
+        """Column 0 is empty after step 1, so at step 2 its smallest cost
+        (row 0) plus its penalty is exactly the bound, which row 0's step-1
+        label (column 1) sets. Row 0 ties between columns 0 and 1: column 0
+        must stay a candidate and take the row, as in the oracle. Columns
+        3-5 cost more than the bound on every row, so step 2 keeps 3 of 6
+        columns and takes the pruned argmin."""
         v_r, big = 2e-12, 1e7
         p_empty, p_row = solvers._group_penalty_row(np.array([0.0, v_r]))
         c_tie = p_empty - p_row  # exact: p_row <= p_empty <= 2 * p_row
@@ -455,13 +473,17 @@ class TestBatchedMM:
                            [big, big, 0.0, big, big, big]])
         frames = NormalizedFrames(columns=np.array([[v_r], [0.25], [0.75]]),
                                   active_mask=np.array([True]))
-        config = SolverConfig(lambda_g=1.0, mm_iterations=2)
-        assert_matches_oracle(frames, toy_cost(values), config, "ost_g")
-        masses = unmix(frames, toy_cost(values), config, variant="ost_g").values
+        return frames, toy_cost(values), SolverConfig(lambda_g=1.0, mm_iterations=2)
+
+    def test_group_mm_keeps_an_empty_column_at_the_bound(self):
+        frames, cost, config = self.empty_column_problem()
+        assert_matches_oracle(frames, cost, config, "ost_g")
+        masses = unmix(frames, cost, config, variant="ost_g").values
+        v_r = frames.columns[0, 0]
         assert masses[0, 0] == v_r and masses[1, 0] == 0.0
 
-    @pytest.mark.parametrize("case", ["one_column", "eps0_zero", "noise_column"])
-    def test_group_mm_edge_costs(self, case):
+    @staticmethod
+    def edge_cost_problem(case):
         rng = np.random.default_rng(66)
         freqs = np.arange(1.0, 61.0) * 25.0
         notes = 25.0 * np.arange(2, 14)
@@ -475,7 +497,128 @@ class TestBatchedMM:
             cost = append_noise_column(harmonic_cost(freqs, notes, eps0=10.0),
                                        400.0)
         frames = make_frames(rng, 60, 12, inactive=(4,), concentration=0.2)
-        assert_matches_oracle(frames, cost, SolverConfig(lambda_g=300.0), "ost_g")
+        return frames, cost, SolverConfig(lambda_g=300.0)
+
+    @pytest.mark.parametrize("case", ["one_column", "eps0_zero", "noise_column"])
+    def test_group_mm_edge_costs(self, case):
+        frames, cost, config = self.edge_cost_problem(case)
+        assert_matches_oracle(frames, cost, config, "ost_g")
+
+    @staticmethod
+    def spy_on_routes(monkeypatch):
+        """Record every ost_g step as (the frames that take the full argmin,
+        the width of every gathered chunk). A step ends with the masses of
+        its labels, one per live frame; a block's start has one label row."""
+        steps, widths, gathered = [], [], set()
+        gather, masses = solvers._gathered_labels, solvers._column_masses
+
+        def gather_spy(by_column, pen, cols, frames):
+            widths.append(cols.shape[1])
+            gathered.update(frames.tolist())
+            return gather(by_column, pen, cols, frames)
+
+        def masses_spy(labels, frames, k):
+            if labels.ndim == 2:
+                full = sorted(set(range(frames.shape[1])) - gathered)
+                steps.append((full, widths[:]))
+            widths.clear()
+            gathered.clear()
+            return masses(labels, frames, k)
+
+        monkeypatch.setattr(solvers, "_gathered_labels", gather_spy)
+        monkeypatch.setattr(solvers, "_column_masses", masses_spy)
+        return steps
+
+    @pytest.mark.parametrize("problem, full, gathered", [
+        ("exact_ties", True, True), ("empty_column", False, True),
+        ("one_column", True, False), ("eps0_zero", False, True),
+        ("noise_column", True, True)])
+    def test_hand_built_costs_reach_both_routes(self, problem, full, gathered,
+                                                monkeypatch):
+        # the small costs above, together, take both the full argmin and
+        # the gathered buckets: one_column has a single column, and the
+        # frames of empty_column and eps0_zero hold mass in at most half of
+        # the columns from the first step on
+        if problem == "exact_ties":
+            frames, cost, config = self.exact_ties_problem()
+        elif problem == "empty_column":
+            frames, cost, config = self.empty_column_problem()
+        else:
+            frames, cost, config = self.edge_cost_problem(problem)
+        steps = self.spy_on_routes(monkeypatch)
+        unmix(frames, cost, config, variant="ost_g")
+        assert any(full_frames for full_frames, _ in steps) == full
+        assert any(widths for _, widths in steps) == gathered
+
+    def test_frames_reach_fixed_points_at_every_step(self, monkeypatch):
+        # one block whose frames reach their fixed points at every step from
+        # 1 to mm_iterations (frame 0, a single bin, at step 1), and some
+        # never: frames that leave the live set early and frames that take
+        # the full argmin and the gathered buckets share block-steps
+        rng = np.random.default_rng(78)
+        m, k, n = 24, 12, 60
+        cost = toy_cost(rng.uniform(0, 3, size=(m, k)))
+        columns = rng.dirichlet(np.ones(m), size=n).T
+        columns[:, 0] = np.eye(m)[5]
+        frames = NormalizedFrames(columns=columns, active_mask=np.ones(n, dtype=bool))
+        config = SolverConfig(lambda_g=2.0, mm_iterations=10)
+        reached = {fixed_point_step(columns[:, j], cost, config) for j in range(n)}
+        assert reached == set(range(1, config.mm_iterations + 1)) | {None}
+        steps = self.spy_on_routes(monkeypatch)
+        assert_matches_oracle(frames, cost, config, "ost_g")
+        assert any(full and widths for full, widths in steps)
+
+    def test_group_mm_one_frame_past_a_block(self):
+        rng = np.random.default_rng(71)
+        frames = make_frames(rng, 16, MM_BLOCK_FRAMES + 1)
+        cost = toy_cost(rng.uniform(0, 3, size=(16, 8)))
+        assert_matches_oracle(frames, cost, SolverConfig(lambda_g=1.5), "ost_g")
+
+    @pytest.mark.parametrize("lambda_g", [0.0, 1.0])
+    def test_kept_width_one_next_to_a_duplicate_column(self, lambda_g, monkeypatch):
+        # columns 0 and 1 cost 0 on every row, the others 1 or more: every
+        # row takes column 0 (the lowest of the tie), and the step keeps
+        # columns whose smallest cost plus penalty is at most 0 + p_0. With
+        # lambda_g = 1, column 1 is empty and its penalty is too large, so
+        # one column is kept and gathered with column 1, its raw duplicate,
+        # as padding. With lambda_g = 0 both are kept and tie on every row.
+        # Either way each frame is at its fixed point after one gathered step.
+        rng = np.random.default_rng(72)
+        values = rng.uniform(1, 2, size=(10, 6))
+        values[:, :2] = 0.0
+        frames = make_frames(rng, 10, 9, inactive=(3,))
+        config = SolverConfig(lambda_g=lambda_g)
+        steps = self.spy_on_routes(monkeypatch)
+        assert_matches_oracle(frames, toy_cost(values), config, "ost_g")
+        assert steps == [([], [2])]
+
+    def test_widths_in_every_bucket(self, monkeypatch):
+        # Column c costs 0 on its home rows 2c and 2c + 1 and 100 elsewhere.
+        # A frame with s heavy columns puts its mass on their home rows and
+        # 2^-60 on every other row. Step 1 moves those rows to column 0 (the
+        # other columns' penalty, at the mass floor, is 5000), so at step 2
+        # the frame holds mass in s columns and keeps exactly those: the
+        # bound is 100 + p_0, and every empty column costs at least 5000.
+        # So step 2 gathers s columns, padded up to their bucket, for s up
+        # to K/2 = 35, and takes the full argmin for s = 36 and 38.
+        k = 70
+        values = np.full((2 * k, k), 100.0)
+        values[np.arange(2 * k), np.arange(2 * k) // 2] = 0.0
+        heavy = [1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 35, 36, 38]
+        columns = np.full((2 * k, len(heavy)), 2.0 ** -60)
+        for j, s in enumerate(heavy):
+            columns[:2 * s, j] = 1.0
+        columns /= columns.sum(axis=0)
+        frames = NormalizedFrames(columns=columns,
+                                  active_mask=np.ones(len(heavy), dtype=bool))
+        config = SolverConfig(lambda_g=0.01)
+        steps = self.spy_on_routes(monkeypatch)
+        assert_matches_oracle(frames, toy_cost(values), config, "ost_g")
+        masses = unmix(frames, toy_cost(values), config, variant="ost_g").values
+        np.testing.assert_array_equal((masses > 0).sum(axis=0), heavy)
+        full, widths = steps[1]
+        assert sorted(set(widths)) == [2, 4, 8, 16, 32, 35]
+        assert full == [j for j, s in enumerate(heavy) if s > k // 2]
 
     @staticmethod
     def underflow_problem():
