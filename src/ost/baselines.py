@@ -73,13 +73,14 @@ def kl_divergence(v, vhat) -> float:
     return float(np.sum(v[support] * np.log(v[support] / vhat[support])))
 
 
-def _plca_block(w, v, max_iter, rel_tol):
-    """EM on every column of v in a live set of MM_BLOCK_FRAMES slots, one
-    matrix product pair per step. A column that stops hands its slot and
-    trace row to the next waiting one; once none waits, the set shrinks.
-    ratio = v / vhat gives both the objective (its log where v > 0) and the
-    next update. Returns (h, iterations, objective traces)."""
-    (m, k), n = w.shape, v.shape[1]
+def _plca_block(w, v, active, max_iter, rel_tol):
+    """EM on the columns `active` of v in a live set of MM_BLOCK_FRAMES
+    slots, one matrix product pair per step. A column that stops hands its
+    slot and trace row to the next waiting one, read from v as it enters;
+    once none waits, the set shrinks. ratio = v / vhat gives both the
+    objective (its log where v > 0) and the next update. Returns (h,
+    iterations, objective traces) of the active columns, in their order."""
+    (m, k), n = w.shape, active.size
     h_out, iters, traces = np.empty((k, n)), np.empty(n, dtype=int), [None] * n
     width = min(n, MM_BLOCK_FRAMES)
     vhat_start = np.maximum(w @ np.full((k, 1), 1.0 / k), KL_FLOOR)
@@ -99,7 +100,7 @@ def _plca_block(w, v, max_iter, rel_tol):
             queued += refill.size
             frame[refill], start[refill] = new, step
             prev[refill] = np.nan  # compares false: no stop on a first iteration
-            vs[:, refill] = v[:, new]
+            vs[:, refill] = v[:, active[new]]
             positive[:, refill] = vs[:, refill] > 0
             h[:, refill] = 1.0 / k
             ratio[:, refill] = vs[:, refill] / vhat_start
@@ -159,9 +160,8 @@ def plca_unmix(frames: NormalizedFrames, dictionary: Dictionary,
     traces = [np.array([])] * n
     iters = np.zeros(n, dtype=int)
     active = np.flatnonzero(frames.active_mask)
-    # the kernel does not write into v, so an all-active input is not copied
-    v = frames.columns if active.size == n else frames.columns[:, active]
-    out[:, active], iters[active], active_traces = _plca_block(w, v, max_iter, rel_tol)
+    out[:, active], iters[active], active_traces = _plca_block(
+        w, frames.columns, active, max_iter, rel_tol)
     for j, trace in zip(active, active_traces):
         traces[j] = trace
     if not np.all(np.isfinite(out)):

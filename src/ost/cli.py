@@ -234,6 +234,27 @@ def decompose(frames: NormalizedFrames, config: RunConfig):
     return pitch_acts, labels + ["noise"], acts
 
 
+def load_frames(path, config: RunConfig):
+    """Decode a WAV file, take its STFT and normalize the frames.
+
+    Returns (frames, sample rate, {"decode": s, "stft": s}), the STFT time
+    including normalization. Each input is released once consumed: the
+    samples before normalizing, the raw spectrogram after. So the call
+    holds at most the samples and one M x N matrix, or two M x N matrices
+    while normalizing, never the samples and both.
+    """
+    start = time.perf_counter()
+    audio = decode_wav(path)
+    decoded = time.perf_counter()
+    sample_rate = audio.sample_rate
+    spec = stft_magnitude(audio, config.window_len, config.hop)
+    del audio
+    frames = normalize_frames(spec)
+    del spec
+    timings = {"decode": decoded - start, "stft": time.perf_counter() - decoded}
+    return frames, sample_rate, timings
+
+
 def transcription_clock(frames: NormalizedFrames, config: RunConfig,
                         sample_rate: int) -> FrameClock:
     t0 = config.window_len / (2.0 * sample_rate)
@@ -252,21 +273,13 @@ def cmd_transcribe(args) -> int:
     events = None
     if args.ground_truth is not None:
         events = parse_ground_truth(args.ground_truth)
-    timings = {}
-    start = time.perf_counter()
-    audio = decode_wav(args.wav)
-    timings["decode"] = time.perf_counter() - start
-
-    start = time.perf_counter()
-    spec = stft_magnitude(audio, config.window_len, config.hop)
-    frames = normalize_frames(spec)
-    timings["stft"] = time.perf_counter() - start
+    frames, sample_rate, timings = load_frames(args.wav, config)
 
     start = time.perf_counter()
     pitch_acts, labels, acts = decompose(frames, config)
     timings["decompose"] = time.perf_counter() - start
 
-    clock = transcription_clock(frames, config, audio.sample_rate)
+    clock = transcription_clock(frames, config, sample_rate)
     base = os.path.splitext(os.path.basename(args.wav))[0] + "." + config.method
     outdir = args.output_dir
     os.makedirs(outdir, exist_ok=True)
@@ -410,10 +423,8 @@ def cmd_sweep(args) -> int:
     for cfg in configs:
         _check_ranges(cfg)
 
-    audio = decode_wav(args.wav)
-    spec = stft_magnitude(audio, config.window_len, config.hop)
-    frames = normalize_frames(spec)
-    clock = transcription_clock(frames, config, audio.sample_rate)
+    frames, sample_rate, _ = load_frames(args.wav, config)
+    clock = transcription_clock(frames, config, sample_rate)
     truth = load_ground_truth(args.ground_truth,
                               (config.midi_low, config.midi_high), clock)
     half = frames.n_frames // 2

@@ -14,6 +14,9 @@ from .errors import DataError, DecodeError, UnsupportedEncodingError
 DEFAULT_WINDOW_LEN = 4096
 DEFAULT_HOP = 2048
 DEFAULT_SILENCE_THRESHOLD = 1e-10
+# Frames per rfft call of stft_magnitude; bounds its windowed-frame and
+# complex-spectrum temporaries.
+STFT_BLOCK_FRAMES = 64
 
 
 @dataclass(eq=False)
@@ -33,6 +36,20 @@ class AudioBuffer:
             raise ValueError("sample_rate must be positive")
 
 
+def _check_finite_non_negative(values: np.ndarray, name: str):
+    """Raise ValueError unless every entry is finite and non-negative, from
+    one min/max pair rather than M x N bool temporaries: NaN propagates
+    through min, and -inf / +inf are the min / max. A non-finite entry is
+    reported before a negative one."""
+    if values.size == 0:
+        return
+    low, high = values.min(), values.max()
+    if not (np.isfinite(low) and np.isfinite(high)):
+        raise ValueError(f"{name} must be finite")
+    if low < 0:
+        raise ValueError(f"{name} must be non-negative")
+
+
 @dataclass(eq=False)
 class Spectrogram:
     """Non-negative M x N magnitude matrix with a bin frequency axis."""
@@ -48,10 +65,7 @@ class Spectrogram:
             raise ValueError("values must be an M x N matrix")
         if self.values.shape[0] != self.freqs.shape[0]:
             raise ValueError("freqs length must match the number of rows")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("spectrogram values must be finite")
-        if np.any(self.values < 0):
-            raise ValueError("spectrogram values must be non-negative")
+        _check_finite_non_negative(self.values, "spectrogram values")
         if np.any(np.diff(self.freqs) <= 0):
             raise ValueError("freqs must be strictly increasing")
         if self.frame_hop_seconds <= 0:
@@ -77,10 +91,7 @@ class NormalizedFrames:
         self.active_mask = np.asarray(self.active_mask, dtype=bool)
         if self.columns.ndim != 2:
             raise ValueError("columns must be an M x N matrix")
-        if not np.all(np.isfinite(self.columns)):
-            raise ValueError("columns must be finite")
-        if np.any(self.columns < 0):
-            raise ValueError("columns must be non-negative")
+        _check_finite_non_negative(self.columns, "columns")
         if self.active_mask.shape != (self.columns.shape[1],):
             raise ValueError("active_mask length must match the frame count")
         if self.freqs is None:
@@ -123,13 +134,16 @@ def decode_wav(path) -> AudioBuffer:
     except (OSError, struct.error) as exc:
         raise DecodeError(f"cannot read WAV file {path!r}: {exc}") from exc
 
+    # 16-bit PCM holds no NaN or inf: only float data can fail this check,
+    # made on the float32 samples before the float64 copy
+    if data.dtype.kind == "f" and data.size and not (
+            np.isfinite(data.min()) and np.isfinite(data.max())):
+        raise DecodeError(f"non-finite samples in {path!r}")
     samples = data.astype(np.float64)
     if data.dtype.kind == "i":
         samples /= 32768.0
     if channels == 2:
         samples = samples.reshape(-1, 2).mean(axis=1)
-    if not np.all(np.isfinite(samples)):
-        raise DecodeError(f"non-finite samples in {path!r}")
     return AudioBuffer(samples=samples, sample_rate=sample_rate)
 
 
@@ -204,6 +218,13 @@ def stft_magnitude(audio: AudioBuffer, window_len: int = DEFAULT_WINDOW_LEN,
     Frames cover samples [n*hop, n*hop + window_len), no padding, so
     N = floor((len - window_len)/hop) + 1. The DC bin is dropped and the
     Nyquist bin kept: M = window_len/2 bins at freqs[i] = (i+1)*fs/window_len.
+
+    The rfft runs over blocks of STFT_BLOCK_FRAMES frames, each block's
+    magnitudes written into one preallocated N x M array whose transpose is
+    returned (an F-ordered M x N matrix). So the call holds the output and
+    one block's windowed frames and complex spectra, never all frames'; each
+    frame's rfft is computed alone, so the values are those of one rfft over
+    every frame, bit for bit.
     """
     x = audio.samples
     if x.size == 0:
@@ -218,11 +239,14 @@ def stft_magnitude(audio: AudioBuffer, window_len: int = DEFAULT_WINDOW_LEN,
     window = np.hanning(window_len)
     n_frames = (x.size - window_len) // hop + 1
     frames = np.lib.stride_tricks.sliding_window_view(x, window_len)[::hop][:n_frames]
-    spectra = np.fft.rfft(frames * window, axis=1)
-    values = np.abs(spectra[:, 1:]).T  # drop DC, keep Nyquist: M = window_len/2
     m = window_len // 2
+    magnitudes = np.empty((n_frames, m))
+    for lo in range(0, n_frames, STFT_BLOCK_FRAMES):
+        hi = lo + STFT_BLOCK_FRAMES
+        spectra = np.fft.rfft(frames[lo:hi] * window, axis=1)
+        np.abs(spectra[:, 1:], out=magnitudes[lo:hi])  # drop DC, keep Nyquist
     freqs = (np.arange(m) + 1) * (audio.sample_rate / window_len)
-    return Spectrogram(values=values, freqs=freqs,
+    return Spectrogram(values=magnitudes.T, freqs=freqs,
                        frame_hop_seconds=hop / audio.sample_rate)
 
 

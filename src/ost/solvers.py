@@ -272,24 +272,29 @@ def _column_masses(labels: np.ndarray, frames: np.ndarray, k: int) -> np.ndarray
                        minlength=n * k).reshape(n, k).T
 
 
-def _hard_assign(values: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """ost_frame's masses for every column of v (M x N): the block driver
-    with no step, so that the cell index array stays within one block."""
+def _hard_assign(values: np.ndarray, v: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """ost_frame's masses for the columns `active` of v (M x N): the block
+    driver with no step, so that the cell index array stays within one
+    block."""
     labels = np.argmin(values, axis=1)
     k = values.shape[1]
-    return _mm_blocks(v, k, 0, lambda block: (_column_masses(labels, block, k), None), None)
+    return _mm_blocks(v, active, k, 0,
+                      lambda block: (_column_masses(labels, block, k), None), None)
 
 
-def _mm_blocks(v: np.ndarray, k: int, iterations: int, start, step) -> np.ndarray:
-    """Masses of an MM kernel for every column of v (M x N), per block of
-    MM_BLOCK_FRAMES frames. start(block) gives a block's first masses (K x n)
-    and step state (frames along its first axis); step(block, h, state) the
-    next ones and the mask of frames at their fixed point (None: no frame
-    stops), which leave the live set: a step depends on the masses alone."""
-    out = np.empty((k, v.shape[1]))
-    for lo in range(0, v.shape[1], MM_BLOCK_FRAMES):
-        block = v[:, lo:lo + MM_BLOCK_FRAMES]
-        live = np.arange(lo, lo + block.shape[1])
+def _mm_blocks(v: np.ndarray, active: np.ndarray, k: int, iterations: int,
+               start, step) -> np.ndarray:
+    """K x N masses of an MM kernel for the columns `active` of v (M x N),
+    zero in the others, per block of MM_BLOCK_FRAMES active columns. Each
+    block is gathered from v as it starts, so no M x active copy of v is
+    made. start(block) gives a block's first masses (K x n) and step state
+    (frames along its first axis); step(block, h, state) the next ones and
+    the mask of frames at their fixed point (None: no frame stops), which
+    leave the live set: a step depends on the masses alone."""
+    out = np.zeros((k, v.shape[1]))
+    for lo in range(0, active.size, MM_BLOCK_FRAMES):
+        live = active[lo:lo + MM_BLOCK_FRAMES]
+        block = v[:, live]
         h, state = start(block)
         for _ in range(iterations):
             h, state, done = step(block, h, state)
@@ -302,10 +307,11 @@ def _mm_blocks(v: np.ndarray, k: int, iterations: int, start, step) -> np.ndarra
     return out
 
 
-def _group_mm(values: np.ndarray, v: np.ndarray, config: SolverConfig) -> np.ndarray:
-    """ost_group_frame's masses for every column of v (M x N), bit for bit,
-    each step taking a frame's argmin only over the columns that can still
-    win one of its rows. With penalty p and the previous step's labels l
+def _group_mm(values: np.ndarray, v: np.ndarray, active: np.ndarray,
+              config: SolverConfig) -> np.ndarray:
+    """ost_group_frame's masses for the columns `active` of v (M x N), bit
+    for bit, each step taking a frame's argmin only over the columns that can
+    still win one of its rows. With penalty p and the previous step's labels l
     (the unpenalised argmin before the first step), every row's new minimum
     is at most bound = max_i fl(c_{i,l_i} + p_{l_i}). Float addition rounds
     monotonically, so a column with fl(min_i c_ik + p_k) > bound costs more
@@ -352,7 +358,7 @@ def _group_mm(values: np.ndarray, v: np.ndarray, config: SolverConfig) -> np.nda
         new = _column_masses(labels, block, k)
         return new, labels, (new == h).all(axis=0)
 
-    return _mm_blocks(v, k, config.mm_iterations, start, step)
+    return _mm_blocks(v, active, k, config.mm_iterations, start, step)
 
 
 def _gathered_labels(by_column, pen, cols, frames):
@@ -369,9 +375,10 @@ def _gathered_labels(by_column, pen, cols, frames):
     return key.min(axis=1)
 
 
-def _combined_mm(values: np.ndarray, v: np.ndarray, config: SolverConfig) -> np.ndarray:
-    """ost_combined_frame's masses for every column of v (M x N), by the
-    factorised step H = W * E^T (V / E W) over blocks of frames. Every
+def _combined_mm(values: np.ndarray, v: np.ndarray, active: np.ndarray,
+                 config: SolverConfig) -> np.ndarray:
+    """ost_combined_frame's masses for the columns `active` of v (M x N), by
+    the factorised step H = W * E^T (V / E W) over blocks of frames. Every
     iteration runs: the entropic loop has no exact fixed point.
 
     Both products run over the support, the columns whose weight is nonzero
@@ -407,7 +414,7 @@ def _combined_mm(values: np.ndarray, v: np.ndarray, config: SolverConfig) -> np.
     # block / s may overflow or be 0 / 0 where s underflows; those entries
     # are reset in the step
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return _mm_blocks(v, k, config.mm_iterations,
+        return _mm_blocks(v, active, k, config.mm_iterations,
                           lambda block: (labels.T @ block, None), step)
 
 
@@ -442,27 +449,26 @@ def unmix(frames: NormalizedFrames, cost: CostMatrix,
     columns = frames.columns
     if columns.shape[0] != cost.values.shape[0]:
         raise ValueError("frame rows must match cost rows")
-    k = cost.values.shape[1]
-    n = columns.shape[1]
-    out = np.zeros((k, n))
     active = np.flatnonzero(frames.active_mask)
     if active.size == 0:
-        return Activations(values=out, frame_hop_seconds=frames.frame_hop_seconds)
-    # No kernel writes into its frame argument, so an all-active input is
-    # passed as is, without an M x N copy.
-    v_active = columns if active.size == n else columns[:, active]
+        return Activations(values=np.zeros((cost.values.shape[1], columns.shape[1])),
+                           frame_hop_seconds=frames.frame_hop_seconds)
 
+    # The kernels gather the active columns block by block (no kernel writes
+    # into its frame argument), so no M x N copy of the frames is made.
     if variant == "ost":
-        out[:, active] = _hard_assign(cost.values, v_active)
+        out = _hard_assign(cost.values, columns, active)
     elif variant == "ost_g":
-        out[:, active] = _group_mm(cost.values, v_active, config)
+        out = _group_mm(cost.values, columns, active, config)
     elif config.lambda_e <= 0:
         raise ValueError(f"variant {variant} requires lambda_e > 0")
     elif variant == "ost_e":
-        labels = _softmax_labels(cost.values, config.lambda_e)
-        out[:, active] = labels.T @ v_active
+        # one product over every column, masked ones zeroed after: a product
+        # per block of columns would sum in another order
+        out = _softmax_labels(cost.values, config.lambda_e).T @ columns
+        out[:, ~frames.active_mask] = 0.0
     else:
-        out[:, active] = _combined_mm(cost.values, v_active, config)
+        out = _combined_mm(cost.values, columns, active, config)
     if not np.all(np.isfinite(out)):
         raise NumericError(f"variant {variant} produced non-finite activations")
     return Activations(values=out, frame_hop_seconds=frames.frame_hop_seconds)

@@ -8,7 +8,6 @@ Two independent oracles drive the LP checks:
   computes the exact Wasserstein value without touching any LP machinery.
 """
 
-import tracemalloc
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -27,6 +26,8 @@ from ost.errors import (LpGuardError, LpInfeasibleError, LpUnboundedError,
 from ost.evaluation import l1_activation_error, make_toy_scenario
 from ost.frontend import NormalizedFrames
 from ost.solvers import MM_BLOCK_FRAMES, ost_frame, transport_objective
+
+from helpers import active_copy, partly_masked_frames, traced_peak
 
 
 def enumerate_lp_vertices(objective, eq_matrix, eq_rhs):
@@ -389,14 +390,27 @@ class TestBatchedPlca:
         frames = NormalizedFrames(columns=columns,
                                   active_mask=np.ones(n, dtype=bool))
         d = random_dictionary(rng, 32, 4)
-        tracemalloc.start()
-        try:
-            _, state = plca_unmix(frames, d, max_iter=max_iter)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        (_, state), peak = traced_peak(plca_unmix, frames, d, max_iter=max_iter)
         assert state.iterations.max() < max_iter
         assert peak < n * max_iter * 8 / 4
+
+    def test_masked_frames_solved_without_a_copy(self):
+        # the live set reads each active column from frames.columns as it
+        # enters: the outputs are those of the copied-out active columns, bit
+        # for bit, and the traced peak stays below what that copy alone takes
+        rng = np.random.default_rng(19)
+        m, n, max_iter = 512, 16 * MM_BLOCK_FRAMES, 50
+        frames = partly_masked_frames(rng, m, n)
+        d = random_dictionary(rng, m, 8)
+        (acts, state), peak = traced_peak(plca_unmix, frames, d, max_iter=max_iter)
+        active = frames.active_mask
+        expected, expected_state = plca_unmix(active_copy(frames), d,
+                                              max_iter=max_iter)
+        np.testing.assert_array_equal(acts.values[:, ~active], 0.0)
+        np.testing.assert_array_equal(acts.values[:, active], expected.values)
+        np.testing.assert_array_equal(state.iterations[active],
+                                      expected_state.iterations)
+        assert peak < m * active.sum() * 8
 
 
 class TestSolveLp:

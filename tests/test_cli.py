@@ -23,7 +23,7 @@ from ost.solvers import Activations
 from ost.synth import render_notes
 from ost.tsvio import read_activations, read_matrix
 
-from helpers import write_ground_truth
+from helpers import traced_peak, write_ground_truth
 
 
 def source_tree_env():
@@ -519,6 +519,27 @@ class TestTranscribe:
         assert np.count_nonzero(values) > values.size // 2
         np.testing.assert_allclose(values, acts.values, rtol=1e-11, atol=0)
         np.testing.assert_allclose(times, clock.centers(), rtol=1e-11, atol=0)
+
+    def test_peak_is_the_samples_and_two_frame_matrices(self, capsys, tmp_path):
+        # 30 s of notes with silent gaps (masked frames). Holding the STFT's
+        # windowed frames and complex spectra at once, or the samples, the
+        # raw spectrogram and the frames through decompose, takes about
+        # samples + 4 M x N matrices.
+        events = [NoteEvent(t, t + 0.6, 45 + (5 * i) % 24)
+                  for i, t in enumerate(np.arange(0.0, 30.0, 1.5))]
+        write_wav(tmp_path / "piece.wav", render_notes(events, sample_rate=8000, seed=3))
+        window_len, hop = 512, 256
+        argv = ["transcribe", str(tmp_path / "piece.wav"), "--method", "ost",
+                "--window-len", str(window_len), "--hop", str(hop),
+                "--midi-low", "45", "--midi-high", "75",
+                "--output-dir", str(tmp_path / "out")]
+        assert main(argv) == EXIT_OK  # warm: imports and first-call caches
+        code, peak = traced_peak(main, argv)
+        assert code == EXIT_OK
+        n_samples = decode_wav(tmp_path / "piece.wav").samples.size
+        n_frames = (n_samples - window_len) // hop + 1
+        frames_matrix = (window_len // 2) * n_frames * 8
+        assert peak <= n_samples * 8 + 2 * frames_matrix + 2 ** 20
 
     def test_eval_reproduces_transcribe_scores(self, capsys, note50,
                                                tmp_path):

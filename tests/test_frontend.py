@@ -13,9 +13,11 @@ import pytest
 import scipy.io.wavfile
 
 from ost.errors import DataError, DecodeError, UnsupportedEncodingError
-from ost.frontend import (DEFAULT_SILENCE_THRESHOLD, AudioBuffer,
-                          NormalizedFrames, Spectrogram, decode_wav,
-                          normalize_frames, stft_magnitude)
+from ost.frontend import (DEFAULT_SILENCE_THRESHOLD, STFT_BLOCK_FRAMES,
+                          AudioBuffer, NormalizedFrames, Spectrogram,
+                          decode_wav, normalize_frames, stft_magnitude)
+
+from helpers import traced_peak
 
 
 def dft_magnitudes(frame, window):
@@ -28,6 +30,14 @@ def dft_magnitudes(frame, window):
             acc += window[t] * frame[t] * np.exp(-2j * np.pi * k * t / n)
         out[k - 1] = abs(acc)
     return out
+
+
+def one_shot_stft(x, window_len, hop):
+    """The unblocked spectrogram: one rfft over every windowed frame."""
+    n_frames = (x.size - window_len) // hop + 1
+    frames = np.lib.stride_tricks.sliding_window_view(x, window_len)[::hop][:n_frames]
+    spectra = np.fft.rfft(frames * np.hanning(window_len), axis=1)
+    return np.abs(spectra[:, 1:]).T
 
 
 class TestDecodeWav:
@@ -300,6 +310,32 @@ class TestStftMagnitude:
         np.testing.assert_array_equal(full.values[:, :head.values.shape[1]],
                                       head.values)
 
+    @pytest.mark.parametrize("n_frames", [1, STFT_BLOCK_FRAMES - 1, STFT_BLOCK_FRAMES,
+                                          STFT_BLOCK_FRAMES + 1,
+                                          2 * STFT_BLOCK_FRAMES + 3])
+    def test_blocked_rfft_bitwise_equal_to_one_shot(self, n_frames):
+        window_len, hop = 128, 48
+        # a few samples past the last frame, which no frame covers
+        x = np.random.default_rng(n_frames).standard_normal(
+            (n_frames - 1) * hop + window_len + hop - 1)
+        spec = stft_magnitude(AudioBuffer(x, 8000), window_len, hop)
+        expected = one_shot_stft(x, window_len, hop)
+        assert spec.values.shape == expected.shape == (window_len // 2, n_frames)
+        assert spec.values.flags.f_contiguous
+        assert spec.values.tobytes(order="F") == expected.tobytes(order="F")
+
+    def test_traced_peak_is_the_output_plus_two_blocks(self):
+        # all frames at once would hold N x window_len windowed frames and
+        # N x (M + 1) complex spectra: 8 MB here, against a 1 MB output
+        window_len, hop, n_frames = 1024, 512, 4 * STFT_BLOCK_FRAMES
+        m = window_len // 2
+        x = np.random.default_rng(1).standard_normal((n_frames + 1) * hop)
+        audio = AudioBuffer(x, 8000)
+        spec, peak = traced_peak(stft_magnitude, audio, window_len, hop)
+        assert spec.values.shape == (m, n_frames)
+        block = STFT_BLOCK_FRAMES * (window_len * 8 + (m + 1) * 16)
+        assert peak < m * n_frames * 8 + 2 * block
+
     @pytest.mark.parametrize("samples,window_len,hop", [
         (np.array([]), 64, 32),          # empty signal
         (np.zeros(63), 64, 32),          # window longer than signal
@@ -396,6 +432,22 @@ class TestContainers:
         with pytest.raises(ValueError, match="finite"):
             Spectrogram(values=values, freqs=np.array([1.0, 2.0]),
                         frame_hop_seconds=1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_reported_before_negative(self, bad):
+        values = np.array([[0.5, -1.0], [0.5, bad]])
+        with pytest.raises(ValueError, match="spectrogram values must be finite"):
+            Spectrogram(values=values, freqs=np.array([1.0, 2.0]),
+                        frame_hop_seconds=1.0)
+        with pytest.raises(ValueError, match="columns must be finite"):
+            NormalizedFrames(columns=values, active_mask=np.array([True, True]))
+
+    def test_size_zero_matrices_accepted(self):
+        spec = Spectrogram(values=np.zeros((2, 0)), freqs=np.array([1.0, 2.0]),
+                           frame_hop_seconds=1.0)
+        frames = NormalizedFrames(columns=spec.values,
+                                  active_mask=np.zeros(0, dtype=bool))
+        assert frames.n_frames == 0
 
     def test_normalized_frames_default_freqs(self):
         frames = NormalizedFrames(columns=np.ones((3, 2)) / 3.0,

@@ -28,6 +28,8 @@ from ost.solvers import (MM_BLOCK_FRAMES, Activations, SolverConfig, TransportPl
                          transport_objective, unmix)
 from ost.synth import render_notes
 
+from helpers import active_copy, partly_masked_frames, traced_peak
+
 
 def toy_cost(values):
     values = np.asarray(values, dtype=np.float64)
@@ -321,9 +323,30 @@ class TestUnmix:
         np.testing.assert_allclose(acts.values[:, 0], [0.0, 1.0, 0.0], atol=0)
 
     @pytest.mark.parametrize("variant", ["ost", "ost_e", "ost_g", "ost_eg"])
+    def test_masked_frames_solved_without_a_copy(self, variant):
+        # the kernels read the active columns block by block from
+        # frames.columns: the outputs are those of the copied-out active
+        # columns, and the traced peak stays below what that copy alone takes
+        rng = np.random.default_rng(55)
+        m, n = 512, 16 * MM_BLOCK_FRAMES
+        frames = partly_masked_frames(rng, m, n)
+        cost = toy_cost(rng.uniform(0, 3, size=(m, 8)))
+        config = SolverConfig(lambda_e=0.6, lambda_g=1.2)
+        acts, peak = traced_peak(unmix, frames, cost, config, variant=variant)
+        active = frames.active_mask
+        expected = unmix(active_copy(frames), cost, config, variant=variant).values
+        np.testing.assert_array_equal(acts.values[:, ~active], 0.0)
+        if variant in ("ost", "ost_g"):
+            np.testing.assert_array_equal(acts.values[:, active], expected)
+        else:
+            np.testing.assert_allclose(acts.values[:, active], expected,
+                                       rtol=0, atol=1e-12)
+        assert peak < m * active.sum() * 8
+
+    @pytest.mark.parametrize("variant", ["ost", "ost_e", "ost_g", "ost_eg"])
     def test_kernels_do_not_write_into_frames(self, variant):
-        # with every frame active unmix hands frames.columns itself to the
-        # kernels, uncopied; a write into the read-only array would raise
+        # unmix hands frames.columns itself to the kernels, which gather
+        # their blocks from it; a write into the read-only array would raise
         rng = np.random.default_rng(54)
         frames = make_frames(rng, 12, MM_BLOCK_FRAMES + 3)
         frames.columns.flags.writeable = False
