@@ -16,9 +16,7 @@ from .dictionary import (Dictionary, HarmonicTemplateParams, midi_to_freq,
                          make_harmonic_dictionary)
 from .costs import (CostMatrix, quadratic_cost, harmonic_cost,
                     append_noise_column)
-from .solvers import (SolverConfig, TransportPlan, Activations, ost_frame,
-                      ost_entropic_frame, ost_group_frame, ost_combined_frame,
-                      unmix, transport_objective)
+from .solvers import SolverConfig, Activations, unmix
 from .baselines import (LpProblem, PlcaState, kl_divergence, plca_unmix,
                         solve_lp, wasserstein_divergence, ot_unmix_lp)
 from .evaluation import (FrameClock, NoteEvent, PianoRoll, EvalReport,
@@ -35,9 +33,7 @@ __all__ = [
     "Dictionary", "HarmonicTemplateParams", "midi_to_freq",
     "midi_range_fundamentals", "harmonic_column", "make_harmonic_dictionary",
     "CostMatrix", "quadratic_cost", "harmonic_cost", "append_noise_column",
-    "SolverConfig", "TransportPlan", "Activations", "ost_frame",
-    "ost_entropic_frame", "ost_group_frame", "ost_combined_frame", "unmix",
-    "transport_objective",
+    "SolverConfig", "Activations", "unmix",
     "LpProblem", "PlcaState", "kl_divergence", "plca_unmix", "solve_lp",
     "wasserstein_divergence", "ot_unmix_lp",
     "FrameClock", "NoteEvent", "PianoRoll", "EvalReport", "ToyScenario",

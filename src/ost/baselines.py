@@ -1,10 +1,10 @@
-"""Reference methods: PLCA, exact-LP transport, and divergence evaluators.
+"""Baseline methods: PLCA, exact-LP transport, and divergence evaluators.
 
-LPs are solved by HiGHS' dual revised simplex (scipy's linprog). The exact
-solver is kept as the oracle because it shares nothing with the closed
-forms: it optimises over every plan with the given marginals, without the
-row-by-row split that Dirac targets allow, so agreement checks that split
-rather than restating it.
+PLCA unmixes onto harmonic templates by EM (plca_unmix). ot_unmix_lp
+solves the joint exact LP over a full bin-to-bin plan and the template
+activations (the `ot_h` method), and wasserstein_divergence the transport
+LP between two spectra. LPs are solved by HiGHS' dual revised simplex
+(scipy's linprog), imported on the first solve.
 """
 
 from dataclasses import dataclass, field
@@ -53,9 +53,8 @@ class LpProblem:
 
 @dataclass(eq=False)
 class PlcaState:
-    """Converged activations plus per-frame KL objective traces."""
+    """Per-frame KL objective traces and iteration counts of a PLCA run."""
 
-    h_matrix: np.ndarray
     objective_traces: list = field(default_factory=list)
     iterations: np.ndarray = None
 
@@ -167,7 +166,7 @@ def plca_unmix(frames: NormalizedFrames, dictionary: Dictionary,
     if not np.all(np.isfinite(out)):
         raise NumericError("plca produced non-finite activations")
     acts = Activations(values=out, frame_hop_seconds=frames.frame_hop_seconds)
-    return acts, PlcaState(h_matrix=out, objective_traces=traces, iterations=iters)
+    return acts, PlcaState(objective_traces=traces, iterations=iters)
 
 
 def solve_lp(problem: LpProblem, tol: float = LP_TOL, guard: int = LP_GUARD):
@@ -242,53 +241,22 @@ def _unmix_lp_frame(v, w, cost_values):
     return x[m * m:], x[:m * m].reshape(m, m), objective
 
 
-def _reduced_lp_frame(v, cost_values):
-    """Reduced LP over T~ alone: min <T~, C~> s.t. T~ 1 = v; h = column sums."""
-    m, k = cost_values.shape
-    eq = np.zeros((m, m * k))
-    for i in range(m):
-        eq[i, i * k:(i + 1) * k] = 1.0
-    problem = LpProblem(objective=cost_values.ravel(), eq_matrix=eq, eq_rhs=v)
-    x, objective = solve_lp(problem)
-    plan = x.reshape(m, k)
-    return plan.sum(axis=0), plan, objective
-
-
-def ot_unmix_lp(frames: NormalizedFrames, templates: Dictionary,
-                cost: CostMatrix, return_detail: bool = False):
-    """Exact LP unmixing.
-
-    With a harmonic dictionary as `templates` this solves the joint problem
-    over the full M x M plan and h (M^2 + K variables, both marginal
-    constraint families). With None, Dirac targets: the plan goes straight
-    to the cost's K columns (a noise column included) through the reduced
-    M x K cost, which is the exact LP form of the problem the closed-form
-    solver answers.
+def ot_unmix_lp(frames: NormalizedFrames, templates: Dictionary, cost: CostMatrix):
+    """Exact LP unmixing onto a harmonic dictionary: for every active frame,
+    the joint problem over the full M x M plan and h (M^2 + K variables,
+    both marginal constraint families) under an M x M cost. Masked frames
+    yield zero columns.
     """
     m = frames.columns.shape[0]
     if m > OT_LP_MAX_BINS:
         raise LpGuardError(f"M={m} exceeds the LP unmixing guard ({OT_LP_MAX_BINS})")
     if frames.columns.shape[0] != cost.values.shape[0]:
         raise ValueError("frame rows must match cost rows")
-    k = cost.n_targets
-    if templates is not None:
-        if k != m or templates.templates.shape[0] != m:
-            raise ValueError("harmonic-dictionary unmixing needs an M x M cost "
-                             "and M-row templates")
-        k = templates.n_templates
-    n = frames.columns.shape[1]
-    out = np.zeros((k, n))
-    details = []
+    if cost.n_targets != m or templates.templates.shape[0] != m:
+        raise ValueError("harmonic-dictionary unmixing needs an M x M cost "
+                         "and M-row templates")
+    out = np.zeros((templates.n_templates, frames.n_frames))
     for idx in np.flatnonzero(frames.active_mask):
-        v = frames.columns[:, idx]
-        if templates is None:
-            h, plan, objective = _reduced_lp_frame(v, cost.values)
-        else:
-            h, plan, objective = _unmix_lp_frame(v, templates.templates, cost.values)
-        out[:, idx] = h
-        if return_detail:
-            details.append({"frame": int(idx), "plan": plan, "objective": objective})
-    acts = Activations(values=out, frame_hop_seconds=frames.frame_hop_seconds)
-    if return_detail:
-        return acts, details
-    return acts
+        out[:, idx] = _unmix_lp_frame(frames.columns[:, idx], templates.templates,
+                                      cost.values)[0]
+    return Activations(values=out, frame_hop_seconds=frames.frame_hop_seconds)

@@ -38,8 +38,6 @@ from .frontend import (DEFAULT_HOP, DEFAULT_WINDOW_LEN, NormalizedFrames,
 from .solvers import DEFAULT_MM_ITERATIONS, Activations, SolverConfig, unmix
 from . import tsvio
 
-logger = logging.getLogger(__name__)
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2

@@ -98,6 +98,8 @@ class NormalizedFrames:
             self.freqs = np.arange(1, self.columns.shape[0] + 1, dtype=np.float64)
         else:
             self.freqs = np.asarray(self.freqs, dtype=np.float64)
+            if self.freqs.shape != (self.columns.shape[0],):
+                raise ValueError("freqs length must match the number of rows")
 
     @property
     def n_frames(self) -> int:

@@ -1,25 +1,27 @@
-"""Closed-form spectral transport solvers on the reduced cost matrix.
+"""Batched spectral transport solvers on the reduced cost matrix.
 
-Every solver works per frame on a simplex vector v (length M) and a reduced
-M x K cost. Transporting onto Dirac targets decouples row-wise, so:
+`unmix` solves every active frame v (length M) of a frame matrix under a
+reduced M x K cost. Transporting onto Dirac targets decouples row-wise, so:
 
-- ost_frame assigns each bin's mass to its cheapest column (an argmin scan);
-- ost_entropic_frame replaces the argmin with a row softmax;
-- ost_group_frame promotes sparse activations by majorization-minimization,
+- ost assigns each bin's mass to its cheapest column (an argmin scan);
+- ost_e replaces the argmin with a row softmax;
+- ost_g promotes sparse activations by majorization-minimization,
   re-solving the assignment against a cost augmented with a per-column
   penalty derived from the current column masses;
-- ost_combined_frame runs the same MM loop with the entropic inner solve.
+- ost_eg runs the same MM loop with the entropic inner solve.
 
-These per-frame functions build the dense plan (and, on request, the
-objective trace) and are the reference for `unmix`, which solves all active
-frames at once without either. Both MM variants run on one driver over
-blocks of frames (_mm_blocks); an ost_g frame leaves its block's live set
-once its masses repeat, an ost_eg frame runs every iteration. The ost_g
-step takes each frame's argmin only over the columns that can still win
-one of its rows, exact because float addition rounds monotonically (see
-_group_mm); the penalty leaves a frame a few notes within a few steps, and
-frames that keep about as many columns share one gather. The ost_eg step
-uses that the group penalty p only rescales columns:
+The kernels return the column masses only, never a plan. Their per-frame
+references, which build the plan and the objective trace, are the
+functions of tests/oracles.py; ost and ost_g match them bit for bit.
+
+Both MM variants run on one driver over blocks of frames (_mm_blocks); an
+ost_g frame leaves its block's live set once its masses repeat, an ost_eg
+frame runs every iteration. The ost_g step takes each frame's argmin only
+over the columns that can still win one of its rows, exact because float
+addition rounds monotonically (see _group_mm); the penalty leaves a frame
+a few notes within a few steps, and frames that keep about as many columns
+share one gather. The ost_eg step uses that the group penalty p only
+rescales columns:
 softmax_k(-(c_ik + p_k)/lambda_e) = E_ik w_k / sum_k E_ik w_k, with
 E = exp(-C/lambda_e) computed once. For a block of frames V one MM step is
 H = W * E^T (V / E W), two matrix products in place of an M x K exp per
@@ -64,22 +66,6 @@ VARIANTS = ("ost", "ost_e", "ost_g", "ost_eg")
 
 
 @dataclass(eq=False)
-class TransportPlan:
-    """Non-negative M x K plan whose row sums reproduce the input frame."""
-
-    plan: np.ndarray
-    row_freqs: np.ndarray
-    col_fundamentals: np.ndarray
-
-    def __post_init__(self):
-        self.plan = np.asarray(self.plan, dtype=np.float64)
-        if self.plan.ndim != 2:
-            raise ValueError("plan must be a matrix")
-        if np.any(self.plan < 0):
-            raise ValueError("plan entries must be non-negative")
-
-
-@dataclass(eq=False)
 class Activations:
     """K x N activation matrix; column n carries the mass of frame n."""
 
@@ -115,26 +101,6 @@ class SolverConfig:
             raise ValueError("mm_iterations must be >= 1")
 
 
-def _check_frame(v, cost: CostMatrix) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size != cost.values.shape[0]:
-        raise ValueError("frame length must match the cost row count")
-    if np.any(v < 0):
-        raise ValueError("frame entries must be non-negative")
-    return v
-
-
-def _assign(values: np.ndarray, v: np.ndarray):
-    """Hard assignment: each row's mass goes to its cheapest column
-    (ties break to the lowest index, which is argmin's convention)."""
-    labels = np.argmin(values, axis=1)
-    k = values.shape[1]
-    plan = np.zeros_like(values)
-    plan[np.arange(v.size), labels] = v
-    h = np.bincount(labels, weights=v, minlength=k)
-    return plan, h, labels
-
-
 def _gibbs_kernel(values: np.ndarray, lambda_e: float) -> np.ndarray:
     """exp(-c/lambda_e) with each row scaled so that its largest entry is 1
     (per-row max subtraction in the exponent), subnormal entries stored as 0."""
@@ -159,113 +125,12 @@ def _group_penalty_row(h: np.ndarray) -> np.ndarray:
     return 0.5 / np.sqrt(np.maximum(h, EMPTY_COLUMN_MASS))
 
 
-def transport_objective(plan: np.ndarray, values: np.ndarray) -> float:
-    """<T, C>."""
-    return float(np.sum(plan * values))
-
-
-def entropy_term(plan: np.ndarray) -> float:
-    """Sum of t * log t with the 0 * log 0 = 0 convention."""
-    positive = plan[plan > 0]
-    return float(np.sum(positive * np.log(positive)))
-
-
-def group_term(h: np.ndarray) -> float:
-    """Sum of sqrt(h_k)."""
-    return float(np.sum(np.sqrt(np.maximum(h, 0.0))))
-
-
-def ost_frame(v, cost: CostMatrix):
-    """Unregularized transport onto Dirac targets: row argmin assignment.
-
-    Returns (TransportPlan, h) where h_k collects the mass of all bins
-    assigned to column k. O(M*K) for the argmin scan, O(M) given
-    precomputed row argmins.
-    """
-    v = _check_frame(v, cost)
-    plan, h, _ = _assign(cost.values, v)
-    return _wrap_plan(plan, cost), h
-
-
-def ost_entropic_frame(v, cost: CostMatrix, lambda_e: float):
-    """Entropy-smoothed transport: t_ik = v_i * softmax_k(-c_ik/lambda_e)."""
-    if lambda_e <= 0:
-        raise ValueError("lambda_e must be positive (use ost_frame for the hard limit)")
-    v = _check_frame(v, cost)
-    labels = _softmax_labels(cost.values, lambda_e)
-    plan = v[:, None] * labels
-    h = labels.T @ v
-    return _wrap_plan(plan, cost), h
-
-
-def ost_group_frame(v, cost: CostMatrix, config: SolverConfig, return_trace: bool = False):
-    """Group-sparse transport by majorization-minimization.
-
-    Starting from the plain assignment, each iteration linearizes the
-    concave penalty sum_k sqrt(h_k) at the current column masses and
-    re-solves the assignment against C + lambda_g * R. The penalized
-    objective <T, C> + lambda_g * sum_k sqrt(h_k) never increases.
-
-    With return_trace=True also returns the penalized objective after the
-    initial solve and after every iteration.
-    """
-    v = _check_frame(v, cost)
-    values = cost.values
-    lam = config.lambda_g
-    plan, h, _ = _assign(values, v)
-    trace = [transport_objective(plan, values) + lam * group_term(h)]
-    for _ in range(config.mm_iterations):
-        r = _group_penalty_row(h)
-        plan, h, _ = _assign(values + lam * r[None, :], v)
-        trace.append(transport_objective(plan, values) + lam * group_term(h))
-    wrapped = _wrap_plan(plan, cost)
-    if return_trace:
-        return wrapped, h, np.array(trace)
-    return wrapped, h
-
-
-def ost_combined_frame(v, cost: CostMatrix, config: SolverConfig, return_trace: bool = False):
-    """Entropy-smoothed MM: the group loop of ost_group_frame with the
-    entropic solve as the inner step. The doubly-penalized objective
-    <T, C> + lambda_e * sum t log t + lambda_g * sum sqrt(h_k) is
-    non-increasing across outer iterations."""
-    if config.lambda_e <= 0:
-        raise ValueError("lambda_e must be positive for the combined solver")
-    v = _check_frame(v, cost)
-    values = cost.values
-    lam_e, lam_g = config.lambda_e, config.lambda_g
-
-    def solve(modified):
-        labels = _softmax_labels(modified, lam_e)
-        plan = v[:, None] * labels
-        return plan, labels.T @ v
-
-    def objective(plan, h):
-        return (transport_objective(plan, values)
-                + lam_e * entropy_term(plan) + lam_g * group_term(h))
-
-    plan, h = solve(values)
-    trace = [objective(plan, h)]
-    for _ in range(config.mm_iterations):
-        r = _group_penalty_row(h)
-        plan, h = solve(values + lam_g * r[None, :])
-        trace.append(objective(plan, h))
-    wrapped = _wrap_plan(plan, cost)
-    if return_trace:
-        return wrapped, h, np.array(trace)
-    return wrapped, h
-
-
-def _wrap_plan(plan: np.ndarray, cost: CostMatrix) -> TransportPlan:
-    return TransportPlan(plan=plan, row_freqs=cost.row_freqs,
-                         col_fundamentals=cost.col_freqs)
-
-
 def _column_masses(labels: np.ndarray, frames: np.ndarray, k: int) -> np.ndarray:
     """K x n masses of frames (M x n) whose row i goes to column labels[f, i]
     (labels n x M, or one M-vector for all frames). One flat bincount visits
     frame after frame, rows ascending, so each (column, frame) cell sums its
-    rows in ascending order from 0.0, as the per-frame oracles' bincount."""
+    rows in ascending order from 0.0, as the bincount of
+    tests/oracles.py's per-frame solvers."""
     n = frames.shape[1]
     cells = labels + np.arange(0, n * k, k)[:, None]
     return np.bincount(cells.ravel(), weights=frames.T.ravel(),
@@ -273,9 +138,9 @@ def _column_masses(labels: np.ndarray, frames: np.ndarray, k: int) -> np.ndarray
 
 
 def _hard_assign(values: np.ndarray, v: np.ndarray, active: np.ndarray) -> np.ndarray:
-    """ost_frame's masses for the columns `active` of v (M x N): the block
-    driver with no step, so that the cell index array stays within one
-    block."""
+    """The masses of tests/oracles.py's ost_frame for the columns `active`
+    of v (M x N): the block driver with no step, so that the cell index
+    array stays within one block."""
     labels = np.argmin(values, axis=1)
     k = values.shape[1]
     return _mm_blocks(v, active, k, 0,
@@ -309,11 +174,12 @@ def _mm_blocks(v: np.ndarray, active: np.ndarray, k: int, iterations: int,
 
 def _group_mm(values: np.ndarray, v: np.ndarray, active: np.ndarray,
               config: SolverConfig) -> np.ndarray:
-    """ost_group_frame's masses for the columns `active` of v (M x N), bit
-    for bit, each step taking a frame's argmin only over the columns that can
-    still win one of its rows. With penalty p and the previous step's labels l
-    (the unpenalised argmin before the first step), every row's new minimum
-    is at most bound = max_i fl(c_{i,l_i} + p_{l_i}). Float addition rounds
+    """The masses of tests/oracles.py's ost_group_frame for the columns
+    `active` of v (M x N), bit for bit, each step taking a frame's argmin
+    only over the columns that can still win one of its rows. With penalty
+    p and the previous step's labels l (the unpenalised argmin before the
+    first step), every row's new minimum is at most
+    bound = max_i fl(c_{i,l_i} + p_{l_i}). Float addition rounds
     monotonically, so a column with fl(min_i c_ik + p_k) > bound costs more
     than bound on every row: it is never a row's minimum, nor ties it.
 
@@ -377,9 +243,10 @@ def _gathered_labels(by_column, pen, cols, frames):
 
 def _combined_mm(values: np.ndarray, v: np.ndarray, active: np.ndarray,
                  config: SolverConfig) -> np.ndarray:
-    """ost_combined_frame's masses for the columns `active` of v (M x N), by
-    the factorised step H = W * E^T (V / E W) over blocks of frames. Every
-    iteration runs: the entropic loop has no exact fixed point.
+    """The masses of tests/oracles.py's ost_combined_frame for the columns
+    `active` of v (M x N), by the factorised step H = W * E^T (V / E W) over
+    blocks of frames. Every iteration runs: the entropic loop has no exact
+    fixed point.
 
     Both products run over the support, the columns whose weight is nonzero
     in some frame of the block; the others get mass exactly 0, as in the
@@ -420,9 +287,9 @@ def _combined_mm(values: np.ndarray, v: np.ndarray, active: np.ndarray,
 
 def _add_underflowed_rows(h, values, block, pen, under, lam_e):
     """Add to h the mass of the (row, frame) pairs flagged in `under`, each
-    row solved by the softmax ost_combined_frame evaluates. All pairs are
-    solved together, M at a time, so the temporaries stay within one M x K
-    matrix."""
+    row solved by the softmax that tests/oracles.py's ost_combined_frame
+    evaluates. All pairs are solved together, M at a time, so the
+    temporaries stay within one M x K matrix."""
     m, n = under.shape
     rows, cols = np.divmod(np.flatnonzero(under), n)
     for lo in range(0, rows.size, m):
@@ -438,9 +305,10 @@ def unmix(frames: NormalizedFrames, cost: CostMatrix,
     """Solve every active frame column with one batched kernel per variant
     (see the module docstring); masked frames yield zero columns.
 
-    `ost` and `ost_g` match ost_frame and ost_group_frame bit for bit;
-    `ost_eg` sums in another order and matches ost_combined_frame to
-    rounding. Raises NumericError if the activations are not finite.
+    `ost` and `ost_g` match ost_frame and ost_group_frame of
+    tests/oracles.py bit for bit; `ost_eg` sums in another order and
+    matches its ost_combined_frame to rounding. Raises NumericError if the
+    activations are not finite.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")

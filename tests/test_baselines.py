@@ -14,9 +14,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ost.baselines import (KL_FLOOR, LP_MIN_TOL, LpProblem, OT_LP_MAX_BINS,
-                           PLCA_MAX_ITER, PLCA_REL_TOL, _reduced_lp_frame,
-                           kl_divergence, ot_unmix_lp, plca_unmix, solve_lp,
+from ost.baselines import (LP_MIN_TOL, LpProblem, OT_LP_MAX_BINS, PLCA_MAX_ITER,
+                           PLCA_REL_TOL, _unmix_lp_frame, kl_divergence,
+                           ot_unmix_lp, plca_unmix, solve_lp,
                            wasserstein_divergence)
 from ost.costs import (CostMatrix, append_noise_column, harmonic_cost,
                        quadratic_cost)
@@ -25,9 +25,10 @@ from ost.errors import (LpGuardError, LpInfeasibleError, LpUnboundedError,
                         NumericError)
 from ost.evaluation import l1_activation_error, make_toy_scenario
 from ost.frontend import NormalizedFrames
-from ost.solvers import MM_BLOCK_FRAMES, ost_frame, transport_objective
+from ost.solvers import MM_BLOCK_FRAMES
 
 from helpers import active_copy, partly_masked_frames, traced_peak
+from oracles import ost_frame, plca_frame, reduced_lp, transport_objective
 
 
 def enumerate_lp_vertices(objective, eq_matrix, eq_rhs):
@@ -214,26 +215,6 @@ class TestPlcaUnmix:
                 plca_unmix(frames, disjoint_dictionary(12, 3))
 
 
-def plca_frame_reference(v, w, max_iter, rel_tol):
-    """The per-frame EM loop plca_unmix batches: returns (h, trace)."""
-    k = w.shape[1]
-    h = np.full(k, 1.0 / k)
-    trace = []
-    prev = None
-    for _ in range(max_iter):
-        vhat = np.maximum(w @ h, KL_FLOOR)
-        h = h * (w.T @ (v / vhat))
-        total = h.sum()
-        if total > 0:
-            h /= total
-        obj = kl_divergence(v, np.maximum(w @ h, KL_FLOOR))
-        trace.append(obj)
-        if prev is not None and abs(prev - obj) <= rel_tol * max(abs(prev), KL_FLOOR):
-            break
-        prev = obj
-    return h, np.array(trace)
-
-
 def random_dictionary(rng, m, k):
     templates = rng.uniform(0.0, 1.0, size=(m, k)) ** 4
     templates /= templates.sum(axis=0)
@@ -249,19 +230,18 @@ class TestBatchedPlca:
         max_iter = kwargs.get("max_iter", PLCA_MAX_ITER)
         rel_tol = kwargs.get("rel_tol", PLCA_REL_TOL)
         acts, state = plca_unmix(frames, d, **kwargs)
-        np.testing.assert_array_equal(acts.values, state.h_matrix)
         for j in range(frames.n_frames):
             trace = state.objective_traces[j]
             if not frames.active_mask[j]:
                 np.testing.assert_array_equal(acts.values[:, j], 0.0)
                 assert state.iterations[j] == 0 and trace.size == 0
                 continue
-            h, ref_trace = plca_frame_reference(frames.columns[:, j],
-                                                d.templates, max_iter, rel_tol)
+            h, ref_trace = plca_frame(frames.columns[:, j], d.templates,
+                                      max_iter, rel_tol)
             np.testing.assert_allclose(acts.values[:, j], h, rtol=0, atol=1e-12)
             assert state.iterations[j] == ref_trace.size == trace.size
             np.testing.assert_allclose(trace, ref_trace, rtol=1e-12, atol=1e-12)
-        return state
+        return acts, state
 
     def test_blocks_with_masked_edges_sparse_support_and_spread_stops(self):
         rng = np.random.default_rng(11)
@@ -277,7 +257,7 @@ class TestBatchedPlca:
         mask[edges] = False
         columns[:, edges] = 0.0
         frames = NormalizedFrames(columns=columns, active_mask=mask)
-        state = self.assert_matches_reference(frames, d)
+        _, state = self.assert_matches_reference(frames, d)
         assert np.unique(state.iterations[mask]).size > 10
         assert state.iterations.max() < PLCA_MAX_ITER
 
@@ -293,8 +273,8 @@ class TestBatchedPlca:
                                   active_mask=np.ones(3, dtype=bool))
         # every frame is solved in one step, so at rel_tol=0 the repeated
         # objective stops it at the second iteration
-        state = self.assert_matches_reference(frames, d, rel_tol=0.0)
-        np.testing.assert_array_equal(state.h_matrix[:, 1], 0.0)
+        acts, state = self.assert_matches_reference(frames, d, rel_tol=0.0)
+        np.testing.assert_array_equal(acts.values[:, 1], 0.0)
         np.testing.assert_array_equal(state.iterations, 2)
 
     def test_single_iteration(self):
@@ -302,8 +282,8 @@ class TestBatchedPlca:
         columns = rng.dirichlet(np.ones(20), size=5).T
         frames = NormalizedFrames(columns=columns,
                                   active_mask=np.ones(5, dtype=bool))
-        state = self.assert_matches_reference(frames, random_dictionary(rng, 20, 4),
-                                              max_iter=1)
+        _, state = self.assert_matches_reference(frames, random_dictionary(rng, 20, 4),
+                                                 max_iter=1)
         np.testing.assert_array_equal(state.iterations, 1)
 
     def test_zero_tolerance_runs_to_the_cap(self):
@@ -313,14 +293,14 @@ class TestBatchedPlca:
         columns = rng.dirichlet(np.ones(20), size=6).T
         frames = NormalizedFrames(columns=columns,
                                   active_mask=np.ones(6, dtype=bool))
-        state = self.assert_matches_reference(frames, random_dictionary(rng, 20, 4),
-                                              max_iter=25, rel_tol=0.0)
+        _, state = self.assert_matches_reference(frames, random_dictionary(rng, 20, 4),
+                                                 max_iter=25, rel_tol=0.0)
         np.testing.assert_array_equal(state.iterations, 25)
 
     def test_single_frame(self):
         rng = np.random.default_rng(14)
         frames = single_frame(rng.dirichlet(np.ones(64)))
-        state = self.assert_matches_reference(frames, random_dictionary(rng, 64, 9))
+        _, state = self.assert_matches_reference(frames, random_dictionary(rng, 64, 9))
         assert state.iterations[0] > 2
 
     @staticmethod
@@ -341,8 +321,8 @@ class TestBatchedPlca:
         columns = rng.dirichlet(np.full(m, 0.5), size=n).T
         columns[4:, 0] = 0.0
         columns[:, :n // 2] = columns[:, :1] / columns[:, 0].sum()
-        stops = [plca_frame_reference(columns[:, j], templates, max_iter,
-                                      PLCA_REL_TOL)[1].size for j in range(n)]
+        stops = [plca_frame(columns[:, j], templates, max_iter, PLCA_REL_TOL)[1].size
+                 for j in range(n)]
         order = np.argsort(stops, kind="stable")
         frames = NormalizedFrames(columns=columns[:, order],
                                   active_mask=np.ones(n, dtype=bool))
@@ -354,7 +334,7 @@ class TestBatchedPlca:
         max_iter = 60
         frames, d = self.queue_by_stop(np.random.default_rng(15),
                                        3 * MM_BLOCK_FRAMES + 5, max_iter)
-        state = self.assert_matches_reference(frames, d, max_iter=max_iter)
+        _, state = self.assert_matches_reference(frames, d, max_iter=max_iter)
         assert state.iterations[0] == 2
         assert state.iterations[-1] == max_iter
         assert (state.iterations == max_iter).sum() > 1
@@ -628,25 +608,24 @@ class TestOtUnmixLp:
         fundamentals = np.array([110.0, 220.0, 330.0, 550.0])
         cost = harmonic_cost(freqs, fundamentals, eps0=3.0)
         columns = rng.dirichlet(np.ones(24), size=4).T
-        frames = NormalizedFrames(columns=columns,
-                                  active_mask=np.ones(4, dtype=bool))
-        acts, details = ot_unmix_lp(frames, None, cost, return_detail=True)
         for n in range(4):
-            plan, h = ost_frame(columns[:, n], cost)
-            np.testing.assert_allclose(acts.values[:, n], h, atol=1e-9)
-            assert details[n]["objective"] == pytest.approx(
-                transport_objective(plan.plan, cost.values), abs=1e-9)
+            plan, h, _ = ost_frame(columns[:, n], cost)
+            h_lp, _, objective = reduced_lp(columns[:, n], cost.values)
+            np.testing.assert_allclose(h_lp, h, atol=1e-9)
+            assert objective == pytest.approx(
+                transport_objective(plan, cost.values), abs=1e-9)
 
     def test_harmonic_route_identity_frame(self):
         # frame equal to a stored column: zero-cost diagonal plan, Dirac h
         d = disjoint_dictionary(12, 3)
         freqs = np.arange(1.0, 13.0)
         cost = quadratic_cost(freqs, freqs)
-        acts, details = ot_unmix_lp(single_frame(d.templates[:, 1]), d, cost,
-                                    return_detail=True)
+        acts = ot_unmix_lp(single_frame(d.templates[:, 1]), d, cost)
         np.testing.assert_allclose(acts.values[:, 0], [0.0, 1.0, 0.0],
                                    atol=1e-9)
-        assert details[0]["objective"] == pytest.approx(0.0, abs=1e-12)
+        _, _, objective = _unmix_lp_frame(d.templates[:, 1], d.templates,
+                                          cost.values)
+        assert objective == pytest.approx(0.0, abs=1e-12)
 
     def test_harmonic_route_recovers_disjoint_mixture(self):
         d = disjoint_dictionary(12, 3)
@@ -657,7 +636,6 @@ class TestOtUnmixLp:
         np.testing.assert_allclose(acts.values[:, 0], h_true, atol=1e-9)
 
     def test_noise_column_receives_unexplained_mass(self):
-        from ost.costs import append_noise_column
         freqs = np.array([100.0, 500.0])
         cost = append_noise_column(harmonic_cost(freqs, [100.0], eps0=1.0),
                                    amplitude=10.0)
@@ -665,18 +643,20 @@ class TestOtUnmixLp:
         # (q=5): min((500-500)^2 + 5, 10) = 5, so tune amplitude below that
         cheap = append_noise_column(harmonic_cost(freqs, [100.0], eps0=1.0),
                                     amplitude=2.0)
-        acts = ot_unmix_lp(single_frame([0.6, 0.4]), None, cheap)
-        np.testing.assert_allclose(acts.values[:, 0], [0.6, 0.4], atol=1e-9)
-        acts2 = ot_unmix_lp(single_frame([0.6, 0.4]), None, cost)
-        np.testing.assert_allclose(acts2.values[:, 0], [1.0, 0.0], atol=1e-9)
+        v = np.array([0.6, 0.4])
+        np.testing.assert_allclose(reduced_lp(v, cheap.values)[0], [0.6, 0.4],
+                                   atol=1e-9)
+        np.testing.assert_allclose(reduced_lp(v, cost.values)[0], [1.0, 0.0],
+                                   atol=1e-9)
 
     def test_guard_on_bin_count(self):
         m = OT_LP_MAX_BINS + 1
         frames = NormalizedFrames(columns=np.full((m, 1), 1.0 / m),
                                   active_mask=np.array([True]))
-        cost = harmonic_cost(np.arange(1.0, m + 1.0), [100.0], eps0=1.0)
+        freqs = np.arange(1.0, m + 1.0)
+        d = Dictionary(fundamentals=[1.0], templates=np.full((m, 1), 1.0 / m))
         with pytest.raises(LpGuardError):
-            ot_unmix_lp(frames, None, cost)
+            ot_unmix_lp(frames, d, harmonic_cost(freqs, freqs, eps0=1.0))
 
     def test_harmonic_dictionary_needs_square_cost(self):
         d = disjoint_dictionary(12, 3)
@@ -687,12 +667,14 @@ class TestOtUnmixLp:
 
     def test_masked_frames_left_zero(self):
         freqs = np.array([100.0, 200.0, 400.0])
-        cost = harmonic_cost(freqs, [100.0, 200.0], eps0=1.0)
+        cost = harmonic_cost(freqs, freqs, eps0=1.0)
+        d = Dictionary(fundamentals=[100.0, 200.0],
+                       templates=[[0.5, 0.0], [0.25, 0.5], [0.25, 0.5]])
         columns = np.column_stack([np.array([0.5, 0.25, 0.25]),
                                    np.zeros(3)])
         frames = NormalizedFrames(columns=columns,
                                   active_mask=np.array([True, False]))
-        acts = ot_unmix_lp(frames, None, cost)
+        acts = ot_unmix_lp(frames, d, cost)
         np.testing.assert_array_equal(acts.values[:, 1], 0.0)
         assert acts.values[:, 0].sum() == pytest.approx(1.0)
 
@@ -715,7 +697,8 @@ def tied_costs(name):
 
 
 class TestClosedFormAgainstLp:
-    """ost_frame against the exact reduced LP on costs with exact ties.
+    """The ost_frame oracle against the exact reduced LP on costs with exact
+    ties.
 
     With ties the optimal h is not unique, so the closed form is checked
     by its objective and by the row marginals of both plans."""
@@ -735,11 +718,11 @@ class TestClosedFormAgainstLp:
             v[rng.choice(m, size=m // 4, replace=False)] = 0.0
             frames.append(v / v.sum())
         for v in frames:
-            plan, h = ost_frame(v, cost)
-            h_lp, lp_plan, objective = _reduced_lp_frame(v, values)
-            assert transport_objective(plan.plan, values) == pytest.approx(
+            plan, h, _ = ost_frame(v, cost)
+            h_lp, lp_plan, objective = reduced_lp(v, values)
+            assert transport_objective(plan, values) == pytest.approx(
                 objective, abs=1e-9)
-            np.testing.assert_allclose(plan.plan.sum(axis=1), v, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(plan.sum(axis=1), v, rtol=0, atol=1e-12)
             np.testing.assert_allclose(lp_plan.sum(axis=1), v, rtol=0, atol=1e-12)
             assert np.all(lp_plan >= 0)
             assert h.sum() == pytest.approx(1.0, abs=1e-12)

@@ -14,9 +14,10 @@ from ost.evaluation import (FrameClock, NoteEvent, PianoRoll, TOY_PAIR_A,
                             make_toy_scenario, parse_ground_truth,
                             threshold_activations, toy_fundamentals)
 from ost.frontend import NormalizedFrames
-from ost.solvers import Activations, SolverConfig, ost_frame, ost_group_frame
+from ost.solvers import Activations, SolverConfig
 
 from helpers import write_ground_truth
+from oracles import ost_frame, ost_group_frame
 
 
 class TestFrameClock:
@@ -285,7 +286,7 @@ class TestMakeToyScenario:
                                kernel_width_bins=1.0)
         cost = harmonic_cost(sc.freqs, sc.dictionary.fundamentals, eps0=1.0)
         config = SolverConfig(lambda_g=300.0, mm_iterations=10)
-        _, h = ost_group_frame(sc.frame, cost, config)
+        _, h, _ = ost_group_frame(sc.frame, cost, config)
         assert l1_activation_error(h, sc.h_true) < 1e-6
 
     def test_zero_shift_default_kernel_stays_tiny(self):
@@ -293,15 +294,15 @@ class TestMakeToyScenario:
         sc = make_toy_scenario("a", seed=0, shift_pct=0.0)
         cost = harmonic_cost(sc.freqs, sc.dictionary.fundamentals, eps0=1.0)
         config = SolverConfig(lambda_g=300.0, mm_iterations=10)
-        _, h = ost_group_frame(sc.frame, cost, config)
+        _, h, _ = ost_group_frame(sc.frame, cost, config)
         assert l1_activation_error(h, sc.h_true) < 1e-4
 
     def test_shifted_scenario_breaks_plain_transport_not_grouped(self):
         sc = make_toy_scenario("a", seed=0)
         cost = harmonic_cost(sc.freqs, sc.dictionary.fundamentals, eps0=1.0)
         config = SolverConfig(lambda_g=300.0, mm_iterations=10)
-        _, h_plain = ost_frame(sc.frame, cost)
-        _, h_group = ost_group_frame(sc.frame, cost, config)
+        _, h_plain, _ = ost_frame(sc.frame, cost)
+        _, h_group, _ = ost_group_frame(sc.frame, cost, config)
         assert l1_activation_error(h_group, sc.h_true) < 0.1
         assert l1_activation_error(h_plain, sc.h_true) > 0.3
 
@@ -309,7 +310,7 @@ class TestMakeToyScenario:
         sc = make_toy_scenario("a", seed=0)
         cost = harmonic_cost(sc.freqs, sc.dictionary.fundamentals, eps0=1.0)
         config = SolverConfig(lambda_g=300.0, mm_iterations=10)
-        _, h_group = ost_group_frame(sc.frame, cost, config)
+        _, h_group, _ = ost_group_frame(sc.frame, cost, config)
         frames = NormalizedFrames(columns=sc.frame[:, None],
                                   active_mask=np.array([True]))
         acts, _ = plca_unmix(frames, sc.dictionary)

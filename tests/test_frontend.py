@@ -455,6 +455,14 @@ class TestContainers:
         np.testing.assert_array_equal(frames.freqs, [1.0, 2.0, 3.0])
         assert frames.n_frames == 2
 
+    def test_normalized_frames_reject_freqs_of_another_length(self):
+        # rejected where the frames are made, not later as a row mismatch
+        # against a cost or a dictionary
+        for freqs in ([1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [[1.0, 2.0, 3.0]]):
+            with pytest.raises(ValueError, match="freqs length"):
+                NormalizedFrames(columns=np.ones((3, 2)) / 3.0,
+                                 active_mask=np.array([True, True]), freqs=freqs)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5])
     def test_normalized_frames_reject_non_finite_and_negative(self, bad):
         columns = np.full((3, 2), 1.0 / 3.0)

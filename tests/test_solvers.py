@@ -6,9 +6,9 @@ Oracles used here:
   c_ik + lambda_e * (1 + log t_ik) must be constant across the columns that
   carry mass, which pins the row softmax as the unique optimum;
 - the penalized-objective traces for the MM loops, which must never increase;
-- the per-frame solvers for the batched kernels of `unmix`: bit for bit
-  for ost and ost_g, within 1e-12 for ost_eg (its factorised step sums in another
-  order).
+- the per-frame solvers of tests/oracles.py for the batched kernels of
+  `unmix`: bit for bit for ost and ost_g, within 1e-12 for ost_eg (its
+  factorised step sums in another order).
 """
 
 import warnings
@@ -22,13 +22,13 @@ from ost.dictionary import midi_range_fundamentals
 from ost.errors import NumericError
 from ost.evaluation import NoteEvent
 from ost.frontend import NormalizedFrames, normalize_frames, stft_magnitude
-from ost.solvers import (MM_BLOCK_FRAMES, Activations, SolverConfig, TransportPlan,
-                         entropy_term, group_term, ost_combined_frame,
-                         ost_entropic_frame, ost_frame, ost_group_frame,
-                         transport_objective, unmix)
+from ost.solvers import MM_BLOCK_FRAMES, Activations, SolverConfig, unmix
 from ost.synth import render_notes
 
 from helpers import active_copy, partly_masked_frames, traced_peak
+from oracles import (entropy_term, group_term, ost_combined_frame,
+                     ost_entropic_frame, ost_frame, ost_group_frame,
+                     transport_objective)
 
 
 def toy_cost(values):
@@ -50,19 +50,19 @@ class TestOstFrame:
                          [1.0, 0.0],
                          [5.0, 2.0]])
         v = np.array([0.5, 0.3, 0.2])
-        plan, h = ost_frame(v, cost)
-        np.testing.assert_array_equal(plan.plan, [[0.5, 0.0],
-                                                  [0.0, 0.3],
-                                                  [0.0, 0.2]])
+        plan, h, _ = ost_frame(v, cost)
+        np.testing.assert_array_equal(plan, [[0.5, 0.0],
+                                             [0.0, 0.3],
+                                             [0.0, 0.2]])
         np.testing.assert_allclose(h, [0.5, 0.5], atol=0)
-        assert transport_objective(plan.plan, cost.values) == pytest.approx(0.4)
+        assert transport_objective(plan, cost.values) == pytest.approx(0.4)
 
     def test_matches_scalar_argmin_loop(self):
         rng = np.random.default_rng(1)
         for _ in range(25):
             m, k = rng.integers(1, 20), rng.integers(1, 9)
             v, cost = random_instance(rng, m, k)
-            _, h = ost_frame(v, cost)
+            _, h, _ = ost_frame(v, cost)
             expected = np.zeros(k)
             for i in range(m):
                 expected[min(range(k), key=lambda j: cost.values[i, j])] += v[i]
@@ -71,14 +71,14 @@ class TestOstFrame:
     def test_marginals(self):
         rng = np.random.default_rng(2)
         v, cost = random_instance(rng, 30, 7)
-        plan, h = ost_frame(v, cost)
-        np.testing.assert_allclose(plan.plan.sum(axis=1), v, atol=1e-15)
-        np.testing.assert_allclose(plan.plan.sum(axis=0), h, atol=1e-15)
+        plan, h, _ = ost_frame(v, cost)
+        np.testing.assert_allclose(plan.sum(axis=1), v, atol=1e-15)
+        np.testing.assert_allclose(plan.sum(axis=0), h, atol=1e-15)
         assert h.sum() == pytest.approx(v.sum())
 
     def test_ties_break_to_lowest_column(self):
         cost = toy_cost([[3.0, 3.0, 3.0]])
-        _, h = ost_frame(np.array([1.0]), cost)
+        _, h, _ = ost_frame(np.array([1.0]), cost)
         np.testing.assert_array_equal(h, [1.0, 0.0, 0.0])
 
     def test_row_constant_shift_leaves_assignment_alone(self):
@@ -86,23 +86,16 @@ class TestOstFrame:
         v, cost = random_instance(rng, 12, 5)
         shifts = rng.uniform(0.0, 10.0, size=12)
         shifted = toy_cost(cost.values + shifts[:, None])
-        _, h = ost_frame(v, cost)
-        _, h_shifted = ost_frame(v, shifted)
+        _, h, _ = ost_frame(v, cost)
+        _, h_shifted, _ = ost_frame(v, shifted)
         np.testing.assert_array_equal(h, h_shifted)
-
-    def test_rejects_bad_frames(self):
-        cost = toy_cost([[0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(ValueError):
-            ost_frame(np.array([0.5, -0.5]), cost)
-        with pytest.raises(ValueError):
-            ost_frame(np.array([1.0]), cost)
 
 
 class TestEntropicFrame:
     def test_single_bin_two_target_example(self):
         lam = 2.0
         cost = toy_cost([[0.0, lam * np.log(3.0)]])
-        _, h = ost_entropic_frame(np.array([1.0]), cost, lam)
+        _, h, _ = ost_entropic_frame(np.array([1.0]), cost, lam)
         np.testing.assert_allclose(h, [0.75, 0.25], atol=1e-12)
 
     def test_kkt_stationarity(self):
@@ -112,27 +105,27 @@ class TestEntropicFrame:
         rng = np.random.default_rng(10)
         for lam in (0.3, 1.0, 7.0):
             v, cost = random_instance(rng, 15, 6)
-            plan, h = ost_entropic_frame(v, cost, lam)
+            plan, h, _ = ost_entropic_frame(v, cost, lam)
             for i in range(15):
-                row = plan.plan[i]
+                row = plan[i]
                 if v[i] == 0:
                     continue
                 mult = cost.values[i] + lam * (1.0 + np.log(row))
                 assert mult.max() - mult.min() < 1e-8
-            np.testing.assert_allclose(plan.plan.sum(axis=1), v, atol=1e-12)
-            np.testing.assert_allclose(plan.plan.sum(axis=0), h, atol=1e-12)
+            np.testing.assert_allclose(plan.sum(axis=1), v, atol=1e-12)
+            np.testing.assert_allclose(plan.sum(axis=0), h, atol=1e-12)
 
     def test_small_lambda_approaches_hard_assignment(self):
         rng = np.random.default_rng(11)
         v, cost = random_instance(rng, 20, 5)
-        _, h_hard = ost_frame(v, cost)
-        _, h_soft = ost_entropic_frame(v, cost, 1e-9)
+        _, h_hard, _ = ost_frame(v, cost)
+        _, h_soft, _ = ost_entropic_frame(v, cost, 1e-9)
         np.testing.assert_allclose(h_soft, h_hard, atol=1e-6)
 
     def test_large_lambda_approaches_uniform(self):
         rng = np.random.default_rng(12)
         v, cost = random_instance(rng, 20, 5)
-        _, h = ost_entropic_frame(v, cost, 1e12)
+        _, h, _ = ost_entropic_frame(v, cost, 1e12)
         np.testing.assert_allclose(h, 0.2, atol=1e-6)
 
     def test_row_shift_invariance(self):
@@ -141,24 +134,17 @@ class TestEntropicFrame:
         shifts = rng.uniform(0.0, 4.0, size=10)
         base = toy_cost(cost.values)
         shifted = toy_cost(cost.values + shifts[:, None])
-        _, h0 = ost_entropic_frame(v, base, 0.7)
-        _, h1 = ost_entropic_frame(v, shifted, 0.7)
+        _, h0, _ = ost_entropic_frame(v, base, 0.7)
+        _, h1, _ = ost_entropic_frame(v, shifted, 0.7)
         np.testing.assert_allclose(h0, h1, atol=1e-12)
 
     def test_joint_scaling_invariance(self):
         # scaling cost and lambda_e together cancels inside the softmax
         rng = np.random.default_rng(14)
         v, cost = random_instance(rng, 10, 4)
-        _, h0 = ost_entropic_frame(v, cost, 0.9)
-        _, h1 = ost_entropic_frame(v, toy_cost(37.0 * cost.values), 37.0 * 0.9)
+        _, h0, _ = ost_entropic_frame(v, cost, 0.9)
+        _, h1, _ = ost_entropic_frame(v, toy_cost(37.0 * cost.values), 37.0 * 0.9)
         np.testing.assert_allclose(h0, h1, atol=1e-12)
-
-    def test_requires_positive_lambda(self):
-        cost = toy_cost([[0.0, 1.0]])
-        with pytest.raises(ValueError):
-            ost_entropic_frame(np.array([1.0]), cost, 0.0)
-        with pytest.raises(ValueError):
-            ost_entropic_frame(np.array([1.0]), cost, -1.0)
 
 
 class TestGroupFrame:
@@ -169,7 +155,7 @@ class TestGroupFrame:
             v, cost = random_instance(rng, m, k)
             lam = 10.0 ** rng.uniform(-2, 2)
             config = SolverConfig(lambda_g=lam, mm_iterations=12)
-            _, _, trace = ost_group_frame(v, cost, config, return_trace=True)
+            _, _, trace = ost_group_frame(v, cost, config)
             assert trace.size == 13
             assert np.all(np.diff(trace) <= 1e-12)
 
@@ -179,24 +165,24 @@ class TestGroupFrame:
         cost = toy_cost([[0.0, 0.1],
                          [0.1, 0.0]])
         v = np.array([0.6, 0.4])
-        _, h_plain = ost_frame(v, cost)
+        _, h_plain, _ = ost_frame(v, cost)
         np.testing.assert_allclose(h_plain, [0.6, 0.4])
         config = SolverConfig(lambda_g=1.0, mm_iterations=10)
-        _, h = ost_group_frame(v, cost, config)
+        _, h, _ = ost_group_frame(v, cost, config)
         np.testing.assert_allclose(h, [1.0, 0.0], atol=0)
 
     def test_zero_lambda_reduces_to_plain(self):
         rng = np.random.default_rng(21)
         v, cost = random_instance(rng, 15, 5)
-        _, h_plain = ost_frame(v, cost)
-        _, h = ost_group_frame(v, cost, SolverConfig(lambda_g=0.0))
+        _, h_plain, _ = ost_frame(v, cost)
+        _, h, _ = ost_group_frame(v, cost, SolverConfig(lambda_g=0.0))
         np.testing.assert_array_equal(h, h_plain)
 
     def test_mass_conserved(self):
         rng = np.random.default_rng(22)
         v, cost = random_instance(rng, 18, 6)
-        plan, h = ost_group_frame(v, cost, SolverConfig(lambda_g=5.0))
-        np.testing.assert_allclose(plan.plan.sum(axis=1), v, atol=1e-15)
+        plan, h, _ = ost_group_frame(v, cost, SolverConfig(lambda_g=5.0))
+        np.testing.assert_allclose(plan.sum(axis=1), v, atol=1e-15)
         assert h.sum() == pytest.approx(1.0)
 
 
@@ -209,22 +195,16 @@ class TestCombinedFrame:
             config = SolverConfig(lambda_e=10.0 ** rng.uniform(-1.5, 1.5),
                                   lambda_g=10.0 ** rng.uniform(-2, 2),
                                   mm_iterations=12)
-            _, _, trace = ost_combined_frame(v, cost, config, return_trace=True)
+            _, _, trace = ost_combined_frame(v, cost, config)
             assert np.all(np.diff(trace) <= 1e-10)
 
     def test_zero_group_weight_matches_entropic(self):
         rng = np.random.default_rng(31)
         v, cost = random_instance(rng, 12, 5)
         config = SolverConfig(lambda_e=0.8, lambda_g=0.0)
-        _, h_combined = ost_combined_frame(v, cost, config)
-        _, h_entropic = ost_entropic_frame(v, cost, 0.8)
+        _, h_combined, _ = ost_combined_frame(v, cost, config)
+        _, h_entropic, _ = ost_entropic_frame(v, cost, 0.8)
         np.testing.assert_allclose(h_combined, h_entropic, atol=1e-15)
-
-    def test_requires_positive_lambda_e(self):
-        cost = toy_cost([[0.0, 1.0]])
-        with pytest.raises(ValueError):
-            ost_combined_frame(np.array([1.0]), cost,
-                               SolverConfig(lambda_e=0.0, lambda_g=1.0))
 
 
 class TestObjectiveHelpers:
@@ -294,13 +274,13 @@ class TestUnmix:
                 continue
             v = frames.columns[:, n]
             if variant == "ost":
-                _, h = ost_frame(v, cost)
+                _, h, _ = ost_frame(v, cost)
             elif variant == "ost_e":
-                _, h = ost_entropic_frame(v, cost, 0.6)
+                _, h, _ = ost_entropic_frame(v, cost, 0.6)
             elif variant == "ost_g":
-                _, h = ost_group_frame(v, cost, config)
+                _, h, _ = ost_group_frame(v, cost, config)
             else:
-                _, h = ost_combined_frame(v, cost, config)
+                _, h, _ = ost_combined_frame(v, cost, config)
             np.testing.assert_allclose(acts.values[:, n], h, atol=1e-12)
 
     def test_all_frames_masked(self):
@@ -373,7 +353,7 @@ def oracle_masses(frames, cost, config, variant):
                  "ost_g": ost_group_frame, "ost_eg": ost_combined_frame}
     out = np.zeros((cost.values.shape[1], frames.n_frames))
     for n in np.flatnonzero(frames.active_mask):
-        _, out[:, n] = per_frame[variant](frames.columns[:, n], cost, config)
+        _, out[:, n], _ = per_frame[variant](frames.columns[:, n], cost, config)
     return out
 
 
@@ -382,8 +362,8 @@ def fixed_point_step(v, cost, config):
     step's, or None if there is none within config.mm_iterations."""
     previous = ost_frame(v, cost)[1]
     for t in range(1, config.mm_iterations + 1):
-        _, h = ost_group_frame(v, cost, SolverConfig(lambda_g=config.lambda_g,
-                                                     mm_iterations=t))
+        _, h, _ = ost_group_frame(v, cost, SolverConfig(lambda_g=config.lambda_g,
+                                                        mm_iterations=t))
         if np.array_equal(h, previous):
             return t
         previous = h
@@ -455,8 +435,7 @@ class TestBatchedMM:
             # every frame reaches its fixed point well before 50 iterations,
             # so the batched loop takes its early exit on all of them
             for n in np.flatnonzero(frames.active_mask):
-                _, _, trace = ost_group_frame(frames.columns[:, n], cost, config,
-                                              return_trace=True)
+                _, _, trace = ost_group_frame(frames.columns[:, n], cost, config)
                 assert trace[-1] == trace[-25]
 
     def test_group_mm_on_rendered_chords(self):
@@ -741,14 +720,6 @@ class TestBatchedMM:
 
 
 class TestContainersAndConfig:
-    def test_transport_plan_validation(self):
-        with pytest.raises(ValueError):
-            TransportPlan(plan=np.array([[-0.1]]), row_freqs=np.array([1.0]),
-                          col_fundamentals=np.array([1.0]))
-        with pytest.raises(ValueError):
-            TransportPlan(plan=np.zeros(3), row_freqs=np.array([1.0]),
-                          col_fundamentals=np.array([1.0]))
-
     def test_activations_validation(self):
         with pytest.raises(ValueError):
             Activations(values=np.array([[-1.0]]))
