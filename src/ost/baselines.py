@@ -165,8 +165,8 @@ def plca_unmix(frames: NormalizedFrames, dictionary: Dictionary,
         traces[j] = trace
     if not np.all(np.isfinite(out)):
         raise NumericError("plca produced non-finite activations")
-    acts = Activations(values=out, frame_hop_seconds=frames.frame_hop_seconds)
-    return acts, PlcaState(objective_traces=traces, iterations=iters)
+    return Activations(values=out), PlcaState(objective_traces=traces,
+                                              iterations=iters)
 
 
 def solve_lp(problem: LpProblem, tol: float = LP_TOL, guard: int = LP_GUARD):
@@ -203,6 +203,13 @@ def solve_lp(problem: LpProblem, tol: float = LP_TOL, guard: int = LP_GUARD):
     return x, float(problem.objective @ x)
 
 
+def _marginal_constraints(r, s):
+    """(r + s) x rs equality rows over a row-major r x s plan: the first r
+    sum its rows, the last s its columns."""
+    return np.vstack([np.kron(np.eye(r), np.ones((1, s))),
+                      np.kron(np.ones((1, r)), np.eye(s))])
+
+
 def wasserstein_divergence(v, vhat, cost: CostMatrix) -> float:
     """Exact transport divergence: LP optimum over plans with row marginal v
     and column marginal vhat."""
@@ -211,13 +218,8 @@ def wasserstein_divergence(v, vhat, cost: CostMatrix) -> float:
     r, s = cost.values.shape
     if v.size != r or vhat.size != s:
         raise ValueError("marginal lengths must match the cost shape")
-    n = r * s
-    eq = np.zeros((r + s, n))
-    for i in range(r):
-        eq[i, i * s:(i + 1) * s] = 1.0
-    for j in range(s):
-        eq[r + j, j::s] = 1.0
-    problem = LpProblem(objective=cost.values.ravel(), eq_matrix=eq,
+    problem = LpProblem(objective=cost.values.ravel(),
+                        eq_matrix=_marginal_constraints(r, s),
                         eq_rhs=np.concatenate([v, vhat]))
     _, objective = solve_lp(problem)
     return objective
@@ -227,13 +229,8 @@ def _unmix_lp_frame(v, w, cost_values):
     """Joint LP over (vec T, h): min <T,C> s.t. T 1 = v, T^T 1 = W h."""
     m = v.size
     k = w.shape[1]
-    n = m * m + k
-    eq = np.zeros((2 * m, n))
-    for i in range(m):
-        eq[i, i * m:(i + 1) * m] = 1.0          # row sums of T = v
-    for j in range(m):
-        eq[m + j, j:m * m:m] = 1.0              # column sums of T
-        eq[m + j, m * m:] = -w[j]               # ... equal (W h)_j
+    # row sums of T = v; column sums of T minus W h = 0
+    eq = np.hstack([_marginal_constraints(m, m), np.vstack([np.zeros((m, k)), -w])])
     rhs = np.concatenate([v, np.zeros(m)])
     problem = LpProblem(objective=np.concatenate([cost_values.ravel(), np.zeros(k)]),
                         eq_matrix=eq, eq_rhs=rhs)
@@ -259,4 +256,4 @@ def ot_unmix_lp(frames: NormalizedFrames, templates: Dictionary, cost: CostMatri
     for idx in np.flatnonzero(frames.active_mask):
         out[:, idx] = _unmix_lp_frame(frames.columns[:, idx], templates.templates,
                                       cost.values)[0]
-    return Activations(values=out, frame_hop_seconds=frames.frame_hop_seconds)
+    return Activations(values=out)

@@ -227,9 +227,7 @@ def decompose(frames: NormalizedFrames, config: RunConfig):
     acts = solve(config.method, frames, fundamentals, templates, config)
     if acts.values.shape[0] == len(labels):
         return acts, labels, acts
-    pitch_acts = Activations(values=acts.values[:len(labels)],
-                             frame_hop_seconds=acts.frame_hop_seconds)
-    return pitch_acts, labels + ["noise"], acts
+    return Activations(values=acts.values[:len(labels)]), labels + ["noise"], acts
 
 
 def load_frames(path, config: RunConfig):
@@ -255,6 +253,9 @@ def load_frames(path, config: RunConfig):
 
 def transcription_clock(frames: NormalizedFrames, config: RunConfig,
                         sample_rate: int) -> FrameClock:
+    """The time axis of frames from load_frames: frame n is centered at
+    (window_len / 2 + n * hop) / sample_rate seconds. The only place
+    transcribe and sweep place frames in time."""
     t0 = config.window_len / (2.0 * sample_rate)
     return FrameClock(n_frames=frames.n_frames,
                       hop_seconds=config.hop / sample_rate, t0=t0)
@@ -282,7 +283,7 @@ def cmd_transcribe(args) -> int:
     outdir = args.output_dir
     os.makedirs(outdir, exist_ok=True)
     act_path = os.path.join(outdir, base + ".activations.tsv")
-    tsvio.write_activations(act_path, acts, labels, t0=clock.t0)
+    tsvio.write_activations(act_path, acts, labels, clock)
     written = [act_path]
 
     report = None
@@ -292,7 +293,7 @@ def cmd_transcribe(args) -> int:
         estimate = threshold_activations(pitch_acts, truth)
         report = f_measure(estimate, truth)
         roll_path = os.path.join(outdir, base + ".pianoroll.tsv")
-        tsvio.write_pianoroll(roll_path, estimate, t0=clock.t0)
+        tsvio.write_pianoroll(roll_path, estimate, clock)
         written.append(roll_path)
     timings["total"] = sum(timings.values())
 
@@ -429,11 +430,9 @@ def cmd_sweep(args) -> int:
     val_slice, test_slice = slice(0, half), slice(half, frames.n_frames)
 
     def score(pitch_acts, report_slice):
-        sliced = Activations(values=pitch_acts.values[:, report_slice],
-                             frame_hop_seconds=pitch_acts.frame_hop_seconds)
+        sliced = Activations(values=pitch_acts.values[:, report_slice])
         ref = PianoRoll(active=truth.active[:, report_slice],
-                        midi_low=truth.midi_low, midi_high=truth.midi_high,
-                        frame_hop_seconds=truth.frame_hop_seconds)
+                        midi_low=truth.midi_low, midi_high=truth.midi_high)
         return f_measure(threshold_activations(sliced, ref), ref).f_measure
 
     rows, best = [], None
@@ -529,7 +528,7 @@ def cmd_eval(args) -> int:
     t0 = float(times[0]) if len(times) else 0.0
     clock = FrameClock(n_frames=values.shape[1], hop_seconds=hop, t0=t0)
     truth = load_ground_truth(args.ground_truth, (midi[0], midi[-1]), clock)
-    acts = Activations(values=values[pitch_rows], frame_hop_seconds=hop)
+    acts = Activations(values=values[pitch_rows])
     report = f_measure(threshold_activations(acts, truth), truth)
     print(f"precision={report.precision:.4f} recall={report.recall:.4f} "
           f"f_measure={report.f_measure:.4f} tp={report.tp} fp={report.fp} "

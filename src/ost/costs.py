@@ -10,33 +10,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .frontend import _check_finite_non_negative
+
 
 @dataclass(frozen=True, eq=False)
 class CostMatrix:
-    """Dense non-negative transport cost between two frequency axes.
+    """Dense non-negative transport cost: rows are spectral bins, columns
+    transport targets (bins, or note fundamentals for the reduced M x K
+    cost). It keeps no frequency axes; the cost functions take them.
 
-    When noise_cost is set, `values` has one trailing column beyond
-    len(col_freqs), every entry equal to noise_cost.
+    noise_cost is set when the last column is a flat noise column, every
+    entry equal to it; append_noise_column refuses to add a second one.
     """
 
     values: np.ndarray
-    row_freqs: np.ndarray
-    col_freqs: np.ndarray
     noise_cost: float = None
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        object.__setattr__(self, "row_freqs", np.asarray(self.row_freqs, dtype=np.float64))
-        object.__setattr__(self, "col_freqs", np.asarray(self.col_freqs, dtype=np.float64))
         if self.values.ndim != 2:
             raise ValueError("cost values must be a matrix")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("cost values must be finite")
-        if np.any(self.values < 0):
-            raise ValueError("cost values must be non-negative")
-        expected_cols = self.col_freqs.size + (1 if self.noise_cost is not None else 0)
-        if self.values.shape != (self.row_freqs.size, expected_cols):
-            raise ValueError("cost shape does not match frequency axes")
+        _check_finite_non_negative(self.values, "cost values")
 
     @property
     def n_targets(self) -> int:
@@ -51,7 +45,7 @@ def quadratic_cost(row_freqs, col_freqs) -> CostMatrix:
     if np.any(row_freqs <= 0) or np.any(col_freqs <= 0):
         raise ValueError("frequencies must be positive")
     values = (row_freqs[:, None] - col_freqs[None, :]) ** 2
-    return CostMatrix(values=values, row_freqs=row_freqs, col_freqs=col_freqs)
+    return CostMatrix(values=values)
 
 
 def harmonic_cost(row_freqs, col_freqs, eps0: float,
@@ -95,7 +89,7 @@ def harmonic_cost(row_freqs, col_freqs, eps0: float,
         cand = (f - q * nu) ** 2 + pen
         np.minimum(best, np.where(has_branch, cand, np.inf), out=best)
 
-    return CostMatrix(values=best, row_freqs=row_freqs, col_freqs=col_freqs)
+    return CostMatrix(values=best)
 
 
 def append_noise_column(cost: CostMatrix, amplitude: float) -> CostMatrix:
@@ -105,5 +99,4 @@ def append_noise_column(cost: CostMatrix, amplitude: float) -> CostMatrix:
     if cost.noise_cost is not None:
         raise ValueError("cost matrix already has a noise column")
     values = np.hstack([cost.values, np.full((cost.values.shape[0], 1), amplitude)])
-    return CostMatrix(values=values, row_freqs=cost.row_freqs,
-                      col_freqs=cost.col_freqs, noise_cost=float(amplitude))
+    return CostMatrix(values=values, noise_cost=float(amplitude))

@@ -4,6 +4,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .frontend import _check_finite_non_negative
+
 DEFAULT_DAMPING = 0.3
 DEFAULT_N_PARTIALS = 8
 SMALLEST_NORMAL = np.finfo(np.float64).tiny  # smaller template/kernel entries are 0
@@ -53,10 +55,7 @@ class Dictionary:
             raise ValueError("fundamentals must be distinct")
         if self.templates.ndim != 2 or self.templates.shape[1] != self.fundamentals.size:
             raise ValueError("template count must match fundamentals")
-        if not np.all(np.isfinite(self.templates)):
-            raise ValueError("templates must be finite")
-        if np.any(self.templates < 0):
-            raise ValueError("templates must be non-negative")
+        _check_finite_non_negative(self.templates, "templates")
         sums = self.templates.sum(axis=0)
         if np.any(np.abs(sums - 1.0) > 1e-12):
             raise ValueError("template columns must sum to 1")

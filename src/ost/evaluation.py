@@ -82,7 +82,6 @@ class PianoRoll:
     active: np.ndarray
     midi_low: int
     midi_high: int
-    frame_hop_seconds: float
 
     def __post_init__(self):
         self.active = np.asarray(self.active, dtype=bool)
@@ -90,12 +89,6 @@ class PianoRoll:
             raise ValueError("active must be a K x N matrix")
         if self.active.shape[0] != self.midi_high - self.midi_low + 1:
             raise ValueError("row count must equal midi_high - midi_low + 1")
-        if self.frame_hop_seconds <= 0:
-            raise ValueError("frame_hop_seconds must be positive")
-
-    @property
-    def midi_range(self):
-        return (self.midi_low, self.midi_high)
 
 
 @dataclass(eq=False)
@@ -127,8 +120,7 @@ def events_to_roll(events, midi_range, clock: FrameClock) -> PianoRoll:
     if dropped:
         logger.warning("dropped %d ground-truth events outside MIDI range [%d, %d]",
                        dropped, low, high)
-    return PianoRoll(active=active, midi_low=low, midi_high=high,
-                     frame_hop_seconds=clock.hop_seconds)
+    return PianoRoll(active=active, midi_low=low, midi_high=high)
 
 
 def parse_ground_truth(path) -> list:
@@ -177,8 +169,7 @@ def threshold_activations(acts: Activations, truth: PianoRoll) -> PianoRoll:
     for n in np.flatnonzero(polyphony):
         active[order[:polyphony[n], n], n] = True
     return PianoRoll(active=active, midi_low=truth.midi_low,
-                     midi_high=truth.midi_high,
-                     frame_hop_seconds=truth.frame_hop_seconds)
+                     midi_high=truth.midi_high)
 
 
 def f_measure(estimate: PianoRoll, truth: PianoRoll) -> EvalReport:
@@ -215,7 +206,6 @@ class ToyScenario:
     fundamentals: np.ndarray
     template_params: HarmonicTemplateParams
     which: str
-    seed: int
 
     @cached_property
     def dictionary(self) -> Dictionary:
@@ -280,4 +270,4 @@ def make_toy_scenario(which: str, seed: int, bins: int = TOY_BINS,
     h_true[list(pair)] = TOY_WEIGHTS
     return ToyScenario(freqs=freqs, frame=v, h_true=h_true,
                        fundamentals=fundamentals, template_params=params,
-                       which=which, seed=seed)
+                       which=which)

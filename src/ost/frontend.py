@@ -56,7 +56,6 @@ class Spectrogram:
 
     values: np.ndarray
     freqs: np.ndarray
-    frame_hop_seconds: float
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -68,23 +67,21 @@ class Spectrogram:
         _check_finite_non_negative(self.values, "spectrogram values")
         if np.any(np.diff(self.freqs) <= 0):
             raise ValueError("freqs must be strictly increasing")
-        if self.frame_hop_seconds <= 0:
-            raise ValueError("frame_hop_seconds must be positive")
 
 
 @dataclass(eq=False)
 class NormalizedFrames:
     """Frame matrix whose active columns sum to one.
 
-    `freqs` and `frame_hop_seconds` are carried along from the source
-    spectrogram so downstream consumers keep the frequency axis and the
-    frame clock.
+    `freqs` is the bin frequency axis of the source spectrogram, from which
+    the costs and templates are built. The frames carry no time axis: the
+    caller that chose the STFT hop places them in time (cli's
+    transcription_clock).
     """
 
     columns: np.ndarray
     active_mask: np.ndarray
     freqs: np.ndarray = field(default=None)
-    frame_hop_seconds: float = 1.0
 
     def __post_init__(self):
         self.columns = np.asarray(self.columns, dtype=np.float64)
@@ -248,8 +245,7 @@ def stft_magnitude(audio: AudioBuffer, window_len: int = DEFAULT_WINDOW_LEN,
         spectra = np.fft.rfft(frames[lo:hi] * window, axis=1)
         np.abs(spectra[:, 1:], out=magnitudes[lo:hi])  # drop DC, keep Nyquist
     freqs = (np.arange(m) + 1) * (audio.sample_rate / window_len)
-    return Spectrogram(values=magnitudes.T, freqs=freqs,
-                       frame_hop_seconds=hop / audio.sample_rate)
+    return Spectrogram(values=magnitudes.T, freqs=freqs)
 
 
 def normalize_frames(spec: Spectrogram,
@@ -264,5 +260,4 @@ def normalize_frames(spec: Spectrogram,
     columns = np.divide(spec.values, sums, out=np.zeros_like(spec.values),
                         where=active)
     return NormalizedFrames(columns=columns, active_mask=active,
-                            freqs=spec.freqs.copy(),
-                            frame_hop_seconds=spec.frame_hop_seconds)
+                            freqs=spec.freqs.copy())

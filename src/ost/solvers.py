@@ -44,7 +44,7 @@ import numpy as np
 from .costs import CostMatrix
 from .dictionary import SMALLEST_NORMAL
 from .errors import NumericError
-from .frontend import NormalizedFrames
+from .frontend import NormalizedFrames, _check_finite_non_negative
 
 DEFAULT_MM_ITERATIONS = 10
 EMPTY_COLUMN_MASS = 1e-12  # mass floor used when linearizing sqrt at an empty column
@@ -70,18 +70,12 @@ class Activations:
     """K x N activation matrix; column n carries the mass of frame n."""
 
     values: np.ndarray
-    frame_hop_seconds: float = 1.0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2:
             raise ValueError("values must be a K x N matrix")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("activations must be finite")
-        if np.any(self.values < 0):
-            raise ValueError("activations must be non-negative")
-        if self.frame_hop_seconds <= 0:
-            raise ValueError("frame_hop_seconds must be positive")
+        _check_finite_non_negative(self.values, "activations")
 
 
 @dataclass
@@ -319,8 +313,7 @@ def unmix(frames: NormalizedFrames, cost: CostMatrix,
         raise ValueError("frame rows must match cost rows")
     active = np.flatnonzero(frames.active_mask)
     if active.size == 0:
-        return Activations(values=np.zeros((cost.values.shape[1], columns.shape[1])),
-                           frame_hop_seconds=frames.frame_hop_seconds)
+        return Activations(values=np.zeros((cost.values.shape[1], columns.shape[1])))
 
     # The kernels gather the active columns block by block (no kernel writes
     # into its frame argument), so no M x N copy of the frames is made.
@@ -339,4 +332,4 @@ def unmix(frames: NormalizedFrames, cost: CostMatrix,
         out = _combined_mm(cost.values, columns, active, config)
     if not np.all(np.isfinite(out)):
         raise NumericError(f"variant {variant} produced non-finite activations")
-    return Activations(values=out, frame_hop_seconds=frames.frame_hop_seconds)
+    return Activations(values=out)

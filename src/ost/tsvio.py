@@ -92,9 +92,11 @@ def read_matrix(path):
     return values, row_labels, col_labels
 
 
-def write_activations(path, acts: Activations, row_labels, t0: float = 0.0):
-    times = FrameClock(acts.values.shape[1], acts.frame_hop_seconds, t0).centers()
-    write_matrix(path, acts.values, row_labels, times, "component\\time_s")
+def write_activations(path, acts: Activations, row_labels, clock: FrameClock):
+    """Activations with one column per frame, headed by the frame's center
+    time on `clock`; a clock of another frame count raises ValueError."""
+    write_matrix(path, acts.values, row_labels, clock.centers(),
+                 "component\\time_s")
 
 
 def read_activations(path):
@@ -111,10 +113,11 @@ def read_activations(path):
     return values, row_labels, times
 
 
-def write_pianoroll(path, roll: PianoRoll, t0: float = 0.0):
-    times = FrameClock(roll.active.shape[1], roll.frame_hop_seconds, t0).centers()
+def write_pianoroll(path, roll: PianoRoll, clock: FrameClock):
+    """The roll as write_activations writes activations, rows labelled by
+    MIDI pitch."""
     labels = list(range(roll.midi_low, roll.midi_high + 1))
-    write_matrix(path, roll.active, labels, times, "midi\\time_s")
+    write_matrix(path, roll.active, labels, clock.centers(), "midi\\time_s")
 
 
 def write_report(path, report: EvalReport = None, extra=None):

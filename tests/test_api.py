@@ -1,6 +1,9 @@
-"""The public API: sorted `ost.__all__` is pinned in tests/api_names.txt,
-so every added, removed or renamed name shows up as a diff of that file."""
+"""The public API: sorted `ost.__all__` is pinned in tests/api_names.txt and
+the fields of every public dataclass, in constructor order, in
+tests/api_fields.txt, so every added, removed or renamed name or
+constructor field shows up as a diff of those files."""
 
+import dataclasses
 from pathlib import Path
 
 import ost
@@ -14,3 +17,16 @@ def test_api_names_are_unchanged():
 def test_every_api_name_resolves():
     missing = [name for name in ost.__all__ if not hasattr(ost, name)]
     assert missing == []
+
+
+def api_fields() -> str:
+    """One line per public dataclass: its name, then its field names."""
+    lines = [" ".join([name] + [f.name for f in dataclasses.fields(obj)])
+             for name in sorted(ost.__all__)
+             if dataclasses.is_dataclass(obj := getattr(ost, name))]
+    return "\n".join(lines) + "\n"
+
+
+def test_api_fields_are_unchanged():
+    golden = (Path(__file__).parent / "api_fields.txt").read_text()
+    assert api_fields() == golden

@@ -72,8 +72,7 @@ def w1_cumsum(v, vhat, freqs):
 
 def abs_cost(freqs):
     freqs = np.asarray(freqs, dtype=np.float64)
-    return CostMatrix(values=np.abs(freqs[:, None] - freqs[None, :]),
-                      row_freqs=freqs, col_freqs=freqs)
+    return CostMatrix(values=np.abs(freqs[:, None] - freqs[None, :]))
 
 
 class TestKlDivergence:
@@ -684,8 +683,7 @@ def tied_costs(name):
     if name == "integer_duplicate_column":
         values = np.random.default_rng(12).integers(0, 3, size=(16, 5)).astype(float)
         values[:, 4] = values[:, 1]
-        return CostMatrix(values=values, row_freqs=np.arange(1.0, 17.0),
-                          col_freqs=np.arange(1.0, 6.0))
+        return CostMatrix(values=values)
     freqs = 50.0 * np.arange(1, 33)  # every bin sits on a harmonic
     fundamentals = [100.0, 150.0, 200.0, 300.0]
     if name == "eps0_zero":

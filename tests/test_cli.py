@@ -499,14 +499,19 @@ class TestTranscribe:
     def test_activations_table_reads_back(self, capsys, duet, tmp_path):
         # the written table holds decompose's activations, noise row
         # included, to the 12 significant digits the writer keeps, on the
-        # transcription clock
+        # transcription clock; the piano roll has the same time header
         outdir = tmp_path / "out"
         code = main(["transcribe", str(duet / "duet.wav"), "--method", "ost_e",
-                     "--lambda-e", "100", "--noise-amplitude", "50"]
+                     "--lambda-e", "100", "--noise-amplitude", "50",
+                     "--ground-truth", str(duet / "truth.tsv")]
                     + DUET_FLAGS + ["--output-dir", str(outdir)])
         assert code == EXIT_OK
         values, labels, times = read_activations(
             outdir / "duet.ost_e.activations.tsv")
+        act_header = read_matrix(outdir / "duet.ost_e.activations.tsv")[2]
+        _, roll_rows, roll_header = read_matrix(outdir / "duet.ost_e.pianoroll.tsv")
+        assert roll_header == act_header
+        assert roll_rows == [str(m) for m in range(55, 68)]
 
         audio = decode_wav(duet / "duet.wav")
         frames = normalize_frames(stft_magnitude(audio, 512, 256))
@@ -519,6 +524,7 @@ class TestTranscribe:
         assert np.count_nonzero(values) > values.size // 2
         np.testing.assert_allclose(values, acts.values, rtol=1e-11, atol=0)
         np.testing.assert_allclose(times, clock.centers(), rtol=1e-11, atol=0)
+        assert roll_header == [format(t, ".12g") for t in clock.centers()]
 
     def test_peak_is_the_samples_and_two_frame_matrices(self, capsys, tmp_path):
         # 30 s of notes with silent gaps (masked frames). Holding the STFT's
@@ -594,11 +600,9 @@ class TestSweep:
         clock = transcription_clock(frames, cfg, audio.sample_rate)
         truth = load_ground_truth(duet / "truth.tsv", (55, 67), clock)
         half = frames.n_frames // 2
-        acts = Activations(values=pitch.values[:, half:],
-                           frame_hop_seconds=pitch.frame_hop_seconds)
+        acts = Activations(values=pitch.values[:, half:])
         ref = PianoRoll(active=truth.active[:, half:], midi_low=55,
-                        midi_high=67,
-                        frame_hop_seconds=truth.frame_hop_seconds)
+                        midi_high=67)
         expected = f_measure(threshold_activations(acts, ref), ref).f_measure
         assert abs(float(printed.group(1)) - expected) < 5e-5
 

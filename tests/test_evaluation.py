@@ -142,8 +142,7 @@ class TestThresholdActivations:
         active = np.zeros((k, n), dtype=bool)
         for j, p in enumerate(polyphony):
             active[:p, j] = True
-        return PianoRoll(active=active, midi_low=60, midi_high=62,
-                         frame_hop_seconds=1.0)
+        return PianoRoll(active=active, midi_low=60, midi_high=62)
 
     def test_top_two_support(self):
         truth = self.make_truth([2])
@@ -183,8 +182,7 @@ class TestFMeasure:
     def roll(self, active):
         active = np.asarray(active, dtype=bool)
         return PianoRoll(active=active, midi_low=60,
-                         midi_high=60 + active.shape[0] - 1,
-                         frame_hop_seconds=1.0)
+                         midi_high=60 + active.shape[0] - 1)
 
     def test_perfect_recognition(self):
         truth = self.roll([[1, 0], [0, 1]])

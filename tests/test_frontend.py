@@ -12,10 +12,14 @@ import numpy as np
 import pytest
 import scipy.io.wavfile
 
+from ost.cli import RunConfig, transcription_clock
+from ost.costs import CostMatrix
+from ost.dictionary import Dictionary
 from ost.errors import DataError, DecodeError, UnsupportedEncodingError
 from ost.frontend import (DEFAULT_SILENCE_THRESHOLD, STFT_BLOCK_FRAMES,
                           AudioBuffer, NormalizedFrames, Spectrogram,
                           decode_wav, normalize_frames, stft_magnitude)
+from ost.solvers import Activations
 
 from helpers import traced_peak
 
@@ -280,11 +284,20 @@ class TestStftMagnitude:
         assert spec.freqs[0] == pytest.approx(10.7666015625)
         assert spec.freqs[-1] == pytest.approx(22050.0)  # Nyquist stays
 
-    def test_frame_hop_seconds(self):
+    def test_transcription_clock_hop_and_t0(self):
+        # frame n of stft_magnitude covers samples [n*hop, n*hop + window_len),
+        # so transcribe places it at (window_len / 2 + n * hop) / fs seconds
         buf = AudioBuffer(samples=np.zeros(8192), sample_rate=44100)
-        spec = stft_magnitude(buf, window_len=4096, hop=2048)
-        assert spec.frame_hop_seconds == pytest.approx(2048.0 / 44100.0)
-        assert spec.frame_hop_seconds == pytest.approx(0.04644, abs=5e-6)
+        frames = normalize_frames(stft_magnitude(buf, window_len=4096, hop=2048))
+        config = RunConfig(method="ost", window_len=4096, hop=2048)
+        clock = transcription_clock(frames, config, buf.sample_rate)
+        assert clock.n_frames == frames.n_frames == 3
+        assert clock.hop_seconds == pytest.approx(2048.0 / 44100.0)
+        assert clock.hop_seconds == pytest.approx(0.04644, abs=5e-6)
+        assert clock.t0 == pytest.approx(2048.0 / 44100.0)
+        np.testing.assert_allclose(clock.centers(),
+                                   (2048.0 + 2048.0 * np.arange(3)) / 44100.0,
+                                   rtol=1e-15)
 
     def test_frame_count_no_padding(self):
         buf = AudioBuffer(samples=np.zeros(1000), sample_rate=8000)
@@ -356,19 +369,16 @@ class TestNormalizeFrames:
     def test_active_columns_sum_to_one(self):
         rng = np.random.default_rng(11)
         values = rng.uniform(0.0, 1.0, size=(6, 9))
-        spec = Spectrogram(values=values, freqs=np.arange(1.0, 7.0),
-                           frame_hop_seconds=0.5)
+        spec = Spectrogram(values=values, freqs=np.arange(1.0, 7.0))
         frames = normalize_frames(spec)
         assert frames.active_mask.all()
         np.testing.assert_allclose(frames.columns.sum(axis=0), 1.0, atol=1e-12)
-        assert frames.frame_hop_seconds == 0.5
         np.testing.assert_array_equal(frames.freqs, spec.freqs)
 
     def test_silent_column_zeroed_and_masked(self):
         values = np.array([[0.3, 0.0, 0.1],
                            [0.1, 0.0, 0.3]])
-        spec = Spectrogram(values=values, freqs=np.array([1.0, 2.0]),
-                           frame_hop_seconds=1.0)
+        spec = Spectrogram(values=values, freqs=np.array([1.0, 2.0]))
         frames = normalize_frames(spec)
         np.testing.assert_array_equal(frames.active_mask, [True, False, True])
         np.testing.assert_array_equal(frames.columns[:, 1], [0.0, 0.0])
@@ -377,8 +387,7 @@ class TestNormalizeFrames:
     def test_threshold_boundary_is_inactive(self):
         # a column whose mass equals the threshold exactly counts as silent
         values = np.array([[0.5], [0.5]])
-        spec = Spectrogram(values=values, freqs=np.array([1.0, 2.0]),
-                           frame_hop_seconds=1.0)
+        spec = Spectrogram(values=values, freqs=np.array([1.0, 2.0]))
         frames = normalize_frames(spec, silence_threshold=1.0)
         assert not frames.active_mask[0]
         np.testing.assert_array_equal(frames.columns, [[0.0], [0.0]])
@@ -399,8 +408,7 @@ class TestNormalizeFrames:
         assert frames.columns.flags.f_contiguous
 
     def test_negative_threshold_rejected(self):
-        spec = Spectrogram(values=np.ones((2, 2)), freqs=np.array([1.0, 2.0]),
-                           frame_hop_seconds=1.0)
+        spec = Spectrogram(values=np.ones((2, 2)), freqs=np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             normalize_frames(spec, silence_threshold=-1e-3)
 
@@ -416,35 +424,40 @@ class TestContainers:
 
     def test_spectrogram_validation(self):
         with pytest.raises(ValueError):
-            Spectrogram(values=np.array([[0.0, -1.0]]), freqs=np.array([1.0]),
-                        frame_hop_seconds=1.0)
+            Spectrogram(values=np.array([[0.0, -1.0]]), freqs=np.array([1.0]))
         with pytest.raises(ValueError):
-            Spectrogram(values=np.ones((2, 2)), freqs=np.array([1.0]),
-                        frame_hop_seconds=1.0)
+            Spectrogram(values=np.ones((2, 2)), freqs=np.array([1.0]))
         with pytest.raises(ValueError):
-            Spectrogram(values=np.ones((2, 2)), freqs=np.array([2.0, 1.0]),
-                        frame_hop_seconds=1.0)
+            Spectrogram(values=np.ones((2, 2)), freqs=np.array([2.0, 1.0]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_spectrogram_rejects_non_finite(self, bad):
         values = np.ones((2, 3))
         values[1, 2] = bad
         with pytest.raises(ValueError, match="finite"):
-            Spectrogram(values=values, freqs=np.array([1.0, 2.0]),
-                        frame_hop_seconds=1.0)
+            Spectrogram(values=values, freqs=np.array([1.0, 2.0]))
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_non_finite_reported_before_negative(self, bad):
         values = np.array([[0.5, -1.0], [0.5, bad]])
         with pytest.raises(ValueError, match="spectrogram values must be finite"):
-            Spectrogram(values=values, freqs=np.array([1.0, 2.0]),
-                        frame_hop_seconds=1.0)
+            Spectrogram(values=values, freqs=np.array([1.0, 2.0]))
         with pytest.raises(ValueError, match="columns must be finite"):
             NormalizedFrames(columns=values, active_mask=np.array([True, True]))
+        # Activations, CostMatrix and Dictionary share the frontend's check
+        makers = {"activations": lambda x: Activations(values=x),
+                  "cost values": lambda x: CostMatrix(values=x),
+                  "templates": lambda x: Dictionary(fundamentals=[100.0, 200.0],
+                                                    templates=x)}
+        for name, make in makers.items():
+            with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                make(values)
+            with pytest.raises(ValueError,
+                               match=f"^{name} must be non-negative$"):
+                make(np.where(np.isfinite(values), values, 0.5))
 
     def test_size_zero_matrices_accepted(self):
-        spec = Spectrogram(values=np.zeros((2, 0)), freqs=np.array([1.0, 2.0]),
-                           frame_hop_seconds=1.0)
+        spec = Spectrogram(values=np.zeros((2, 0)), freqs=np.array([1.0, 2.0]))
         frames = NormalizedFrames(columns=spec.values,
                                   active_mask=np.zeros(0, dtype=bool))
         assert frames.n_frames == 0

@@ -32,10 +32,7 @@ from oracles import (entropy_term, group_term, ost_combined_frame,
 
 
 def toy_cost(values):
-    values = np.asarray(values, dtype=np.float64)
-    m, k = values.shape
-    return CostMatrix(values=values, row_freqs=np.arange(1.0, m + 1),
-                      col_freqs=np.arange(1.0, k + 1))
+    return CostMatrix(values=values)
 
 
 def random_instance(rng, m, k, scale=5.0):
@@ -254,8 +251,7 @@ def make_frames(rng, m, n, inactive=(), zero_bins=0, concentration=1.0):
     mask = np.ones(n, dtype=bool)
     mask[list(inactive)] = False
     columns[:, ~mask] = 0.0
-    return NormalizedFrames(columns=columns, active_mask=mask,
-                            frame_hop_seconds=0.25)
+    return NormalizedFrames(columns=columns, active_mask=mask)
 
 
 class TestUnmix:
@@ -267,7 +263,6 @@ class TestUnmix:
         config = SolverConfig(lambda_e=0.6, lambda_g=1.2)
         acts = unmix(frames, cost, config, variant=variant)
         assert acts.values.shape == (4, 7)
-        assert acts.frame_hop_seconds == 0.25
         np.testing.assert_array_equal(acts.values[:, 2], 0.0)
         for n in range(7):
             if n == 2:
@@ -723,8 +718,6 @@ class TestContainersAndConfig:
     def test_activations_validation(self):
         with pytest.raises(ValueError):
             Activations(values=np.array([[-1.0]]))
-        with pytest.raises(ValueError):
-            Activations(values=np.ones((2, 2)), frame_hop_seconds=0.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_activations_reject_non_finite(self, bad):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from ost.errors import DataError
-from ost.evaluation import EvalReport, NoteEvent, PianoRoll, parse_ground_truth
+from ost.evaluation import (EvalReport, FrameClock, NoteEvent, PianoRoll,
+                            parse_ground_truth)
 from ost.solvers import Activations
 from ost.tsvio import (atomic_write_text, format_table, matrix_text,
                        read_activations, read_matrix, write_activations,
@@ -140,9 +141,8 @@ class TestMatrixRoundTrip:
 class TestActivationsRoundTrip:
     def test_write_then_read(self, tmp_path):
         path = tmp_path / "acts.tsv"
-        acts = Activations(values=np.array([[0.25, 0.75], [0.75, 0.25]]),
-                           frame_hop_seconds=0.5)
-        write_activations(path, acts, ["48", "60"], t0=0.25)
+        acts = Activations(values=np.array([[0.25, 0.75], [0.75, 0.25]]))
+        write_activations(path, acts, ["48", "60"], FrameClock(2, 0.5, t0=0.25))
         values, labels, times = read_activations(path)
         np.testing.assert_allclose(values, acts.values, rtol=1e-12)
         assert labels == ["48", "60"]
@@ -159,11 +159,27 @@ class TestPianoRollWriter:
     def test_binary_cells_and_midi_labels(self, tmp_path):
         path = tmp_path / "roll.tsv"
         roll = PianoRoll(active=np.array([[True, False], [False, True]]),
-                         midi_low=60, midi_high=61, frame_hop_seconds=1.0)
-        write_pianoroll(path, roll)
+                         midi_low=60, midi_high=61)
+        write_pianoroll(path, roll, FrameClock(2, 1.0))
         values, rows, cols = read_matrix(path)
         np.testing.assert_array_equal(values, [[1.0, 0.0], [0.0, 1.0]])
         assert rows == ["60", "61"]
+        assert cols == ["0", "1"]
+
+
+class TestWriterClock:
+    @pytest.mark.parametrize("n_frames", [2, 4])
+    def test_clock_of_another_frame_count_leaves_no_file(self, tmp_path,
+                                                         n_frames):
+        acts = Activations(values=np.ones((2, 3)))
+        roll = PianoRoll(active=np.ones((2, 3), dtype=bool), midi_low=60,
+                         midi_high=61)
+        clock = FrameClock(n_frames, 0.5)
+        with pytest.raises(ValueError):
+            write_activations(tmp_path / "acts.tsv", acts, ["60", "61"], clock)
+        with pytest.raises(ValueError):
+            write_pianoroll(tmp_path / "roll.tsv", roll, clock)
+        assert os.listdir(tmp_path) == []
 
 
 class TestReportWriter:
