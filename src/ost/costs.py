@@ -31,6 +31,9 @@ class CostMatrix:
         if self.values.ndim != 2:
             raise ValueError("cost values must be a matrix")
         _check_finite_non_negative(self.values, "cost values")
+        if self.noise_cost is not None and not (
+                self.values.shape[1] and np.all(self.values[:, -1] == self.noise_cost)):
+            raise ValueError("noise_cost must equal every entry of the last column")
 
     @property
     def n_targets(self) -> int:

@@ -30,23 +30,26 @@ class AudioBuffer:
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
             raise ValueError("samples must be one-dimensional")
-        if not np.all(np.isfinite(self.samples)):
-            raise ValueError("samples must be finite")
+        _check_finite(self.samples, "samples")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
 
 
-def _check_finite_non_negative(values: np.ndarray, name: str):
-    """Raise ValueError unless every entry is finite and non-negative, from
-    one min/max pair rather than M x N bool temporaries: NaN propagates
-    through min, and -inf / +inf are the min / max. A non-finite entry is
-    reported before a negative one."""
+def _check_finite(values: np.ndarray, name: str) -> float:
+    """Raise ValueError unless every entry is finite, from one min/max pair
+    rather than a bool temporary of the values' size: NaN propagates
+    through min, and -inf / +inf are the min / max. Returns the min."""
     if values.size == 0:
-        return
+        return 0.0
     low, high = values.min(), values.max()
     if not (np.isfinite(low) and np.isfinite(high)):
         raise ValueError(f"{name} must be finite")
-    if low < 0:
+    return low
+
+
+def _check_finite_non_negative(values: np.ndarray, name: str):
+    """_check_finite, then the sign: a non-finite entry is reported first."""
+    if _check_finite(values, name) < 0:
         raise ValueError(f"{name} must be non-negative")
 
 

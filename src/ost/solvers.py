@@ -14,14 +14,15 @@ The kernels return the column masses only, never a plan. Their per-frame
 references, which build the plan and the objective trace, are the
 functions of tests/oracles.py; ost and ost_g match them bit for bit.
 
-Both MM variants run on one driver over blocks of frames (_mm_blocks); an
-ost_g frame leaves its block's live set once its masses repeat, an ost_eg
-frame runs every iteration. The ost_g step takes each frame's argmin only
-over the columns that can still win one of its rows, exact because float
-addition rounds monotonically (see _group_mm); the penalty leaves a frame
-a few notes within a few steps, and frames that keep about as many columns
-share one gather. The ost_eg step uses that the group penalty p only
-rescales columns:
+Both MM variants run on one driver over blocks of frames (_mm_blocks),
+and ost is ost_g's start alone. An ost_g frame leaves its block's live
+set once its masses repeat, an ost_eg frame runs every iteration. Every
+ost_g step takes each frame's argmin only over the columns that can still
+win one of its rows, by a bound from each column's smallest and largest
+cost, exact as float addition rounds monotonically (see _kept_columns);
+the penalty leaves a frame a few notes within a few steps, and frames
+that keep about as many columns share one gather. The ost_eg step uses
+that the group penalty p only rescales columns:
 softmax_k(-(c_ik + p_k)/lambda_e) = E_ik w_k / sum_k E_ik w_k, with
 E = exp(-C/lambda_e) computed once. For a block of frames V one MM step is
 H = W * E^T (V / E W), two matrix products in place of an M x K exp per
@@ -52,6 +53,7 @@ EMPTY_COLUMN_MASS = 1e-12  # mass floor used when linearizing sqrt at an empty c
 # M x block temporaries.
 MM_BLOCK_FRAMES = 128
 _GATHER_CELLS = 2 ** 17  # cost cells an ost_g step gathers at once: 1 MB, in cache
+_FULL_ARGMIN_CELLS = 2 ** 14  # fewer cost cells in an ost_g block-step: no bound
 # Entries of E W below this are near the subnormal range, where they lose
 # relative precision (and V / E W nears overflow); their rows are re-solved
 # with per-row max subtraction.
@@ -131,75 +133,67 @@ def _column_masses(labels: np.ndarray, frames: np.ndarray, k: int) -> np.ndarray
                        minlength=n * k).reshape(n, k).T
 
 
-def _hard_assign(values: np.ndarray, v: np.ndarray, active: np.ndarray) -> np.ndarray:
-    """The masses of tests/oracles.py's ost_frame for the columns `active`
-    of v (M x N): the block driver with no step, so that the cell index
-    array stays within one block."""
-    labels = np.argmin(values, axis=1)
-    k = values.shape[1]
-    return _mm_blocks(v, active, k, 0,
-                      lambda block: (_column_masses(labels, block, k), None), None)
-
-
 def _mm_blocks(v: np.ndarray, active: np.ndarray, k: int, iterations: int,
                start, step) -> np.ndarray:
     """K x N masses of an MM kernel for the columns `active` of v (M x N),
-    zero in the others, per block of MM_BLOCK_FRAMES active columns. Each
-    block is gathered from v as it starts, so no M x active copy of v is
-    made. start(block) gives a block's first masses (K x n) and step state
-    (frames along its first axis); step(block, h, state) the next ones and
-    the mask of frames at their fixed point (None: no frame stops), which
-    leave the live set: a step depends on the masses alone."""
+    zero in the others, per block of MM_BLOCK_FRAMES active columns, each
+    gathered from v as it starts. start(block) gives a block's first masses
+    (K x n); step(block, h) the next ones and the mask of frames at their
+    fixed point (None: none), which leave the live set."""
     out = np.zeros((k, v.shape[1]))
     for lo in range(0, active.size, MM_BLOCK_FRAMES):
         live = active[lo:lo + MM_BLOCK_FRAMES]
         block = v[:, live]
-        h, state = start(block)
+        h = start(block)
         for _ in range(iterations):
-            h, state, done = step(block, h, state)
+            h, done = step(block, h)
             if done is not None and done.any():
                 out[:, live[done]] = h[:, done]
-                live, block, h, state = live[~done], block[:, ~done], h[:, ~done], state[~done]
+                live, block, h = live[~done], block[:, ~done], h[:, ~done]
                 if live.size == 0:
                     break
         out[:, live] = h
     return out
 
 
+def _kept_columns(col_min, col_max, pen):
+    """K x n mask of the columns that can hold a row minimum of values + p
+    for each frame's penalty p (a column of pen). Float addition rounds
+    monotonically, so no row's minimum exceeds bound = min_k fl(colmax_k +
+    p_k), and a column with fl(colmin_k + p_k) > bound is never a row's
+    minimum, nor ties one. The column setting the bound is always kept."""
+    bound = (col_max[:, None] + pen).min(axis=0)
+    return col_min[:, None] + pen <= bound
+
+
 def _group_mm(values: np.ndarray, v: np.ndarray, active: np.ndarray,
-              config: SolverConfig) -> np.ndarray:
-    """The masses of tests/oracles.py's ost_group_frame for the columns
-    `active` of v (M x N), bit for bit, each step taking a frame's argmin
-    only over the columns that can still win one of its rows. With penalty
-    p and the previous step's labels l (the unpenalised argmin before the
-    first step), every row's new minimum is at most
-    bound = max_i fl(c_{i,l_i} + p_{l_i}). Float addition rounds
-    monotonically, so a column with fl(min_i c_ik + p_k) > bound costs more
-    than bound on every row: it is never a row's minimum, nor ties it.
+              lambda_g: float, iterations: int) -> np.ndarray:
+    """The masses of tests/oracles.py's ost_group_frame with `iterations`
+    MM steps (ost_frame's at 0) for the columns `active` of v (M x N), bit
+    for bit, each step taking a frame's argmin only over the columns
+    _kept_columns keeps for its penalty.
 
     A frame that keeps more than half of K takes the full argmin, as the
-    oracle does: gathering would save less than half of its cells. While
-    every live frame holds mass in more than half of K, as at the first
-    step, the bound is not computed. The other frames go to buckets of at
-    most 2, 4, 8, 16, 32 or K/2 kept columns, gathered _GATHER_CELLS cost
-    cells at a time."""
+    oracle does: gathering would save less than half of its cells. The
+    other frames go to buckets of at most 2, 4, 8, 16, 32 or K/2 kept
+    columns, gathered _GATHER_CELLS cost cells at a time. A block-step of
+    fewer than _FULL_ARGMIN_CELLS cost cells (M x K x live frames), where
+    the bound costs more than it saves, takes the full argmin for all."""
     m, k = values.shape
     by_column = np.ascontiguousarray(values.T)  # gathered columns are rows
-    col_min = by_column.min(axis=1)
+    col_min, col_max = by_column.min(axis=1), by_column.max(axis=1)
     caps = [w for w in (2, 4, 8, 16, 32) if w < k // 2] + [k // 2] * (k > 1)
     full_step = np.empty((m, k))
     first = values.argmin(axis=1)
 
-    def start(block):
-        return _column_masses(first, block, k), np.tile(first, (block.shape[1], 1))
-
-    def step(block, h, labels):
+    def step(block, h):
         n = block.shape[1]
-        pen = config.lambda_g * _group_penalty_row(h)
+        pen = lambda_g * _group_penalty_row(h)
+        pen_rows = np.ascontiguousarray(pen.T)  # a frame's penalty, read per row
+        labels = np.empty((n, m), dtype=np.intp)
         full = range(n)
-        if 2 * min((h > 0).sum(axis=0).tolist()) <= k:
-            bound = values[np.arange(m), labels] + pen[labels, np.arange(n)[:, None]]
-            keep = col_min[:, None] + pen <= bound.max(axis=1)
+        if m * k * n >= _FULL_ARGMIN_CELLS:
+            keep = _kept_columns(col_min, col_max, pen)
             bucket = np.searchsorted(caps, np.count_nonzero(keep, axis=0))
             order = np.argsort(bucket, kind="stable")
             ends = [0] + np.cumsum(np.bincount(bucket, minlength=len(caps) + 1)).tolist()
@@ -210,25 +204,26 @@ def _group_mm(values: np.ndarray, v: np.ndarray, active: np.ndarray,
                 chunk = max(1, _GATHER_CELLS // (w * m))
                 for c in range(lo, hi, chunk):
                     sel = order[c:min(c + chunk, hi)]
-                    labels[sel] = _gathered_labels(by_column, pen, ranked[:w, sel].T, sel)
+                    labels[sel] = _gathered_labels(by_column, pen_rows, ranked[:w, sel].T, sel)
             full = order[ends[len(caps)]:].tolist()
         for f in full:  # the oracle's argmin
-            np.add(values, pen[:, f], out=full_step)
+            np.add(values, pen_rows[f], out=full_step)
             labels[f] = full_step.argmin(axis=1)
         new = _column_masses(labels, block, k)
-        return new, labels, (new == h).all(axis=0)
+        return new, (new == h).all(axis=0)
 
-    return _mm_blocks(v, active, k, config.mm_iterations, start, step)
+    return _mm_blocks(v, active, k, iterations,
+                      lambda block: _column_masses(first, block, k), step)
 
 
-def _gathered_labels(by_column, pen, cols, frames):
+def _gathered_labels(by_column, pen_rows, cols, frames):
     """The frames' labels over their gathered columns cols (a row of column
     indices per frame): each row's lowest column whose penalised cost is the
     row minimum, argmin's tie rule. Min and equality do not round."""
     k = by_column.shape[0]
     index = np.min_scalar_type(2 * k - 1).type  # a column, or k plus one
     cand = by_column[cols]
-    cand += pen[cols, frames[:, None]][:, :, None]
+    cand += pen_rows[frames[:, None], cols][:, :, None]
     low = cand.min(axis=1)
     key = (cand != low[:, None]).view(np.uint8) * index(k)
     key += cols.astype(index)[:, :, None]
@@ -250,7 +245,7 @@ def _combined_mm(values: np.ndarray, v: np.ndarray, active: np.ndarray,
     kernel = _gibbs_kernel(values, lam_e)
     labels = kernel / kernel.sum(axis=1, keepdims=True)
 
-    def step(block, h, _):
+    def step(block, h):
         pen = lam_g * _group_penalty_row(h)
         z = (pen.min(axis=0) - pen) / lam_e
         w = np.exp(z, out=np.zeros_like(z), where=z >= EXP_ZERO_FLOOR)
@@ -270,13 +265,13 @@ def _combined_mm(values: np.ndarray, v: np.ndarray, active: np.ndarray,
             h[support] = h_s
         if low.any():
             _add_underflowed_rows(h, values, block, pen, low & (block > 0), lam_e)
-        return h, None, None
+        return h, None
 
     # block / s may overflow or be 0 / 0 where s underflows; those entries
     # are reset in the step
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return _mm_blocks(v, active, k, config.mm_iterations,
-                          lambda block: (labels.T @ block, None), step)
+                          lambda block: labels.T @ block, step)
 
 
 def _add_underflowed_rows(h, values, block, pen, under, lam_e):
@@ -317,10 +312,9 @@ def unmix(frames: NormalizedFrames, cost: CostMatrix,
 
     # The kernels gather the active columns block by block (no kernel writes
     # into its frame argument), so no M x N copy of the frames is made.
-    if variant == "ost":
-        out = _hard_assign(cost.values, columns, active)
-    elif variant == "ost_g":
-        out = _group_mm(cost.values, columns, active, config)
+    if variant in ("ost", "ost_g"):
+        iterations = config.mm_iterations if variant == "ost_g" else 0
+        out = _group_mm(cost.values, columns, active, config.lambda_g, iterations)
     elif config.lambda_e <= 0:
         raise ValueError(f"variant {variant} requires lambda_e > 0")
     elif variant == "ost_e":

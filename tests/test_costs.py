@@ -130,6 +130,15 @@ class TestNoiseColumn:
         assert noisy.noise_cost == 42.0
         assert noisy.n_targets == 2
 
+    def test_noise_cost_must_match_the_last_column(self):
+        with pytest.raises(ValueError, match="noise_cost"):
+            CostMatrix(np.ones((2, 3)), noise_cost=7.0)
+        with pytest.raises(ValueError, match="noise_cost"):
+            CostMatrix(np.array([[1.0, 7.0], [2.0, 7.5]]), noise_cost=7.0)
+        with pytest.raises(ValueError, match="noise_cost"):
+            CostMatrix(np.zeros((2, 0)), noise_cost=0.0)
+        assert CostMatrix(np.array([[1.0, 7.0], [2.0, 7.0]]), noise_cost=7.0).n_targets == 2
+
     def test_refuses_double_append(self):
         base = quadratic_cost([100.0], [100.0])
         noisy = append_noise_column(base, 1.0)

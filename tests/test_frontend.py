@@ -422,6 +422,14 @@ class TestContainers:
         with pytest.raises(ValueError):
             AudioBuffer(samples=np.zeros(4), sample_rate=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_audio_buffer_rejects_non_finite(self, bad):
+        samples = np.zeros(5)
+        samples[3] = bad
+        with pytest.raises(ValueError, match="^samples must be finite$"):
+            AudioBuffer(samples=samples, sample_rate=8000)
+        AudioBuffer(samples=np.array([-1.0, 0.5]), sample_rate=8000)  # no sign test
+
     def test_spectrogram_validation(self):
         with pytest.raises(ValueError):
             Spectrogram(values=np.array([[0.0, -1.0]]), freqs=np.array([1.0]))

@@ -9,6 +9,8 @@ Oracles used here:
 - the per-frame solvers of tests/oracles.py for the batched kernels of
   `unmix`: bit for bit for ost and ost_g, within 1e-12 for ost_eg (its
   factorised step sums in another order).
+- the row minima of the penalised cost for the ost_g step's column bound:
+  every column that is some row's minimum, or ties it, must be kept.
 """
 
 import warnings
@@ -29,6 +31,9 @@ from helpers import active_copy, partly_masked_frames, traced_peak
 from oracles import (entropy_term, group_term, ost_combined_frame,
                      ost_entropic_frame, ost_frame, ost_group_frame,
                      transport_objective)
+
+
+FULL_ARGMIN_CELLS = solvers._FULL_ARGMIN_CELLS  # before any test patches it
 
 
 def toy_cost(values):
@@ -376,7 +381,13 @@ def assert_matches_oracle(frames, cost, config, variant):
 
 class TestBatchedMM:
     """unmix's batched ost / ost_g / ost_eg kernels against the per-frame
-    solvers: bit for bit for ost and ost_g."""
+    solvers: bit for bit for ost and ost_g. The ost_g small-cost floor is
+    set to 0 here, so that the small hand-built costs reach the bound and
+    the buckets."""
+
+    @pytest.fixture(autouse=True)
+    def prune_small_costs(self, monkeypatch):
+        monkeypatch.setattr(solvers, "_FULL_ARGMIN_CELLS", 0)
 
     @pytest.mark.parametrize("variant", ["ost", "ost_g", "ost_eg"])
     def test_several_blocks_with_masked_frames(self, variant):
@@ -455,19 +466,20 @@ class TestBatchedMM:
 
     @staticmethod
     def empty_column_problem():
-        """Column 0 is empty after step 1, so at step 2 its smallest cost
-        (row 0) plus its penalty is exactly the bound, which row 0's step-1
-        label (column 1) sets. Row 0 ties between columns 0 and 1: column 0
-        must stay a candidate and take the row, as in the oracle. Columns
-        3-5 cost more than the bound on every row, so step 2 keeps 3 of 6
-        columns and takes the pruned argmin."""
+        """Column 0 is empty after step 1 and column 1 holds row 0 alone.
+        Column 1 costs at most c_tie on every row, so at step 2 it sets the
+        bound, c_tie + p_1, and column 0's smallest cost (row 0) plus its
+        penalty is exactly that bound. Row 0 ties between columns 0 and 1:
+        column 0 must stay a candidate and take the row, as in the oracle.
+        Columns 3-5 cost more than the bound on every row, so step 2 keeps
+        3 of 6 columns and takes the pruned argmin."""
         v_r, big = 2e-12, 1e7
         p_empty, p_row = solvers._group_penalty_row(np.array([0.0, v_r]))
         c_tie = p_empty - p_row  # exact: p_row <= p_empty <= 2 * p_row
         assert c_tie + p_row == p_empty
         values = np.array([[0.0, c_tie, big, big, big, big],
                            [big, 0.0, 0.25, big, big, big],
-                           [big, big, 0.0, big, big, big]])
+                           [big, c_tie, 0.0, big, big, big]])
         frames = NormalizedFrames(columns=np.array([[v_r], [0.25], [0.75]]),
                                   active_mask=np.array([True]))
         return frames, toy_cost(values), SolverConfig(lambda_g=1.0, mm_iterations=2)
@@ -509,10 +521,10 @@ class TestBatchedMM:
         steps, widths, gathered = [], [], set()
         gather, masses = solvers._gathered_labels, solvers._column_masses
 
-        def gather_spy(by_column, pen, cols, frames):
+        def gather_spy(by_column, pen_rows, cols, frames):
             widths.append(cols.shape[1])
             gathered.update(frames.tolist())
-            return gather(by_column, pen, cols, frames)
+            return gather(by_column, pen_rows, cols, frames)
 
         def masses_spy(labels, frames, k):
             if labels.ndim == 2:
@@ -564,6 +576,44 @@ class TestBatchedMM:
         steps = self.spy_on_routes(monkeypatch)
         assert_matches_oracle(frames, cost, config, "ost_g")
         assert any(full and widths for full, widths in steps)
+
+    def test_toy_size_block_takes_only_the_full_argmin(self, monkeypatch):
+        # `ost toy`'s size, a 64 x 8 cost, here with four frames: below the
+        # small-cost floor every frame takes the full argmin at every step
+        # and no bound is computed, though with the floor at 0 the same
+        # problem prunes
+        rng = np.random.default_rng(79)
+        frames = make_frames(rng, 64, 4)
+        cost = toy_cost(rng.uniform(0, 3, size=(64, 8)))
+        config = SolverConfig(lambda_g=3.0)
+        assert 64 * 8 * 4 < FULL_ARGMIN_CELLS
+        steps = self.spy_on_routes(monkeypatch)
+        unmix(frames, cost, config, variant="ost_g")
+        assert any(widths for _, widths in steps)
+        steps.clear()
+        monkeypatch.setattr(solvers, "_FULL_ARGMIN_CELLS", FULL_ARGMIN_CELLS)
+        monkeypatch.setattr(solvers, "_kept_columns", None)  # fails if called
+        assert_matches_oracle(frames, cost, config, "ost_g")
+        assert steps and not any(widths for _, widths in steps)
+
+    @pytest.mark.parametrize("lambda_g", [0.0, 30.0, 300.0, 3000.0])
+    def test_group_mm_on_a_rendered_piece(self, lambda_g, monkeypatch):
+        # 2 s of chords at 22.05 kHz with the piano's 88 notes on 1024 bins,
+        # as the benchmark's piece: bit for bit the oracle, and from
+        # lambda_g = 300 on the first step already leaves the full argmin
+        rng = np.random.default_rng(80)
+        events = [NoteEvent(0.5 * c, 0.5 * (c + 1), int(p)) for c in range(4)
+                  for p in rng.choice(np.arange(45, 81), size=3, replace=False)]
+        audio = render_notes(events, sample_rate=22050, inharmonicity=0.01, seed=80)
+        frames = normalize_frames(stft_magnitude(audio, 2048, 1024))
+        cost = harmonic_cost(frames.freqs, midi_range_fundamentals(21, 108),
+                             eps0=10.0)
+        assert cost.values.shape == (1024, 88)
+        assert frames.active_mask.sum() <= MM_BLOCK_FRAMES  # one block
+        steps = self.spy_on_routes(monkeypatch)
+        assert_matches_oracle(frames, cost, SolverConfig(lambda_g=lambda_g), "ost_g")
+        _, first_widths = steps[0]
+        assert bool(first_widths) == (lambda_g >= 300.0)
 
     def test_group_mm_one_frame_past_a_block(self):
         rng = np.random.default_rng(71)
@@ -712,6 +762,80 @@ class TestBatchedMM:
             with pytest.raises(NumericError):
                 unmix(frames, cost, SolverConfig(lambda_e=1.0, lambda_g=1.0),
                       variant=variant)
+
+
+def penalties(rng, k, n, lambda_g, empty=0.3):
+    """K x n penalties lambda_g * _group_penalty_row(h) of random masses,
+    with a share `empty` of them 0 (penalty 0.5 * lambda_g / 1e-6)."""
+    h = rng.dirichlet(np.ones(k), size=n).T
+    h[rng.random((k, n)) < empty] = 0.0
+    return lambda_g * solvers._group_penalty_row(h)
+
+
+class TestKeptColumns:
+    """The column-max bound of the ost_g step keeps, for every frame, each
+    column that is a row's minimum of values + p or ties it."""
+
+    @staticmethod
+    def assert_keeps_every_minimum(values, pen):
+        keep = solvers._kept_columns(values.min(axis=0), values.max(axis=0), pen)
+        for f in range(pen.shape[1]):
+            total = values + pen[:, f]
+            at_min = (total == total.min(axis=1, keepdims=True)).any(axis=0)
+            assert np.all(keep[at_min, f])
+        return keep
+
+    @staticmethod
+    def cost_case(rng, case):
+        if case == "ties":  # small integers: rows tie across columns
+            return rng.integers(0, 3, size=(40, 9)).astype(float)
+        if case == "duplicates":
+            values = rng.uniform(0, 5, size=(40, 9))
+            values[:, [4, 7]] = values[:, [1, 1]]
+            return values
+        if case == "zero_columns":
+            values = rng.uniform(0, 5, size=(40, 9))
+            values[:, [0, 5]] = 0.0
+            return values
+        freqs = np.arange(1.0, 81.0) * 25.0
+        notes = 25.0 * np.arange(2, 14)
+        if case == "eps0_zero":
+            return harmonic_cost(freqs, notes, eps0=0.0).values
+        return append_noise_column(harmonic_cost(freqs, notes, eps0=10.0), 400.0).values
+
+    @pytest.mark.parametrize("case", ["ties", "duplicates", "zero_columns",
+                                      "eps0_zero", "noise_column"])
+    @pytest.mark.parametrize("lambda_g", [0.0, 1.0, 30.0, 3000.0])
+    def test_keeps_every_row_minimum_and_tie(self, case, lambda_g):
+        rng = np.random.default_rng(90)
+        values = self.cost_case(rng, case)
+        pen = penalties(rng, values.shape[1], 50, lambda_g)
+        if case == "ties":
+            pen = np.round(pen)  # integer penalties keep the ties exact
+        self.assert_keeps_every_minimum(values, pen)
+
+    def test_empty_column_at_the_bound_is_kept(self):
+        # column 1 is constant, so it sets the bound c + p_1, which column
+        # 0 (empty, at the floor penalty) meets exactly on row 0, its
+        # cheapest: a strict bound would drop the row's lowest-index minimum
+        lambda_g = 2.0
+        p_empty, p_1 = lambda_g * solvers._group_penalty_row(np.array([0.0, 0.04]))
+        c = p_empty - p_1
+        assert c + p_1 == p_empty == 0.5 * lambda_g / 1e-6
+        values = np.array([[0.0, c, 3 * c], [2 * c, c, 0.0], [3 * c, c, 5 * c]])
+        pen = np.array([[p_empty], [p_1], [4 * c]])
+        keep = self.assert_keeps_every_minimum(values, pen)
+        np.testing.assert_array_equal(keep[:, 0], [True, True, False])
+
+    def test_prunes_under_a_large_penalty(self):
+        # the bound drops the columns whose penalty lifts them above every
+        # row of the cheapest penalised column
+        rng = np.random.default_rng(91)
+        values = rng.uniform(0, 1, size=(30, 8))
+        pen = np.zeros((8, 1))
+        pen[3:] = 10.0
+        keep = self.assert_keeps_every_minimum(values, pen)
+        np.testing.assert_array_equal(keep[:, 0], [True] * 3 + [False] * 5)
 
 
 class TestContainersAndConfig:
