@@ -17,6 +17,7 @@ DEFAULT_SILENCE_THRESHOLD = 1e-10
 # Frames per rfft call of stft_magnitude; bounds its windowed-frame and
 # complex-spectrum temporaries.
 STFT_BLOCK_FRAMES = 64
+SIMPLEX_TOL = 1e-9  # largest |sum - 1| NormalizedFrames accepts on an active column
 
 
 @dataclass(eq=False)
@@ -74,7 +75,7 @@ class Spectrogram:
 
 @dataclass(eq=False)
 class NormalizedFrames:
-    """Frame matrix whose active columns sum to one.
+    """Frame matrix whose active columns sum to one, to within SIMPLEX_TOL.
 
     `freqs` is the bin frequency axis of the source spectrogram, from which
     the costs and templates are built. The frames carry no time axis: the
@@ -94,6 +95,9 @@ class NormalizedFrames:
         _check_finite_non_negative(self.columns, "columns")
         if self.active_mask.shape != (self.columns.shape[1],):
             raise ValueError("active_mask length must match the frame count")
+        sums = self.columns.sum(axis=0)[self.active_mask]
+        if np.any(np.abs(sums - 1.0) > SIMPLEX_TOL):
+            raise ValueError("active columns must sum to one")
         if self.freqs is None:
             self.freqs = np.arange(1, self.columns.shape[0] + 1, dtype=np.float64)
         else:

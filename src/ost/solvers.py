@@ -10,18 +10,22 @@ reduced M x K cost. Transporting onto Dirac targets decouples row-wise, so:
   penalty derived from the current column masses;
 - ost_eg runs the same MM loop with the entropic inner solve.
 
-The kernels return the column masses only, never a plan. Their per-frame
-references, which build the plan and the objective trace, are the
-functions of tests/oracles.py; ost and ost_g match them bit for bit.
+So the four variants are two kernels, hard (_group_mm) and entropic
+(_combined_mm), each run for config.mm_iterations MM steps or none: ost is
+ost_g's start alone and ost_e is ost_eg's. Both kernels run on one driver
+over blocks of MM_BLOCK_FRAMES active frames (_mm_blocks). They return the
+column masses only, never a plan. Their per-frame references, which build
+the plan and the objective trace, are the functions of tests/oracles.py;
+ost and ost_g match them bit for bit, ost_e and ost_eg to rounding (their
+products sum in another order).
 
-Both MM variants run on one driver over blocks of frames (_mm_blocks),
-and ost is ost_g's start alone. An ost_g frame leaves its block's live
-set once its masses repeat, an ost_eg frame runs every iteration. Every
-ost_g step takes each frame's argmin only over the columns that can still
-win one of its rows, by a bound from each column's smallest and largest
-cost, exact as float addition rounds monotonically (see _kept_columns);
-the penalty leaves a frame a few notes within a few steps, and frames
-that keep about as many columns share one gather. The ost_eg step uses
+An ost_g frame leaves its block's live set once its masses repeat, an
+ost_eg frame runs every iteration. Every ost_g step takes each frame's
+argmin only over the columns that can still win one of its rows, by a
+bound from each column's smallest and largest cost, exact as float
+addition rounds monotonically (see _kept_columns); the penalty leaves a
+frame a few notes within a few steps, and frames that keep about as many
+columns share one gather. The ost_eg step uses
 that the group penalty p only rescales columns:
 softmax_k(-(c_ik + p_k)/lambda_e) = E_ik w_k / sum_k E_ik w_k, with
 E = exp(-C/lambda_e) computed once. For a block of frames V one MM step is
@@ -49,8 +53,7 @@ from .frontend import NormalizedFrames, _check_finite_non_negative
 
 DEFAULT_MM_ITERATIONS = 10
 EMPTY_COLUMN_MASS = 1e-12  # mass floor used when linearizing sqrt at an empty column
-# Frames per block of the batched ost, ost_g and ost_eg kernels; bounds their
-# M x block temporaries.
+# Frames per block of the batched kernels; bounds their M x block temporaries.
 MM_BLOCK_FRAMES = 128
 _GATHER_CELLS = 2 ** 17  # cost cells an ost_g step gathers at once: 1 MB, in cache
 _FULL_ARGMIN_CELLS = 2 ** 14  # fewer cost cells in an ost_g block-step: no bound
@@ -89,10 +92,10 @@ class SolverConfig:
     mm_iterations: int = DEFAULT_MM_ITERATIONS
 
     def __post_init__(self):
-        if self.lambda_e < 0:
-            raise ValueError("lambda_e must be non-negative")
-        if self.lambda_g < 0:
-            raise ValueError("lambda_g must be non-negative")
+        if not 0 <= self.lambda_e < np.inf:
+            raise ValueError("lambda_e must be finite and non-negative")
+        if not 0 <= self.lambda_g < np.inf:
+            raise ValueError("lambda_g must be finite and non-negative")
         if self.mm_iterations < 1:
             raise ValueError("mm_iterations must be >= 1")
 
@@ -167,7 +170,7 @@ def _kept_columns(col_min, col_max, pen):
 
 
 def _group_mm(values: np.ndarray, v: np.ndarray, active: np.ndarray,
-              lambda_g: float, iterations: int) -> np.ndarray:
+              config: SolverConfig, iterations: int) -> np.ndarray:
     """The masses of tests/oracles.py's ost_group_frame with `iterations`
     MM steps (ost_frame's at 0) for the columns `active` of v (M x N), bit
     for bit, each step taking a frame's argmin only over the columns
@@ -180,6 +183,7 @@ def _group_mm(values: np.ndarray, v: np.ndarray, active: np.ndarray,
     fewer than _FULL_ARGMIN_CELLS cost cells (M x K x live frames), where
     the bound costs more than it saves, takes the full argmin for all."""
     m, k = values.shape
+    lambda_g = config.lambda_g
     by_column = np.ascontiguousarray(values.T)  # gathered columns are rows
     col_min, col_max = by_column.min(axis=1), by_column.max(axis=1)
     caps = [w for w in (2, 4, 8, 16, 32) if w < k // 2] + [k // 2] * (k > 1)
@@ -231,11 +235,12 @@ def _gathered_labels(by_column, pen_rows, cols, frames):
 
 
 def _combined_mm(values: np.ndarray, v: np.ndarray, active: np.ndarray,
-                 config: SolverConfig) -> np.ndarray:
-    """The masses of tests/oracles.py's ost_combined_frame for the columns
-    `active` of v (M x N), by the factorised step H = W * E^T (V / E W) over
-    blocks of frames. Every iteration runs: the entropic loop has no exact
-    fixed point.
+                 config: SolverConfig, iterations: int) -> np.ndarray:
+    """The masses of tests/oracles.py's ost_combined_frame with `iterations`
+    MM steps (ost_entropic_frame's at 0) for the columns `active` of v
+    (M x N), by the factorised step H = W * E^T (V / E W) over blocks of
+    frames. Every iteration runs: the entropic loop has no exact fixed
+    point.
 
     Both products run over the support, the columns whose weight is nonzero
     in some frame of the block; the others get mass exactly 0, as in the
@@ -270,7 +275,7 @@ def _combined_mm(values: np.ndarray, v: np.ndarray, active: np.ndarray,
     # block / s may overflow or be 0 / 0 where s underflows; those entries
     # are reset in the step
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return _mm_blocks(v, active, k, config.mm_iterations,
+        return _mm_blocks(v, active, k, iterations,
                           lambda block: labels.T @ block, step)
 
 
@@ -291,39 +296,29 @@ def _add_underflowed_rows(h, values, block, pen, under, lam_e):
 
 def unmix(frames: NormalizedFrames, cost: CostMatrix,
           config: SolverConfig = None, variant: str = "ost") -> Activations:
-    """Solve every active frame column with one batched kernel per variant
-    (see the module docstring); masked frames yield zero columns.
-
-    `ost` and `ost_g` match ost_frame and ost_group_frame of
-    tests/oracles.py bit for bit; `ost_eg` sums in another order and
-    matches its ost_combined_frame to rounding. Raises NumericError if the
-    activations are not finite.
+    """Solve every active frame column; masked frames yield zero columns.
+    The entropic variants run _combined_mm, the others _group_mm, with
+    config.mm_iterations MM steps for ost_g and ost_eg and none for ost and
+    ost_e: ost is ost_g's start, ost_e is ost_eg's. ost and ost_g match
+    tests/oracles.py's ost_frame and ost_group_frame bit for bit, ost_e and
+    ost_eg match its ost_entropic_frame and ost_combined_frame to rounding.
+    Raises NumericError if the activations are not finite.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     if config is None:
         config = SolverConfig()
-    columns = frames.columns
-    if columns.shape[0] != cost.values.shape[0]:
+    entropic = variant in ("ost_e", "ost_eg")
+    if entropic and config.lambda_e <= 0:
+        raise ValueError(f"variant {variant} requires lambda_e > 0")
+    if frames.columns.shape[0] != cost.values.shape[0]:
         raise ValueError("frame rows must match cost rows")
-    active = np.flatnonzero(frames.active_mask)
-    if active.size == 0:
-        return Activations(values=np.zeros((cost.values.shape[1], columns.shape[1])))
-
+    kernel = _combined_mm if entropic else _group_mm
+    iterations = config.mm_iterations if variant in ("ost_g", "ost_eg") else 0
     # The kernels gather the active columns block by block (no kernel writes
     # into its frame argument), so no M x N copy of the frames is made.
-    if variant in ("ost", "ost_g"):
-        iterations = config.mm_iterations if variant == "ost_g" else 0
-        out = _group_mm(cost.values, columns, active, config.lambda_g, iterations)
-    elif config.lambda_e <= 0:
-        raise ValueError(f"variant {variant} requires lambda_e > 0")
-    elif variant == "ost_e":
-        # one product over every column, masked ones zeroed after: a product
-        # per block of columns would sum in another order
-        out = _softmax_labels(cost.values, config.lambda_e).T @ columns
-        out[:, ~frames.active_mask] = 0.0
-    else:
-        out = _combined_mm(cost.values, columns, active, config)
+    out = kernel(cost.values, frames.columns, np.flatnonzero(frames.active_mask),
+                 config, iterations)
     if not np.all(np.isfinite(out)):
         raise NumericError(f"variant {variant} produced non-finite activations")
     return Activations(values=out)

@@ -14,6 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from ost import baselines
 from ost.baselines import (LP_MIN_TOL, LpProblem, OT_LP_MAX_BINS, PLCA_MAX_ITER,
                            PLCA_REL_TOL, _unmix_lp_frame, kl_divergence,
                            ot_unmix_lp, plca_unmix, solve_lp,
@@ -205,13 +206,19 @@ class TestPlcaUnmix:
         with pytest.raises(ValueError):
             plca_unmix(frames, d, rel_tol=-1e-3)
 
-    def test_non_finite_output_raises(self):
-        # finite frames (not on the simplex) whose ratios v / Wh overflow
-        frames = NormalizedFrames(columns=np.full((12, 1), 1e308),
+    def test_non_finite_output_raises(self, monkeypatch):
+        # simplex frames cannot make EM overflow, so the kernel is replaced by
+        # one returning NaN: it must end as NumericError, not as activations
+        def nan_block(w, v, active, max_iter, rel_tol):
+            n = active.size
+            return (np.full((w.shape[1], n), np.nan), np.ones(n, dtype=int),
+                    [np.zeros(1)] * n)
+
+        monkeypatch.setattr(baselines, "_plca_block", nan_block)
+        frames = NormalizedFrames(columns=np.full((12, 1), 1.0 / 12),
                                   active_mask=np.array([True]))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericError):
-                plca_unmix(frames, disjoint_dictionary(12, 3))
+        with pytest.raises(NumericError):
+            plca_unmix(frames, disjoint_dictionary(12, 3))
 
 
 def random_dictionary(rng, m, k):

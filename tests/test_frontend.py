@@ -16,9 +16,10 @@ from ost.cli import RunConfig, transcription_clock
 from ost.costs import CostMatrix
 from ost.dictionary import Dictionary
 from ost.errors import DataError, DecodeError, UnsupportedEncodingError
-from ost.frontend import (DEFAULT_SILENCE_THRESHOLD, STFT_BLOCK_FRAMES,
-                          AudioBuffer, NormalizedFrames, Spectrogram,
-                          decode_wav, normalize_frames, stft_magnitude)
+from ost.frontend import (DEFAULT_SILENCE_THRESHOLD, SIMPLEX_TOL,
+                          STFT_BLOCK_FRAMES, AudioBuffer, NormalizedFrames,
+                          Spectrogram, decode_wav, normalize_frames,
+                          stft_magnitude)
 from ost.solvers import Activations
 
 from helpers import traced_peak
@@ -490,6 +491,17 @@ class TestContainers:
         columns[1, 1] = bad
         with pytest.raises(ValueError):
             NormalizedFrames(columns=columns, active_mask=np.array([True, True]))
+
+    def test_normalized_frames_active_columns_on_the_simplex(self):
+        with pytest.raises(ValueError, match="sum to one"):
+            NormalizedFrames(columns=[[5.0], [7.0]], active_mask=[True])
+        columns = np.array([[0.5 + SIMPLEX_TOL / 2, 0.5 + 2 * SIMPLEX_TOL, 5.0],
+                            [0.5, 0.5, 7.0]])
+        with pytest.raises(ValueError, match="sum to one"):
+            NormalizedFrames(columns=columns, active_mask=[True, True, False])
+        # masked columns are not checked
+        frames = NormalizedFrames(columns=columns, active_mask=[True, False, False])
+        assert frames.n_frames == 3
 
     def test_normalized_frames_mask_length_checked(self):
         with pytest.raises(ValueError):

@@ -7,8 +7,8 @@ Oracles used here:
   carry mass, which pins the row softmax as the unique optimum;
 - the penalized-objective traces for the MM loops, which must never increase;
 - the per-frame solvers of tests/oracles.py for the batched kernels of
-  `unmix`: bit for bit for ost and ost_g, within 1e-12 for ost_eg (its
-  factorised step sums in another order).
+  `unmix`: bit for bit for ost and ost_g, within 1e-12 for ost_e and ost_eg
+  (their products sum in another order).
 - the row minima of the penalised cost for the ost_g step's column bound:
   every column that is some row's minimum, or ties it, must be kept.
 """
@@ -316,11 +316,7 @@ class TestUnmix:
         active = frames.active_mask
         expected = unmix(active_copy(frames), cost, config, variant=variant).values
         np.testing.assert_array_equal(acts.values[:, ~active], 0.0)
-        if variant in ("ost", "ost_g"):
-            np.testing.assert_array_equal(acts.values[:, active], expected)
-        else:
-            np.testing.assert_allclose(acts.values[:, active], expected,
-                                       rtol=0, atol=1e-12)
+        assert_same_masses(acts.values[:, active], expected, variant)
         assert peak < m * active.sum() * 8
 
     @pytest.mark.parametrize("variant", ["ost", "ost_e", "ost_g", "ost_eg"])
@@ -343,6 +339,10 @@ class TestUnmix:
             unmix(frames, cost, SolverConfig(lambda_e=0.0), variant="ost_e")
         with pytest.raises(ValueError):
             unmix(frames, cost, SolverConfig(lambda_e=0.0), variant="ost_eg")
+        masked = make_frames(rng, 6, 3, inactive=(0, 1, 2))
+        for variant in ("ost_e", "ost_eg"):  # checked before any frame is read
+            with pytest.raises(ValueError, match="lambda_e"):
+                unmix(masked, cost, SolverConfig(lambda_e=0.0), variant=variant)
         bad_cost = toy_cost(rng.uniform(0, 3, size=(5, 2)))
         with pytest.raises(ValueError):
             unmix(frames, bad_cost)
@@ -350,6 +350,7 @@ class TestUnmix:
 
 def oracle_masses(frames, cost, config, variant):
     per_frame = {"ost": lambda v, c, _: ost_frame(v, c),
+                 "ost_e": lambda v, c, cfg: ost_entropic_frame(v, c, cfg.lambda_e),
                  "ost_g": ost_group_frame, "ost_eg": ost_combined_frame}
     out = np.zeros((cost.values.shape[1], frames.n_frames))
     for n in np.flatnonzero(frames.active_mask):
@@ -370,18 +371,35 @@ def fixed_point_step(v, cost, config):
     return None
 
 
-def assert_matches_oracle(frames, cost, config, variant):
-    got = unmix(frames, cost, config, variant=variant).values
-    expected = oracle_masses(frames, cost, config, variant)
+def rendered_piece(noise=False):
+    """2 s of chords at 22.05 kHz with the piano's 88 notes on 1024 bins, as
+    the benchmark's piece: (frames, harmonic cost at eps0 = 10, with the
+    benchmark's noise column if `noise`)."""
+    rng = np.random.default_rng(80)
+    events = [NoteEvent(0.5 * c, 0.5 * (c + 1), int(p)) for c in range(4)
+              for p in rng.choice(np.arange(45, 81), size=3, replace=False)]
+    audio = render_notes(events, sample_rate=22050, inharmonicity=0.01, seed=80)
+    frames = normalize_frames(stft_magnitude(audio, 2048, 1024))
+    cost = harmonic_cost(frames.freqs, midi_range_fundamentals(21, 108), eps0=10.0)
+    return frames, append_noise_column(cost, 30.0) if noise else cost
+
+
+def assert_same_masses(got, expected, variant):
+    """Bit for bit for ost and ost_g, within 1e-12 for ost_e and ost_eg."""
     if variant in ("ost", "ost_g"):
         np.testing.assert_array_equal(got, expected)
     else:
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
+def assert_matches_oracle(frames, cost, config, variant):
+    assert_same_masses(unmix(frames, cost, config, variant=variant).values,
+                       oracle_masses(frames, cost, config, variant), variant)
+
+
 class TestBatchedMM:
-    """unmix's batched ost / ost_g / ost_eg kernels against the per-frame
-    solvers: bit for bit for ost and ost_g. The ost_g small-cost floor is
+    """unmix's batched kernels against the per-frame solvers: bit for bit
+    for ost and ost_g, within 1e-12 for ost_e and ost_eg. The ost_g small-cost floor is
     set to 0 here, so that the small hand-built costs reach the bound and
     the buckets."""
 
@@ -389,7 +407,7 @@ class TestBatchedMM:
     def prune_small_costs(self, monkeypatch):
         monkeypatch.setattr(solvers, "_FULL_ARGMIN_CELLS", 0)
 
-    @pytest.mark.parametrize("variant", ["ost", "ost_g", "ost_eg"])
+    @pytest.mark.parametrize("variant", ["ost", "ost_e", "ost_g", "ost_eg"])
     def test_several_blocks_with_masked_frames(self, variant):
         rng = np.random.default_rng(60)
         n = 2 * MM_BLOCK_FRAMES + 7
@@ -399,7 +417,7 @@ class TestBatchedMM:
         config = SolverConfig(lambda_e=0.4, lambda_g=2.0)
         assert_matches_oracle(frames, cost, config, variant)
 
-    @pytest.mark.parametrize("variant", ["ost", "ost_g", "ost_eg"])
+    @pytest.mark.parametrize("variant", ["ost", "ost_e", "ost_g", "ost_eg"])
     def test_noise_column(self, variant):
         rng = np.random.default_rng(61)
         freqs = np.arange(1.0, 41.0) * 25.0
@@ -422,7 +440,7 @@ class TestBatchedMM:
         frames = make_frames(rng, 12, 20)
         return frames, toy_cost(values), SolverConfig(lambda_e=0.5, lambda_g=0.3)
 
-    @pytest.mark.parametrize("variant", ["ost", "ost_g", "ost_eg"])
+    @pytest.mark.parametrize("variant", ["ost", "ost_e", "ost_g", "ost_eg"])
     def test_exact_cost_ties(self, variant):
         frames, cost, config = self.exact_ties_problem()
         assert_matches_oracle(frames, cost, config, variant)
@@ -598,16 +616,9 @@ class TestBatchedMM:
 
     @pytest.mark.parametrize("lambda_g", [0.0, 30.0, 300.0, 3000.0])
     def test_group_mm_on_a_rendered_piece(self, lambda_g, monkeypatch):
-        # 2 s of chords at 22.05 kHz with the piano's 88 notes on 1024 bins,
-        # as the benchmark's piece: bit for bit the oracle, and from
-        # lambda_g = 300 on the first step already leaves the full argmin
-        rng = np.random.default_rng(80)
-        events = [NoteEvent(0.5 * c, 0.5 * (c + 1), int(p)) for c in range(4)
-                  for p in rng.choice(np.arange(45, 81), size=3, replace=False)]
-        audio = render_notes(events, sample_rate=22050, inharmonicity=0.01, seed=80)
-        frames = normalize_frames(stft_magnitude(audio, 2048, 1024))
-        cost = harmonic_cost(frames.freqs, midi_range_fundamentals(21, 108),
-                             eps0=10.0)
+        # bit for bit the oracle, and from lambda_g = 300 on the first step
+        # already leaves the full argmin
+        frames, cost = rendered_piece()
         assert cost.values.shape == (1024, 88)
         assert frames.active_mask.sum() <= MM_BLOCK_FRAMES  # one block
         steps = self.spy_on_routes(monkeypatch)
@@ -753,15 +764,47 @@ class TestBatchedMM:
                                    rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("variant", ["ost", "ost_e", "ost_g", "ost_eg"])
-    def test_non_finite_output_raises(self, variant):
-        # finite frames (not on the simplex) whose masses overflow
-        frames = NormalizedFrames(columns=np.full((3, 1), 1e308),
-                                  active_mask=np.array([True]))
+    def test_non_finite_output_raises(self, variant, monkeypatch):
+        # simplex frames cannot make the masses overflow, so the block
+        # driver, which every variant's masses come from, is replaced by one
+        # returning NaN: it must end as NumericError, not as activations
+        monkeypatch.setattr(solvers, "_mm_blocks",
+                            lambda v, active, k, *rest: np.full((k, v.shape[1]), np.nan))
+        frames = make_frames(np.random.default_rng(72), 3, 2)
         cost = toy_cost([[0.0, 5.0]] * 3)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericError):
-                unmix(frames, cost, SolverConfig(lambda_e=1.0, lambda_g=1.0),
-                      variant=variant)
+        with pytest.raises(NumericError):
+            unmix(frames, cost, SolverConfig(lambda_e=1.0, lambda_g=1.0),
+                  variant=variant)
+
+
+class TestVariantCollapse:
+    """ost is ost_g's start and ost_e is ost_eg's, on the shipped path of a
+    rendered piece with the harmonic cost, with and without a noise column:
+    at lambda_g = 0 an MM step moves no mass, and no variant's masses
+    depend on the order of the frames."""
+
+    @pytest.mark.parametrize("noise", [False, True])
+    def test_zero_group_weight(self, noise):
+        frames, cost = rendered_piece(noise)
+        hard = SolverConfig(lambda_g=0.0)
+        np.testing.assert_array_equal(unmix(frames, cost, hard, "ost_g").values,
+                                      unmix(frames, cost, hard, "ost").values)
+        soft = SolverConfig(lambda_e=30.0, lambda_g=0.0, mm_iterations=1)
+        np.testing.assert_allclose(unmix(frames, cost, soft, "ost_eg").values,
+                                   unmix(frames, cost, soft, "ost_e").values,
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("noise", [False, True])
+    @pytest.mark.parametrize("variant", ["ost", "ost_e", "ost_g", "ost_eg"])
+    def test_frame_permutation(self, variant, noise):
+        frames, cost = rendered_piece(noise)
+        perm = np.random.default_rng(81).permutation(frames.n_frames)
+        permuted = NormalizedFrames(columns=frames.columns[:, perm],
+                                    active_mask=frames.active_mask[perm])
+        config = SolverConfig(lambda_e=30.0, lambda_g=300.0)
+        assert_same_masses(unmix(permuted, cost, config, variant).values,
+                           unmix(frames, cost, config, variant).values[:, perm],
+                           variant)
 
 
 def penalties(rng, k, n, lambda_g, empty=0.3):
@@ -855,5 +898,10 @@ class TestContainersAndConfig:
             SolverConfig(lambda_e=-1.0)
         with pytest.raises(ValueError):
             SolverConfig(lambda_g=-0.5)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="lambda_e must be finite"):
+                SolverConfig(lambda_e=bad)
+            with pytest.raises(ValueError, match="lambda_g must be finite"):
+                SolverConfig(lambda_g=bad)
         with pytest.raises(ValueError):
             SolverConfig(mm_iterations=0)
