@@ -7,7 +7,7 @@ LP between two spectra. LPs are solved by HiGHS' dual revised simplex
 (scipy's linprog), imported on the first solve.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .solvers import MM_BLOCK_FRAMES, Activations
 
 KL_FLOOR = 1e-300
 LP_TOL = 1e-9
-LP_MIN_TOL = 1e-10  # HiGHS ignores, with a warning, feasibility tolerances below this
 LP_GUARD = 5000
 OT_LP_MAX_BINS = 64
 PLCA_MAX_ITER = 1000
@@ -53,10 +52,9 @@ class LpProblem:
 
 @dataclass(eq=False)
 class PlcaState:
-    """Per-frame KL objective traces and iteration counts of a PLCA run."""
+    """Per-frame iteration counts of a PLCA run."""
 
-    objective_traces: list = field(default_factory=list)
-    iterations: np.ndarray = None
+    iterations: np.ndarray
 
 
 def kl_divergence(v, vhat) -> float:
@@ -75,23 +73,21 @@ def kl_divergence(v, vhat) -> float:
 def _plca_block(w, v, active, max_iter, rel_tol):
     """EM on the columns `active` of v in a live set of MM_BLOCK_FRAMES
     slots, one matrix product pair per step. A column that stops hands its
-    slot and trace row to the next waiting one, read from v as it enters;
-    once none waits, the set shrinks. ratio = v / vhat gives both the
-    objective (its log where v > 0) and the next update. Returns (h,
-    iterations, objective traces) of the active columns, in their order."""
+    slot to the next waiting one, read from v as it enters; once none
+    waits, the set shrinks. ratio = v / vhat gives both the objective (its
+    log where v > 0) and the next update. Returns (h, iterations) of the
+    active columns, in their order."""
     (m, k), n = w.shape, active.size
-    h_out, iters, traces = np.empty((k, n)), np.empty(n, dtype=int), [None] * n
+    h_out, iters = np.empty((k, n)), np.empty(n, dtype=int)
     width = min(n, MM_BLOCK_FRAMES)
     vhat_start = np.maximum(w @ np.full((k, 1), 1.0 / k), KL_FLOOR)
-    frame, row = np.empty(width, dtype=int), np.arange(width)  # column, trace row
+    frame = np.empty(width, dtype=int)  # the active column in each slot
     start, prev = np.empty(width, dtype=int), np.empty(width)  # entry step, objective
-    # a ring over the steps: no column stays for more than max_iter of them
-    trace_buf = np.empty((width, max_iter))
     h = np.empty((k, width))
     vs, ratio, vhat = (np.empty((m, width)) for _ in range(3))
     positive = np.empty((m, width), dtype=bool)
     log_ratio = np.zeros((m, width))  # only ever finite, so 0 * log_ratio is 0
-    queued, stopped, step = 0, row, 0  # every slot starts empty
+    queued, stopped, step = 0, np.arange(width), 0  # every slot starts empty
     while True:
         if stopped.size:
             refill = stopped[:n - queued]
@@ -106,12 +102,12 @@ def _plca_block(w, v, active, max_iter, rel_tol):
             if refill.size < stopped.size:  # the queue is empty
                 keep = np.ones(frame.size, dtype=bool)
                 keep[stopped[refill.size:]] = False
-                frame, row, start, prev = (a[keep] for a in (frame, row, start, prev))
+                frame, start, prev = (a[keep] for a in (frame, start, prev))
                 vs, positive, h, ratio, log_ratio, vhat = (
                     a[:, keep] for a in (vs, positive, h, ratio, log_ratio, vhat))
             where = True if positive.all() else positive  # unmasked log is faster
         if not frame.size:
-            return h_out, iters, traces
+            return h_out, iters
         h *= w.T @ ratio
         total = h.sum(axis=0)
         total[total == 0] = 1.0  # a frame whose mass vanished stays at zero
@@ -122,17 +118,14 @@ def _plca_block(w, v, active, max_iter, rel_tol):
         np.log(ratio, out=log_ratio, where=where)
         log_ratio *= vs
         obj = log_ratio.sum(axis=0)
-        trace_buf[row, step % max_iter] = obj
         step += 1
         done = np.abs(prev - obj) <= rel_tol * np.maximum(np.abs(prev), KL_FLOOR)
         if step >= max_iter:  # no slot reaches the cap in fewer steps
             done |= start == step - max_iter
         prev = obj
         stopped = np.flatnonzero(done)
-        for s in stopped:
-            j = frame[s]
-            traces[j] = trace_buf[row[s], np.arange(start[s], step) % max_iter]
-            h_out[:, j], iters[j] = h[:, s], step - start[s]
+        h_out[:, frame[stopped]] = h[:, stopped]
+        iters[frame[stopped]] = step - start[stopped]
 
 
 def plca_unmix(frames: NormalizedFrames, dictionary: Dictionary,
@@ -156,47 +149,40 @@ def plca_unmix(frames: NormalizedFrames, dictionary: Dictionary,
         raise ValueError("rel_tol must be non-negative")
     n = frames.columns.shape[1]
     out = np.zeros((w.shape[1], n))
-    traces = [np.array([])] * n
     iters = np.zeros(n, dtype=int)
     active = np.flatnonzero(frames.active_mask)
-    out[:, active], iters[active], active_traces = _plca_block(
-        w, frames.columns, active, max_iter, rel_tol)
-    for j, trace in zip(active, active_traces):
-        traces[j] = trace
+    out[:, active], iters[active] = _plca_block(w, frames.columns, active,
+                                                max_iter, rel_tol)
     if not np.all(np.isfinite(out)):
         raise NumericError("plca produced non-finite activations")
-    return Activations(values=out), PlcaState(objective_traces=traces,
-                                              iterations=iters)
+    return Activations(values=out), PlcaState(iterations=iters)
 
 
-def solve_lp(problem: LpProblem, tol: float = LP_TOL, guard: int = LP_GUARD):
+def solve_lp(problem: LpProblem):
     """Solve min c.x s.t. Ax = b, x >= 0 with HiGHS' dual revised simplex.
 
-    Returns (x, objective); tol is HiGHS' primal and dual feasibility
-    tolerance, at least LP_MIN_TOL. Raises LpGuardError above `guard`
-    variables (before any solve), LpInfeasibleError / LpUnboundedError on
-    those outcomes, and NumericError on any other solver failure or when the
-    returned point misses a constraint by more than 1e-9 relative to the
-    largest |b|.
+    Returns (x, objective); LP_TOL is HiGHS' primal and dual feasibility
+    tolerance. Raises LpGuardError above LP_GUARD variables (before any
+    solve), LpInfeasibleError / LpUnboundedError on those outcomes, and
+    NumericError on any other solver failure or when the returned point
+    misses a constraint by more than 1e-9 relative to the largest |b|.
     """
     n = problem.n_variables
-    if n > guard:
-        raise LpGuardError(f"{n} variables exceed the desk-scale guard ({guard})")
-    if not tol >= LP_MIN_TOL:
-        raise ValueError(f"tol must be at least {LP_MIN_TOL}")
+    if n > LP_GUARD:
+        raise LpGuardError(f"{n} variables exceed the desk-scale guard ({LP_GUARD})")
     from scipy.optimize import linprog  # ~0.17 s to import; keep it off start-up
 
     res = linprog(problem.objective, A_eq=problem.eq_matrix, b_eq=problem.eq_rhs,
                   bounds=(0, None), method="highs",
-                  options={"primal_feasibility_tolerance": tol,
-                           "dual_feasibility_tolerance": tol})
+                  options={"primal_feasibility_tolerance": LP_TOL,
+                           "dual_feasibility_tolerance": LP_TOL})
     if res.status == 2:
         raise LpInfeasibleError(res.message)
     if res.status == 3:
         raise LpUnboundedError(res.message)
     if res.status != 0:
         raise NumericError(f"LP solver failed: {res.message}")
-    x = np.maximum(res.x, 0.0)  # HiGHS keeps bounds only to within tol
+    x = np.maximum(res.x, 0.0)  # HiGHS keeps bounds only to within LP_TOL
     residual = np.abs(problem.eq_matrix @ x - problem.eq_rhs).max(initial=0.0)
     if residual > 1e-9 * max(1.0, np.abs(problem.eq_rhs).max(initial=0.0)):
         raise NumericError(f"constraint residual {residual:.3e} exceeds tolerance")

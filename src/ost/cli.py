@@ -675,7 +675,10 @@ def _expand_config_file(argv):
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         flag = "--" + key.replace("_", "-")
-        if value.lower() in ("true", "false"):
+        if flag == "--config":
+            raise UsageError(f"config line {lineno}: a config file cannot name "
+                             "another")
+        if flag == "--sweep-noise" and value.lower() in ("true", "false"):
             if value.lower() == "true":
                 tokens.append(flag)
         else:
@@ -702,13 +705,8 @@ def main(argv=None) -> int:
     except (OstError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except SystemExit as exc:
-        if exc.code is None:
-            return EXIT_OK
-        if isinstance(exc.code, int):
-            return exc.code
-        print(exc.code, file=sys.stderr)
-        return EXIT_USAGE
+    except SystemExit as exc:  # parser.exit(), as from --help: an int status
+        return exc.code
 
 
 if __name__ == "__main__":

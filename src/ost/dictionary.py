@@ -25,10 +25,10 @@ class HarmonicTemplateParams:
     n_partials: int = DEFAULT_N_PARTIALS
 
     def __post_init__(self):
-        if self.kernel_width <= 0:
-            raise ValueError("kernel_width must be positive")
-        if self.damping < 0:
-            raise ValueError("damping must be non-negative")
+        if not 0 < self.kernel_width < np.inf:
+            raise ValueError("kernel_width must be finite and positive")
+        if not 0 <= self.damping < np.inf:
+            raise ValueError("damping must be finite and non-negative")
         if self.n_partials < 1:
             raise ValueError("n_partials must be >= 1")
 

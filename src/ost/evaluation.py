@@ -221,13 +221,12 @@ def make_toy_scenario(which: str, seed: int, bins: int = TOY_BINS,
                       f_max: float = TOY_F_MAX,
                       kernel_width_bins: float = TOY_KERNEL_WIDTH_BINS,
                       damping: float = TOY_DAMPING,
-                      n_partials: int = TOY_N_PARTIALS,
-                      shift_pct: float = TOY_SHIFT_PCT) -> ToyScenario:
+                      n_partials: int = TOY_N_PARTIALS) -> ToyScenario:
     """Build one misspecified-unmixing draw.
 
     shifted_fundamentals ("a"): mix templates 1 and 4 with each note's
-    fundamental moved by a seeded random sign times shift_pct percent, the
-    shift propagated to all partials.
+    fundamental moved by a seeded random sign times TOY_SHIFT_PCT percent,
+    the shift propagated to all partials.
 
     wrong_amplitudes ("b"): mix templates 1 and 6 at the exact frequencies
     but with the partial amplitudes redrawn log-uniformly in TOY_AMP_RANGE
@@ -256,7 +255,7 @@ def make_toy_scenario(which: str, seed: int, bins: int = TOY_BINS,
         nu = fundamentals[note]
         if which == "shifted_fundamentals":
             sign = rng.choice((-1.0, 1.0))
-            nu = nu * (1.0 + sign * shift_pct / 100.0)
+            nu = nu * (1.0 + sign * TOY_SHIFT_PCT / 100.0)
             partial_weights = clean_weights
         else:
             lo, hi = np.log(TOY_AMP_RANGE[0]), np.log(TOY_AMP_RANGE[1])

@@ -13,7 +13,7 @@ from .errors import DataError, DecodeError, UnsupportedEncodingError
 
 DEFAULT_WINDOW_LEN = 4096
 DEFAULT_HOP = 2048
-DEFAULT_SILENCE_THRESHOLD = 1e-10
+SILENCE_THRESHOLD = 1e-10
 # Frames per rfft call of stft_magnitude; bounds its windowed-frame and
 # complex-spectrum temporaries.
 STFT_BLOCK_FRAMES = 64
@@ -255,14 +255,11 @@ def stft_magnitude(audio: AudioBuffer, window_len: int = DEFAULT_WINDOW_LEN,
     return Spectrogram(values=magnitudes.T, freqs=freqs)
 
 
-def normalize_frames(spec: Spectrogram,
-                     silence_threshold: float = DEFAULT_SILENCE_THRESHOLD) -> NormalizedFrames:
-    """Normalize each column to sum to one; columns at or below the silence
-    threshold are zeroed and masked inactive."""
-    if silence_threshold < 0:
-        raise ValueError("silence_threshold must be non-negative")
+def normalize_frames(spec: Spectrogram) -> NormalizedFrames:
+    """Normalize each column to sum to one; columns at or below
+    SILENCE_THRESHOLD are zeroed and masked inactive."""
     sums = spec.values.sum(axis=0)
-    active = sums > silence_threshold
+    active = sums > SILENCE_THRESHOLD
     # zeros_like keeps the F order, on which later column sums' bits depend
     columns = np.divide(spec.values, sums, out=np.zeros_like(spec.values),
                         where=active)

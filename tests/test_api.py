@@ -1,9 +1,12 @@
-"""The public API: sorted `ost.__all__` is pinned in tests/api_names.txt and
+"""The public API: sorted `ost.__all__` is pinned in tests/api_names.txt,
 the fields of every public dataclass, in constructor order, in
-tests/api_fields.txt, so every added, removed or renamed name or
-constructor field shows up as a diff of those files."""
+tests/api_fields.txt, and the signature of every public function in
+tests/api_signatures.txt, so every added, removed or renamed name,
+constructor field, parameter or default shows up as a diff of those
+files."""
 
 import dataclasses
+import inspect
 from pathlib import Path
 
 import ost
@@ -30,3 +33,15 @@ def api_fields() -> str:
 def test_api_fields_are_unchanged():
     golden = (Path(__file__).parent / "api_fields.txt").read_text()
     assert api_fields() == golden
+
+
+def api_signatures() -> str:
+    """One line per public function: its name, then its signature."""
+    lines = [f"{name}{inspect.signature(obj)}" for name in sorted(ost.__all__)
+             if inspect.isfunction(obj := getattr(ost, name))]
+    return "\n".join(lines) + "\n"
+
+
+def test_api_signatures_are_unchanged():
+    golden = (Path(__file__).parent / "api_signatures.txt").read_text()
+    assert api_signatures() == golden

@@ -167,6 +167,21 @@ class TestUsageErrors:
                      "--method", "ost", "--grid", "lambda_e=10"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv, message", [
+        (["toy", "a", "--methods", ","], "at least one method"),
+        (["sweep", "--grid", "epsilon0"], "name=v1,v2"),
+        (["sweep", "--grid", "bogus=1"], "cannot sweep 'bogus'"),
+        (["sweep", "--grid", "epsilon0=x"], "bad grid values"),
+        (["bench", "--notes", "93"], "--notes must be at most 92"),
+        (["toy", "a", "--config"], "--config needs a file"),
+    ])
+    def test_malformed_value_is_named(self, capsys, tmp_path, argv, message):
+        if argv[0] == "sweep":
+            argv = argv[:1] + [str(tmp_path / "x.wav"), "--ground-truth",
+                               str(tmp_path / "t.tsv")] + argv[1:]
+        assert main(argv) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--method", "ost", "--grid", "epsilon0=-1"],
@@ -342,9 +357,9 @@ class TestNumericExit:
         solve_block = baselines._plca_block
 
         def poisoned(*args):
-            h, iters, traces = solve_block(*args)
+            h, iters = solve_block(*args)
             h[0, 0] = np.nan
-            return h, iters, traces
+            return h, iters
 
         monkeypatch.setattr(baselines, "_plca_block", poisoned)
         outdir = tmp_path / "out"
@@ -441,6 +456,40 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed=7\n")
         assert main(["--config", str(cfg)]) == EXIT_USAGE
+
+    def test_equals_form_reads_the_file(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=7\nbins=64\nf_max=700\nmethods=ost\n")
+        assert main(["toy", "a", f"--config={cfg}"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.startswith("scenario=shifted_fundamentals seed=7 bins=64")
+
+    def test_true_false_apply_only_to_the_switch(self, capsys, duet,
+                                                 tmp_path):
+        # lambda_e=false was once dropped, leaving the default weight
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("bins=64\nf_max=700\nmethods=ost_e\nlambda_e=false\n")
+        assert main(["toy", "a", "--config", str(cfg)]) == EXIT_USAGE
+        assert "--lambda-e" in capsys.readouterr().err
+        for value, header in (("true", "epsilon0\tnoise_amplitude"),
+                              ("False", "epsilon0\tval_f_measure")):
+            cfg.write_text(f"sweep_noise={value}\n")
+            target = tmp_path / f"{value}.tsv"
+            code = main(["sweep", str(duet / "duet.wav"), "--config", str(cfg),
+                         "--ground-truth", str(duet / "truth.tsv"),
+                         "--method", "ost", "--grid", "epsilon0=1",
+                         "--output", str(target)] + DUET_FLAGS)
+            assert code == EXIT_OK
+            assert target.read_text().startswith(header)
+
+    def test_file_cannot_name_another(self, capsys, tmp_path):
+        # a nested file's lines were once spliced in and then ignored
+        inner = tmp_path / "b.cfg"
+        inner.write_text("seed=7\n")
+        outer = tmp_path / "a.cfg"
+        outer.write_text(f"bins=64\nf_max=700\nmethods=ost\nconfig={inner}\n")
+        assert main(["toy", "a", "--config", str(outer)]) == EXIT_USAGE
+        assert "line 4" in capsys.readouterr().err
 
 
 class TestTranscribe:
@@ -556,14 +605,22 @@ class TestTranscribe:
                 "--output-dir", str(outdir)]
         assert main(argv) == EXIT_OK
         transcribed = capsys.readouterr().out
+        report = tmp_path / "eval.tsv"
         code = main(["eval", str(outdir / "note50.ost_e.activations.tsv"),
-                     "--ground-truth", str(note50 / "truth.tsv")])
+                     "--ground-truth", str(note50 / "truth.tsv"),
+                     "--output", str(report)])
         assert code == EXIT_OK
         evaluated = capsys.readouterr().out
         for field in ("precision", "recall", "f_measure"):
             want = re.search(rf"{field}=([0-9.]+)", transcribed).group(1)
             got = re.search(rf"{field}=([0-9.]+)", evaluated).group(1)
             assert want == got
+        # the score lines of the transcribe report, then nothing else
+        transcribe_report = outdir / "note50.ost_e.report.tsv"
+        scores = transcribe_report.read_text().split("\n")[:6]
+        assert report.read_text() == "\n".join(scores) + "\n"
+        assert [line.split("\t")[0] for line in scores] \
+            == ["precision", "recall", "f_measure", "tp", "fp", "fn"]
 
 
 class TestSweep:
@@ -622,6 +679,24 @@ class TestSweep:
                     + DUET_FLAGS)
         assert code == EXIT_OK
         assert calls == [1.0, 10.0, 100.0]
+
+    @pytest.mark.parametrize("method, header, n_rows", [
+        ("ost", "epsilon0", 5),
+        ("ost_e", "epsilon0\tlambda_e", 20),
+        ("plca", "damping\tkernel_width_bins", 12),
+    ])
+    def test_default_axes(self, capsys, duet, tmp_path, method, header,
+                          n_rows):
+        target = tmp_path / "sweep.tsv"
+        code = main(["sweep", str(duet / "duet.wav"),
+                     "--ground-truth", str(duet / "truth.tsv"),
+                     "--method", method, "--output", str(target)] + DUET_FLAGS)
+        assert code == EXIT_OK
+        table, summary = target.read_text().split("\n\n")
+        lines = table.split("\n")
+        assert lines[0] == header + "\tval_f_measure"
+        assert len(lines) == 1 + n_rows
+        assert summary.startswith("best\t")
 
     def test_output_file_bytes(self, capsys, duet, tmp_path):
         target = tmp_path / "sweep.tsv"

@@ -131,3 +131,9 @@ class TestDictionaryValidation:
             HarmonicTemplateParams(kernel_width=1.0, damping=-0.1)
         with pytest.raises(ValueError):
             HarmonicTemplateParams(kernel_width=1.0, n_partials=0)
+        # inf width gave identical flat templates; NaN failed only in Dictionary
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="kernel_width"):
+                HarmonicTemplateParams(kernel_width=bad)
+            with pytest.raises(ValueError, match="damping"):
+                HarmonicTemplateParams(kernel_width=1.0, damping=bad)

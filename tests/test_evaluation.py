@@ -5,6 +5,7 @@ import logging
 import numpy as np
 import pytest
 
+from ost import evaluation
 from ost.baselines import plca_unmix
 from ost.costs import harmonic_cost
 from ost.errors import DataError
@@ -270,26 +271,28 @@ class TestMakeToyScenario:
         np.testing.assert_allclose(sc.dictionary.templates.sum(axis=0), 1.0,
                                    atol=1e-12)
 
-    def test_zero_shift_lies_in_column_span(self):
-        sc = make_toy_scenario("a", seed=0, shift_pct=0.0)
+    def test_zero_shift_lies_in_column_span(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "TOY_SHIFT_PCT", 0.0)
+        sc = make_toy_scenario("a", seed=0)
         w = sc.dictionary.templates
         recon = 0.5 * w[:, TOY_PAIR_A[0]] + 0.5 * w[:, TOY_PAIR_A[1]]
         np.testing.assert_allclose(sc.frame, recon, atol=1e-15)
 
-    def test_zero_shift_recovered_exactly(self):
+    def test_zero_shift_recovered_exactly(self, monkeypatch):
         # no misspecification: the group solver reads the mixture straight
         # off (kernel of one bin keeps bump tails clear of the nearest
         # equal-temperament partial collisions)
-        sc = make_toy_scenario("a", seed=0, shift_pct=0.0,
-                               kernel_width_bins=1.0)
+        monkeypatch.setattr(evaluation, "TOY_SHIFT_PCT", 0.0)
+        sc = make_toy_scenario("a", seed=0, kernel_width_bins=1.0)
         cost = harmonic_cost(sc.freqs, sc.dictionary.fundamentals, eps0=1.0)
         config = SolverConfig(lambda_g=300.0, mm_iterations=10)
         _, h, _ = ost_group_frame(sc.frame, cost, config)
         assert l1_activation_error(h, sc.h_true) < 1e-6
 
-    def test_zero_shift_default_kernel_stays_tiny(self):
+    def test_zero_shift_default_kernel_stays_tiny(self, monkeypatch):
         # at the default kernel the bump tails just graze one boundary
-        sc = make_toy_scenario("a", seed=0, shift_pct=0.0)
+        monkeypatch.setattr(evaluation, "TOY_SHIFT_PCT", 0.0)
+        sc = make_toy_scenario("a", seed=0)
         cost = harmonic_cost(sc.freqs, sc.dictionary.fundamentals, eps0=1.0)
         config = SolverConfig(lambda_g=300.0, mm_iterations=10)
         _, h, _ = ost_group_frame(sc.frame, cost, config)

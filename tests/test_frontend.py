@@ -16,7 +16,7 @@ from ost.cli import RunConfig, transcription_clock
 from ost.costs import CostMatrix
 from ost.dictionary import Dictionary
 from ost.errors import DataError, DecodeError, UnsupportedEncodingError
-from ost.frontend import (DEFAULT_SILENCE_THRESHOLD, SIMPLEX_TOL,
+from ost.frontend import (SILENCE_THRESHOLD, SIMPLEX_TOL,
                           STFT_BLOCK_FRAMES, AudioBuffer, NormalizedFrames,
                           Spectrogram, decode_wav, normalize_frames,
                           stft_magnitude)
@@ -387,9 +387,10 @@ class TestNormalizeFrames:
 
     def test_threshold_boundary_is_inactive(self):
         # a column whose mass equals the threshold exactly counts as silent
-        values = np.array([[0.5], [0.5]])
+        values = np.full((2, 1), SILENCE_THRESHOLD / 2)
+        assert values.sum() == SILENCE_THRESHOLD
         spec = Spectrogram(values=values, freqs=np.array([1.0, 2.0]))
-        frames = normalize_frames(spec, silence_threshold=1.0)
+        frames = normalize_frames(spec)
         assert not frames.active_mask[0]
         np.testing.assert_array_equal(frames.columns, [[0.0], [0.0]])
 
@@ -400,18 +401,13 @@ class TestNormalizeFrames:
         spec = stft_magnitude(AudioBuffer(samples=x, sample_rate=8000), 256, 128)
         frames = normalize_frames(spec)
         sums = spec.values.sum(axis=0)
-        active = sums > DEFAULT_SILENCE_THRESHOLD
+        active = sums > SILENCE_THRESHOLD
         expected = np.zeros_like(spec.values)
         expected[:, active] = spec.values[:, active] / sums[active]
         assert 0 < active.sum() < active.size
         np.testing.assert_array_equal(frames.active_mask, active)
         assert frames.columns.tobytes(order="F") == expected.tobytes(order="F")
         assert frames.columns.flags.f_contiguous
-
-    def test_negative_threshold_rejected(self):
-        spec = Spectrogram(values=np.ones((2, 2)), freqs=np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            normalize_frames(spec, silence_threshold=-1e-3)
 
 
 class TestContainers:
