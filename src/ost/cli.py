@@ -17,7 +17,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -45,42 +45,6 @@ EXIT_NUMERIC = 3
 
 METHODS = ("plca", "ot_h", "ost", "ost_e", "ost_g", "ost_eg")
 TEMPLATE_METHODS = {"plca", "ot_h"}
-TEMPLATE_FLAGS = ("kernel_width_bins", "damping", "n_partials")
-
-# Which methods each tunable belongs to. Passing a flag whose method set
-# does not cover the requested method is a configuration error.
-METHOD_FLAGS = {
-    "epsilon0": {"ot_h", "ost", "ost_e", "ost_g", "ost_eg"},
-    "lambda_e": {"ost_e", "ost_eg"},
-    "lambda_g": {"ost_g", "ost_eg"},
-    "mm_iterations": {"ost_g", "ost_eg"},
-    "noise_amplitude": {"ost", "ost_e", "ost_g", "ost_eg"},
-    **{name: TEMPLATE_METHODS for name in TEMPLATE_FLAGS},
-}
-
-# Type and help of each optional setting flag; a command registers only
-# those it honours, so passing any other one is a usage error.
-FLAG_SPECS = {
-    "epsilon0": (float, "harmonic-cost octave penalty scale, Hz^2"),
-    "lambda_e": (float, "entropic regularization weight (ost_e, ost_eg)"),
-    "lambda_g": (float, "group-sparsity weight (ost_g, ost_eg)"),
-    "mm_iterations": (int, "majorize-minimize iterations (ost_g, ost_eg)"),
-    "noise_amplitude": (float, "append a flat-cost noise column at this cost"),
-    "kernel_width_bins": (float, "Gaussian partial width in frequency bins"),
-    "damping": (float, "exponential partial-amplitude damping rate"),
-    "n_partials": (int, "partials per synthesized template"),
-    "midi_low": (int, "lowest MIDI pitch of the dictionary"),
-    "midi_high": (int, "highest MIDI pitch of the dictionary"),
-    "window_len": (int, "STFT window length in samples"),
-    "hop": (int, "STFT hop in samples"),
-    "seed": (int, "RNG seed for synthetic inputs"),
-}
-DECOMPOSE_FLAGS = ("midi_low", "midi_high", "window_len", "hop") + tuple(METHOD_FLAGS)
-
-DEFAULT_EPSILON0 = 1.0
-DEFAULT_MIDI_LOW = 21
-DEFAULT_MIDI_HIGH = 108
-DEFAULT_KERNEL_WIDTH_BINS = 2.0
 DEFAULT_TOY_METHODS = "plca,ost,ost_e,ost_g,ost_eg"
 
 SWEEP_EPSILON0 = (1e0, 1e1, 1e2, 1e3, 1e4)
@@ -92,29 +56,60 @@ SWEEP_DAMPING = (0.1, 0.3, 0.5)
 BENCH_SAMPLE_RATE = 44100.0
 BENCH_MIDI_LOW = 36
 
+# Range rules, (test, text): a value failing the test is reported as
+# "--flag must be <text>".
+FINITE_POSITIVE = (lambda v: 0 < v < np.inf, "finite and positive")
+FINITE_NON_NEGATIVE = (lambda v: 0 <= v < np.inf, "finite and non-negative")
+AT_LEAST_ONE = (lambda v: v >= 1, "at least 1")
+EVEN_WINDOW = (lambda v: v >= 2 and v % 2 == 0, "a positive even integer")
+
 
 class UsageError(Exception):
     """Bad flags or an inconsistent configuration."""
 
 
+def _setting(default, text, methods=METHODS, rule=None):
+    """A RunConfig field that is also the flag of the same name: its
+    default, its help text, the methods it applies to (passing it with no
+    method of that set is a usage error) and its range rule."""
+    return field(default=default,
+                 metadata={"help": text, "methods": set(methods), "rule": rule})
+
+
 @dataclass
 class RunConfig:
-    """Everything one decomposition run depends on."""
+    """Everything one decomposition run depends on. Its fields after
+    `method` are the setting flags, in help order; a command registers only
+    those it honours, so passing any other one is a usage error."""
 
     method: str
-    epsilon0: float = DEFAULT_EPSILON0
-    lambda_e: float = 300.0
-    lambda_g: float = 300.0
-    mm_iterations: int = DEFAULT_MM_ITERATIONS
-    noise_amplitude: float = None
-    midi_low: int = DEFAULT_MIDI_LOW
-    midi_high: int = DEFAULT_MIDI_HIGH
-    window_len: int = DEFAULT_WINDOW_LEN
-    hop: int = DEFAULT_HOP
-    kernel_width_bins: float = DEFAULT_KERNEL_WIDTH_BINS
-    damping: float = DEFAULT_DAMPING
-    n_partials: int = DEFAULT_N_PARTIALS
-    seed: int = 0
+    midi_low: int = _setting(21, "lowest MIDI pitch of the dictionary")
+    midi_high: int = _setting(108, "highest MIDI pitch of the dictionary")
+    window_len: int = _setting(DEFAULT_WINDOW_LEN, "STFT window length in samples",
+                               rule=EVEN_WINDOW)
+    hop: int = _setting(DEFAULT_HOP, "STFT hop in samples")
+    epsilon0: float = _setting(1.0, "harmonic-cost octave penalty scale, Hz^2",
+                               ("ot_h", "ost", "ost_e", "ost_g", "ost_eg"),
+                               FINITE_NON_NEGATIVE)
+    lambda_e: float = _setting(300.0, "entropic regularization weight (ost_e, ost_eg)",
+                               ("ost_e", "ost_eg"), FINITE_POSITIVE)
+    lambda_g: float = _setting(300.0, "group-sparsity weight (ost_g, ost_eg)",
+                               ("ost_g", "ost_eg"), FINITE_POSITIVE)
+    mm_iterations: int = _setting(DEFAULT_MM_ITERATIONS,
+                                  "majorize-minimize iterations (ost_g, ost_eg)",
+                                  ("ost_g", "ost_eg"), AT_LEAST_ONE)
+    noise_amplitude: float = _setting(None,
+                                      "append a flat-cost noise column at this cost",
+                                      ("ost", "ost_e", "ost_g", "ost_eg"),
+                                      FINITE_NON_NEGATIVE)
+    kernel_width_bins: float = _setting(2.0, "Gaussian partial width in frequency bins",
+                                        TEMPLATE_METHODS, FINITE_POSITIVE)
+    damping: float = _setting(DEFAULT_DAMPING,
+                              "exponential partial-amplitude damping rate",
+                              TEMPLATE_METHODS, FINITE_NON_NEGATIVE)
+    n_partials: int = _setting(DEFAULT_N_PARTIALS, "partials per synthesized template",
+                               TEMPLATE_METHODS, AT_LEAST_ONE)
+    seed: int = _setting(0, "RNG seed for synthetic inputs")
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(lambda_e=self.lambda_e, lambda_g=self.lambda_g,
@@ -132,6 +127,9 @@ class RunConfig:
             raise DataError(f"no harmonic templates on this bin grid: {exc}") from exc
 
 
+SETTINGS = {f.name: f for f in fields(RunConfig)[1:]}
+
+
 def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
@@ -139,7 +137,7 @@ def _flag(name: str) -> str:
 def _check_applies(names, methods):
     """Every setting in `names` must apply to at least one of `methods`."""
     for name in names:
-        if name in METHOD_FLAGS and not set(methods) & METHOD_FLAGS[name]:
+        if not set(methods) & SETTINGS[name].metadata["methods"]:
             raise UsageError(f"{_flag(name)} does not apply to "
                              f"method {'/'.join(sorted(methods))}")
 
@@ -152,40 +150,27 @@ def build_run_config(args, methods=None) -> RunConfig:
     synthetic problem itself, so they apply to all); otherwise args.method
     governs.
     """
-    given = [n for n in METHOD_FLAGS if getattr(args, n, None) is not None
-             and (methods is None or n not in TEMPLATE_FLAGS)]
-    _check_applies(given, {args.method} if methods is None else methods)
-    config = RunConfig(
-        method=args.method if methods is None else sorted(methods)[0],
-        **{f.name: getattr(args, f.name) for f in fields(RunConfig)
-           if f.name != "method" and getattr(args, f.name, None) is not None})
+    given = {n: getattr(args, n) for n in SETTINGS
+             if getattr(args, n, None) is not None}
+    _check_applies([n for n in given if methods is None
+                    or SETTINGS[n].metadata["methods"] != TEMPLATE_METHODS],
+                   {args.method} if methods is None else methods)
+    config = RunConfig(method=args.method if methods is None else sorted(methods)[0],
+                       **given)
     _check_ranges(config)
     return config
 
 
 def _check_ranges(config: RunConfig):
-    inf = np.inf
-    checks = [
-        (0 <= config.epsilon0 < inf, "--epsilon0 must be finite and non-negative"),
-        (0 < config.lambda_e < inf, "--lambda-e must be finite and positive"),
-        (0 < config.lambda_g < inf, "--lambda-g must be finite and positive"),
-        (config.mm_iterations >= 1, "--mm-iterations must be at least 1"),
-        (config.noise_amplitude is None or 0 <= config.noise_amplitude < inf,
-         "--noise-amplitude must be finite and non-negative"),
-        (0 <= config.midi_low <= config.midi_high <= 127,
-         "--midi-low/--midi-high must satisfy 0 <= low <= high <= 127"),
-        (config.window_len >= 2 and config.window_len % 2 == 0,
-         "--window-len must be a positive even integer"),
-        (0 < config.hop <= config.window_len,
-         "--hop must satisfy 0 < hop <= --window-len"),
-        (0 < config.kernel_width_bins < inf,
-         "--kernel-width-bins must be finite and positive"),
-        (0 <= config.damping < inf, "--damping must be finite and non-negative"),
-        (config.n_partials >= 1, "--n-partials must be at least 1"),
-    ]
-    for ok, message in checks:
-        if not ok:
-            raise UsageError(message)
+    """Each setting's own rule in help order, then the rules on two settings."""
+    for name, setting in SETTINGS.items():
+        value, rule = getattr(config, name), setting.metadata["rule"]
+        if rule is not None and value is not None and not rule[0](value):
+            raise UsageError(f"{_flag(name)} must be {rule[1]}")
+    if not 0 <= config.midi_low <= config.midi_high <= 127:
+        raise UsageError("--midi-low/--midi-high must satisfy 0 <= low <= high <= 127")
+    if not 0 < config.hop <= config.window_len:
+        raise UsageError("--hop must satisfy 0 < hop <= --window-len")
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +361,7 @@ def cmd_toy(args) -> int:
 # sweep
 
 
-SWEEPABLE = ("damping", "epsilon0", "kernel_width_bins", "lambda_e",
-             "lambda_g", "noise_amplitude")
+SWEEPABLE = tuple(sorted(n for n, f in SETTINGS.items() if f.type is float))
 
 
 def _parse_grid(entries, method):
@@ -392,6 +376,8 @@ def _parse_grid(entries, method):
             if name not in SWEEPABLE:
                 raise UsageError(f"cannot sweep {name!r}; choose from "
                                  + ", ".join(SWEEPABLE))
+            if name in axes:
+                raise UsageError(f"--grid names {name!r} twice")
             _check_applies([name], {method})
             try:
                 points = [float(x) for x in values.split(",") if x.strip()]
@@ -551,10 +537,10 @@ class _Parser(argparse.ArgumentParser):
 def _add_flags(p, names):
     p.add_argument("--config", default=None, metavar="FILE",
                    help="key=value defaults; explicit flags override")
-    for name in names:
-        kind, text = FLAG_SPECS[name]
-        p.add_argument(_flag(name), type=kind, default=None, dest=name,
-                       help=text)
+    for name, setting in SETTINGS.items():
+        if name in names:
+            p.add_argument(_flag(name), type=setting.type, default=None, dest=name,
+                           help=setting.metadata["help"])
 
 
 def _transcribe_arguments(p):
@@ -563,7 +549,7 @@ def _transcribe_arguments(p):
     p.add_argument("--ground-truth", default=None, dest="ground_truth",
                    help="MAPS-style TSV of note events; enables scoring")
     p.add_argument("--output-dir", default=".", dest="output_dir")
-    _add_flags(p, DECOMPOSE_FLAGS)
+    _add_flags(p, SETTINGS.keys() - {"seed"})
     p.set_defaults(func=cmd_transcribe)
 
 
@@ -576,8 +562,9 @@ def _toy_arguments(p):
     p.add_argument("--bins", type=int, default=TOY_BINS)
     p.add_argument("--f-max", type=float, default=TOY_F_MAX, dest="f_max")
     p.add_argument("--output", default=None, help="also write the table here")
-    _add_flags(p, [n for n in METHOD_FLAGS if n != "noise_amplitude"] + ["seed"])
-    p.set_defaults(func=cmd_toy, method=None)
+    _add_flags(p, SETTINGS.keys() - {"midi_low", "midi_high", "window_len", "hop",
+                                     "noise_amplitude"})
+    p.set_defaults(func=cmd_toy)
 
 
 def _sweep_arguments(p):
@@ -591,7 +578,7 @@ def _sweep_arguments(p):
     p.add_argument("--sweep-noise", action="store_true", dest="sweep_noise",
                    help="add the default noise-amplitude axis")
     p.add_argument("--output", default=None)
-    _add_flags(p, DECOMPOSE_FLAGS)
+    _add_flags(p, SETTINGS.keys() - {"seed"})
     p.set_defaults(func=cmd_sweep)
 
 
@@ -600,8 +587,9 @@ def _bench_arguments(p):
     p.add_argument("--notes", type=int, default=60)
     p.add_argument("--frames", type=int, default=100)
     p.add_argument("--output", default=None)
-    _add_flags(p, ("epsilon0", "lambda_e") + TEMPLATE_FLAGS + ("seed",))
-    p.set_defaults(func=cmd_bench, method="ost")
+    _add_flags(p, {"epsilon0", "lambda_e", "kernel_width_bins", "damping",
+                   "n_partials", "seed"})
+    p.set_defaults(func=cmd_bench)
 
 
 def _eval_arguments(p):
@@ -645,6 +633,8 @@ def _expand_config_file(argv):
     i = 0
     while i < len(argv):
         tok = argv[i]
+        if path is not None and (tok == "--config" or tok.startswith("--config=")):
+            raise UsageError("--config may be given only once")
         if tok == "--config":
             if i + 1 >= len(argv):
                 raise UsageError("--config needs a file argument")

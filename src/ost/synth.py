@@ -5,19 +5,22 @@ import numpy as np
 from .dictionary import midi_to_freq
 from .frontend import AudioBuffer
 
+FADE_SECONDS = 0.005
+PEAK = 0.5
+TAIL_SECONDS = 0.1
+
 
 def render_notes(events, sample_rate: int = 44100, n_partials: int = 8,
                  damping: float = 0.3, inharmonicity: float = 0.0,
-                 seed: int = 0, fade_seconds: float = 0.005,
-                 peak: float = 0.5, tail_seconds: float = 0.1) -> AudioBuffer:
+                 seed: int = 0) -> AudioBuffer:
     """Sum damped sinusoid stacks for each note event.
 
     Each partial p of a note at fundamental nu gets frequency
     p * nu * (1 + u) with u drawn uniformly from [-inharmonicity,
     +inharmonicity] (per note and partial), a random phase, and amplitude
     exp(-damping * p). Partials at or above Nyquist are dropped. Raised
-    cosine fades avoid onset/offset clicks, and the mix is scaled so its
-    peak is `peak`.
+    cosine fades of FADE_SECONDS avoid onset/offset clicks, the mix ends
+    TAIL_SECONDS after the last offset and is scaled so its peak is PEAK.
     """
     if sample_rate <= 0:
         raise ValueError("sample_rate must be positive")
@@ -27,7 +30,7 @@ def render_notes(events, sample_rate: int = 44100, n_partials: int = 8,
     if not events:
         raise ValueError("no events to render")
     rng = np.random.default_rng(seed)
-    duration = max(ev.offset_seconds for ev in events) + tail_seconds
+    duration = max(ev.offset_seconds for ev in events) + TAIL_SECONDS
     out = np.zeros(int(round(duration * sample_rate)))
     nyquist = sample_rate / 2.0
     for ev in events:
@@ -46,7 +49,7 @@ def render_notes(events, sample_rate: int = 44100, n_partials: int = 8,
             if f >= nyquist:
                 continue
             note += np.exp(-damping * p) * np.sin(2.0 * np.pi * f * t + phase)
-        fade = min(int(round(fade_seconds * sample_rate)), n // 2)
+        fade = min(int(round(FADE_SECONDS * sample_rate)), n // 2)
         if fade > 0:
             ramp = 0.5 - 0.5 * np.cos(np.pi * np.arange(fade) / fade)
             note[:fade] *= ramp
@@ -54,5 +57,5 @@ def render_notes(events, sample_rate: int = 44100, n_partials: int = 8,
         out[i0:i1] += note
     top = np.abs(out).max()
     if top > 0:
-        out *= peak / top
+        out *= PEAK / top
     return AudioBuffer(samples=out, sample_rate=sample_rate)

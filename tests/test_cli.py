@@ -174,6 +174,8 @@ class TestUsageErrors:
         (["sweep", "--grid", "epsilon0=x"], "bad grid values"),
         (["bench", "--notes", "93"], "--notes must be at most 92"),
         (["toy", "a", "--config"], "--config needs a file"),
+        (["sweep", "--method", "ost", "--grid", "epsilon0=1",
+          "--grid", "epsilon0=10,100"], "--grid names 'epsilon0' twice"),
     ])
     def test_malformed_value_is_named(self, capsys, tmp_path, argv, message):
         if argv[0] == "sweep":
@@ -183,27 +185,50 @@ class TestUsageErrors:
         assert message in capsys.readouterr().err
 
 
-    @pytest.mark.parametrize("argv", [
-        ["sweep", "--method", "ost", "--grid", "epsilon0=-1"],
-        ["sweep", "--method", "ost_e", "--grid", "lambda_e=0"],
-        ["sweep", "--method", "ost_g", "--grid", "lambda_g=inf"],
-        ["sweep", "--method", "ost", "--grid", "noise_amplitude=-1"],
-        ["sweep", "--method", "plca", "--grid", "damping=-1"],
-        ["sweep", "--method", "plca", "--grid", "kernel_width_bins=0"],
-        ["transcribe", "--method", "ost", "--epsilon0", "inf"],
-        ["transcribe", "--method", "ost_e", "--lambda-e", "inf"],
-        ["transcribe", "--method", "ost_g", "--lambda-g", "inf"],
-        ["transcribe", "--method", "ost", "--noise-amplitude", "inf"],
-        ["transcribe", "--method", "plca", "--damping", "inf"],
-        ["transcribe", "--method", "plca", "--kernel-width-bins", "inf"],
-    ])
+    OUT_OF_RANGE = [
+        (["sweep", "--method", "ost", "--grid", "epsilon0=-1"],
+         "--epsilon0 must be finite and non-negative"),
+        (["sweep", "--method", "ost_e", "--grid", "lambda_e=0"],
+         "--lambda-e must be finite and positive"),
+        (["sweep", "--method", "ost_g", "--grid", "lambda_g=inf"],
+         "--lambda-g must be finite and positive"),
+        (["sweep", "--method", "ost", "--grid", "noise_amplitude=-1"],
+         "--noise-amplitude must be finite and non-negative"),
+        (["sweep", "--method", "plca", "--grid", "damping=-1"],
+         "--damping must be finite and non-negative"),
+        (["sweep", "--method", "plca", "--grid", "kernel_width_bins=0"],
+         "--kernel-width-bins must be finite and positive"),
+        (["transcribe", "--method", "ost", "--epsilon0", "inf"],
+         "--epsilon0 must be finite and non-negative"),
+        (["transcribe", "--method", "ost_e", "--lambda-e", "inf"],
+         "--lambda-e must be finite and positive"),
+        (["transcribe", "--method", "ost_g", "--lambda-g", "inf"],
+         "--lambda-g must be finite and positive"),
+        (["transcribe", "--method", "ost", "--noise-amplitude", "inf"],
+         "--noise-amplitude must be finite and non-negative"),
+        (["transcribe", "--method", "plca", "--damping", "inf"],
+         "--damping must be finite and non-negative"),
+        (["transcribe", "--method", "plca", "--kernel-width-bins", "inf"],
+         "--kernel-width-bins must be finite and positive"),
+        (["transcribe", "--method", "ost_g", "--mm-iterations", "0"],
+         "--mm-iterations must be at least 1"),
+        (["transcribe", "--method", "plca", "--n-partials", "0"],
+         "--n-partials must be at least 1"),
+        (["transcribe", "--midi-low", "60", "--midi-high", "50"],
+         "--midi-low/--midi-high must satisfy 0 <= low <= high <= 127"),
+        (["transcribe", "--window-len", "511"],
+         "--window-len must be a positive even integer"),
+    ]
+
+    @pytest.mark.parametrize("argv, message", OUT_OF_RANGE,
+                             ids=[f"argv{i}" for i in range(len(OUT_OF_RANGE))])
     def test_out_of_range_value_beats_missing_wav(self, capsys, tmp_path,
-                                                  argv):
+                                                  argv, message):
         inputs = [str(tmp_path / "missing.wav")]
         if argv[0] == "sweep":
             inputs += ["--ground-truth", str(tmp_path / "t.tsv")]
         assert main(argv[:1] + inputs + argv[1:]) == EXIT_USAGE
-        assert "must be" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("argv", [
         ["toy", "a", "--bins", "64", "--noise-amplitude", "1e-9"],
@@ -490,6 +515,18 @@ class TestConfigFile:
         outer.write_text(f"bins=64\nf_max=700\nmethods=ost\nconfig={inner}\n")
         assert main(["toy", "a", "--config", str(outer)]) == EXIT_USAGE
         assert "line 4" in capsys.readouterr().err
+
+    def test_second_file_is_refused(self, capsys, tmp_path):
+        # the first file was once dropped without a word
+        first, second = tmp_path / "a.cfg", tmp_path / "b.cfg"
+        first.write_text("seed=7\n")
+        second.write_text("f_max=700\n")
+        argv = ["toy", "a", "--methods", "ost", "--bins", "64",
+                "--config", str(first)]
+        for again in (["--config", str(second)], [f"--config={second}"]):
+            assert main(argv + again) == EXIT_USAGE
+            assert capsys.readouterr().err \
+                == "error: --config may be given only once\n"
 
 
 class TestTranscribe:
