@@ -23,9 +23,9 @@ import numpy as np
 
 from .baselines import OT_LP_MAX_BINS, ot_unmix_lp, plca_unmix
 from .costs import append_noise_column, harmonic_cost
-from .dictionary import (DEFAULT_DAMPING, DEFAULT_N_PARTIALS, Dictionary,
-                         HarmonicTemplateParams, make_harmonic_dictionary,
-                         midi_range_fundamentals)
+from .dictionary import (DEFAULT_DAMPING, DEFAULT_KERNEL_WIDTH_BINS,
+                         DEFAULT_N_PARTIALS, Dictionary, HarmonicTemplateParams,
+                         make_harmonic_dictionary, midi_range_fundamentals)
 from .errors import (DataError, LpGuardError, LpInfeasibleError,
                      LpUnboundedError, NumericError, OstError)
 from .evaluation import (SCENARIO_ALIASES, TOY_BINS, TOY_F_MAX, FrameClock,
@@ -102,7 +102,8 @@ class RunConfig:
                                       "append a flat-cost noise column at this cost",
                                       ("ost", "ost_e", "ost_g", "ost_eg"),
                                       FINITE_NON_NEGATIVE)
-    kernel_width_bins: float = _setting(2.0, "Gaussian partial width in frequency bins",
+    kernel_width_bins: float = _setting(DEFAULT_KERNEL_WIDTH_BINS,
+                                        "Gaussian partial width in frequency bins",
                                         TEMPLATE_METHODS, FINITE_POSITIVE)
     damping: float = _setting(DEFAULT_DAMPING,
                               "exponential partial-amplitude damping rate",
@@ -117,13 +118,15 @@ class RunConfig:
 
     def harmonic_dictionary(self, freqs, fundamentals) -> Dictionary:
         """Harmonic templates on the bin grid `freqs`, with the kernel width
-        in bins of the grid spacing (of the only frequency on a 1-bin grid)."""
+        in bins of the grid spacing (of the only frequency on a 1-bin grid).
+        The only place the program builds templates."""
         bin_hz = float(freqs[1] - freqs[0]) if len(freqs) > 1 else float(freqs[0])
-        params = HarmonicTemplateParams(kernel_width=self.kernel_width_bins * bin_hz,
-                                        damping=self.damping, n_partials=self.n_partials)
-        try:
+        try:  # a width past float range, a note above the top bin, or a comb too narrow
+            params = HarmonicTemplateParams(kernel_width=self.kernel_width_bins * bin_hz,
+                                            damping=self.damping,
+                                            n_partials=self.n_partials)
             return make_harmonic_dictionary(freqs, fundamentals, params)
-        except ValueError as exc:  # a note above the top bin, or a comb too narrow for it
+        except ValueError as exc:
             raise DataError(f"no harmonic templates on this bin grid: {exc}") from exc
 
 
@@ -182,8 +185,8 @@ def solve(method: str, frames: NormalizedFrames, fundamentals: np.ndarray,
     """Run one method: the only place a method name picks a solver.
 
     plca and ot_h unmix onto `templates`, the harmonic dictionary (ot_h over
-    the full bin-to-bin cost). The OST variants take no templates (None) and
-    read only `fundamentals`, with the reduced cost plus, when
+    the full bin-to-bin cost). The OST variants ignore `templates` (None is
+    fine) and read only `fundamentals`, with the reduced cost plus, when
     config.noise_amplitude is set, a noise column whose activations form a
     trailing row.
     """
@@ -303,6 +306,14 @@ def cmd_transcribe(args) -> int:
 # toy
 
 
+def _print_table(headers, rows, output):
+    """Print a toy or bench result table; with --output, write it as TSV too."""
+    print(tsvio.format_table(headers, rows))
+    if output is not None:
+        tsvio.atomic_write_text(output, tsvio.table_text(headers, rows))
+        print(f"wrote {output}")
+
+
 def _parse_methods(spec: str):
     if spec.strip() == "all":
         return list(METHODS)
@@ -333,27 +344,23 @@ def cmd_toy(args) -> int:
                                 kernel_width_bins=config.kernel_width_bins,
                                 damping=config.damping,
                                 n_partials=config.n_partials)
-    except ValueError as exc:
+        templates = None
+        if TEMPLATE_METHODS.intersection(methods):  # built once, before any clock starts
+            templates = config.harmonic_dictionary(toy.freqs, toy.fundamentals)
+    except (ValueError, DataError) as exc:
         raise UsageError(f"no toy problem at these settings: {exc}") from exc
     frames = NormalizedFrames(columns=toy.frame[:, None],
                               active_mask=np.array([True]),
                               freqs=toy.freqs)
     rows = []
     for method in methods:
-        # read before the clock: the first read builds the templates, which
-        # a call without plca or ot_h never does
-        templates = toy.dictionary if method in TEMPLATE_METHODS else None
         start = time.perf_counter()
         h = solve(method, frames, toy.fundamentals, templates,
                   config).values[:, 0]
         seconds = time.perf_counter() - start
         rows.append((method, l1_activation_error(h, toy.h_true), seconds))
-    headers = ("method", "l1_error", "seconds")
     print(f"scenario={toy.which} seed={config.seed} bins={args.bins}")
-    print(tsvio.format_table(headers, rows))
-    if args.output is not None:
-        tsvio.atomic_write_text(args.output, tsvio.table_text(headers, rows))
-        print(f"wrote {args.output}")
+    _print_table(("method", "l1_error", "seconds"), rows, args.output)
     return EXIT_OK
 
 
@@ -486,10 +493,7 @@ def cmd_bench(args) -> int:
             ("ost", t_ost, t_ost / n, t_plca / t_ost),
             ("ost_e", t_ost_e, t_ost_e / n, t_plca / t_ost_e)]
     print(f"bins={m} notes={k} frames={n} seed={config.seed}")
-    print(tsvio.format_table(headers, rows))
-    if args.output is not None:
-        tsvio.atomic_write_text(args.output, tsvio.table_text(headers, rows))
-        print(f"wrote {args.output}")
+    _print_table(headers, rows, args.output)
     return EXIT_OK
 
 

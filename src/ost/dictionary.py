@@ -6,8 +6,10 @@ import numpy as np
 
 from .frontend import _check_finite_non_negative
 
+DEFAULT_KERNEL_WIDTH_BINS = 2.0  # Gaussian std in bins of the grid spacing
 DEFAULT_DAMPING = 0.3
 DEFAULT_N_PARTIALS = 8
+MAX_KERNEL_WIDTH = np.sqrt(np.finfo(np.float64).max)  # a wider one's variance overflows
 SMALLEST_NORMAL = np.finfo(np.float64).tiny  # smaller template/kernel entries are 0
 
 
@@ -25,8 +27,9 @@ class HarmonicTemplateParams:
     n_partials: int = DEFAULT_N_PARTIALS
 
     def __post_init__(self):
-        if not 0 < self.kernel_width < np.inf:
-            raise ValueError("kernel_width must be finite and positive")
+        if not 0 < self.kernel_width <= MAX_KERNEL_WIDTH:
+            raise ValueError(f"kernel_width must be positive and at most "
+                             f"{MAX_KERNEL_WIDTH:.4g} Hz, got {self.kernel_width:g} Hz")
         if not 0 <= self.damping < np.inf:
             raise ValueError("damping must be finite and non-negative")
         if self.n_partials < 1:

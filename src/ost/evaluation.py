@@ -2,12 +2,12 @@
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .dictionary import (Dictionary, HarmonicTemplateParams, harmonic_column,
-                         make_harmonic_dictionary, midi_to_freq)
+from .dictionary import (DEFAULT_DAMPING, DEFAULT_KERNEL_WIDTH_BINS,
+                         DEFAULT_N_PARTIALS, HarmonicTemplateParams,
+                         harmonic_column, midi_to_freq)
 from .errors import DataError
 from .solvers import Activations
 
@@ -26,9 +26,6 @@ TOY_PAIR_A = (0, 3)
 TOY_PAIR_B = (0, 5)
 TOY_BINS = 8192
 TOY_F_MAX = 2800.0
-TOY_KERNEL_WIDTH_BINS = 2.0
-TOY_DAMPING = 0.3
-TOY_N_PARTIALS = 8
 TOY_SHIFT_PCT = 1.5
 TOY_AMP_RANGE = (0.25, 4.0)
 TOY_RESIDUAL_DECAY = 0.1
@@ -196,21 +193,15 @@ def l1_activation_error(h_est, h_true) -> float:
 @dataclass(eq=False)
 class ToyScenario:
     """One synthesized unmixing problem: a frame, its true activations, the
-    note fundamentals, and the bin grid everything lives on. `dictionary`,
-    the clean harmonic templates, is built on first read: the OST methods
-    need only the fundamentals."""
+    note fundamentals, and the bin grid everything lives on. The OST methods
+    need only the fundamentals; the baselines' clean templates come from
+    `RunConfig.harmonic_dictionary(freqs, fundamentals)` in `ost.cli`."""
 
     freqs: np.ndarray
     frame: np.ndarray
     h_true: np.ndarray
     fundamentals: np.ndarray
-    template_params: HarmonicTemplateParams
     which: str
-
-    @cached_property
-    def dictionary(self) -> Dictionary:
-        return make_harmonic_dictionary(self.freqs, self.fundamentals,
-                                        self.template_params)
 
 
 def toy_fundamentals() -> np.ndarray:
@@ -219,9 +210,9 @@ def toy_fundamentals() -> np.ndarray:
 
 def make_toy_scenario(which: str, seed: int, bins: int = TOY_BINS,
                       f_max: float = TOY_F_MAX,
-                      kernel_width_bins: float = TOY_KERNEL_WIDTH_BINS,
-                      damping: float = TOY_DAMPING,
-                      n_partials: int = TOY_N_PARTIALS) -> ToyScenario:
+                      kernel_width_bins: float = DEFAULT_KERNEL_WIDTH_BINS,
+                      damping: float = DEFAULT_DAMPING,
+                      n_partials: int = DEFAULT_N_PARTIALS) -> ToyScenario:
     """Build one misspecified-unmixing draw.
 
     shifted_fundamentals ("a"): mix templates 1 and 4 with each note's
@@ -234,7 +225,8 @@ def make_toy_scenario(which: str, seed: int, bins: int = TOY_BINS,
     so the observed timbre no longer follows the modeled exponential
     envelope (each column renormalizes before mixing).
 
-    The scenario's dictionary is always the clean, unshifted one.
+    The comb settings are checked as those of the baselines' clean,
+    unshifted templates: ValueError if HarmonicTemplateParams rejects them.
     """
     try:
         which = SCENARIO_ALIASES[which]
@@ -242,10 +234,9 @@ def make_toy_scenario(which: str, seed: int, bins: int = TOY_BINS,
         raise ValueError(f"unknown scenario {which!r}") from None
     delta = f_max / bins
     freqs = delta * np.arange(1, bins + 1)
-    sigma = kernel_width_bins * delta
+    params = HarmonicTemplateParams(kernel_width=kernel_width_bins * delta,
+                                    damping=damping, n_partials=n_partials)
     fundamentals = toy_fundamentals()
-    params = HarmonicTemplateParams(kernel_width=sigma, damping=damping,
-                                    n_partials=n_partials)
 
     rng = np.random.default_rng(seed)
     clean_weights = np.exp(-damping * np.arange(1, n_partials + 1))
@@ -261,12 +252,11 @@ def make_toy_scenario(which: str, seed: int, bins: int = TOY_BINS,
             lo, hi = np.log(TOY_AMP_RANGE[0]), np.log(TOY_AMP_RANGE[1])
             decay = np.exp(-TOY_RESIDUAL_DECAY * np.arange(1, n_partials + 1))
             partial_weights = decay * np.exp(rng.uniform(lo, hi, n_partials))
-        col = harmonic_column(freqs, nu, sigma, partial_weights)
+        col = harmonic_column(freqs, nu, params.kernel_width, partial_weights)
         if not col.sum() > 0:
             raise ValueError(f"note at {nu:g} Hz has no mass on the grid")
         v += weight * (col / col.sum())
     h_true = np.zeros(len(fundamentals))
     h_true[list(pair)] = TOY_WEIGHTS
     return ToyScenario(freqs=freqs, frame=v, h_true=h_true,
-                       fundamentals=fundamentals, template_params=params,
-                       which=which)
+                       fundamentals=fundamentals, which=which)

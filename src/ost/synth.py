@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .dictionary import midi_to_freq
+from .dictionary import DEFAULT_DAMPING, DEFAULT_N_PARTIALS, midi_to_freq
 from .frontend import AudioBuffer
 
 FADE_SECONDS = 0.005
@@ -10,17 +10,17 @@ PEAK = 0.5
 TAIL_SECONDS = 0.1
 
 
-def render_notes(events, sample_rate: int = 44100, n_partials: int = 8,
-                 damping: float = 0.3, inharmonicity: float = 0.0,
+def render_notes(events, sample_rate: int = 44100, inharmonicity: float = 0.0,
                  seed: int = 0) -> AudioBuffer:
     """Sum damped sinusoid stacks for each note event.
 
-    Each partial p of a note at fundamental nu gets frequency
-    p * nu * (1 + u) with u drawn uniformly from [-inharmonicity,
+    Each partial p = 1..DEFAULT_N_PARTIALS of a note at fundamental nu gets
+    frequency p * nu * (1 + u) with u drawn uniformly from [-inharmonicity,
     +inharmonicity] (per note and partial), a random phase, and amplitude
-    exp(-damping * p). Partials at or above Nyquist are dropped. Raised
-    cosine fades of FADE_SECONDS avoid onset/offset clicks, the mix ends
-    TAIL_SECONDS after the last offset and is scaled so its peak is PEAK.
+    exp(-DEFAULT_DAMPING * p), the envelope of the default harmonic
+    templates. Partials at or above Nyquist are dropped. Raised cosine fades
+    of FADE_SECONDS avoid onset/offset clicks, the mix ends TAIL_SECONDS
+    after the last offset and is scaled so its peak is PEAK.
     """
     if sample_rate <= 0:
         raise ValueError("sample_rate must be positive")
@@ -42,13 +42,13 @@ def render_notes(events, sample_rate: int = 44100, n_partials: int = 8,
         t = np.arange(n) / sample_rate
         nu = midi_to_freq(ev.midi_pitch)
         note = np.zeros(n)
-        for p in range(1, n_partials + 1):
+        for p in range(1, DEFAULT_N_PARTIALS + 1):
             detune = rng.uniform(-inharmonicity, inharmonicity)
             f = p * nu * (1.0 + detune)
             phase = rng.uniform(0.0, 2.0 * np.pi)
             if f >= nyquist:
                 continue
-            note += np.exp(-damping * p) * np.sin(2.0 * np.pi * f * t + phase)
+            note += np.exp(-DEFAULT_DAMPING * p) * np.sin(2.0 * np.pi * f * t + phase)
         fade = min(int(round(FADE_SECONDS * sample_rate)), n // 2)
         if fade > 0:
             ramp = 0.5 - 0.5 * np.cos(np.pi * np.arange(fade) / fade)

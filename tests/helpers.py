@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 
+from ost.dictionary import (DEFAULT_KERNEL_WIDTH_BINS, HarmonicTemplateParams,
+                            make_harmonic_dictionary)
 from ost.frontend import NormalizedFrames
 from ost.solvers import MM_BLOCK_FRAMES
 from ost.tsvio import atomic_write_text, table_text
@@ -15,6 +17,14 @@ def write_ground_truth(path, events):
     rows = [(ev.onset_seconds, ev.offset_seconds, ev.midi_pitch) for ev in events]
     atomic_write_text(path, table_text(("OnsetTime", "OffsetTime", "MidiPitch"),
                                        rows))
+
+
+def toy_templates(sc, kernel_width_bins=DEFAULT_KERNEL_WIDTH_BINS):
+    """The clean harmonic templates of toy scenario `sc`, built at the kernel
+    width (in bins) the scenario was built with."""
+    bin_hz = sc.freqs[1] - sc.freqs[0]
+    params = HarmonicTemplateParams(kernel_width=kernel_width_bins * bin_hz)
+    return make_harmonic_dictionary(sc.freqs, sc.fundamentals, params)
 
 
 def traced_peak(fn, *args, **kwargs):

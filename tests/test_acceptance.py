@@ -26,6 +26,7 @@ from ost.solvers import Activations, SolverConfig, unmix
 from ost.synth import render_notes
 from ost.tsvio import atomic_write_text
 
+from helpers import toy_templates
 from oracles import (ost_combined_frame, ost_entropic_frame, ost_frame,
                      ost_group_frame, reduced_lp, transport_objective)
 
@@ -133,8 +134,8 @@ def test_criterion_4_toy_error_orderings():
             frames = NormalizedFrames(columns=toy.frame[:, None],
                                       active_mask=np.array([True]),
                                       freqs=toy.freqs)
-            cost = harmonic_cost(toy.freqs, toy.dictionary.fundamentals, 1.0)
-            acts, _ = plca_unmix(frames, toy.dictionary)
+            cost = harmonic_cost(toy.freqs, toy.fundamentals, 1.0)
+            acts, _ = plca_unmix(frames, toy_templates(toy))
             errors["plca"].append(
                 l1_activation_error(acts.values[:, 0], toy.h_true))
             for name, cfg in solver_configs:

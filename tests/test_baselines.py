@@ -28,7 +28,8 @@ from ost.evaluation import l1_activation_error, make_toy_scenario
 from ost.frontend import NormalizedFrames
 from ost.solvers import MM_BLOCK_FRAMES
 
-from helpers import active_copy, partly_masked_frames, traced_peak
+from helpers import (active_copy, partly_masked_frames, toy_templates,
+                     traced_peak)
 from oracles import ost_frame, plca_frame, reduced_lp, transport_objective
 
 
@@ -736,8 +737,9 @@ class TestJointLpOnToyScenario:
         frames = NormalizedFrames(columns=sc.frame[:, None],
                                   active_mask=np.array([True]))
         cost = harmonic_cost(sc.freqs, sc.freqs, eps0=1.0)
-        acts_lp = ot_unmix_lp(frames, sc.dictionary, cost)
-        acts_plca, _ = plca_unmix(frames, sc.dictionary)
+        templates = toy_templates(sc, kernel_width_bins=0.5)
+        acts_lp = ot_unmix_lp(frames, templates, cost)
+        acts_plca, _ = plca_unmix(frames, templates)
         err_lp = l1_activation_error(acts_lp.values[:, 0], sc.h_true)
         err_plca = l1_activation_error(acts_plca.values[:, 0], sc.h_true)
         assert err_lp < err_plca

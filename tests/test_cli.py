@@ -785,6 +785,52 @@ class TestBench:
         assert lines[1].split("\t")[3] == "1"
 
 
+EXTREME_VALUES = ("1e300", "1e-300", "1e308")
+
+
+def extreme_cases():
+    """(command, setting, method or None, value): every real-valued setting
+    of every command that decomposes, at each extreme value; transcribe and
+    sweep once per method the setting applies to, bar ot_h, whose dense LP
+    refuses their 257-bin grids (toy runs it at 64 bins)."""
+    cases = []
+    for command in ("transcribe", "sweep"):
+        for name in cli.SWEEPABLE:
+            methods = sorted(cli.SETTINGS[name].metadata["methods"] - {"ot_h"})
+            cases += [(command, name, m, v) for m in methods
+                      for v in EXTREME_VALUES]
+    toy = ["epsilon0", "lambda_e", "lambda_g", "kernel_width_bins", "damping",
+           "f_max"]
+    bench = ["epsilon0", "lambda_e", "kernel_width_bins", "damping"]
+    cases += [("toy", n, None, v) for n in toy for v in EXTREME_VALUES]
+    cases += [("bench", n, None, v) for n in bench for v in EXTREME_VALUES]
+    return cases
+
+
+class TestExtremeSettings:
+    @pytest.mark.parametrize("command, name, method, value", extreme_cases())
+    def test_ends_as_an_exit_code(self, capsys, note50, duet, tmp_path,
+                                  command, name, method, value):
+        flag = "--" + name.replace("_", "-")
+        if command == "transcribe":
+            argv = [command, str(note50 / "note50.wav"), "--method", method,
+                    flag, value, "--output-dir", str(tmp_path)] + DUET_FLAGS
+        elif command == "sweep":
+            argv = [command, str(duet / "duet.wav"), "--ground-truth",
+                    str(duet / "truth.tsv"), "--method", method,
+                    "--grid", f"{name}={value}"] + DUET_FLAGS
+        elif command == "toy":
+            argv = [command, "a", "--methods", "all", "--bins", "64",
+                    "--f-max", "700", flag, value]
+        else:
+            argv = [command, "--bins", "64", "--notes", "4", "--frames", "2",
+                    flag, value]
+        code = main(argv)
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC)
+        if code != EXIT_OK:
+            assert len(capsys.readouterr().err.splitlines()) == 1
+
+
 class TestConsoleScript:
     def test_entry_point_is_installed(self, tmp_path):
         """The declared ``ost`` console script resolves to the CLI and runs.

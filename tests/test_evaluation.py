@@ -17,7 +17,7 @@ from ost.evaluation import (FrameClock, NoteEvent, PianoRoll, TOY_PAIR_A,
 from ost.frontend import NormalizedFrames
 from ost.solvers import Activations, SolverConfig
 
-from helpers import write_ground_truth
+from helpers import toy_templates, write_ground_truth
 from oracles import ost_frame, ost_group_frame
 
 
@@ -253,6 +253,16 @@ class TestMakeToyScenario:
         with pytest.raises(ValueError):
             make_toy_scenario("c", seed=0)
 
+    @pytest.mark.parametrize("setting, value, message", [
+        ("damping", -1.0, "damping"), ("n_partials", 0, "n_partials"),
+        ("kernel_width_bins", 0.0, "kernel_width")])
+    def test_comb_settings_are_checked(self, setting, value, message):
+        # the settings of the baselines' templates, checked even though the
+        # scenario itself builds none
+        with pytest.raises(ValueError, match=message):
+            make_toy_scenario("a", seed=0, bins=64, f_max=700.0,
+                              **{setting: value})
+
     def test_true_activations(self):
         a = make_toy_scenario("a", seed=0)
         b = make_toy_scenario("b", seed=0)
@@ -267,14 +277,14 @@ class TestMakeToyScenario:
         fundamentals = toy_fundamentals()
         assert fundamentals[7] == pytest.approx(2.0 * fundamentals[0])
         sc = make_toy_scenario("a", seed=0)
-        np.testing.assert_allclose(sc.dictionary.fundamentals, fundamentals)
-        np.testing.assert_allclose(sc.dictionary.templates.sum(axis=0), 1.0,
+        np.testing.assert_allclose(sc.fundamentals, fundamentals)
+        np.testing.assert_allclose(toy_templates(sc).templates.sum(axis=0), 1.0,
                                    atol=1e-12)
 
     def test_zero_shift_lies_in_column_span(self, monkeypatch):
         monkeypatch.setattr(evaluation, "TOY_SHIFT_PCT", 0.0)
         sc = make_toy_scenario("a", seed=0)
-        w = sc.dictionary.templates
+        w = toy_templates(sc).templates
         recon = 0.5 * w[:, TOY_PAIR_A[0]] + 0.5 * w[:, TOY_PAIR_A[1]]
         np.testing.assert_allclose(sc.frame, recon, atol=1e-15)
 
@@ -284,7 +294,7 @@ class TestMakeToyScenario:
         # equal-temperament partial collisions)
         monkeypatch.setattr(evaluation, "TOY_SHIFT_PCT", 0.0)
         sc = make_toy_scenario("a", seed=0, kernel_width_bins=1.0)
-        cost = harmonic_cost(sc.freqs, sc.dictionary.fundamentals, eps0=1.0)
+        cost = harmonic_cost(sc.freqs, sc.fundamentals, eps0=1.0)
         config = SolverConfig(lambda_g=300.0, mm_iterations=10)
         _, h, _ = ost_group_frame(sc.frame, cost, config)
         assert l1_activation_error(h, sc.h_true) < 1e-6
@@ -293,14 +303,14 @@ class TestMakeToyScenario:
         # at the default kernel the bump tails just graze one boundary
         monkeypatch.setattr(evaluation, "TOY_SHIFT_PCT", 0.0)
         sc = make_toy_scenario("a", seed=0)
-        cost = harmonic_cost(sc.freqs, sc.dictionary.fundamentals, eps0=1.0)
+        cost = harmonic_cost(sc.freqs, sc.fundamentals, eps0=1.0)
         config = SolverConfig(lambda_g=300.0, mm_iterations=10)
         _, h, _ = ost_group_frame(sc.frame, cost, config)
         assert l1_activation_error(h, sc.h_true) < 1e-4
 
     def test_shifted_scenario_breaks_plain_transport_not_grouped(self):
         sc = make_toy_scenario("a", seed=0)
-        cost = harmonic_cost(sc.freqs, sc.dictionary.fundamentals, eps0=1.0)
+        cost = harmonic_cost(sc.freqs, sc.fundamentals, eps0=1.0)
         config = SolverConfig(lambda_g=300.0, mm_iterations=10)
         _, h_plain, _ = ost_frame(sc.frame, cost)
         _, h_group, _ = ost_group_frame(sc.frame, cost, config)
@@ -309,12 +319,12 @@ class TestMakeToyScenario:
 
     def test_group_transport_beats_plca_under_shift(self):
         sc = make_toy_scenario("a", seed=0)
-        cost = harmonic_cost(sc.freqs, sc.dictionary.fundamentals, eps0=1.0)
+        cost = harmonic_cost(sc.freqs, sc.fundamentals, eps0=1.0)
         config = SolverConfig(lambda_g=300.0, mm_iterations=10)
         _, h_group, _ = ost_group_frame(sc.frame, cost, config)
         frames = NormalizedFrames(columns=sc.frame[:, None],
                                   active_mask=np.array([True]))
-        acts, _ = plca_unmix(frames, sc.dictionary)
+        acts, _ = plca_unmix(frames, toy_templates(sc))
         err_group = l1_activation_error(h_group, sc.h_true)
         err_plca = l1_activation_error(acts.values[:, 0], sc.h_true)
         assert err_group < err_plca
@@ -323,6 +333,6 @@ class TestMakeToyScenario:
         # scenario b redraws partial weights, so the frame is (generically)
         # not the clean half-half mixture any more
         sc = make_toy_scenario("b", seed=0)
-        w = sc.dictionary.templates
+        w = toy_templates(sc).templates
         recon = 0.5 * w[:, TOY_PAIR_B[0]] + 0.5 * w[:, TOY_PAIR_B[1]]
         assert np.abs(sc.frame - recon).sum() > 0.05

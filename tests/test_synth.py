@@ -30,7 +30,7 @@ class TestRenderNotes:
 
     def test_partials_sit_at_integer_multiples(self):
         buf = render_notes([NoteEvent(0.0, 1.0, 57)], sample_rate=44100,
-                           damping=0.2, seed=1)
+                           seed=1)
         nu = 220.0
         spec = stft_magnitude(buf, window_len=8192, hop=8192)
         column = spec.values[:, 0]
