@@ -462,7 +462,7 @@ def cmd_bench(args) -> int:
     config = build_run_config(args, methods={"plca", "ost", "ost_e"})
     headers = ("method", "total_s", "per_frame_s", "speedup_vs_plca")
     if args.frames == 0:
-        print(tsvio.format_table(headers, []))
+        _print_table(headers, [], args.output)
         return EXIT_OK
 
     m, k, n = args.bins, args.notes, args.frames

@@ -80,17 +80,20 @@ def harmonic_cost(row_freqs, col_freqs, eps0: float,
 
     best = (f - nu) ** 2  # q = 1, no penalty
 
-    # q >= 2 branch: minimize (f - q*nu)^2 + pen(q) over integers 2..q_max
-    if octave_scaling:
-        q_vertex = ratio - eps0 / (2.0 * nu ** 2)
-    else:
-        q_vertex = ratio
+    # q >= 2 branch: minimize (f - q*nu)^2 + pen(q) over integers 2..q_max.
+    # A huge eps0 may overflow the vertex shift or the penalty: +-inf is the
+    # exact limit there, and the branch then never wins.
     has_branch = qmax >= 2
-    for q_int in (np.floor(q_vertex), np.ceil(q_vertex)):
-        q = np.clip(q_int, 2.0, np.maximum(qmax, 2.0))
-        pen = q * eps0 if octave_scaling else eps0
-        cand = (f - q * nu) ** 2 + pen
-        np.minimum(best, np.where(has_branch, cand, np.inf), out=best)
+    with np.errstate(over="ignore"):
+        if octave_scaling:
+            q_vertex = ratio - eps0 / (2.0 * nu ** 2)
+        else:
+            q_vertex = ratio
+        for q_int in (np.floor(q_vertex), np.ceil(q_vertex)):
+            q = np.clip(q_int, 2.0, np.maximum(qmax, 2.0))
+            pen = q * eps0 if octave_scaling else eps0
+            cand = (f - q * nu) ** 2 + pen
+            np.minimum(best, np.where(has_branch, cand, np.inf), out=best)
 
     return CostMatrix(values=best)
 

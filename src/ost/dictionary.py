@@ -82,19 +82,32 @@ def midi_range_fundamentals(midi_low: int, midi_high: int) -> np.ndarray:
     return np.array([midi_to_freq(m) for m in range(midi_low, midi_high + 1)])
 
 
+def damped_weights(damping: float, n_partials: int) -> np.ndarray:
+    """Amplitudes exp(-p * damping) of partials p = 1..n_partials; a product
+    p * damping that overflows gives the limit, amplitude 0."""
+    with np.errstate(over="ignore"):
+        return np.exp(-damping * np.arange(1, n_partials + 1))
+
+
 def harmonic_column(freqs: np.ndarray, fundamental: float, kernel_width: float,
                     weights: np.ndarray) -> np.ndarray:
     """One unnormalized harmonic comb: sum of Gaussian bumps at p*fundamental
     (p = 1..len(weights)) with the given per-partial weights, partials above
-    the grid's top frequency dropped."""
+    the grid's top frequency dropped. A width whose variance underflows to 0
+    gives each bump's limit: 1 on a bin at its center, 0 elsewhere. An
+    exponent that overflows to -inf gives 0."""
     freqs = np.asarray(freqs, dtype=np.float64)
     col = np.zeros_like(freqs)
     two_var = 2.0 * kernel_width ** 2
-    for p, w in enumerate(weights, start=1):
-        center = p * fundamental
-        if center > freqs[-1]:
-            break
-        col += w * np.exp(-((freqs - center) ** 2) / two_var)
+    with np.errstate(over="ignore"):
+        for p, w in enumerate(weights, start=1):
+            center = p * fundamental
+            if center > freqs[-1]:
+                break
+            if two_var > 0:
+                col += w * np.exp(-((freqs - center) ** 2) / two_var)
+            else:
+                col += w * (freqs == center)
     return col
 
 
@@ -112,7 +125,7 @@ def make_harmonic_dictionary(freqs: np.ndarray, fundamentals,
     if np.any(fundamentals <= 0) or np.any(fundamentals > freqs[-1]):
         raise ValueError("fundamentals must lie within (0, max(freqs)]")
 
-    weights = np.exp(-params.damping * np.arange(1, params.n_partials + 1))
+    weights = damped_weights(params.damping, params.n_partials)
     templates = np.empty((freqs.size, fundamentals.size))
     for k, nu in enumerate(fundamentals):
         col = harmonic_column(freqs, nu, params.kernel_width, weights)

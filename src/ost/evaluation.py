@@ -7,7 +7,7 @@ import numpy as np
 
 from .dictionary import (DEFAULT_DAMPING, DEFAULT_KERNEL_WIDTH_BINS,
                          DEFAULT_N_PARTIALS, HarmonicTemplateParams,
-                         harmonic_column, midi_to_freq)
+                         damped_weights, harmonic_column, midi_to_freq)
 from .errors import DataError
 from .solvers import Activations
 
@@ -239,7 +239,7 @@ def make_toy_scenario(which: str, seed: int, bins: int = TOY_BINS,
     fundamentals = toy_fundamentals()
 
     rng = np.random.default_rng(seed)
-    clean_weights = np.exp(-damping * np.arange(1, n_partials + 1))
+    clean_weights = damped_weights(damping, n_partials)
     pair = TOY_PAIR_A if which == "shifted_fundamentals" else TOY_PAIR_B
     v = np.zeros_like(freqs)
     for note, weight in zip(pair, TOY_WEIGHTS):

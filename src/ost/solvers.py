@@ -25,7 +25,9 @@ argmin only over the columns that can still win one of its rows, by a
 bound from each column's smallest and largest cost, exact as float
 addition rounds monotonically (see _kept_columns); the penalty leaves a
 frame a few notes within a few steps, and frames that keep about as many
-columns share one gather. The ost_eg step uses
+columns share one gather. The hard kernel runs with numpy's ufunc buffer
+at one cost row, so that operands broadcast along the rows are not copied
+across rows, and gives the caller's buffer size back. The ost_eg step uses
 that the group penalty p only rescales columns:
 softmax_k(-(c_ik + p_k)/lambda_e) = E_ik w_k / sum_k E_ik w_k, with
 E = exp(-C/lambda_e) computed once. For a block of frames V one MM step is
@@ -216,8 +218,18 @@ def _group_mm(values: np.ndarray, v: np.ndarray, active: np.ndarray,
         new = _column_masses(labels, block, k)
         return new, (new == h).all(axis=0)
 
-    return _mm_blocks(v, active, k, iterations,
-                      lambda block: _column_masses(first, block, k), step)
+    # A ufunc buffer of one cost row (numpy 1.x wants a multiple of 16): the
+    # stride-0 operands broadcast along the rows are then not copied across
+    # rows. The caller's size comes back in the finally; errstate does not
+    # restore it on numpy 1.x. A penalty that overflows is +inf, as in
+    # tests/oracles.py's ost_group_frame.
+    bufsize = np.setbufsize(max(16, m // 16 * 16))
+    try:
+        with np.errstate(over="ignore"):
+            return _mm_blocks(v, active, k, iterations,
+                              lambda block: _column_masses(first, block, k), step)
+    finally:
+        np.setbufsize(bufsize)
 
 
 def _gathered_labels(by_column, pen_rows, cols, frames):

@@ -41,18 +41,24 @@ def atomic_write_text(path, text: str):
         raise
 
 
-def _row_cells(values: np.ndarray):
-    """Formatter for the rows of `values`, chosen once by dtype: each call
-    returns a row's cells, each led by a tab, with the bytes _format gives.
-    `%.12g` is the C routine behind format(x, ".12g"); integers use `%d`,
-    which stays exact beyond 12 digits."""
+def _row_cells(values: np.ndarray) -> list:
+    """The cells of each row of `values`, each led by a tab, with the bytes
+    _format gives; one string per row. `%.12g` is the C routine behind
+    format(x, ".12g"); integers use `%d`, which stays exact beyond 12
+    digits. A bool matrix is written at once as one byte buffer of
+    (tab, '0' or '1') pairs."""
     kind = values.dtype.kind
     if kind == "b":
-        return lambda row: "".join(np.where(row, "\t1", "\t0").tolist())
+        pairs = np.empty(values.shape + (2,), dtype=np.uint8)
+        pairs[..., 0] = ord("\t")
+        pairs[..., 1] = values
+        pairs[..., 1] += ord("0")
+        text, width = pairs.tobytes().decode("ascii"), 2 * values.shape[1]
+        return [text[i * width:(i + 1) * width] for i in range(values.shape[0])]
     if kind in "fiu":
         template = ("\t%.12g" if kind == "f" else "\t%d") * values.shape[1]
-        return lambda row: template % tuple(row.tolist())
-    return lambda row: "".join(["\t" + _format(x) for x in row])
+        return [template % tuple(row.tolist()) for row in values]
+    return ["".join(["\t" + _format(x) for x in row]) for row in values]
 
 
 def matrix_text(values, row_labels, col_labels, corner: str) -> str:
@@ -60,9 +66,8 @@ def matrix_text(values, row_labels, col_labels, corner: str) -> str:
     if values.shape != (len(row_labels), len(col_labels)):
         raise ValueError("label counts must match the matrix shape")
     lines = ["\t".join([corner] + [_format(c) for c in col_labels])]
-    cells = _row_cells(values)
-    for label, row in zip(row_labels, values):
-        lines.append(_format(label) + cells(row))
+    lines += [_format(label) + cells
+              for label, cells in zip(row_labels, _row_cells(values))]
     return "\n".join(lines) + "\n"
 
 

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 import wave
 from importlib.metadata import EntryPoint
 from pathlib import Path
@@ -758,6 +759,12 @@ class TestBench:
                                     "speedup_vs_plca"]
         assert len(lines) == 2  # header and its underline, no rows
 
+    def test_zero_frames_writes_the_empty_table(self, capsys, tmp_path):
+        target = tmp_path / "b.tsv"
+        assert main(["bench", "--frames", "0", "--output", str(target)]) == EXIT_OK
+        assert target.read_text() == "method\ttotal_s\tper_frame_s\tspeedup_vs_plca\n"
+        assert capsys.readouterr().out.strip().split("\n")[-1] == f"wrote {target}"
+
     def test_small_run_times_three_methods(self, capsys):
         code = main(["bench", "--bins", "64", "--notes", "4",
                      "--frames", "3"])
@@ -825,8 +832,14 @@ class TestExtremeSettings:
         else:
             argv = [command, "--bins", "64", "--notes", "4", "--frames", "2",
                     flag, value]
-        code = main(argv)
+        bufsize = np.getbufsize()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # a warning seen before shows again
+            code = main(argv)
         assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC)
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, RuntimeWarning)] == []
+        assert np.getbufsize() == bufsize
         if code != EXIT_OK:
             assert len(capsys.readouterr().err.splitlines()) == 1
 

@@ -5,6 +5,8 @@ minimum; the oracle here enumerates every q in 1..q_max instead and the two
 routes must agree exactly.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,17 @@ class TestHarmonicCost:
             cur = harmonic_cost(rows, cols, eps0, True).values
             assert np.all(cur + 1e-15 >= prev)  # pointwise nondecreasing in eps0
             prev = cur
+
+    @pytest.mark.parametrize("octave_scaling", [True, False])
+    def test_huge_eps0_is_the_quadratic_cost(self, octave_scaling):
+        # the penalty (and, under octave scaling, the vertex shift at a
+        # 0.5 Hz column) overflows to inf: the exact limit, with no warning
+        rows = np.arange(1.0, 257.0) * 10.77
+        cols = np.concatenate([[0.5], 27.5 * 2.0 ** (np.arange(88) / 12.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = harmonic_cost(rows, cols, 1e308, octave_scaling).values
+        np.testing.assert_array_equal(got, quadratic_cost(rows, cols).values)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,12 @@
 """Dictionary tests: pitch mapping, Gaussian harmonic combs, validation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from ost.dictionary import (Dictionary, HarmonicTemplateParams, harmonic_column,
-                            make_harmonic_dictionary,
+from ost.dictionary import (Dictionary, HarmonicTemplateParams, damped_weights,
+                            harmonic_column, make_harmonic_dictionary,
                             midi_range_fundamentals, midi_to_freq)
 
 
@@ -54,6 +56,28 @@ class TestHarmonicColumn:
         truncated = harmonic_column(freqs, 200.0, 5.0, np.array([1.0, 1.0]))
         # third partial sits at 600 Hz, past the 500 Hz top bin
         np.testing.assert_array_equal(with_tail, truncated)
+
+    @pytest.mark.parametrize("width", [1e-300, 1e-160])
+    def test_vanishing_width_is_a_spike(self, width):
+        # the variance underflows to 0 (1e-300) or is subnormal (1e-160):
+        # each bump is its limit, 1 on the bin at its center, without a warning
+        freqs = 10.0 * np.arange(1.0, 65.0)
+        weights = np.array([1.0, 0.5, 0.25])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = harmonic_column(freqs, 100.0, width, weights)
+        expected = np.zeros_like(freqs)
+        expected[[9, 19, 29]] = weights
+        np.testing.assert_array_equal(got, expected)
+
+
+class TestDampedWeights:
+    def test_values_and_overflowing_limit(self):
+        np.testing.assert_array_equal(damped_weights(0.3, 3),
+                                      np.exp(-0.3 * np.arange(1, 4)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(damped_weights(1e308, 4) == 0.0)
 
 
 class TestMakeHarmonicDictionary:

@@ -777,6 +777,51 @@ class TestBatchedMM:
                   variant=variant)
 
 
+class TestUfuncBuffer:
+    """_group_mm runs with numpy's ufunc buffer at one cost row (a multiple
+    of 16, at least 16) and gives the caller's size back however it ends."""
+
+    CALLER_SIZE = 4096  # not numpy's default
+
+    @pytest.fixture(autouse=True)
+    def caller_size(self):
+        before = np.setbufsize(self.CALLER_SIZE)
+        yield
+        np.setbufsize(before)
+
+    @staticmethod
+    def problem(m):
+        rng = np.random.default_rng(74)
+        return (make_frames(rng, m, 5, inactive=(2,)),
+                toy_cost(rng.uniform(0, 3, size=(m, 4))),
+                SolverConfig(lambda_e=0.5, lambda_g=1.0))
+
+    @pytest.mark.parametrize("variant", ["ost", "ost_e", "ost_g", "ost_eg"])
+    def test_size_restored_after_a_return(self, variant):
+        unmix(*self.problem(10), variant=variant)
+        assert np.getbufsize() == self.CALLER_SIZE
+
+    @pytest.mark.parametrize("variant", ["ost", "ost_g"])
+    def test_size_restored_after_an_exception(self, variant, monkeypatch):
+        def fail(*args):
+            raise RuntimeError("inside the kernel")
+        monkeypatch.setattr(solvers, "_column_masses", fail)
+        with pytest.raises(RuntimeError, match="inside the kernel"):
+            unmix(*self.problem(10), variant=variant)
+        assert np.getbufsize() == self.CALLER_SIZE
+
+    @pytest.mark.parametrize("m, size", [(10, 16), (40, 32), (1024, 1024)])
+    def test_kernel_runs_at_one_cost_row(self, m, size, monkeypatch):
+        seen = []
+        column_masses = solvers._column_masses
+        def spy(*args):
+            seen.append(np.getbufsize())
+            return column_masses(*args)
+        monkeypatch.setattr(solvers, "_column_masses", spy)
+        unmix(*self.problem(m), variant="ost_g")
+        assert seen and set(seen) == {size}
+
+
 class TestVariantCollapse:
     """ost is ost_g's start and ost_e is ost_eg's, on the shipped path of a
     rendered piece with the harmonic cost, with and without a noise column:

@@ -9,7 +9,7 @@ from ost.errors import DataError
 from ost.evaluation import (EvalReport, FrameClock, NoteEvent, PianoRoll,
                             parse_ground_truth)
 from ost.solvers import Activations
-from ost.tsvio import (atomic_write_text, format_table, matrix_text,
+from ost.tsvio import (_format, atomic_write_text, format_table, matrix_text,
                        read_activations, read_matrix, write_activations,
                        write_matrix, write_pianoroll, write_report)
 
@@ -122,6 +122,20 @@ class TestMatrixRoundTrip:
         cols = 0.25 + 0.5 * np.arange(n)
         assert (matrix_text(values, rows, cols, "c")
                 == matrix_text_per_cell(values, rows, cols, "c"))
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (4, 0), (1, 1),
+                                       (3, 17), (88, 647)])
+    def test_bool_buffer_matches_per_cell_format(self, shape):
+        # the bool branch writes all rows from one byte buffer
+        rng = np.random.default_rng(sum(shape))
+        for density in (0.0, 0.1, 0.5, 1.0):
+            values = rng.random(shape) < density
+            rows = [f"r{i}" for i in range(shape[0])]
+            cols = list(range(shape[1]))
+            lines = ["\t".join(["c"] + [_format(x) for x in cols])]
+            lines += ["\t".join([label] + [_format(x) for x in row])
+                      for label, row in zip(rows, values)]
+            assert matrix_text(values, rows, cols, "c") == "\n".join(lines) + "\n"
 
     def test_read_errors(self, tmp_path):
         empty = tmp_path / "empty.tsv"
