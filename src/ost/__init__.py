@@ -19,10 +19,10 @@ from .costs import (CostMatrix, quadratic_cost, harmonic_cost,
 from .solvers import SolverConfig, Activations, unmix
 from .baselines import (LpProblem, PlcaState, kl_divergence, plca_unmix,
                         solve_lp, wasserstein_divergence, ot_unmix_lp)
-from .evaluation import (FrameClock, NoteEvent, PianoRoll, EvalReport,
-                         ToyScenario, parse_ground_truth, load_ground_truth,
-                         events_to_roll, threshold_activations, f_measure,
-                         l1_activation_error, make_toy_scenario)
+from .evaluation import (NoteEvent, EvalReport, ToyScenario,
+                         parse_ground_truth, load_ground_truth, events_to_roll,
+                         threshold_activations, f_measure, l1_activation_error,
+                         make_toy_scenario)
 from .synth import render_notes
 
 __all__ = [
@@ -36,7 +36,7 @@ __all__ = [
     "SolverConfig", "Activations", "unmix",
     "LpProblem", "PlcaState", "kl_divergence", "plca_unmix", "solve_lp",
     "wasserstein_divergence", "ot_unmix_lp",
-    "FrameClock", "NoteEvent", "PianoRoll", "EvalReport", "ToyScenario",
+    "NoteEvent", "EvalReport", "ToyScenario",
     "parse_ground_truth", "load_ground_truth", "events_to_roll",
     "threshold_activations", "f_measure", "l1_activation_error",
     "make_toy_scenario",

@@ -17,7 +17,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -26,16 +26,15 @@ from .costs import append_noise_column, harmonic_cost
 from .dictionary import (DEFAULT_DAMPING, DEFAULT_KERNEL_WIDTH_BINS,
                          DEFAULT_N_PARTIALS, Dictionary, HarmonicTemplateParams,
                          make_harmonic_dictionary, midi_range_fundamentals)
-from .errors import (DataError, LpGuardError, LpInfeasibleError,
-                     LpUnboundedError, NumericError, OstError)
-from .evaluation import (SCENARIO_ALIASES, TOY_BINS, TOY_F_MAX, FrameClock,
-                         PianoRoll, events_to_roll, f_measure,
-                         l1_activation_error, load_ground_truth,
+from .errors import DataError, NumericError, OstError
+from .evaluation import (SCENARIO_ALIASES, TOY_BINS, TOY_F_MAX, events_to_roll,
+                         f_measure, l1_activation_error, load_ground_truth,
                          make_toy_scenario, parse_ground_truth,
                          threshold_activations)
 from .frontend import (DEFAULT_HOP, DEFAULT_WINDOW_LEN, NormalizedFrames,
                        decode_wav, normalize_frames, stft_magnitude)
-from .solvers import DEFAULT_MM_ITERATIONS, Activations, SolverConfig, unmix
+from .solvers import (DEFAULT_MM_ITERATIONS, MAX_LAMBDA_G, Activations,
+                      SolverConfig, unmix)
 from . import tsvio
 
 EXIT_OK = 0
@@ -62,6 +61,8 @@ FINITE_POSITIVE = (lambda v: 0 < v < np.inf, "finite and positive")
 FINITE_NON_NEGATIVE = (lambda v: 0 <= v < np.inf, "finite and non-negative")
 AT_LEAST_ONE = (lambda v: v >= 1, "at least 1")
 EVEN_WINDOW = (lambda v: v >= 2 and v % 2 == 0, "a positive even integer")
+GROUP_WEIGHT = (lambda v: 0 < v <= MAX_LAMBDA_G,
+                f"finite, positive and at most {MAX_LAMBDA_G:.4g}")
 
 
 class UsageError(Exception):
@@ -94,7 +95,7 @@ class RunConfig:
     lambda_e: float = _setting(300.0, "entropic regularization weight (ost_e, ost_eg)",
                                ("ost_e", "ost_eg"), FINITE_POSITIVE)
     lambda_g: float = _setting(300.0, "group-sparsity weight (ost_g, ost_eg)",
-                               ("ost_g", "ost_eg"), FINITE_POSITIVE)
+                               ("ost_g", "ost_eg"), GROUP_WEIGHT)
     mm_iterations: int = _setting(DEFAULT_MM_ITERATIONS,
                                   "majorize-minimize iterations (ost_g, ost_eg)",
                                   ("ost_g", "ost_eg"), AT_LEAST_ONE)
@@ -204,18 +205,22 @@ def solve(method: str, frames: NormalizedFrames, fundamentals: np.ndarray,
 def decompose(frames: NormalizedFrames, config: RunConfig):
     """Run one method over normalized frames.
 
-    Returns (activations restricted to pitch rows, row labels including a
-    possible trailing noise row, full activations).
+    Returns (the activation values of the pitch rows, row labels including
+    a possible trailing noise row, full activations). Every method needs at
+    least one note at or below the top bin, plca and ot_h every note.
     """
     labels = [str(m) for m in range(config.midi_low, config.midi_high + 1)]
     fundamentals = midi_range_fundamentals(config.midi_low, config.midi_high)
+    if not fundamentals[0] <= frames.freqs[-1]:
+        raise DataError(f"no note of MIDI {config.midi_low}-{config.midi_high} "
+                        f"lies on the bin grid, whose top bin is at "
+                        f"{frames.freqs[-1]:g} Hz")
     templates = None
     if config.method in TEMPLATE_METHODS:
         templates = config.harmonic_dictionary(frames.freqs, fundamentals)
     acts = solve(config.method, frames, fundamentals, templates, config)
-    if acts.values.shape[0] == len(labels):
-        return acts, labels, acts
-    return Activations(values=acts.values[:len(labels)]), labels + ["noise"], acts
+    noise = ["noise"] * (acts.values.shape[0] - len(labels))
+    return acts.values[:len(labels)], labels + noise, acts
 
 
 def load_frames(path, config: RunConfig):
@@ -239,14 +244,13 @@ def load_frames(path, config: RunConfig):
     return frames, sample_rate, timings
 
 
-def transcription_clock(frames: NormalizedFrames, config: RunConfig,
-                        sample_rate: int) -> FrameClock:
-    """The time axis of frames from load_frames: frame n is centered at
-    (window_len / 2 + n * hop) / sample_rate seconds. The only place
+def frame_times(frames: NormalizedFrames, config: RunConfig,
+                sample_rate: int) -> np.ndarray:
+    """The center time in seconds of each frame from load_frames: frame n
+    is centered at (window_len / 2 + n * hop) / sample_rate. The only place
     transcribe and sweep place frames in time."""
     t0 = config.window_len / (2.0 * sample_rate)
-    return FrameClock(n_frames=frames.n_frames,
-                      hop_seconds=config.hop / sample_rate, t0=t0)
+    return t0 + np.arange(frames.n_frames) * (config.hop / sample_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -266,30 +270,30 @@ def cmd_transcribe(args) -> int:
     pitch_acts, labels, acts = decompose(frames, config)
     timings["decompose"] = time.perf_counter() - start
 
-    clock = transcription_clock(frames, config, sample_rate)
+    times = frame_times(frames, config, sample_rate)
     base = os.path.splitext(os.path.basename(args.wav))[0] + "." + config.method
     outdir = args.output_dir
     os.makedirs(outdir, exist_ok=True)
     act_path = os.path.join(outdir, base + ".activations.tsv")
-    tsvio.write_activations(act_path, acts, labels, clock)
+    tsvio.write_activations(act_path, acts.values, labels, times)
     written = [act_path]
 
-    report = None
+    report, pairs = None, []
     if events is not None:
         truth = events_to_roll(events, (config.midi_low, config.midi_high),
-                               clock)
+                               times)
         estimate = threshold_activations(pitch_acts, truth)
         report = f_measure(estimate, truth)
+        pairs = list(asdict(report).items())
         roll_path = os.path.join(outdir, base + ".pianoroll.tsv")
-        tsvio.write_pianoroll(roll_path, estimate, clock)
+        tsvio.write_pianoroll(roll_path, estimate, config.midi_low, times)
         written.append(roll_path)
     timings["total"] = sum(timings.values())
 
     report_path = os.path.join(outdir, base + ".report.tsv")
-    extra = {f"wall_time_seconds.{k}": v for k, v in sorted(timings.items())}
-    extra["method"] = config.method
-    extra["frames"] = frames.n_frames
-    tsvio.write_report(report_path, report, extra=extra)
+    pairs += [(f"wall_time_seconds.{k}", v) for k, v in sorted(timings.items())]
+    pairs += [("method", config.method), ("frames", frames.n_frames)]
+    tsvio.write_report(report_path, pairs)
     written.append(report_path)
 
     print(f"method={config.method} frames={frames.n_frames} "
@@ -416,17 +420,16 @@ def cmd_sweep(args) -> int:
         _check_ranges(cfg)
 
     frames, sample_rate, _ = load_frames(args.wav, config)
-    clock = transcription_clock(frames, config, sample_rate)
     truth = load_ground_truth(args.ground_truth,
-                              (config.midi_low, config.midi_high), clock)
+                              (config.midi_low, config.midi_high),
+                              frame_times(frames, config, sample_rate))
     half = frames.n_frames // 2
     val_slice, test_slice = slice(0, half), slice(half, frames.n_frames)
 
     def score(pitch_acts, report_slice):
-        sliced = Activations(values=pitch_acts.values[:, report_slice])
-        ref = PianoRoll(active=truth.active[:, report_slice],
-                        midi_low=truth.midi_low, midi_high=truth.midi_high)
-        return f_measure(threshold_activations(sliced, ref), ref).f_measure
+        ref = truth[:, report_slice]
+        return f_measure(threshold_activations(pitch_acts[:, report_slice], ref),
+                         ref).f_measure
 
     rows, best = [], None
     for values, cfg in zip(points, configs):
@@ -514,17 +517,13 @@ def cmd_eval(args) -> int:
     if midi[0] < 0 or midi[-1] > 127:
         raise DataError(f"activation rows must be MIDI numbers 0-127, "
                         f"got {midi[0]}-{midi[-1]}")
-    hop = float(times[1] - times[0]) if len(times) > 1 else 1.0
-    t0 = float(times[0]) if len(times) else 0.0
-    clock = FrameClock(n_frames=values.shape[1], hop_seconds=hop, t0=t0)
-    truth = load_ground_truth(args.ground_truth, (midi[0], midi[-1]), clock)
-    acts = Activations(values=values[pitch_rows])
-    report = f_measure(threshold_activations(acts, truth), truth)
+    truth = load_ground_truth(args.ground_truth, (midi[0], midi[-1]), times)
+    report = f_measure(threshold_activations(values[pitch_rows], truth), truth)
     print(f"precision={report.precision:.4f} recall={report.recall:.4f} "
           f"f_measure={report.f_measure:.4f} tp={report.tp} fp={report.fp} "
           f"fn={report.fn}")
     if args.output is not None:
-        tsvio.write_report(args.output, report)
+        tsvio.write_report(args.output, asdict(report).items())
         print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -692,8 +691,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (LpInfeasibleError, LpUnboundedError, LpGuardError,
-            NumericError) as exc:
+    except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (OstError, OSError) as exc:

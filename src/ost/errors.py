@@ -17,17 +17,17 @@ class DataError(OstError):
     """Malformed input data (ground truth, activations, dictionaries)."""
 
 
-class LpInfeasibleError(OstError):
+class NumericError(OstError):
+    """Numerical failure: solver blow-up, NaN, or an LP failure (below)."""
+
+
+class LpInfeasibleError(NumericError):
     """Linear program has no feasible point."""
 
 
-class LpUnboundedError(OstError):
+class LpUnboundedError(NumericError):
     """Linear program objective is unbounded below."""
 
 
-class LpGuardError(OstError):
+class LpGuardError(NumericError):
     """Problem size exceeds the desk-scale guard."""
-
-
-class NumericError(OstError):
-    """Numerical failure inside a solver (iteration blow-up, NaN)."""

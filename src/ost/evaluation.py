@@ -9,7 +9,6 @@ from .dictionary import (DEFAULT_DAMPING, DEFAULT_KERNEL_WIDTH_BINS,
                          DEFAULT_N_PARTIALS, HarmonicTemplateParams,
                          damped_weights, harmonic_column, midi_to_freq)
 from .errors import DataError
-from .solvers import Activations
 
 logger = logging.getLogger(__name__)
 
@@ -40,24 +39,6 @@ SCENARIO_ALIASES = {
 
 
 @dataclass(frozen=True)
-class FrameClock:
-    """Positions frame centers on the time axis: center(n) = t0 + n * hop."""
-
-    n_frames: int
-    hop_seconds: float
-    t0: float = 0.0
-
-    def __post_init__(self):
-        if self.n_frames < 0:
-            raise ValueError("n_frames must be non-negative")
-        if self.hop_seconds <= 0:
-            raise ValueError("hop_seconds must be positive")
-
-    def centers(self) -> np.ndarray:
-        return self.t0 + np.arange(self.n_frames) * self.hop_seconds
-
-
-@dataclass(frozen=True)
 class NoteEvent:
     onset_seconds: float
     offset_seconds: float
@@ -73,22 +54,6 @@ class NoteEvent:
 
 
 @dataclass(eq=False)
-class PianoRoll:
-    """Binary pitch x frame activity matrix over a MIDI range."""
-
-    active: np.ndarray
-    midi_low: int
-    midi_high: int
-
-    def __post_init__(self):
-        self.active = np.asarray(self.active, dtype=bool)
-        if self.active.ndim != 2:
-            raise ValueError("active must be a K x N matrix")
-        if self.active.shape[0] != self.midi_high - self.midi_low + 1:
-            raise ValueError("row count must equal midi_high - midi_low + 1")
-
-
-@dataclass(eq=False)
 class EvalReport:
     """Pooled frame-level scores and counts."""
 
@@ -100,24 +65,25 @@ class EvalReport:
     fn: int
 
 
-def events_to_roll(events, midi_range, clock: FrameClock) -> PianoRoll:
-    """Rasterize events: note active in frame n iff its [onset, offset)
-    interval contains the frame's center time. Pitches outside midi_range
-    are dropped (logged with a count)."""
+def events_to_roll(events, midi_range, times) -> np.ndarray:
+    """The piano roll of events: a bool K x len(times) matrix whose row k is
+    MIDI pitch midi_range[0] + k, active in frame n iff the note's [onset,
+    offset) interval contains times[n], the frame's center in seconds.
+    Pitches outside midi_range are dropped (logged with a count)."""
     low, high = midi_range
-    centers = clock.centers()
-    active = np.zeros((high - low + 1, clock.n_frames), dtype=bool)
+    times = np.asarray(times, dtype=np.float64)
+    active = np.zeros((high - low + 1, times.size), dtype=bool)
     dropped = 0
     for ev in events:
         if not low <= ev.midi_pitch <= high:
             dropped += 1
             continue
-        hit = (centers >= ev.onset_seconds) & (centers < ev.offset_seconds)
+        hit = (times >= ev.onset_seconds) & (times < ev.offset_seconds)
         active[ev.midi_pitch - low, hit] = True
     if dropped:
         logger.warning("dropped %d ground-truth events outside MIDI range [%d, %d]",
                        dropped, low, high)
-    return PianoRoll(active=active, midi_low=low, midi_high=high)
+    return active
 
 
 def parse_ground_truth(path) -> list:
@@ -148,32 +114,34 @@ def parse_ground_truth(path) -> list:
     return events
 
 
-def load_ground_truth(path, midi_range, clock: FrameClock) -> PianoRoll:
-    """Parse a MAPS-style TSV and rasterize it onto the frame clock."""
-    return events_to_roll(parse_ground_truth(path), midi_range, clock)
+def load_ground_truth(path, midi_range, times) -> np.ndarray:
+    """Parse a MAPS-style TSV and rasterize it onto frames centered at
+    `times`."""
+    return events_to_roll(parse_ground_truth(path), midi_range, times)
 
 
-def threshold_activations(acts: Activations, truth: PianoRoll) -> PianoRoll:
+def threshold_activations(values, truth) -> np.ndarray:
     """Keep, per frame, the support of the P_n largest activation entries,
     where P_n is the ground-truth polyphony of frame n (ties resolve to the
-    lowest index; P_n = 0 leaves the frame empty)."""
-    values = acts.values
-    if values.shape != truth.active.shape:
+    lowest index; P_n = 0 leaves the frame empty). Returns a roll of the
+    truth roll's shape."""
+    values, truth = np.asarray(values), np.asarray(truth, dtype=bool)
+    if values.shape != truth.shape:
         raise ValueError("activations shape must match the truth roll")
-    active = np.zeros_like(truth.active)
-    polyphony = truth.active.sum(axis=0)
+    active = np.zeros_like(truth)
+    polyphony = truth.sum(axis=0)
     order = np.argsort(-values, axis=0, kind="stable")
     for n in np.flatnonzero(polyphony):
         active[order[:polyphony[n], n], n] = True
-    return PianoRoll(active=active, midi_low=truth.midi_low,
-                     midi_high=truth.midi_high)
+    return active
 
 
-def f_measure(estimate: PianoRoll, truth: PianoRoll) -> EvalReport:
-    """Frame-level precision/recall/F with counts pooled over the roll."""
-    if estimate.active.shape != truth.active.shape:
+def f_measure(estimate, truth) -> EvalReport:
+    """Frame-level precision/recall/F with counts pooled over two rolls of
+    one shape."""
+    est, ref = np.asarray(estimate, dtype=bool), np.asarray(truth, dtype=bool)
+    if est.shape != ref.shape:
         raise ValueError("piano-roll shapes must match")
-    est, ref = estimate.active, truth.active
     tp, fp, fn = (int(m.sum()) for m in (est & ref, est & ~ref, ~est & ref))
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0

@@ -80,7 +80,7 @@ class NormalizedFrames:
     `freqs` is the bin frequency axis of the source spectrogram, from which
     the costs and templates are built. The frames carry no time axis: the
     caller that chose the STFT hop places them in time (cli's
-    transcription_clock).
+    frame_times).
     """
 
     columns: np.ndarray

@@ -55,6 +55,9 @@ from .frontend import NormalizedFrames, _check_finite_non_negative
 
 DEFAULT_MM_ITERATIONS = 10
 EMPTY_COLUMN_MASS = 1e-12  # mass floor used when linearizing sqrt at an empty column
+# The largest lambda_g whose product with an empty column's penalty, 5e5, is
+# finite; past it that penalty is infinite and ost_g sends all to column 0.
+MAX_LAMBDA_G = 3.595386269724631e+302
 # Frames per block of the batched kernels; bounds their M x block temporaries.
 MM_BLOCK_FRAMES = 128
 _GATHER_CELLS = 2 ** 17  # cost cells an ost_g step gathers at once: 1 MB, in cache
@@ -96,8 +99,9 @@ class SolverConfig:
     def __post_init__(self):
         if not 0 <= self.lambda_e < np.inf:
             raise ValueError("lambda_e must be finite and non-negative")
-        if not 0 <= self.lambda_g < np.inf:
-            raise ValueError("lambda_g must be finite and non-negative")
+        if not 0 <= self.lambda_g <= MAX_LAMBDA_G:
+            raise ValueError(f"lambda_g must be finite, non-negative and at "
+                             f"most {MAX_LAMBDA_G!r}")
         if self.mm_iterations < 1:
             raise ValueError("mm_iterations must be >= 1")
 

@@ -11,8 +11,6 @@ import tempfile
 import numpy as np
 
 from .errors import DataError
-from .evaluation import EvalReport, FrameClock, PianoRoll
-from .solvers import Activations
 
 
 def _format(x) -> str:
@@ -97,11 +95,11 @@ def read_matrix(path):
     return values, row_labels, col_labels
 
 
-def write_activations(path, acts: Activations, row_labels, clock: FrameClock):
-    """Activations with one column per frame, headed by the frame's center
-    time on `clock`; a clock of another frame count raises ValueError."""
-    write_matrix(path, acts.values, row_labels, clock.centers(),
-                 "component\\time_s")
+def write_activations(path, values, row_labels, times):
+    """A K x N activation matrix with one column per frame, headed by the
+    frame's center time in seconds; `times` of another length raises
+    ValueError."""
+    write_matrix(path, values, row_labels, times, "component\\time_s")
 
 
 def read_activations(path):
@@ -118,23 +116,15 @@ def read_activations(path):
     return values, row_labels, times
 
 
-def write_pianoroll(path, roll: PianoRoll, clock: FrameClock):
-    """The roll as write_activations writes activations, rows labelled by
-    MIDI pitch."""
-    labels = list(range(roll.midi_low, roll.midi_high + 1))
-    write_matrix(path, roll.active, labels, clock.centers(), "midi\\time_s")
+def write_pianoroll(path, roll, midi_low: int, times):
+    """A bool piano roll as write_activations writes activations, row k
+    labelled by MIDI pitch midi_low + k."""
+    labels = list(range(midi_low, midi_low + len(roll)))
+    write_matrix(path, roll, labels, times, "midi\\time_s")
 
 
-def write_report(path, report: EvalReport = None, extra=None):
-    """Key/value table: scores and counts (when a report is given) plus any
-    extra pairs."""
-    pairs = []
-    if report is not None:
-        pairs += [("precision", report.precision), ("recall", report.recall),
-                  ("f_measure", report.f_measure), ("tp", report.tp),
-                  ("fp", report.fp), ("fn", report.fn)]
-    if extra:
-        pairs.extend(extra.items() if isinstance(extra, dict) else extra)
+def write_report(path, pairs):
+    """Key/value table, one (key, value) pair per line."""
     lines = [f"{key}\t{_format(value)}" for key, value in pairs]
     atomic_write_text(path, "\n".join(lines) + "\n")
 

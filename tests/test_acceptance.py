@@ -18,11 +18,11 @@ from ost.costs import (CostMatrix, append_noise_column, harmonic_cost,
                        quadratic_cost)
 from ost.dictionary import (HarmonicTemplateParams, make_harmonic_dictionary,
                             midi_to_freq)
-from ost.evaluation import (FrameClock, NoteEvent, events_to_roll, f_measure,
+from ost.evaluation import (NoteEvent, events_to_roll, f_measure,
                             l1_activation_error, make_toy_scenario,
                             threshold_activations)
 from ost.frontend import NormalizedFrames, normalize_frames, stft_magnitude
-from ost.solvers import Activations, SolverConfig, unmix
+from ost.solvers import SolverConfig, unmix
 from ost.synth import render_notes
 from ost.tsvio import atomic_write_text
 
@@ -226,14 +226,12 @@ def test_criterion_7_synthetic_transcription():
     frames = normalize_frames(stft_magnitude(audio, window_len, hop))
     fundamentals = np.array([midi_to_freq(p) for p in
                              range(midi_range[0], midi_range[1] + 1)])
-    clock = FrameClock(n_frames=frames.n_frames, hop_seconds=hop / fs,
-                       t0=window_len / (2 * fs))
-    truth = events_to_roll(events, midi_range, clock)
+    times = window_len / (2 * fs) + np.arange(frames.n_frames) * (hop / fs)
+    truth = events_to_roll(events, midi_range, times)
     cost = harmonic_cost(frames.freqs, fundamentals, eps0)
 
     def score(values):
-        acts = Activations(values=values)
-        return f_measure(threshold_activations(acts, truth), truth).f_measure
+        return f_measure(threshold_activations(values, truth), truth).f_measure
 
     f_ost = score(unmix(frames, cost, SolverConfig(), variant="ost").values)
     f_entropic = score(unmix(frames, cost, SolverConfig(lambda_e=lam_e),

@@ -3,11 +3,16 @@ the fields of every public dataclass, in constructor order, in
 tests/api_fields.txt, and the signature of every public function in
 tests/api_signatures.txt, so every added, removed or renamed name,
 constructor field, parameter or default shows up as a diff of those
-files."""
+files. The functions the benchmark's tracer wraps keep their names and
+the parameters its counters read."""
 
 import dataclasses
+import importlib
 import inspect
+import types
 from pathlib import Path
+
+import pytest
 
 import ost
 
@@ -45,3 +50,31 @@ def api_signatures() -> str:
 def test_api_signatures_are_unchanged():
     golden = (Path(__file__).parent / "api_signatures.txt").read_text()
     assert api_signatures() == golden
+
+
+def benchmark_spans() -> types.ModuleType:
+    """perfbench/spans.py, executed from its source without importing it
+    as a module, so nothing is written beside it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    module = types.ModuleType("perfbench_spans")
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_traced_functions_resolve():
+    missing = [f"{m}.{f}" for m, f in benchmark_spans().TARGETS
+               if not inspect.isfunction(getattr(
+                   importlib.import_module("ost." + m), f, None))]
+    assert missing == []
+
+
+@pytest.mark.parametrize("target, params", [
+    ("solvers.unmix", ("frames", "cost", "variant")),
+    ("baselines.plca_unmix", ("frames", "max_iter")),
+    ("tsvio.atomic_write_text", ("text",)),
+])
+def test_counted_parameters_exist(target, params):
+    assert target in benchmark_spans().COUNTERS
+    module, name = target.split(".")
+    fn = getattr(importlib.import_module("ost." + module), name)
+    assert set(params) <= set(inspect.signature(fn).parameters)

@@ -15,12 +15,11 @@ import pytest
 import ost
 from ost import baselines, cli
 from ost.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, RunConfig,
-                     decompose, main, transcription_clock)
-from ost.evaluation import (NoteEvent, PianoRoll, f_measure,
-                            load_ground_truth, threshold_activations)
+                     decompose, frame_times, main)
+from ost.evaluation import (NoteEvent, f_measure, load_ground_truth,
+                            threshold_activations)
 from ost.frontend import (AudioBuffer, decode_wav, normalize_frames,
                           stft_magnitude)
-from ost.solvers import Activations
 from ost.synth import render_notes
 from ost.tsvio import read_activations, read_matrix
 
@@ -192,7 +191,7 @@ class TestUsageErrors:
         (["sweep", "--method", "ost_e", "--grid", "lambda_e=0"],
          "--lambda-e must be finite and positive"),
         (["sweep", "--method", "ost_g", "--grid", "lambda_g=inf"],
-         "--lambda-g must be finite and positive"),
+         "--lambda-g must be finite, positive and at most 3.595e+302"),
         (["sweep", "--method", "ost", "--grid", "noise_amplitude=-1"],
          "--noise-amplitude must be finite and non-negative"),
         (["sweep", "--method", "plca", "--grid", "damping=-1"],
@@ -204,7 +203,9 @@ class TestUsageErrors:
         (["transcribe", "--method", "ost_e", "--lambda-e", "inf"],
          "--lambda-e must be finite and positive"),
         (["transcribe", "--method", "ost_g", "--lambda-g", "inf"],
-         "--lambda-g must be finite and positive"),
+         "--lambda-g must be finite, positive and at most 3.595e+302"),
+        (["transcribe", "--method", "ost_eg", "--lambda-g", "1e303"],
+         "--lambda-g must be finite, positive and at most 3.595e+302"),
         (["transcribe", "--method", "ost", "--noise-amplitude", "inf"],
          "--noise-amplitude must be finite and non-negative"),
         (["transcribe", "--method", "plca", "--damping", "inf"],
@@ -355,6 +356,36 @@ class TestDataErrors:
         assert code == EXIT_DATA
         assert "bin grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["transcribe", "sweep"])
+    @pytest.mark.parametrize("method", cli.METHODS)
+    def test_no_note_on_the_bin_grid(self, capsys, duet, tmp_path, command,
+                                     method):
+        # 8 kHz audio tops out at 4 kHz and MIDI 108 sits at 4186 Hz: no
+        # method has a note to send mass to
+        argv = [command, str(duet / "duet.wav"), "--method", method,
+                "--window-len", "512", "--hop", "256",
+                "--midi-low", "108", "--midi-high", "108"]
+        if command == "transcribe":
+            argv += ["--output-dir", str(tmp_path / "out")]
+        else:
+            argv += ["--ground-truth", str(duet / "truth.tsv")]
+        assert main(argv) == EXIT_DATA
+        assert "bin grid" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_eval_scores_at_the_header_times(self, capsys, tmp_path):
+        # frames centered at 0.1, 0.2 and 0.5 s: a note on [0.45, 0.55)
+        # sounds in the third only, which a clock rebuilt from the first
+        # two times would put at 0.3 s
+        acts = tmp_path / "acts.tsv"
+        acts.write_text("component\\time_s\t0.1\t0.2\t0.5\n"
+                        "60\t0.2\t0.7\t0.9\n61\t0.8\t0.3\t0.1\n")
+        truth = tmp_path / "truth.tsv"
+        write_ground_truth(truth, [NoteEvent(0.45, 0.55, 60)])
+        code = main(["eval", str(acts), "--ground-truth", str(truth)])
+        assert code == EXIT_OK
+        assert "tp=1 fp=0 fn=0" in capsys.readouterr().out
+
     def test_value_error_is_not_a_data_error(self, note50, tmp_path,
                                              monkeypatch):
         def broken(*args):
@@ -367,6 +398,12 @@ class TestDataErrors:
 
 
 class TestNumericExit:
+    @pytest.mark.parametrize("error", [ost.LpInfeasibleError,
+                                       ost.LpUnboundedError, ost.LpGuardError])
+    def test_lp_errors_are_numeric_errors(self, error):
+        # main maps every NumericError to exit 3
+        assert issubclass(error, ost.NumericError)
+
     def test_lp_guard_maps_to_numeric_code(self, capsys, note50, tmp_path):
         # 256-sample windows give 128 bins, past what the dense LP accepts.
         outdir = tmp_path / "out"
@@ -585,8 +622,8 @@ class TestTranscribe:
 
     def test_activations_table_reads_back(self, capsys, duet, tmp_path):
         # the written table holds decompose's activations, noise row
-        # included, to the 12 significant digits the writer keeps, on the
-        # transcription clock; the piano roll has the same time header
+        # included, to the 12 significant digits the writer keeps, at
+        # frame_times; the piano roll has the same time header
         outdir = tmp_path / "out"
         code = main(["transcribe", str(duet / "duet.wav"), "--method", "ost_e",
                      "--lambda-e", "100", "--noise-amplitude", "50",
@@ -605,13 +642,13 @@ class TestTranscribe:
         cfg = RunConfig(method="ost_e", lambda_e=100.0, noise_amplitude=50.0,
                         midi_low=55, midi_high=67, window_len=512, hop=256)
         _, expected_labels, acts = decompose(frames, cfg)
-        clock = transcription_clock(frames, cfg, audio.sample_rate)
+        expected_times = frame_times(frames, cfg, audio.sample_rate)
         assert labels == expected_labels
         assert values.shape == acts.values.shape
         assert np.count_nonzero(values) > values.size // 2
         np.testing.assert_allclose(values, acts.values, rtol=1e-11, atol=0)
-        np.testing.assert_allclose(times, clock.centers(), rtol=1e-11, atol=0)
-        assert roll_header == [format(t, ".12g") for t in clock.centers()]
+        np.testing.assert_allclose(times, expected_times, rtol=1e-11, atol=0)
+        assert roll_header == [format(t, ".12g") for t in expected_times]
 
     def test_peak_is_the_samples_and_two_frame_matrices(self, capsys, tmp_path):
         # 30 s of notes with silent gaps (masked frames). Holding the STFT's
@@ -692,13 +729,12 @@ class TestSweep:
                         lambda_g=300.0, midi_low=55, midi_high=67,
                         window_len=512, hop=256)
         pitch, _, _ = decompose(frames, cfg)
-        clock = transcription_clock(frames, cfg, audio.sample_rate)
-        truth = load_ground_truth(duet / "truth.tsv", (55, 67), clock)
+        truth = load_ground_truth(duet / "truth.tsv", (55, 67),
+                                  frame_times(frames, cfg, audio.sample_rate))
         half = frames.n_frames // 2
-        acts = Activations(values=pitch.values[:, half:])
-        ref = PianoRoll(active=truth.active[:, half:], midi_low=55,
-                        midi_high=67)
-        expected = f_measure(threshold_activations(acts, ref), ref).f_measure
+        ref = truth[:, half:]
+        expected = f_measure(threshold_activations(pitch[:, half:], ref),
+                             ref).f_measure
         assert abs(float(printed.group(1)) - expected) < 5e-5
 
 

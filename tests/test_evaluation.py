@@ -9,28 +9,16 @@ from ost import evaluation
 from ost.baselines import plca_unmix
 from ost.costs import harmonic_cost
 from ost.errors import DataError
-from ost.evaluation import (FrameClock, NoteEvent, PianoRoll, TOY_PAIR_A,
-                            TOY_PAIR_B, TOY_PITCHES, events_to_roll, f_measure,
+from ost.evaluation import (NoteEvent, TOY_PAIR_A, TOY_PAIR_B, TOY_PITCHES,
+                            events_to_roll, f_measure,
                             l1_activation_error, load_ground_truth,
                             make_toy_scenario, parse_ground_truth,
                             threshold_activations, toy_fundamentals)
 from ost.frontend import NormalizedFrames
-from ost.solvers import Activations, SolverConfig
+from ost.solvers import SolverConfig
 
 from helpers import toy_templates, write_ground_truth
 from oracles import ost_frame, ost_group_frame
-
-
-class TestFrameClock:
-    def test_centers(self):
-        clock = FrameClock(n_frames=4, hop_seconds=0.5, t0=0.25)
-        np.testing.assert_allclose(clock.centers(), [0.25, 0.75, 1.25, 1.75])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FrameClock(n_frames=-1, hop_seconds=0.5)
-        with pytest.raises(ValueError):
-            FrameClock(n_frames=3, hop_seconds=0.0)
 
 
 class TestNoteEvent:
@@ -45,32 +33,30 @@ class TestNoteEvent:
 
 class TestEventsToRoll:
     def test_half_second_hop_example(self):
-        clock = FrameClock(n_frames=4, hop_seconds=0.5)
-        roll = events_to_roll([NoteEvent(0.0, 1.0, 50)], (36, 95), clock)
-        row = roll.active[50 - 36]
+        roll = events_to_roll([NoteEvent(0.0, 1.0, 50)], (36, 95),
+                              [0.0, 0.5, 1.0, 1.5])
+        row = roll[50 - 36]
         np.testing.assert_array_equal(row, [True, True, False, False])
-        assert roll.active.sum() == 2
+        assert roll.sum() == 2
 
     def test_empty_event_list(self):
-        clock = FrameClock(n_frames=3, hop_seconds=0.1)
-        roll = events_to_roll([], (36, 95), clock)
-        assert not roll.active.any()
-        assert roll.active.shape == (60, 3)
+        roll = events_to_roll([], (36, 95), [0.0, 0.1, 0.2])
+        assert not roll.any()
+        assert roll.shape == (60, 3) and roll.dtype == bool
 
     def test_out_of_range_pitch_dropped_with_warning(self, caplog):
-        clock = FrameClock(n_frames=2, hop_seconds=0.5)
         events = [NoteEvent(0.0, 1.0, 20), NoteEvent(0.0, 1.0, 40)]
         with caplog.at_level(logging.WARNING, logger="ost.evaluation"):
-            roll = events_to_roll(events, (36, 95), clock)
-        assert roll.active[40 - 36].any()
-        assert roll.active.sum(axis=0).max() == 1  # pitch 20 went nowhere
+            roll = events_to_roll(events, (36, 95), [0.0, 0.5])
+        assert roll[40 - 36].any()
+        assert roll.sum(axis=0).max() == 1  # pitch 20 went nowhere
         assert any("dropped 1" in rec.getMessage() for rec in caplog.records)
 
     def test_interval_is_half_open(self):
         # a note ending exactly on a frame center leaves that frame silent
-        clock = FrameClock(n_frames=3, hop_seconds=1.0)
-        roll = events_to_roll([NoteEvent(0.0, 2.0, 60)], (60, 60), clock)
-        np.testing.assert_array_equal(roll.active[0], [True, True, False])
+        roll = events_to_roll([NoteEvent(0.0, 2.0, 60)], (60, 60),
+                              [0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(roll[0], [True, True, False])
 
 
 class TestParseGroundTruth:
@@ -86,11 +72,10 @@ class TestParseGroundTruth:
                           "0.5\t1.5\t62\n")
         events = parse_ground_truth(path)
         assert events == [NoteEvent(0.0, 1.0, 50), NoteEvent(0.5, 1.5, 62)]
-        clock = FrameClock(n_frames=4, hop_seconds=0.5)
-        roll = load_ground_truth(path, (36, 95), clock)
-        np.testing.assert_array_equal(roll.active[50 - 36],
+        roll = load_ground_truth(path, (36, 95), [0.0, 0.5, 1.0, 1.5])
+        np.testing.assert_array_equal(roll[50 - 36],
                                       [True, True, False, False])
-        np.testing.assert_array_equal(roll.active[62 - 36],
+        np.testing.assert_array_equal(roll[62 - 36],
                                       [False, True, True, False])
 
     def test_column_order_free(self, tmp_path):
@@ -130,10 +115,10 @@ class TestParseGroundTruth:
         path = tmp_path / "rt.tsv"
         write_ground_truth(path, events)
         assert parse_ground_truth(path) == events
-        clock = FrameClock(n_frames=5, hop_seconds=0.5)
-        direct = events_to_roll(events, (36, 95), clock)
-        loaded = load_ground_truth(path, (36, 95), clock)
-        np.testing.assert_array_equal(direct.active, loaded.active)
+        times = 0.5 * np.arange(5)
+        direct = events_to_roll(events, (36, 95), times)
+        loaded = load_ground_truth(path, (36, 95), times)
+        np.testing.assert_array_equal(direct, loaded)
 
 
 class TestThresholdActivations:
@@ -143,47 +128,45 @@ class TestThresholdActivations:
         active = np.zeros((k, n), dtype=bool)
         for j, p in enumerate(polyphony):
             active[:p, j] = True
-        return PianoRoll(active=active, midi_low=60, midi_high=62)
+        return active
 
     def test_top_two_support(self):
         truth = self.make_truth([2])
-        acts = Activations(values=np.array([[0.1], [0.5], [0.4]]))
+        acts = np.array([[0.1], [0.5], [0.4]])
         est = threshold_activations(acts, truth)
-        np.testing.assert_array_equal(est.active[:, 0], [False, True, True])
+        np.testing.assert_array_equal(est[:, 0], [False, True, True])
 
     def test_zero_polyphony_leaves_frame_empty(self):
         truth = self.make_truth([0])
-        acts = Activations(values=np.array([[0.9], [0.5], [0.4]]))
+        acts = np.array([[0.9], [0.5], [0.4]])
         est = threshold_activations(acts, truth)
-        assert not est.active.any()
+        assert not est.any()
 
     def test_all_equal_tie_goes_to_lowest_index(self):
         truth = self.make_truth([1])
-        acts = Activations(values=np.full((3, 1), 1.0 / 3.0))
+        acts = np.full((3, 1), 1.0 / 3.0)
         est = threshold_activations(acts, truth)
-        np.testing.assert_array_equal(est.active[:, 0], [True, False, False])
+        np.testing.assert_array_equal(est[:, 0], [True, False, False])
 
     def test_true_count_matches_polyphony_sum(self):
         rng = np.random.default_rng(6)
         polyphony = [0, 1, 3, 2, 0, 1]
         truth = self.make_truth(polyphony)
-        acts = Activations(values=rng.random((3, 6)))
+        acts = rng.random((3, 6))
         est = threshold_activations(acts, truth)
-        assert est.active.sum() == sum(polyphony)
-        np.testing.assert_array_equal(est.active.sum(axis=0), polyphony)
+        assert est.sum() == sum(polyphony)
+        np.testing.assert_array_equal(est.sum(axis=0), polyphony)
 
     def test_shape_mismatch(self):
         truth = self.make_truth([1, 1])
-        acts = Activations(values=np.ones((2, 2)))
+        acts = np.ones((2, 2))
         with pytest.raises(ValueError):
             threshold_activations(acts, truth)
 
 
 class TestFMeasure:
     def roll(self, active):
-        active = np.asarray(active, dtype=bool)
-        return PianoRoll(active=active, midi_low=60,
-                         midi_high=60 + active.shape[0] - 1)
+        return np.asarray(active, dtype=bool)
 
     def test_perfect_recognition(self):
         truth = self.roll([[1, 0], [0, 1]])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.io.wavfile
 
-from ost.cli import RunConfig, transcription_clock
+from ost.cli import RunConfig, frame_times
 from ost.costs import CostMatrix
 from ost.dictionary import Dictionary
 from ost.errors import DataError, DecodeError, UnsupportedEncodingError
@@ -291,12 +291,12 @@ class TestStftMagnitude:
         buf = AudioBuffer(samples=np.zeros(8192), sample_rate=44100)
         frames = normalize_frames(stft_magnitude(buf, window_len=4096, hop=2048))
         config = RunConfig(method="ost", window_len=4096, hop=2048)
-        clock = transcription_clock(frames, config, buf.sample_rate)
-        assert clock.n_frames == frames.n_frames == 3
-        assert clock.hop_seconds == pytest.approx(2048.0 / 44100.0)
-        assert clock.hop_seconds == pytest.approx(0.04644, abs=5e-6)
-        assert clock.t0 == pytest.approx(2048.0 / 44100.0)
-        np.testing.assert_allclose(clock.centers(),
+        times = frame_times(frames, config, buf.sample_rate)
+        assert times.shape == (frames.n_frames,) == (3,)
+        assert times[1] - times[0] == pytest.approx(2048.0 / 44100.0)
+        assert times[1] - times[0] == pytest.approx(0.04644, abs=5e-6)
+        assert times[0] == pytest.approx(2048.0 / 44100.0)
+        np.testing.assert_allclose(times,
                                    (2048.0 + 2048.0 * np.arange(3)) / 44100.0,
                                    rtol=1e-15)
 

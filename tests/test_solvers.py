@@ -950,3 +950,15 @@ class TestContainersAndConfig:
                 SolverConfig(lambda_g=bad)
         with pytest.raises(ValueError):
             SolverConfig(mm_iterations=0)
+
+    def test_lambda_g_bound_keeps_the_empty_column_penalty_finite(self):
+        # past MAX_LAMBDA_G the penalty of an empty column overflows and
+        # ost_g would send every frame to column 0
+        empty = solvers._group_penalty_row(np.zeros(1))
+        assert np.isfinite(solvers.MAX_LAMBDA_G * empty).all()
+        SolverConfig(lambda_g=solvers.MAX_LAMBDA_G)
+        above = np.nextafter(solvers.MAX_LAMBDA_G, np.inf)
+        with np.errstate(over="ignore"):
+            assert np.isinf(above * empty).all()
+        with pytest.raises(ValueError, match="at most"):
+            SolverConfig(lambda_g=above)

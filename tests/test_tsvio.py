@@ -1,14 +1,13 @@
 """Table I/O tests: round trips, atomicity, label handling."""
 
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from ost.errors import DataError
-from ost.evaluation import (EvalReport, FrameClock, NoteEvent, PianoRoll,
-                            parse_ground_truth)
-from ost.solvers import Activations
+from ost.evaluation import EvalReport, NoteEvent, parse_ground_truth
 from ost.tsvio import (_format, atomic_write_text, format_table, matrix_text,
                        read_activations, read_matrix, write_activations,
                        write_matrix, write_pianoroll, write_report)
@@ -155,10 +154,10 @@ class TestMatrixRoundTrip:
 class TestActivationsRoundTrip:
     def test_write_then_read(self, tmp_path):
         path = tmp_path / "acts.tsv"
-        acts = Activations(values=np.array([[0.25, 0.75], [0.75, 0.25]]))
-        write_activations(path, acts, ["48", "60"], FrameClock(2, 0.5, t0=0.25))
+        acts = np.array([[0.25, 0.75], [0.75, 0.25]])
+        write_activations(path, acts, ["48", "60"], [0.25, 0.75])
         values, labels, times = read_activations(path)
-        np.testing.assert_allclose(values, acts.values, rtol=1e-12)
+        np.testing.assert_allclose(values, acts, rtol=1e-12)
         assert labels == ["48", "60"]
         np.testing.assert_allclose(times, [0.25, 0.75])
 
@@ -172,9 +171,8 @@ class TestActivationsRoundTrip:
 class TestPianoRollWriter:
     def test_binary_cells_and_midi_labels(self, tmp_path):
         path = tmp_path / "roll.tsv"
-        roll = PianoRoll(active=np.array([[True, False], [False, True]]),
-                         midi_low=60, midi_high=61)
-        write_pianoroll(path, roll, FrameClock(2, 1.0))
+        roll = np.array([[True, False], [False, True]])
+        write_pianoroll(path, roll, 60, [0.0, 1.0])
         values, rows, cols = read_matrix(path)
         np.testing.assert_array_equal(values, [[1.0, 0.0], [0.0, 1.0]])
         assert rows == ["60", "61"]
@@ -185,14 +183,13 @@ class TestWriterClock:
     @pytest.mark.parametrize("n_frames", [2, 4])
     def test_clock_of_another_frame_count_leaves_no_file(self, tmp_path,
                                                          n_frames):
-        acts = Activations(values=np.ones((2, 3)))
-        roll = PianoRoll(active=np.ones((2, 3), dtype=bool), midi_low=60,
-                         midi_high=61)
-        clock = FrameClock(n_frames, 0.5)
+        times = 0.5 * np.arange(n_frames)
         with pytest.raises(ValueError):
-            write_activations(tmp_path / "acts.tsv", acts, ["60", "61"], clock)
+            write_activations(tmp_path / "acts.tsv", np.ones((2, 3)),
+                              ["60", "61"], times)
         with pytest.raises(ValueError):
-            write_pianoroll(tmp_path / "roll.tsv", roll, clock)
+            write_pianoroll(tmp_path / "roll.tsv", np.ones((2, 3), dtype=bool),
+                            60, times)
         assert os.listdir(tmp_path) == []
 
 
@@ -201,7 +198,7 @@ class TestReportWriter:
         path = tmp_path / "report.tsv"
         report = EvalReport(precision=0.5, recall=0.25, f_measure=1.0 / 3.0,
                             tp=2, fp=2, fn=6)
-        write_report(path, report, extra={"method": "ost"})
+        write_report(path, list(asdict(report).items()) + [("method", "ost")])
         pairs = dict(line.split("\t")
                      for line in path.read_text().strip().split("\n"))
         assert float(pairs["precision"]) == 0.5
@@ -211,7 +208,7 @@ class TestReportWriter:
 
     def test_extra_only(self, tmp_path):
         path = tmp_path / "report.tsv"
-        write_report(path, extra=[("alpha", 1), ("beta", 2.5)])
+        write_report(path, [("alpha", 1), ("beta", 2.5)])
         assert path.read_text() == "alpha\t1\nbeta\t2.5\n"
 
 
