@@ -11,14 +11,13 @@ from .errors import (OstError, DecodeError, UnsupportedEncodingError,
                      LpGuardError, NumericError)
 from .frontend import (AudioBuffer, Spectrogram, NormalizedFrames,
                        decode_wav, stft_magnitude, normalize_frames)
-from .dictionary import (Dictionary, HarmonicTemplateParams, midi_to_freq,
-                         midi_range_fundamentals, harmonic_column,
+from .dictionary import (midi_to_freq, midi_range_fundamentals, harmonic_column,
                          make_harmonic_dictionary)
 from .costs import (CostMatrix, quadratic_cost, harmonic_cost,
                     append_noise_column)
-from .solvers import SolverConfig, Activations, unmix
-from .baselines import (LpProblem, PlcaState, kl_divergence, plca_unmix,
-                        solve_lp, wasserstein_divergence, ot_unmix_lp)
+from .solvers import SolverConfig, unmix
+from .baselines import (PlcaState, kl_divergence, plca_unmix, solve_lp,
+                        wasserstein_divergence, ot_unmix_lp)
 from .evaluation import (NoteEvent, EvalReport, ToyScenario,
                          parse_ground_truth, load_ground_truth, events_to_roll,
                          threshold_activations, f_measure, l1_activation_error,
@@ -30,11 +29,11 @@ __all__ = [
     "LpInfeasibleError", "LpUnboundedError", "LpGuardError", "NumericError",
     "AudioBuffer", "Spectrogram", "NormalizedFrames", "decode_wav",
     "stft_magnitude", "normalize_frames",
-    "Dictionary", "HarmonicTemplateParams", "midi_to_freq",
-    "midi_range_fundamentals", "harmonic_column", "make_harmonic_dictionary",
+    "midi_to_freq", "midi_range_fundamentals", "harmonic_column",
+    "make_harmonic_dictionary",
     "CostMatrix", "quadratic_cost", "harmonic_cost", "append_noise_column",
-    "SolverConfig", "Activations", "unmix",
-    "LpProblem", "PlcaState", "kl_divergence", "plca_unmix", "solve_lp",
+    "SolverConfig", "unmix",
+    "PlcaState", "kl_divergence", "plca_unmix", "solve_lp",
     "wasserstein_divergence", "ot_unmix_lp",
     "NoteEvent", "EvalReport", "ToyScenario",
     "parse_ground_truth", "load_ground_truth", "events_to_roll",

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import CostMatrix
-from .dictionary import Dictionary
+from .dictionary import _check_templates
 from .errors import LpGuardError, LpInfeasibleError, LpUnboundedError, NumericError
 from .frontend import NormalizedFrames
-from .solvers import MM_BLOCK_FRAMES, Activations
+from .solvers import MM_BLOCK_FRAMES
 
 KL_FLOOR = 1e-300
 LP_TOL = 1e-9
@@ -23,31 +23,6 @@ LP_GUARD = 5000
 OT_LP_MAX_BINS = 64
 PLCA_MAX_ITER = 1000
 PLCA_REL_TOL = 1e-5
-
-
-@dataclass(eq=False)
-class LpProblem:
-    """min objective . x  s.t.  eq_matrix @ x = eq_rhs, x >= 0."""
-
-    objective: np.ndarray
-    eq_matrix: np.ndarray
-    eq_rhs: np.ndarray
-
-    def __post_init__(self):
-        self.objective = np.asarray(self.objective, dtype=np.float64)
-        self.eq_matrix = np.asarray(self.eq_matrix, dtype=np.float64)
-        self.eq_rhs = np.asarray(self.eq_rhs, dtype=np.float64)
-        if self.eq_matrix.ndim != 2:
-            raise ValueError("eq_matrix must be a matrix")
-        if self.eq_matrix.shape != (self.eq_rhs.size, self.objective.size):
-            raise ValueError("constraint matrix shape must match rhs and objective")
-        if not (np.all(np.isfinite(self.eq_rhs)) and np.all(np.isfinite(self.eq_matrix))
-                and np.all(np.isfinite(self.objective))):
-            raise ValueError("LP data must be finite")
-
-    @property
-    def n_variables(self) -> int:
-        return self.objective.size
 
 
 @dataclass(eq=False)
@@ -128,9 +103,10 @@ def _plca_block(w, v, active, max_iter, rel_tol):
         iters[frame[stopped]] = step - start[stopped]
 
 
-def plca_unmix(frames: NormalizedFrames, dictionary: Dictionary,
+def plca_unmix(frames: NormalizedFrames, templates,
                max_iter: int = PLCA_MAX_ITER, rel_tol: float = PLCA_REL_TOL):
-    """Multiplicative EM for min D_KL(v | W h) on the simplex, per frame.
+    """Multiplicative EM for min D_KL(v | W h) on the simplex, per frame,
+    with W the M x K template matrix `templates`.
 
     h starts uniform; the update h_k <- h_k * sum_i w_ik v_i / (Wh)_i is
     followed by renormalization. A frame stops when the relative objective
@@ -138,11 +114,10 @@ def plca_unmix(frames: NormalizedFrames, dictionary: Dictionary,
     iterations. Active frames share a live set of MM_BLOCK_FRAMES slots, one
     matrix product pair per step: a frame that stops hands its slot to the
     next waiting frame, so every step runs full width until the queue
-    drains. Raises NumericError on non-finite activations.
+    drains. Returns (the K x N activations, PlcaState); raises NumericError
+    on non-finite activations.
     """
-    w = dictionary.templates
-    if frames.columns.shape[0] != w.shape[0]:
-        raise ValueError("frame rows must match dictionary rows")
+    w = _check_templates(templates, frames.columns.shape[0])
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     if rel_tol < 0:
@@ -155,11 +130,13 @@ def plca_unmix(frames: NormalizedFrames, dictionary: Dictionary,
                                                 max_iter, rel_tol)
     if not np.all(np.isfinite(out)):
         raise NumericError("plca produced non-finite activations")
-    return Activations(values=out), PlcaState(iterations=iters)
+    return out, PlcaState(iterations=iters)
 
 
-def solve_lp(problem: LpProblem):
-    """Solve min c.x s.t. Ax = b, x >= 0 with HiGHS' dual revised simplex.
+def solve_lp(objective, eq_matrix, eq_rhs):
+    """Solve min c.x s.t. Ax = b, x >= 0 with HiGHS' dual revised simplex,
+    for c = objective, A = eq_matrix and b = eq_rhs, finite and of
+    matching shapes (ValueError otherwise).
 
     Returns (x, objective); LP_TOL is HiGHS' primal and dual feasibility
     tolerance. Raises LpGuardError above LP_GUARD variables (before any
@@ -167,12 +144,20 @@ def solve_lp(problem: LpProblem):
     NumericError on any other solver failure or when the returned point
     misses a constraint by more than 1e-9 relative to the largest |b|.
     """
-    n = problem.n_variables
+    objective, eq_matrix, eq_rhs = (np.asarray(a, dtype=np.float64)
+                                    for a in (objective, eq_matrix, eq_rhs))
+    if eq_matrix.ndim != 2:
+        raise ValueError("eq_matrix must be a matrix")
+    if eq_matrix.shape != (eq_rhs.size, objective.size):
+        raise ValueError("constraint matrix shape must match rhs and objective")
+    if not all(np.all(np.isfinite(a)) for a in (eq_rhs, eq_matrix, objective)):
+        raise ValueError("LP data must be finite")
+    n = objective.size
     if n > LP_GUARD:
         raise LpGuardError(f"{n} variables exceed the desk-scale guard ({LP_GUARD})")
     from scipy.optimize import linprog  # ~0.17 s to import; keep it off start-up
 
-    res = linprog(problem.objective, A_eq=problem.eq_matrix, b_eq=problem.eq_rhs,
+    res = linprog(objective, A_eq=eq_matrix, b_eq=eq_rhs,
                   bounds=(0, None), method="highs",
                   options={"primal_feasibility_tolerance": LP_TOL,
                            "dual_feasibility_tolerance": LP_TOL})
@@ -183,10 +168,10 @@ def solve_lp(problem: LpProblem):
     if res.status != 0:
         raise NumericError(f"LP solver failed: {res.message}")
     x = np.maximum(res.x, 0.0)  # HiGHS keeps bounds only to within LP_TOL
-    residual = np.abs(problem.eq_matrix @ x - problem.eq_rhs).max(initial=0.0)
-    if residual > 1e-9 * max(1.0, np.abs(problem.eq_rhs).max(initial=0.0)):
+    residual = np.abs(eq_matrix @ x - eq_rhs).max(initial=0.0)
+    if residual > 1e-9 * max(1.0, np.abs(eq_rhs).max(initial=0.0)):
         raise NumericError(f"constraint residual {residual:.3e} exceeds tolerance")
-    return x, float(problem.objective @ x)
+    return x, float(objective @ x)
 
 
 def _marginal_constraints(r, s):
@@ -204,10 +189,8 @@ def wasserstein_divergence(v, vhat, cost: CostMatrix) -> float:
     r, s = cost.values.shape
     if v.size != r or vhat.size != s:
         raise ValueError("marginal lengths must match the cost shape")
-    problem = LpProblem(objective=cost.values.ravel(),
-                        eq_matrix=_marginal_constraints(r, s),
-                        eq_rhs=np.concatenate([v, vhat]))
-    _, objective = solve_lp(problem)
+    _, objective = solve_lp(cost.values.ravel(), _marginal_constraints(r, s),
+                            np.concatenate([v, vhat]))
     return objective
 
 
@@ -218,28 +201,27 @@ def _unmix_lp_frame(v, w, cost_values):
     # row sums of T = v; column sums of T minus W h = 0
     eq = np.hstack([_marginal_constraints(m, m), np.vstack([np.zeros((m, k)), -w])])
     rhs = np.concatenate([v, np.zeros(m)])
-    problem = LpProblem(objective=np.concatenate([cost_values.ravel(), np.zeros(k)]),
-                        eq_matrix=eq, eq_rhs=rhs)
-    x, objective = solve_lp(problem)
+    x, objective = solve_lp(np.concatenate([cost_values.ravel(), np.zeros(k)]),
+                            eq, rhs)
     return x[m * m:], x[:m * m].reshape(m, m), objective
 
 
-def ot_unmix_lp(frames: NormalizedFrames, templates: Dictionary, cost: CostMatrix):
-    """Exact LP unmixing onto a harmonic dictionary: for every active frame,
-    the joint problem over the full M x M plan and h (M^2 + K variables,
-    both marginal constraint families) under an M x M cost. Masked frames
-    yield zero columns.
+def ot_unmix_lp(frames: NormalizedFrames, templates, cost: CostMatrix):
+    """Exact LP unmixing onto the M x K template matrix `templates`: for
+    every active frame, the joint problem over the full M x M plan and h
+    (M^2 + K variables, both marginal constraint families) under an M x M
+    cost. Masked frames yield zero columns. Returns the K x N activations;
+    raises NumericError if they are not finite.
     """
     m = frames.columns.shape[0]
     if m > OT_LP_MAX_BINS:
         raise LpGuardError(f"M={m} exceeds the LP unmixing guard ({OT_LP_MAX_BINS})")
-    if frames.columns.shape[0] != cost.values.shape[0]:
-        raise ValueError("frame rows must match cost rows")
-    if cost.n_targets != m or templates.templates.shape[0] != m:
-        raise ValueError("harmonic-dictionary unmixing needs an M x M cost "
-                         "and M-row templates")
-    out = np.zeros((templates.n_templates, frames.n_frames))
+    if cost.values.shape != (m, m):
+        raise ValueError("harmonic-dictionary unmixing needs an M x M cost")
+    w = _check_templates(templates, m)
+    out = np.zeros((w.shape[1], frames.n_frames))
     for idx in np.flatnonzero(frames.active_mask):
-        out[:, idx] = _unmix_lp_frame(frames.columns[:, idx], templates.templates,
-                                      cost.values)[0]
-    return Activations(values=out)
+        out[:, idx] = _unmix_lp_frame(frames.columns[:, idx], w, cost.values)[0]
+    if not np.all(np.isfinite(out)):
+        raise NumericError("ot_h produced non-finite activations")
+    return out

@@ -24,8 +24,8 @@ import numpy as np
 from .baselines import OT_LP_MAX_BINS, ot_unmix_lp, plca_unmix
 from .costs import append_noise_column, harmonic_cost
 from .dictionary import (DEFAULT_DAMPING, DEFAULT_KERNEL_WIDTH_BINS,
-                         DEFAULT_N_PARTIALS, Dictionary, HarmonicTemplateParams,
-                         make_harmonic_dictionary, midi_range_fundamentals)
+                         DEFAULT_N_PARTIALS, make_harmonic_dictionary,
+                         midi_range_fundamentals)
 from .errors import DataError, NumericError, OstError
 from .evaluation import (SCENARIO_ALIASES, TOY_BINS, TOY_F_MAX, events_to_roll,
                          f_measure, l1_activation_error, load_ground_truth,
@@ -33,8 +33,7 @@ from .evaluation import (SCENARIO_ALIASES, TOY_BINS, TOY_F_MAX, events_to_roll,
                          threshold_activations)
 from .frontend import (DEFAULT_HOP, DEFAULT_WINDOW_LEN, NormalizedFrames,
                        decode_wav, normalize_frames, stft_magnitude)
-from .solvers import (DEFAULT_MM_ITERATIONS, MAX_LAMBDA_G, Activations,
-                      SolverConfig, unmix)
+from .solvers import DEFAULT_MM_ITERATIONS, MAX_LAMBDA_G, SolverConfig, unmix
 from . import tsvio
 
 EXIT_OK = 0
@@ -117,16 +116,15 @@ class RunConfig:
         return SolverConfig(lambda_e=self.lambda_e, lambda_g=self.lambda_g,
                             mm_iterations=self.mm_iterations)
 
-    def harmonic_dictionary(self, freqs, fundamentals) -> Dictionary:
-        """Harmonic templates on the bin grid `freqs`, with the kernel width
-        in bins of the grid spacing (of the only frequency on a 1-bin grid).
-        The only place the program builds templates."""
+    def harmonic_dictionary(self, freqs, fundamentals) -> np.ndarray:
+        """The M x K harmonic template matrix on the bin grid `freqs`, with
+        the kernel width in bins of the grid spacing (of the only frequency
+        on a 1-bin grid). The only place the program builds templates."""
         bin_hz = float(freqs[1] - freqs[0]) if len(freqs) > 1 else float(freqs[0])
         try:  # a width past float range, a note above the top bin, or a comb too narrow
-            params = HarmonicTemplateParams(kernel_width=self.kernel_width_bins * bin_hz,
-                                            damping=self.damping,
-                                            n_partials=self.n_partials)
-            return make_harmonic_dictionary(freqs, fundamentals, params)
+            return make_harmonic_dictionary(freqs, fundamentals,
+                                            self.kernel_width_bins * bin_hz,
+                                            self.damping, self.n_partials)
         except ValueError as exc:
             raise DataError(f"no harmonic templates on this bin grid: {exc}") from exc
 
@@ -182,14 +180,15 @@ def _check_ranges(config: RunConfig):
 
 
 def solve(method: str, frames: NormalizedFrames, fundamentals: np.ndarray,
-          templates: Dictionary, config: RunConfig) -> Activations:
-    """Run one method: the only place a method name picks a solver.
+          templates, config: RunConfig) -> np.ndarray:
+    """Run one method: the only place a method name picks a solver. Returns
+    its K x N activations.
 
-    plca and ot_h unmix onto `templates`, the harmonic dictionary (ot_h over
-    the full bin-to-bin cost). The OST variants ignore `templates` (None is
-    fine) and read only `fundamentals`, with the reduced cost plus, when
-    config.noise_amplitude is set, a noise column whose activations form a
-    trailing row.
+    plca and ot_h unmix onto `templates`, the M x K harmonic template
+    matrix (ot_h over the full bin-to-bin cost). The OST variants ignore
+    `templates` (None is fine) and read only `fundamentals`, with the
+    reduced cost plus, when config.noise_amplitude is set, a noise column
+    whose activations form a trailing row.
     """
     if method == "plca":
         return plca_unmix(frames, templates)[0]
@@ -205,9 +204,9 @@ def solve(method: str, frames: NormalizedFrames, fundamentals: np.ndarray,
 def decompose(frames: NormalizedFrames, config: RunConfig):
     """Run one method over normalized frames.
 
-    Returns (the activation values of the pitch rows, row labels including
-    a possible trailing noise row, full activations). Every method needs at
-    least one note at or below the top bin, plca and ot_h every note.
+    Returns (the activations, their row labels: the MIDI pitches, then
+    "noise" for a possible trailing noise row). Every method needs at least
+    one note at or below the top bin, plca and ot_h every note.
     """
     labels = [str(m) for m in range(config.midi_low, config.midi_high + 1)]
     fundamentals = midi_range_fundamentals(config.midi_low, config.midi_high)
@@ -219,8 +218,7 @@ def decompose(frames: NormalizedFrames, config: RunConfig):
     if config.method in TEMPLATE_METHODS:
         templates = config.harmonic_dictionary(frames.freqs, fundamentals)
     acts = solve(config.method, frames, fundamentals, templates, config)
-    noise = ["noise"] * (acts.values.shape[0] - len(labels))
-    return acts.values[:len(labels)], labels + noise, acts
+    return acts, labels + ["noise"] * (len(acts) - len(labels))
 
 
 def load_frames(path, config: RunConfig):
@@ -267,7 +265,7 @@ def cmd_transcribe(args) -> int:
     frames, sample_rate, timings = load_frames(args.wav, config)
 
     start = time.perf_counter()
-    pitch_acts, labels, acts = decompose(frames, config)
+    acts, labels = decompose(frames, config)
     timings["decompose"] = time.perf_counter() - start
 
     times = frame_times(frames, config, sample_rate)
@@ -275,14 +273,14 @@ def cmd_transcribe(args) -> int:
     outdir = args.output_dir
     os.makedirs(outdir, exist_ok=True)
     act_path = os.path.join(outdir, base + ".activations.tsv")
-    tsvio.write_activations(act_path, acts.values, labels, times)
+    tsvio.write_activations(act_path, acts, labels, times)
     written = [act_path]
 
     report, pairs = None, []
     if events is not None:
         truth = events_to_roll(events, (config.midi_low, config.midi_high),
                                times)
-        estimate = threshold_activations(pitch_acts, truth)
+        estimate = threshold_activations(acts[:len(truth)], truth)
         report = f_measure(estimate, truth)
         pairs = list(asdict(report).items())
         roll_path = os.path.join(outdir, base + ".pianoroll.tsv")
@@ -359,8 +357,7 @@ def cmd_toy(args) -> int:
     rows = []
     for method in methods:
         start = time.perf_counter()
-        h = solve(method, frames, toy.fundamentals, templates,
-                  config).values[:, 0]
+        h = solve(method, frames, toy.fundamentals, templates, config)[:, 0]
         seconds = time.perf_counter() - start
         rows.append((method, l1_activation_error(h, toy.h_true), seconds))
     print(f"scenario={toy.which} seed={config.seed} bins={args.bins}")
@@ -426,18 +423,18 @@ def cmd_sweep(args) -> int:
     half = frames.n_frames // 2
     val_slice, test_slice = slice(0, half), slice(half, frames.n_frames)
 
-    def score(pitch_acts, report_slice):
+    def score(acts, report_slice):
         ref = truth[:, report_slice]
-        return f_measure(threshold_activations(pitch_acts[:, report_slice], ref),
+        return f_measure(threshold_activations(acts[:len(truth), report_slice], ref),
                          ref).f_measure
 
     rows, best = [], None
     for values, cfg in zip(points, configs):
-        pitch_acts = decompose(frames, cfg)[0]
-        val_f = score(pitch_acts, val_slice)
+        acts = decompose(frames, cfg)[0]
+        val_f = score(acts, val_slice)
         rows.append(values + (val_f,))
         if best is None or val_f > best[1]:
-            best = (pitch_acts, val_f, values)
+            best = (acts, val_f, values)
     best_acts, best_val_f, best_values = best
     test_f = score(best_acts, test_slice)
 
@@ -476,14 +473,14 @@ def cmd_bench(args) -> int:
                               freqs=freqs)
     fundamentals = midi_range_fundamentals(BENCH_MIDI_LOW, BENCH_MIDI_LOW + k - 1)
     try:  # the bin grid comes from --bins, so a grid without templates is a flag fault
-        dictionary = config.harmonic_dictionary(freqs, fundamentals)
+        templates = config.harmonic_dictionary(freqs, fundamentals)
     except DataError as exc:
         raise UsageError(str(exc)) from exc
     cost = harmonic_cost(freqs, fundamentals, config.epsilon0)
     solver = config.solver_config()
 
     start = time.perf_counter()
-    plca_unmix(frames, dictionary, rel_tol=0.0)
+    plca_unmix(frames, templates, rel_tol=0.0)
     t_plca = time.perf_counter() - start
     start = time.perf_counter()
     unmix(frames, cost, solver, variant="ost")

@@ -1,6 +1,9 @@
-"""Note dictionaries: pitch fundamentals and harmonic Gaussian templates."""
+"""Note dictionaries: pitch fundamentals and harmonic Gaussian templates.
 
-from dataclasses import dataclass
+A Dirac dictionary is its fundamentals, which set the OST solvers' reduced
+cost. The PLCA and exact-LP baselines read an M x K template matrix whose
+column k is the l1-normalized harmonic comb of note k on an M-bin grid.
+"""
 
 import numpy as np
 
@@ -13,59 +16,30 @@ MAX_KERNEL_WIDTH = np.sqrt(np.finfo(np.float64).max)  # a wider one's variance o
 SMALLEST_NORMAL = np.finfo(np.float64).tiny  # smaller template/kernel entries are 0
 
 
-@dataclass(frozen=True, eq=False)
-class HarmonicTemplateParams:
-    """Shape of a synthesized harmonic template.
-
-    kernel_width : Gaussian std in Hz
-    damping      : exponential decay rate per partial index
-    n_partials   : number of harmonics placed at p * fundamental
-    """
-
-    kernel_width: float
-    damping: float = DEFAULT_DAMPING
-    n_partials: int = DEFAULT_N_PARTIALS
-
-    def __post_init__(self):
-        if not 0 < self.kernel_width <= MAX_KERNEL_WIDTH:
-            raise ValueError(f"kernel_width must be positive and at most "
-                             f"{MAX_KERNEL_WIDTH:.4g} Hz, got {self.kernel_width:g} Hz")
-        if not 0 <= self.damping < np.inf:
-            raise ValueError("damping must be finite and non-negative")
-        if self.n_partials < 1:
-            raise ValueError("n_partials must be >= 1")
+def _check_comb(kernel_width: float, damping: float, n_partials: int):
+    """The settings of a harmonic comb: a Gaussian std in Hz, a decay rate
+    per partial index and a partial count. ValueError names the first one
+    out of range."""
+    if not 0 < kernel_width <= MAX_KERNEL_WIDTH:
+        raise ValueError(f"kernel_width must be positive and at most "
+                         f"{MAX_KERNEL_WIDTH:.4g} Hz, got {kernel_width:g} Hz")
+    if not 0 <= damping < np.inf:
+        raise ValueError("damping must be finite and non-negative")
+    if n_partials < 1:
+        raise ValueError("n_partials must be >= 1")
 
 
-@dataclass(frozen=True, eq=False)
-class Dictionary:
-    """Column-stochastic harmonic template matrix plus its fundamental
-    frequencies. A Dirac dictionary needs no container: its fundamentals
-    alone set the reduced cost the OST solvers read."""
-
-    fundamentals: np.ndarray
-    templates: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "fundamentals",
-                           np.asarray(self.fundamentals, dtype=np.float64))
-        object.__setattr__(self, "templates",
-                           np.asarray(self.templates, dtype=np.float64))
-        if self.fundamentals.ndim != 1 or self.fundamentals.size == 0:
-            raise ValueError("fundamentals must be a non-empty vector")
-        if np.any(self.fundamentals <= 0):
-            raise ValueError("fundamentals must be positive")
-        if len(np.unique(self.fundamentals)) != self.fundamentals.size:
-            raise ValueError("fundamentals must be distinct")
-        if self.templates.ndim != 2 or self.templates.shape[1] != self.fundamentals.size:
-            raise ValueError("template count must match fundamentals")
-        _check_finite_non_negative(self.templates, "templates")
-        sums = self.templates.sum(axis=0)
-        if np.any(np.abs(sums - 1.0) > 1e-12):
-            raise ValueError("template columns must sum to 1")
-
-    @property
-    def n_templates(self) -> int:
-        return self.fundamentals.size
+def _check_templates(templates, m: int) -> np.ndarray:
+    """`templates` as a float64 matrix of m rows and at least one column,
+    its entries finite and non-negative, its columns summing to 1 (1e-12)."""
+    templates = np.asarray(templates, dtype=np.float64)
+    if templates.ndim != 2 or templates.shape[0] != m or templates.shape[1] == 0:
+        raise ValueError(f"templates must be a matrix of {m} rows (one per "
+                         f"frequency bin) and at least one column")
+    _check_finite_non_negative(templates, "templates")
+    if np.any(np.abs(templates.sum(axis=0) - 1.0) > 1e-12):
+        raise ValueError("template columns must sum to 1")
+    return templates
 
 
 def midi_to_freq(midi: int) -> float:
@@ -111,28 +85,32 @@ def harmonic_column(freqs: np.ndarray, fundamental: float, kernel_width: float,
     return col
 
 
-def make_harmonic_dictionary(freqs: np.ndarray, fundamentals,
-                             params: HarmonicTemplateParams) -> Dictionary:
-    """Build Gaussian harmonic-comb templates on a bin grid.
+def make_harmonic_dictionary(freqs: np.ndarray, fundamentals, kernel_width: float,
+                             damping: float = DEFAULT_DAMPING,
+                             n_partials: int = DEFAULT_N_PARTIALS) -> np.ndarray:
+    """The M x K template matrix of Gaussian harmonic combs on a bin grid.
 
-    Column k places n_partials Gaussian bumps at p * nu_k with amplitudes
-    exp(-p * damping), evaluated on the discrete grid, partials beyond the
-    top bin dropped, then l1-normalized. Entries below the smallest normal
-    double are stored as 0: subnormal operands slow BLAS products 2x or more.
+    Column k places n_partials Gaussian bumps of std kernel_width Hz at
+    p * nu_k with amplitudes exp(-p * damping), evaluated on the discrete
+    grid, partials beyond the top bin dropped, then l1-normalized. Entries
+    below the smallest normal double are stored as 0: subnormal operands
+    slow BLAS products 2x or more.
     """
+    _check_comb(kernel_width, damping, n_partials)
     freqs = np.asarray(freqs, dtype=np.float64)
     fundamentals = np.atleast_1d(np.asarray(fundamentals, dtype=np.float64))
+    if fundamentals.ndim != 1 or fundamentals.size == 0:
+        raise ValueError("fundamentals must be a non-empty vector")
     if np.any(fundamentals <= 0) or np.any(fundamentals > freqs[-1]):
         raise ValueError("fundamentals must lie within (0, max(freqs)]")
 
-    weights = damped_weights(params.damping, params.n_partials)
+    weights = damped_weights(damping, n_partials)
     templates = np.empty((freqs.size, fundamentals.size))
     for k, nu in enumerate(fundamentals):
-        col = harmonic_column(freqs, nu, params.kernel_width, weights)
+        col = harmonic_column(freqs, nu, kernel_width, weights)
         total = col.sum()
         if total <= 0:
             raise ValueError(f"template at {nu} Hz has no mass on the grid")
         templates[:, k] = col / total
     templates[templates < SMALLEST_NORMAL] = 0.0
-    return Dictionary(fundamentals=fundamentals, templates=templates)
-
+    return templates

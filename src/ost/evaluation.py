@@ -6,8 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dictionary import (DEFAULT_DAMPING, DEFAULT_KERNEL_WIDTH_BINS,
-                         DEFAULT_N_PARTIALS, HarmonicTemplateParams,
-                         damped_weights, harmonic_column, midi_to_freq)
+                         DEFAULT_N_PARTIALS, _check_comb, damped_weights,
+                         harmonic_column, midi_to_freq)
 from .errors import DataError
 
 logger = logging.getLogger(__name__)
@@ -109,7 +109,7 @@ def parse_ground_truth(path) -> list:
             offset = float(parts[cols[1]])
             pitch = int(round(float(parts[cols[2]])))
             events.append(NoteEvent(onset, offset, pitch))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # OverflowError: an infinite pitch
             raise DataError(f"malformed row {lineno} in {path!r}: {exc}") from exc
     return events
 
@@ -194,7 +194,8 @@ def make_toy_scenario(which: str, seed: int, bins: int = TOY_BINS,
     envelope (each column renormalizes before mixing).
 
     The comb settings are checked as those of the baselines' clean,
-    unshifted templates: ValueError if HarmonicTemplateParams rejects them.
+    unshifted templates: ValueError, as from make_harmonic_dictionary, if
+    they are out of range.
     """
     try:
         which = SCENARIO_ALIASES[which]
@@ -202,8 +203,8 @@ def make_toy_scenario(which: str, seed: int, bins: int = TOY_BINS,
         raise ValueError(f"unknown scenario {which!r}") from None
     delta = f_max / bins
     freqs = delta * np.arange(1, bins + 1)
-    params = HarmonicTemplateParams(kernel_width=kernel_width_bins * delta,
-                                    damping=damping, n_partials=n_partials)
+    kernel_width = kernel_width_bins * delta
+    _check_comb(kernel_width, damping, n_partials)
     fundamentals = toy_fundamentals()
 
     rng = np.random.default_rng(seed)
@@ -220,7 +221,7 @@ def make_toy_scenario(which: str, seed: int, bins: int = TOY_BINS,
             lo, hi = np.log(TOY_AMP_RANGE[0]), np.log(TOY_AMP_RANGE[1])
             decay = np.exp(-TOY_RESIDUAL_DECAY * np.arange(1, n_partials + 1))
             partial_weights = decay * np.exp(rng.uniform(lo, hi, n_partials))
-        col = harmonic_column(freqs, nu, params.kernel_width, partial_weights)
+        col = harmonic_column(freqs, nu, kernel_width, partial_weights)
         if not col.sum() > 0:
             raise ValueError(f"note at {nu:g} Hz has no mass on the grid")
         v += weight * (col / col.sum())

@@ -51,7 +51,7 @@ import numpy as np
 from .costs import CostMatrix
 from .dictionary import SMALLEST_NORMAL
 from .errors import NumericError
-from .frontend import NormalizedFrames, _check_finite_non_negative
+from .frontend import NormalizedFrames
 
 DEFAULT_MM_ITERATIONS = 10
 EMPTY_COLUMN_MASS = 1e-12  # mass floor used when linearizing sqrt at an empty column
@@ -73,19 +73,6 @@ EXP_NORMAL_FLOOR = -708.5
 EXP_ZERO_FLOOR = -746.0
 
 VARIANTS = ("ost", "ost_e", "ost_g", "ost_eg")
-
-
-@dataclass(eq=False)
-class Activations:
-    """K x N activation matrix; column n carries the mass of frame n."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise ValueError("values must be a K x N matrix")
-        _check_finite_non_negative(self.values, "activations")
 
 
 @dataclass
@@ -311,14 +298,15 @@ def _add_underflowed_rows(h, values, block, pen, under, lam_e):
 
 
 def unmix(frames: NormalizedFrames, cost: CostMatrix,
-          config: SolverConfig = None, variant: str = "ost") -> Activations:
-    """Solve every active frame column; masked frames yield zero columns.
-    The entropic variants run _combined_mm, the others _group_mm, with
-    config.mm_iterations MM steps for ost_g and ost_eg and none for ost and
-    ost_e: ost is ost_g's start, ost_e is ost_eg's. ost and ost_g match
-    tests/oracles.py's ost_frame and ost_group_frame bit for bit, ost_e and
-    ost_eg match its ost_entropic_frame and ost_combined_frame to rounding.
-    Raises NumericError if the activations are not finite.
+          config: SolverConfig = None, variant: str = "ost") -> np.ndarray:
+    """The K x N activations of the frames: column n holds the column
+    masses of frame n, zero for a masked frame. The entropic variants run
+    _combined_mm, the others _group_mm, with config.mm_iterations MM steps
+    for ost_g and ost_eg and none for ost and ost_e: ost is ost_g's start,
+    ost_e is ost_eg's. ost and ost_g match tests/oracles.py's ost_frame and
+    ost_group_frame bit for bit, ost_e and ost_eg match its
+    ost_entropic_frame and ost_combined_frame to rounding. Raises
+    NumericError if the activations are not finite.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -337,4 +325,4 @@ def unmix(frames: NormalizedFrames, cost: CostMatrix,
                  config, iterations)
     if not np.all(np.isfinite(out)):
         raise NumericError(f"variant {variant} produced non-finite activations")
-    return Activations(values=out)
+    return out

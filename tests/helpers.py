@@ -1,14 +1,25 @@
 """Helpers shared by the test modules."""
 
 import tracemalloc
+import wave
 
 import numpy as np
 
-from ost.dictionary import (DEFAULT_KERNEL_WIDTH_BINS, HarmonicTemplateParams,
-                            make_harmonic_dictionary)
+from ost.dictionary import DEFAULT_KERNEL_WIDTH_BINS, make_harmonic_dictionary
 from ost.frontend import NormalizedFrames
 from ost.solvers import MM_BLOCK_FRAMES
 from ost.tsvio import atomic_write_text, table_text
+
+
+def write_wav(path, buf):
+    """An AudioBuffer as a mono 16-bit PCM WAV file."""
+    pcm = np.clip(np.round(buf.samples * 32768.0), -32768.0,
+                  32767.0).astype("<i2")
+    with wave.open(str(path), "wb") as fh:
+        fh.setnchannels(1)
+        fh.setsampwidth(2)
+        fh.setframerate(buf.sample_rate)
+        fh.writeframes(pcm.tobytes())
 
 
 def write_ground_truth(path, events):
@@ -20,11 +31,11 @@ def write_ground_truth(path, events):
 
 
 def toy_templates(sc, kernel_width_bins=DEFAULT_KERNEL_WIDTH_BINS):
-    """The clean harmonic templates of toy scenario `sc`, built at the kernel
-    width (in bins) the scenario was built with."""
+    """The clean harmonic template matrix of toy scenario `sc`, built at the
+    kernel width (in bins) the scenario was built with."""
     bin_hz = sc.freqs[1] - sc.freqs[0]
-    params = HarmonicTemplateParams(kernel_width=kernel_width_bins * bin_hz)
-    return make_harmonic_dictionary(sc.freqs, sc.fundamentals, params)
+    return make_harmonic_dictionary(sc.freqs, sc.fundamentals,
+                                    kernel_width_bins * bin_hz)
 
 
 def traced_peak(fn, *args, **kwargs):

@@ -27,7 +27,7 @@ plca_frame is the per-frame EM loop that `plca_unmix` batches.
 
 import numpy as np
 
-from ost.baselines import KL_FLOOR, LpProblem, kl_divergence, solve_lp
+from ost.baselines import KL_FLOOR, kl_divergence, solve_lp
 from ost.solvers import _group_penalty_row, _softmax_labels
 
 
@@ -115,8 +115,7 @@ def reduced_lp(v, cost_values):
     eq = np.zeros((m, m * k))
     for i in range(m):
         eq[i, i * k:(i + 1) * k] = 1.0
-    x, objective = solve_lp(LpProblem(objective=cost_values.ravel(), eq_matrix=eq,
-                                      eq_rhs=v))
+    x, objective = solve_lp(cost_values.ravel(), eq, v)
     plan = x.reshape(m, k)
     return plan.sum(axis=0), plan, objective
 

@@ -16,8 +16,7 @@ from ost.baselines import plca_unmix, wasserstein_divergence
 from ost.cli import main
 from ost.costs import (CostMatrix, append_noise_column, harmonic_cost,
                        quadratic_cost)
-from ost.dictionary import (HarmonicTemplateParams, make_harmonic_dictionary,
-                            midi_to_freq)
+from ost.dictionary import make_harmonic_dictionary, midi_to_freq
 from ost.evaluation import (NoteEvent, events_to_roll, f_measure,
                             l1_activation_error, make_toy_scenario,
                             threshold_activations)
@@ -137,9 +136,9 @@ def test_criterion_4_toy_error_orderings():
             cost = harmonic_cost(toy.freqs, toy.fundamentals, 1.0)
             acts, _ = plca_unmix(frames, toy_templates(toy))
             errors["plca"].append(
-                l1_activation_error(acts.values[:, 0], toy.h_true))
+                l1_activation_error(acts[:, 0], toy.h_true))
             for name, cfg in solver_configs:
-                h = unmix(frames, cost, cfg, variant=name).values[:, 0]
+                h = unmix(frames, cost, cfg, variant=name)[:, 0]
                 errors[name].append(l1_activation_error(h, toy.h_true))
         medians[which] = {name: float(np.median(errs))
                           for name, errs in errors.items()}
@@ -233,12 +232,12 @@ def test_criterion_7_synthetic_transcription():
     def score(values):
         return f_measure(threshold_activations(values, truth), truth).f_measure
 
-    f_ost = score(unmix(frames, cost, SolverConfig(), variant="ost").values)
+    f_ost = score(unmix(frames, cost, SolverConfig(), variant="ost"))
     f_entropic = score(unmix(frames, cost, SolverConfig(lambda_e=lam_e),
-                             variant="ost_e").values)
+                             variant="ost_e"))
     noisy = append_noise_column(cost, noise_amp)
     with_noise = unmix(frames, noisy, SolverConfig(lambda_e=lam_e),
-                       variant="ost_e").values
+                       variant="ost_e")
     f_noise = score(with_noise[:-1])
     elapsed = time.perf_counter() - start
     assert f_noise >= 0.90
@@ -279,9 +278,8 @@ def test_criterion_9_support_preservation_report(tmp_path):
     m, f_max = 1024, 2800.0
     freqs = np.arange(1, m + 1) * (f_max / m)
     fundamentals = np.array([midi_to_freq(p) for p in range(36, 96)])
-    params = HarmonicTemplateParams(kernel_width=2.0 * (f_max / m),
-                                    damping=0.3, n_partials=8)
-    dictionary = make_harmonic_dictionary(freqs, fundamentals, params)
+    templates = make_harmonic_dictionary(freqs, fundamentals, 2.0 * (f_max / m),
+                                         damping=0.3, n_partials=8)
     cost = harmonic_cost(freqs, fundamentals, 1.0)
     config = SolverConfig(lambda_e=300.0, lambda_g=300.0, mm_iterations=10)
 
@@ -290,7 +288,7 @@ def test_criterion_9_support_preservation_report(tmp_path):
     for trial in range(200):
         polyphony = int(rng.integers(1, 5))
         notes = rng.choice(fundamentals.size, size=polyphony, replace=False)
-        frame = dictionary.templates[:, notes] @ rng.uniform(
+        frame = templates[:, notes] @ rng.uniform(
             0.5, 1.5, size=polyphony)
         frame /= frame.sum()
 

@@ -4,7 +4,8 @@ tests/api_fields.txt, and the signature of every public function in
 tests/api_signatures.txt, so every added, removed or renamed name,
 constructor field, parameter or default shows up as a diff of those
 files. The functions the benchmark's tracer wraps keep their names and
-the parameters its counters read."""
+the parameters its counters read, and a traced run gives every counter
+the result attributes it reads."""
 
 import dataclasses
 import importlib
@@ -12,9 +13,15 @@ import inspect
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ost
+from ost import cli
+from ost.evaluation import NoteEvent
+from ost.synth import render_notes
+
+from helpers import write_ground_truth, write_wav
 
 
 def test_api_names_are_unchanged():
@@ -78,3 +85,43 @@ def test_counted_parameters_exist(target, params):
     module, name = target.split(".")
     fn = getattr(importlib.import_module("ost." + module), name)
     assert set(params) <= set(inspect.signature(fn).parameters)
+
+
+# What each counted layer records; which solver a transcribe call reaches
+# depends on its method.
+COUNTED = {"frontend.stft_magnitude": {"bytes_computed"},
+           "tsvio.matrix_text": {"bytes"},
+           "tsvio.atomic_write_text": {"bytes"}}
+SOLVER_COUNTS = {"plca": ("baselines.plca_unmix",
+                          {"iterations", "capped", "active_frames"}),
+                 "ost": ("solvers.unmix", {"cells"})}
+
+
+@pytest.mark.parametrize("method", sorted(SOLVER_COUNTS))
+def test_traced_transcribe_feeds_every_counter(method, tmp_path):
+    # the counters read .values of a Spectrogram and a CostMatrix,
+    # .active_mask of NormalizedFrames and .iterations of PlcaState; the
+    # benchmark itself reads .samples of render_notes' result
+    events = [NoteEvent(0.0, 0.6, 60), NoteEvent(0.3, 1.0, 64)]
+    audio = render_notes(events, sample_rate=8000, seed=1)
+    assert isinstance(audio.samples, np.ndarray)
+    write_wav(tmp_path / "duet.wav", audio)
+    write_ground_truth(tmp_path / "truth.tsv", events)
+    tracer = benchmark_spans().Tracer()
+    tracer.install()
+    try:
+        tracer.context = ("pass", method)
+        code = cli.main(["transcribe", str(tmp_path / "duet.wav"), "--method", method,
+                         "--ground-truth", str(tmp_path / "truth.tsv"),
+                         "--midi-low", "55", "--midi-high", "67",
+                         "--window-len", "512", "--hop", "256",
+                         "--output-dir", str(tmp_path / "out")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert [s.name for s in tracer.spans if s.error] == []
+    solver, solver_counts = SOLVER_COUNTS[method]
+    expected = {**COUNTED, solver: solver_counts}
+    counted = {s.name: set(s.counts) for s in tracer.spans if s.name in expected}
+    assert counted == expected
+    assert not hasattr(cli.main, "__wrapped__")  # the originals are back

@@ -15,13 +15,12 @@ import numpy as np
 import pytest
 
 from ost import baselines
-from ost.baselines import (LpProblem, OT_LP_MAX_BINS, PLCA_MAX_ITER,
+from ost.baselines import (OT_LP_MAX_BINS, PLCA_MAX_ITER,
                            PLCA_REL_TOL, _unmix_lp_frame, kl_divergence,
                            ot_unmix_lp, plca_unmix, solve_lp,
                            wasserstein_divergence)
 from ost.costs import (CostMatrix, append_noise_column, harmonic_cost,
                        quadratic_cost)
-from ost.dictionary import Dictionary
 from ost.errors import (LpGuardError, LpInfeasibleError, LpUnboundedError,
                         NumericError)
 from ost.evaluation import l1_activation_error, make_toy_scenario
@@ -116,23 +115,21 @@ def disjoint_dictionary(m, k):
     templates = np.zeros((m, k))
     for j in range(k):
         templates[j * block:(j + 1) * block, j] = 1.0 / block
-    return Dictionary(fundamentals=100.0 * (1 + np.arange(k)), templates=templates)
+    return templates
 
 
 class TestPlcaUnmix:
     def test_identity_dictionary_recovers_frame(self):
-        d = Dictionary(fundamentals=np.array([100.0, 200.0, 300.0]),
-                       templates=np.eye(3))
+        d = np.eye(3)
         v = np.array([0.2, 0.7, 0.1])
         acts, _ = plca_unmix(single_frame(v), d)
-        np.testing.assert_allclose(acts.values[:, 0], v, atol=1e-12)
-        assert kl_divergence(v, d.templates @ acts.values[:, 0]) < 1e-12
+        np.testing.assert_allclose(acts[:, 0], v, atol=1e-12)
+        assert kl_divergence(v, d @ acts[:, 0]) < 1e-12
 
     def test_single_template_is_immediate(self):
-        d = Dictionary(fundamentals=np.array([100.0]),
-                       templates=np.full((4, 1), 0.25))
+        d = np.full((4, 1), 0.25)
         acts, state = plca_unmix(single_frame([0.1, 0.2, 0.3, 0.4]), d)
-        np.testing.assert_array_equal(acts.values[:, 0], [1.0])
+        np.testing.assert_array_equal(acts[:, 0], [1.0])
 
     def test_exact_column_drives_kl_to_zero(self):
         # v equal to one of several partially overlapping bump templates:
@@ -143,30 +140,26 @@ class TestPlcaUnmix:
         templates = np.exp(-((grid[:, None] - centers[None, :]) ** 2)
                            / (2.0 * 3.0 ** 2))
         templates /= templates.sum(axis=0)
-        d = Dictionary(fundamentals=100.0 * (1 + np.arange(4)),
-                       templates=templates)
-        acts, _ = plca_unmix(single_frame(templates[:, 2]), d,
+        acts, _ = plca_unmix(single_frame(templates[:, 2]), templates,
                              max_iter=1000, rel_tol=0.0)
-        assert kl_divergence(templates[:, 2], templates @ acts.values[:, 0]) < 1e-8
-        np.testing.assert_allclose(acts.values[:, 0], [0, 0, 1, 0], atol=1e-4)
+        assert kl_divergence(templates[:, 2], templates @ acts[:, 0]) < 1e-8
+        np.testing.assert_allclose(acts[:, 0], [0, 0, 1, 0], atol=1e-4)
 
     def test_disjoint_supports_converge_in_one_step(self):
         d = disjoint_dictionary(12, 3)
         h_true = np.array([0.5, 0.2, 0.3])
-        v = d.templates @ h_true
+        v = d @ h_true
         acts, _ = plca_unmix(single_frame(v), d, max_iter=1, rel_tol=0.0)
-        np.testing.assert_allclose(acts.values[:, 0], h_true, atol=1e-12)
+        np.testing.assert_allclose(acts[:, 0], h_true, atol=1e-12)
 
     def test_recovers_mixture_with_overlap(self):
         rng = np.random.default_rng(2)
         templates = rng.uniform(0.05, 1.0, size=(20, 3))
         templates /= templates.sum(axis=0)
-        d = Dictionary(fundamentals=np.array([100.0, 220.0, 330.0]),
-                       templates=templates)
         h_true = np.array([0.3, 0.45, 0.25])
-        acts, _ = plca_unmix(single_frame(templates @ h_true), d,
+        acts, _ = plca_unmix(single_frame(templates @ h_true), templates,
                              max_iter=5000, rel_tol=0.0)
-        np.testing.assert_allclose(acts.values[:, 0], h_true, atol=1e-4)
+        np.testing.assert_allclose(acts[:, 0], h_true, atol=1e-4)
 
     def test_objective_traces_never_increase(self):
         # the traces come from the per-frame loop, whose h and stopping
@@ -174,33 +167,29 @@ class TestPlcaUnmix:
         rng = np.random.default_rng(3)
         templates = rng.uniform(0.01, 1.0, size=(16, 5))
         templates /= templates.sum(axis=0)
-        d = Dictionary(fundamentals=100.0 * (1 + np.arange(5)),
-                       templates=templates)
         columns = rng.dirichlet(np.ones(16), size=6).T
         frames = NormalizedFrames(columns=columns,
                                   active_mask=np.ones(6, dtype=bool))
-        acts, state = plca_unmix(frames, d)
+        acts, state = plca_unmix(frames, templates)
         for j in range(frames.n_frames):
             h, trace = plca_frame(columns[:, j], templates, PLCA_MAX_ITER,
                                   PLCA_REL_TOL)
             assert np.all(np.diff(trace) <= 1e-10)
-            np.testing.assert_allclose(acts.values[:, j], h, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(acts[:, j], h, rtol=0, atol=1e-12)
             assert state.iterations[j] == trace.size
 
     def test_active_columns_stay_on_simplex(self):
         rng = np.random.default_rng(4)
         templates = rng.uniform(0.01, 1.0, size=(10, 4))
         templates /= templates.sum(axis=0)
-        d = Dictionary(fundamentals=100.0 * (1 + np.arange(4)),
-                       templates=templates)
         columns = rng.dirichlet(np.ones(10), size=5).T
         mask = np.array([True, False, True, True, False])
         columns[:, ~mask] = 0.0
         frames = NormalizedFrames(columns=columns, active_mask=mask)
-        acts, state = plca_unmix(frames, d)
-        np.testing.assert_allclose(acts.values[:, mask].sum(axis=0), 1.0,
+        acts, state = plca_unmix(frames, templates)
+        np.testing.assert_allclose(acts[:, mask].sum(axis=0), 1.0,
                                    atol=1e-12)
-        np.testing.assert_array_equal(acts.values[:, ~mask], 0.0)
+        np.testing.assert_array_equal(acts[:, ~mask], 0.0)
         assert state.iterations[1] == 0
 
     def test_dimension_and_parameter_validation(self):
@@ -230,8 +219,7 @@ class TestPlcaUnmix:
 def random_dictionary(rng, m, k):
     templates = rng.uniform(0.0, 1.0, size=(m, k)) ** 4
     templates /= templates.sum(axis=0)
-    return Dictionary(fundamentals=100.0 * (1 + np.arange(k)),
-                      templates=templates)
+    return templates
 
 
 class TestBatchedPlca:
@@ -244,12 +232,12 @@ class TestBatchedPlca:
         acts, state = plca_unmix(frames, d, **kwargs)
         for j in range(frames.n_frames):
             if not frames.active_mask[j]:
-                np.testing.assert_array_equal(acts.values[:, j], 0.0)
+                np.testing.assert_array_equal(acts[:, j], 0.0)
                 assert state.iterations[j] == 0
                 continue
-            h, trace = plca_frame(frames.columns[:, j], d.templates,
+            h, trace = plca_frame(frames.columns[:, j], d,
                                   max_iter, rel_tol)
-            np.testing.assert_allclose(acts.values[:, j], h, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(acts[:, j], h, rtol=0, atol=1e-12)
             assert state.iterations[j] == trace.size
         return acts, state
 
@@ -274,8 +262,7 @@ class TestBatchedPlca:
     def test_frame_off_every_template_keeps_zero_mass(self):
         # two templates on bins 0-7; the middle frame lives on bins 8-11
         full = disjoint_dictionary(12, 3)
-        d = Dictionary(fundamentals=full.fundamentals[:2],
-                       templates=full.templates[:, :2])
+        d = full[:, :2]
         columns = np.full((12, 3), 1.0 / 12)
         columns[:, 1] = 0.0
         columns[8:, 1] = 0.25
@@ -284,7 +271,7 @@ class TestBatchedPlca:
         # every frame is solved in one step, so at rel_tol=0 the repeated
         # objective stops it at the second iteration
         acts, state = self.assert_matches_reference(frames, d, rel_tol=0.0)
-        np.testing.assert_array_equal(acts.values[:, 1], 0.0)
+        np.testing.assert_array_equal(acts[:, 1], 0.0)
         np.testing.assert_array_equal(state.iterations, 2)
 
     def test_single_iteration(self):
@@ -322,12 +309,10 @@ class TestBatchedPlca:
         the copy before it. The rest are random mixtures, some of which run
         to max_iter."""
         m = 24
-        d = random_dictionary(rng, m, 6)
-        templates = d.templates.copy()
+        templates = random_dictionary(rng, m, 6)
         templates[:4, 1:] = 0.0
         templates[4:, 0] = 0.0
         templates /= templates.sum(axis=0)
-        d = Dictionary(fundamentals=d.fundamentals, templates=templates)
         columns = rng.dirichlet(np.full(m, 0.5), size=n).T
         columns[4:, 0] = 0.0
         columns[:, :n // 2] = columns[:, :1] / columns[:, 0].sum()
@@ -336,7 +321,7 @@ class TestBatchedPlca:
         order = np.argsort(stops, kind="stable")
         frames = NormalizedFrames(columns=columns[:, order],
                                   active_mask=np.ones(n, dtype=bool))
-        return frames, d
+        return frames, templates
 
     def test_refill_drain_and_shrink_with_slowest_frames_last(self):
         # three full turns of the live set and five frames more, so slots are
@@ -368,7 +353,7 @@ class TestBatchedPlca:
             alone_acts, alone = plca_unmix(single_frame(frames.columns[:, j]), d,
                                            max_iter=max_iter)
             assert alone.iterations[0] == state.iterations[j]
-            np.testing.assert_allclose(alone_acts.values[:, 0], acts.values[:, j],
+            np.testing.assert_allclose(alone_acts[:, 0], acts[:, j],
                                        rtol=0, atol=1e-12)
 
     def test_memory_is_bounded_by_the_live_set(self):
@@ -396,8 +381,8 @@ class TestBatchedPlca:
         active = frames.active_mask
         expected, expected_state = plca_unmix(active_copy(frames), d,
                                               max_iter=max_iter)
-        np.testing.assert_array_equal(acts.values[:, ~active], 0.0)
-        np.testing.assert_array_equal(acts.values[:, active], expected.values)
+        np.testing.assert_array_equal(acts[:, ~active], 0.0)
+        np.testing.assert_array_equal(acts[:, active], expected)
         np.testing.assert_array_equal(state.iterations[active],
                                       expected_state.iterations)
         assert peak < m * active.sum() * 8
@@ -405,10 +390,10 @@ class TestBatchedPlca:
 
 class TestSolveLp:
     def test_single_variable(self):
-        problem = LpProblem(objective=np.array([1.0]),
-                            eq_matrix=np.array([[1.0]]),
-                            eq_rhs=np.array([1.0]))
-        x, obj = solve_lp(problem)
+        problem = dict(objective=np.array([1.0]),
+                       eq_matrix=np.array([[1.0]]),
+                       eq_rhs=np.array([1.0]))
+        x, obj = solve_lp(**problem)
         np.testing.assert_allclose(x, [1.0], atol=1e-12)
         assert obj == pytest.approx(1.0)
 
@@ -417,7 +402,7 @@ class TestSolveLp:
                                          np.array([0.0, 1.0]),
                                          np.array([[0.0, 1.0],
                                                    [1.0, 0.0]]))
-        x, obj = solve_lp(LpProblem(objective=c, eq_matrix=eq, eq_rhs=rhs))
+        x, obj = solve_lp(objective=c, eq_matrix=eq, eq_rhs=rhs)
         assert obj == pytest.approx(1.0)
         np.testing.assert_allclose(x.reshape(2, 2), [[0.0, 1.0],
                                                      [0.0, 0.0]], atol=1e-12)
@@ -429,7 +414,7 @@ class TestSolveLp:
             vhat = rng.dirichlet(np.ones(4))
             costs = rng.uniform(0.0, 10.0, size=(4, 4))
             c, eq, rhs = transport_lp_arrays(v, vhat, costs)
-            x, obj = solve_lp(LpProblem(objective=c, eq_matrix=eq, eq_rhs=rhs))
+            x, obj = solve_lp(objective=c, eq_matrix=eq, eq_rhs=rhs)
             assert obj == pytest.approx(enumerate_lp_vertices(c, eq, rhs),
                                         abs=1e-9)
             np.testing.assert_allclose(eq @ x, rhs, atol=1e-9)
@@ -444,7 +429,7 @@ class TestSolveLp:
             vhat = rng.dirichlet(np.ones(4))
             costs = rng.uniform(0.0, 10.0, size=(4, 4)) * 1e-7
             c, eq, rhs = transport_lp_arrays(v, vhat, costs)
-            _, obj = solve_lp(LpProblem(objective=c, eq_matrix=eq, eq_rhs=rhs))
+            _, obj = solve_lp(objective=c, eq_matrix=eq, eq_rhs=rhs)
             assert obj == pytest.approx(enumerate_lp_vertices(c, eq, rhs),
                                         rel=1e-9)
 
@@ -457,7 +442,7 @@ class TestSolveLp:
             x0[0] = max(x0[0], 0.1)  # keep the instance nontrivial
             b = a @ x0
             c = rng.uniform(0.0, 5.0, n)  # nonnegative keeps it bounded
-            x, obj = solve_lp(LpProblem(objective=c, eq_matrix=a, eq_rhs=b))
+            x, obj = solve_lp(objective=c, eq_matrix=a, eq_rhs=b)
             assert obj == pytest.approx(enumerate_lp_vertices(c, a, b),
                                         abs=1e-9)
             np.testing.assert_allclose(a @ x, b, atol=1e-9)
@@ -467,39 +452,39 @@ class TestSolveLp:
         a = np.array([[1.0, 1.0],
                       [2.0, 2.0]])  # second row is twice the first
         b = np.array([1.0, 2.0])
-        x, obj = solve_lp(LpProblem(objective=np.array([3.0, 1.0]),
-                                    eq_matrix=a, eq_rhs=b))
+        x, obj = solve_lp(objective=np.array([3.0, 1.0]),
+                          eq_matrix=a, eq_rhs=b)
         assert obj == pytest.approx(1.0)
         np.testing.assert_allclose(x, [0.0, 1.0], atol=1e-12)
 
     def test_negative_rhs_rows_flipped(self):
-        problem = LpProblem(objective=np.array([1.0]),
-                            eq_matrix=np.array([[-1.0]]),
-                            eq_rhs=np.array([-2.0]))
-        x, obj = solve_lp(problem)
+        problem = dict(objective=np.array([1.0]),
+                       eq_matrix=np.array([[-1.0]]),
+                       eq_rhs=np.array([-2.0]))
+        x, obj = solve_lp(**problem)
         np.testing.assert_allclose(x, [2.0], atol=1e-12)
 
     def test_infeasible(self):
-        problem = LpProblem(objective=np.array([1.0]),
-                            eq_matrix=np.array([[1.0], [1.0]]),
-                            eq_rhs=np.array([1.0, 2.0]))
+        problem = dict(objective=np.array([1.0]),
+                       eq_matrix=np.array([[1.0], [1.0]]),
+                       eq_rhs=np.array([1.0, 2.0]))
         with pytest.raises(LpInfeasibleError):
-            solve_lp(problem)
+            solve_lp(**problem)
 
     def test_unbounded(self):
-        problem = LpProblem(objective=np.array([-1.0, 0.0]),
-                            eq_matrix=np.array([[1.0, -1.0]]),
-                            eq_rhs=np.array([0.0]))
+        problem = dict(objective=np.array([-1.0, 0.0]),
+                       eq_matrix=np.array([[1.0, -1.0]]),
+                       eq_rhs=np.array([0.0]))
         with pytest.raises(LpUnboundedError):
-            solve_lp(problem)
+            solve_lp(**problem)
 
     def test_size_guard(self):
         n = 5001
-        problem = LpProblem(objective=np.zeros(n),
-                            eq_matrix=np.zeros((1, n)),
-                            eq_rhs=np.array([0.0]))
+        problem = dict(objective=np.zeros(n),
+                       eq_matrix=np.zeros((1, n)),
+                       eq_rhs=np.array([0.0]))
         with pytest.raises(LpGuardError):
-            solve_lp(problem)
+            solve_lp(**problem)
 
     @pytest.mark.parametrize("status, x", [(1, None), (4, None),
                                            (0, np.array([1.0 + 1e-8]))])
@@ -510,18 +495,23 @@ class TestSolveLp:
         import scipy.optimize
         monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: SimpleNamespace(
             status=status, message="stub", x=x))
-        problem = LpProblem(objective=np.array([1.0]),
-                            eq_matrix=np.array([[1.0]]), eq_rhs=np.array([1.0]))
+        problem = dict(objective=np.array([1.0]),
+                       eq_matrix=np.array([[1.0]]), eq_rhs=np.array([1.0]))
         with pytest.raises(NumericError):
-            solve_lp(problem)
+            solve_lp(**problem)
 
     def test_problem_validation(self):
-        with pytest.raises(ValueError):
-            LpProblem(objective=np.ones(2), eq_matrix=np.ones((1, 3)),
-                      eq_rhs=np.ones(1))
-        with pytest.raises(ValueError):
-            LpProblem(objective=np.array([np.nan]),
-                      eq_matrix=np.ones((1, 1)), eq_rhs=np.ones(1))
+        with pytest.raises(ValueError, match="shape"):
+            solve_lp(objective=np.ones(2), eq_matrix=np.ones((1, 3)),
+                     eq_rhs=np.ones(1))
+        with pytest.raises(ValueError, match="matrix"):
+            solve_lp(objective=np.ones(2), eq_matrix=np.ones(2), eq_rhs=np.ones(1))
+        for bad in ("objective", "eq_matrix", "eq_rhs"):
+            data = dict(objective=np.ones(1), eq_matrix=np.ones((1, 1)),
+                        eq_rhs=np.ones(1))
+            data[bad] = np.full_like(data[bad], np.nan)
+            with pytest.raises(ValueError, match="finite"):
+                solve_lp(**data)
 
 
 class TestWassersteinDivergence:
@@ -620,10 +610,10 @@ class TestOtUnmixLp:
         d = disjoint_dictionary(12, 3)
         freqs = np.arange(1.0, 13.0)
         cost = quadratic_cost(freqs, freqs)
-        acts = ot_unmix_lp(single_frame(d.templates[:, 1]), d, cost)
-        np.testing.assert_allclose(acts.values[:, 0], [0.0, 1.0, 0.0],
+        acts = ot_unmix_lp(single_frame(d[:, 1]), d, cost)
+        np.testing.assert_allclose(acts[:, 0], [0.0, 1.0, 0.0],
                                    atol=1e-9)
-        _, _, objective = _unmix_lp_frame(d.templates[:, 1], d.templates,
+        _, _, objective = _unmix_lp_frame(d[:, 1], d,
                                           cost.values)
         assert objective == pytest.approx(0.0, abs=1e-12)
 
@@ -632,8 +622,8 @@ class TestOtUnmixLp:
         freqs = np.arange(1.0, 13.0)
         cost = quadratic_cost(freqs, freqs)
         h_true = np.array([0.25, 0.5, 0.25])
-        acts = ot_unmix_lp(single_frame(d.templates @ h_true), d, cost)
-        np.testing.assert_allclose(acts.values[:, 0], h_true, atol=1e-9)
+        acts = ot_unmix_lp(single_frame(d @ h_true), d, cost)
+        np.testing.assert_allclose(acts[:, 0], h_true, atol=1e-9)
 
     def test_noise_column_receives_unexplained_mass(self):
         freqs = np.array([100.0, 500.0])
@@ -654,29 +644,42 @@ class TestOtUnmixLp:
         frames = NormalizedFrames(columns=np.full((m, 1), 1.0 / m),
                                   active_mask=np.array([True]))
         freqs = np.arange(1.0, m + 1.0)
-        d = Dictionary(fundamentals=[1.0], templates=np.full((m, 1), 1.0 / m))
         with pytest.raises(LpGuardError):
-            ot_unmix_lp(frames, d, harmonic_cost(freqs, freqs, eps0=1.0))
+            ot_unmix_lp(frames, np.full((m, 1), 1.0 / m), harmonic_cost(freqs, freqs, eps0=1.0))
 
     def test_harmonic_dictionary_needs_square_cost(self):
         d = disjoint_dictionary(12, 3)
         cost = harmonic_cost(np.arange(1.0, 13.0), [100.0, 200.0, 300.0],
                              eps0=1.0)
         with pytest.raises(ValueError):
-            ot_unmix_lp(single_frame(d.templates[:, 0]), d, cost)
+            ot_unmix_lp(single_frame(d[:, 0]), d, cost)
+        square_of_other_size = quadratic_cost(np.arange(1.0, 14.0), np.arange(1.0, 14.0))
+        with pytest.raises(ValueError, match="M x M cost"):
+            ot_unmix_lp(single_frame(d[:, 0]), d, square_of_other_size)
 
     def test_masked_frames_left_zero(self):
         freqs = np.array([100.0, 200.0, 400.0])
         cost = harmonic_cost(freqs, freqs, eps0=1.0)
-        d = Dictionary(fundamentals=[100.0, 200.0],
-                       templates=[[0.5, 0.0], [0.25, 0.5], [0.25, 0.5]])
+        d = [[0.5, 0.0], [0.25, 0.5], [0.25, 0.5]]
         columns = np.column_stack([np.array([0.5, 0.25, 0.25]),
                                    np.zeros(3)])
         frames = NormalizedFrames(columns=columns,
                                   active_mask=np.array([True, False]))
         acts = ot_unmix_lp(frames, d, cost)
-        np.testing.assert_array_equal(acts.values[:, 1], 0.0)
-        assert acts.values[:, 0].sum() == pytest.approx(1.0)
+        np.testing.assert_array_equal(acts[:, 1], 0.0)
+        assert acts[:, 0].sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_output_raises(self, monkeypatch, bad):
+        # an LP point is checked against its constraints, not for finiteness,
+        # so a frame solve returning a non-finite h is stubbed: it must end
+        # as NumericError, not as activations
+        monkeypatch.setattr(baselines, "_unmix_lp_frame",
+                            lambda v, w, cost_values: (np.full(w.shape[1], bad),))
+        d = disjoint_dictionary(12, 3)
+        freqs = np.arange(1.0, 13.0)
+        with pytest.raises(NumericError, match="non-finite"):
+            ot_unmix_lp(single_frame(d[:, 0]), d, quadratic_cost(freqs, freqs))
 
 
 def tied_costs(name):
@@ -740,6 +743,6 @@ class TestJointLpOnToyScenario:
         templates = toy_templates(sc, kernel_width_bins=0.5)
         acts_lp = ot_unmix_lp(frames, templates, cost)
         acts_plca, _ = plca_unmix(frames, templates)
-        err_lp = l1_activation_error(acts_lp.values[:, 0], sc.h_true)
-        err_plca = l1_activation_error(acts_plca.values[:, 0], sc.h_true)
+        err_lp = l1_activation_error(acts_lp[:, 0], sc.h_true)
+        err_plca = l1_activation_error(acts_plca[:, 0], sc.h_true)
         assert err_lp < err_plca

@@ -5,7 +5,6 @@ import re
 import subprocess
 import sys
 import warnings
-import wave
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -23,7 +22,7 @@ from ost.frontend import (AudioBuffer, decode_wav, normalize_frames,
 from ost.synth import render_notes
 from ost.tsvio import read_activations, read_matrix
 
-from helpers import traced_peak, write_ground_truth
+from helpers import traced_peak, write_ground_truth, write_wav
 
 
 def source_tree_env():
@@ -33,16 +32,6 @@ def source_tree_env():
     pythonpath = os.pathsep.join(
         filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": pythonpath}
-
-
-def write_wav(path, buf):
-    pcm = np.clip(np.round(buf.samples * 32768.0), -32768.0,
-                  32767.0).astype("<i2")
-    with wave.open(str(path), "wb") as fh:
-        fh.setnchannels(1)
-        fh.setsampwidth(2)
-        fh.setframerate(buf.sample_rate)
-        fh.writeframes(pcm.tobytes())
 
 
 def toy_errors(stdout: str) -> dict:
@@ -339,6 +328,8 @@ class TestDataErrors:
         "component\\time_s\t0.1\t0.2\n60\t-1\t0.5\n",   # negative activation
         "component\\time_s\t0.1\t0.2\n60\tnan\t0.5\n",  # non-finite activation
         "component\\time_s\t0.1\t0.2\nnoise\t1\t1\n",   # no pitch rows
+        "component\\time_s\t0.1\tinf\n60\t0.5\t0.5\n",  # an infinite time
+        "component\\time_s\t-inf\t0.1\n60\t0.5\t0.5\n",  # and at the start
     ])
     def test_eval_rejects_malformed_activations(self, capsys, tmp_path, table):
         acts = tmp_path / "acts.tsv"
@@ -348,6 +339,26 @@ class TestDataErrors:
         code = main(["eval", str(acts), "--ground-truth", str(truth)])
         assert code == EXIT_DATA
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "transcribe"])
+    @pytest.mark.parametrize("pitch", ["inf", "-inf", "1e400"])
+    def test_infinite_pitch_in_ground_truth(self, capsys, note50, tmp_path,
+                                            command, pitch):
+        # the pitch is rounded to an integer, which an infinity cannot be
+        truth = tmp_path / "truth.tsv"
+        truth.write_text(f"OnsetTime\tOffsetTime\tMidiPitch\n0.0\t1.0\t{pitch}\n")
+        if command == "eval":
+            acts = tmp_path / "acts.tsv"
+            acts.write_text("component\\time_s\t0.5\n60\t0.5\n")
+            argv = ["eval", str(acts)]
+        else:
+            argv = ["transcribe", str(note50 / "note50.wav"), "--method", "ost",
+                    "--output-dir", str(tmp_path / "out")]
+        assert main(argv + ["--ground-truth", str(truth)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: malformed row 2")
+        assert "infinity" in err
+        assert not (tmp_path / "out").exists()
 
     def test_templates_above_the_wav_top_bin(self, capsys, note50, tmp_path):
         # 8 kHz audio tops out at 4 kHz; MIDI 108 sits at 4186 Hz
@@ -641,12 +652,12 @@ class TestTranscribe:
         frames = normalize_frames(stft_magnitude(audio, 512, 256))
         cfg = RunConfig(method="ost_e", lambda_e=100.0, noise_amplitude=50.0,
                         midi_low=55, midi_high=67, window_len=512, hop=256)
-        _, expected_labels, acts = decompose(frames, cfg)
+        acts, expected_labels = decompose(frames, cfg)
         expected_times = frame_times(frames, cfg, audio.sample_rate)
         assert labels == expected_labels
-        assert values.shape == acts.values.shape
+        assert values.shape == acts.shape
         assert np.count_nonzero(values) > values.size // 2
-        np.testing.assert_allclose(values, acts.values, rtol=1e-11, atol=0)
+        np.testing.assert_allclose(values, acts, rtol=1e-11, atol=0)
         np.testing.assert_allclose(times, expected_times, rtol=1e-11, atol=0)
         assert roll_header == [format(t, ".12g") for t in expected_times]
 
@@ -728,7 +739,7 @@ class TestSweep:
         cfg = RunConfig(method="ost_e", epsilon0=2.0, lambda_e=100.0,
                         lambda_g=300.0, midi_low=55, midi_high=67,
                         window_len=512, hop=256)
-        pitch, _, _ = decompose(frames, cfg)
+        pitch = decompose(frames, cfg)[0]
         truth = load_ground_truth(duet / "truth.tsv", (55, 67),
                                   frame_times(frames, cfg, audio.sample_rate))
         half = frames.n_frames // 2

@@ -1,13 +1,18 @@
-"""Dictionary tests: pitch mapping, Gaussian harmonic combs, validation."""
+"""Dictionary tests: pitch mapping, Gaussian harmonic combs, and the checks
+on comb settings and template matrices where they enter."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-from ost.dictionary import (Dictionary, HarmonicTemplateParams, damped_weights,
-                            harmonic_column, make_harmonic_dictionary,
-                            midi_range_fundamentals, midi_to_freq)
+from ost.baselines import ot_unmix_lp, plca_unmix
+from ost.costs import quadratic_cost
+from ost.dictionary import (damped_weights, harmonic_column,
+                            make_harmonic_dictionary, midi_range_fundamentals,
+                            midi_to_freq)
+from ost.evaluation import make_toy_scenario
+from ost.frontend import NormalizedFrames
 
 
 class TestMidiToFreq:
@@ -83,81 +88,103 @@ class TestDampedWeights:
 class TestMakeHarmonicDictionary:
     def setup_method(self):
         self.freqs = np.linspace(5.0, 2000.0, 400)
-        self.params = HarmonicTemplateParams(kernel_width=10.0, damping=0.3,
-                                             n_partials=8)
 
     def test_columns_are_distributions(self):
         fundamentals = midi_range_fundamentals(48, 59)
-        d = make_harmonic_dictionary(self.freqs, fundamentals, self.params)
-        assert d.templates.shape == (400, 12)
-        np.testing.assert_allclose(d.templates.sum(axis=0), 1.0, atol=1e-12)
-        assert np.all(d.templates >= 0)
+        w = make_harmonic_dictionary(self.freqs, fundamentals, 10.0, 0.3, 8)
+        assert w.shape == (400, 12)
+        np.testing.assert_allclose(w.sum(axis=0), 1.0, atol=1e-12)
+        assert np.all(w >= 0)
 
     def test_partial_amplitudes_follow_damping(self):
         # with narrow, well-separated bumps the grid value at partial p is
         # close to exp(-damping * p) / normalization
         freqs = np.arange(1.0, 4001.0)  # 1 Hz grid
-        params = HarmonicTemplateParams(kernel_width=1.5, damping=0.5,
-                                        n_partials=4)
-        d = make_harmonic_dictionary(freqs, [400.0], params)
-        col = d.templates[:, 0]
+        col = make_harmonic_dictionary(freqs, [400.0], 1.5, damping=0.5,
+                                       n_partials=4)[:, 0]
         peaks = np.array([col[int(p * 400) - 1] for p in range(1, 5)])
         ratios = peaks[1:] / peaks[:-1]
         np.testing.assert_allclose(ratios, np.exp(-0.5), rtol=1e-6)
 
     def test_fundamental_outside_grid_rejected(self):
         with pytest.raises(ValueError):
-            make_harmonic_dictionary(self.freqs, [2500.0], self.params)
+            make_harmonic_dictionary(self.freqs, [2500.0], 10.0)
         with pytest.raises(ValueError):
-            make_harmonic_dictionary(self.freqs, [-10.0], self.params)
+            make_harmonic_dictionary(self.freqs, [-10.0], 10.0)
 
     def test_empty_fundamentals_rejected(self):
         with pytest.raises(ValueError):
-            make_harmonic_dictionary(self.freqs, [], self.params)
+            make_harmonic_dictionary(self.freqs, [], 10.0)
 
     def test_massless_template_rejected(self):
         # kernel so narrow that no grid point catches any bump mass
         coarse = np.array([1000.0, 2000.0, 3000.0])
-        params = HarmonicTemplateParams(kernel_width=1e-3, damping=0.3,
-                                        n_partials=2)
         with pytest.raises(ValueError):
-            make_harmonic_dictionary(coarse, [310.0], params)
+            make_harmonic_dictionary(coarse, [310.0], 1e-3, damping=0.3,
+                                     n_partials=2)
+
+
+def template_consumers(m=2):
+    """plca_unmix and ot_unmix_lp, the two functions that take a template
+    matrix, each as a one-argument call on one flat frame of m bins."""
+    frames = NormalizedFrames(columns=np.full((m, 1), 1.0 / m),
+                              active_mask=np.array([True]))
+    freqs = np.arange(1.0, m + 1.0)
+    cost = quadratic_cost(freqs, freqs)
+    return [lambda w: plca_unmix(frames, w),
+            lambda w: ot_unmix_lp(frames, w, cost)]
 
 
 class TestDictionaryValidation:
-    @pytest.mark.parametrize("fundamentals", [[], [100.0, 100.0], [-100.0, 200.0]])
+    """make_harmonic_dictionary checks its fundamentals; plca_unmix and
+    ot_unmix_lp check the template matrix they are given."""
+
+    @pytest.mark.parametrize("fundamentals", [[], [-100.0, 200.0]])
     def test_fundamentals_checked(self, fundamentals):
-        # empty, repeated and non-positive fundamentals, on valid templates
+        # empty and non-positive fundamentals
         with pytest.raises(ValueError, match="fundamentals"):
-            Dictionary(fundamentals=np.array(fundamentals),
-                       templates=np.full((2, len(fundamentals)), 0.5))
+            make_harmonic_dictionary(np.linspace(5.0, 2000.0, 400), fundamentals, 10.0)
 
     def test_harmonic_requires_templates(self):
-        with pytest.raises(ValueError):
-            Dictionary(fundamentals=np.array([100.0]), templates=None)
+        # no matrix, no column, or a row count other than the frames' bins
+        for consume in template_consumers():
+            for bad in (None, np.zeros((2, 0)), np.full((3, 1), 1.0 / 3)):
+                with pytest.raises(ValueError,
+                                   match="templates must be a matrix of 2 rows"):
+                    consume(bad)
 
     def test_harmonic_columns_must_normalize(self):
-        bad = np.full((4, 1), 0.3)
-        with pytest.raises(ValueError):
-            Dictionary(fundamentals=np.array([100.0]), templates=bad)
+        ok = np.full((4, 1), 0.25)
+        ok[0] += 1e-13  # within the tolerance
+        for consume in template_consumers(4):
+            with pytest.raises(ValueError, match="columns must sum to 1"):
+                consume(np.full((4, 1), 0.3))
+            np.testing.assert_allclose(consume(ok)[0], 1.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_harmonic_templates_must_be_finite(self, bad):
         # NaN passes both the sign and the column-sum checks on its own.
-        with pytest.raises(ValueError, match="finite"):
-            Dictionary(fundamentals=np.array([100.0, 200.0]),
-                       templates=np.array([[bad, 0.5], [bad, 0.5]]))
+        for consume in template_consumers():
+            with pytest.raises(ValueError, match="^templates must be finite$"):
+                consume(np.array([[bad, 0.5], [bad, 0.5]]))
 
     def test_params_validation(self):
-        with pytest.raises(ValueError):
-            HarmonicTemplateParams(kernel_width=0.0)
-        with pytest.raises(ValueError):
-            HarmonicTemplateParams(kernel_width=1.0, damping=-0.1)
-        with pytest.raises(ValueError):
-            HarmonicTemplateParams(kernel_width=1.0, n_partials=0)
-        # inf width gave identical flat templates; NaN failed only in Dictionary
+        # make_harmonic_dictionary and make_toy_scenario check the comb
+        # settings by one function: same checks, same messages
+        freqs = np.linspace(5.0, 2000.0, 400)
+        bad_settings = [(0.0, 0.3, 8), (1.0, -0.1, 8), (1.0, 0.3, 0)]
+        # inf width gave identical flat templates; NaN failed only later
         for bad in (np.nan, np.inf, -np.inf):
-            with pytest.raises(ValueError, match="kernel_width"):
-                HarmonicTemplateParams(kernel_width=bad)
-            with pytest.raises(ValueError, match="damping"):
-                HarmonicTemplateParams(kernel_width=1.0, damping=bad)
+            bad_settings += [(bad, 0.3, 8), (1.0, bad, 8)]
+        for width, damping, n_partials in bad_settings:
+            with pytest.raises(ValueError) as built:
+                make_harmonic_dictionary(freqs, [100.0], width, damping, n_partials)
+            # the toy grid spacing is 1 Hz, so the width in bins is in Hz
+            with pytest.raises(ValueError) as toy:
+                make_toy_scenario("a", seed=0, bins=2800, f_max=2800.0,
+                                  kernel_width_bins=width, damping=damping,
+                                  n_partials=n_partials)
+            assert str(toy.value) == str(built.value)
+            name = ("kernel_width" if not 0 < width < np.inf else
+                    "damping" if not 0 <= damping < np.inf else "n_partials")
+            assert str(built.value).startswith(name)

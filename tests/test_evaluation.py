@@ -107,6 +107,11 @@ class TestParseGroundTruth:
         with pytest.raises(DataError):
             parse_ground_truth(self.write(
                 tmp_path, "OnsetTime\tOffsetTime\tMidiPitch\n0.0\t1.0\n"))
+        for pitch in ("inf", "-inf", "1e400"):  # no integer pitch: OverflowError
+            with pytest.raises(DataError, match="malformed row 3"):
+                parse_ground_truth(self.write(
+                    tmp_path, "OnsetTime\tOffsetTime\tMidiPitch\n"
+                              f"0.0\t1.0\t60\n0.0\t1.0\t{pitch}\n"))
 
     def test_roundtrip_with_writer(self, tmp_path):
         # frame-aligned events survive write -> parse -> rasterize intact
@@ -261,13 +266,13 @@ class TestMakeToyScenario:
         assert fundamentals[7] == pytest.approx(2.0 * fundamentals[0])
         sc = make_toy_scenario("a", seed=0)
         np.testing.assert_allclose(sc.fundamentals, fundamentals)
-        np.testing.assert_allclose(toy_templates(sc).templates.sum(axis=0), 1.0,
+        np.testing.assert_allclose(toy_templates(sc).sum(axis=0), 1.0,
                                    atol=1e-12)
 
     def test_zero_shift_lies_in_column_span(self, monkeypatch):
         monkeypatch.setattr(evaluation, "TOY_SHIFT_PCT", 0.0)
         sc = make_toy_scenario("a", seed=0)
-        w = toy_templates(sc).templates
+        w = toy_templates(sc)
         recon = 0.5 * w[:, TOY_PAIR_A[0]] + 0.5 * w[:, TOY_PAIR_A[1]]
         np.testing.assert_allclose(sc.frame, recon, atol=1e-15)
 
@@ -309,13 +314,13 @@ class TestMakeToyScenario:
                                   active_mask=np.array([True]))
         acts, _ = plca_unmix(frames, toy_templates(sc))
         err_group = l1_activation_error(h_group, sc.h_true)
-        err_plca = l1_activation_error(acts.values[:, 0], sc.h_true)
+        err_plca = l1_activation_error(acts[:, 0], sc.h_true)
         assert err_group < err_plca
 
     def test_wrong_amplitude_frame_leaves_span(self):
         # scenario b redraws partial weights, so the frame is (generically)
         # not the clean half-half mixture any more
         sc = make_toy_scenario("b", seed=0)
-        w = toy_templates(sc).templates
+        w = toy_templates(sc)
         recon = 0.5 * w[:, TOY_PAIR_B[0]] + 0.5 * w[:, TOY_PAIR_B[1]]
         assert np.abs(sc.frame - recon).sum() > 0.05

@@ -12,15 +12,14 @@ import numpy as np
 import pytest
 import scipy.io.wavfile
 
+from ost.baselines import plca_unmix
 from ost.cli import RunConfig, frame_times
 from ost.costs import CostMatrix
-from ost.dictionary import Dictionary
 from ost.errors import DataError, DecodeError, UnsupportedEncodingError
 from ost.frontend import (SILENCE_THRESHOLD, SIMPLEX_TOL,
                           STFT_BLOCK_FRAMES, AudioBuffer, NormalizedFrames,
                           Spectrogram, decode_wav, normalize_frames,
                           stft_magnitude)
-from ost.solvers import Activations
 
 from helpers import traced_peak
 
@@ -449,11 +448,12 @@ class TestContainers:
             Spectrogram(values=values, freqs=np.array([1.0, 2.0]))
         with pytest.raises(ValueError, match="columns must be finite"):
             NormalizedFrames(columns=values, active_mask=np.array([True, True]))
-        # Activations, CostMatrix and Dictionary share the frontend's check
-        makers = {"activations": lambda x: Activations(values=x),
-                  "cost values": lambda x: CostMatrix(values=x),
-                  "templates": lambda x: Dictionary(fundamentals=[100.0, 200.0],
-                                                    templates=x)}
+        # CostMatrix and the template check of plca_unmix (and ot_unmix_lp)
+        # share the frontend's check
+        two_bins = NormalizedFrames(columns=np.full((2, 1), 0.5),
+                                    active_mask=np.array([True]))
+        makers = {"cost values": lambda x: CostMatrix(values=x),
+                  "templates": lambda x: plca_unmix(two_bins, x)}
         for name, make in makers.items():
             with pytest.raises(ValueError, match=f"^{name} must be finite$"):
                 make(values)

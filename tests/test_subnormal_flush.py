@@ -15,7 +15,7 @@ import pytest
 from ost import solvers
 from ost.baselines import plca_unmix
 from ost.costs import append_noise_column, harmonic_cost
-from ost.dictionary import (SMALLEST_NORMAL, Dictionary, HarmonicTemplateParams,
+from ost.dictionary import (DEFAULT_DAMPING, DEFAULT_N_PARTIALS, SMALLEST_NORMAL,
                             harmonic_column, make_harmonic_dictionary,
                             midi_range_fundamentals)
 from ost.evaluation import NoteEvent
@@ -37,14 +37,15 @@ def grid():
     return (np.arange(WINDOW_LEN // 2) + 1) * (FS / WINDOW_LEN)
 
 
-def template_params(freqs):
-    return HarmonicTemplateParams(kernel_width=KERNEL_WIDTH_BINS * (freqs[1] - freqs[0]))
+def kernel_width(freqs):
+    return KERNEL_WIDTH_BINS * (freqs[1] - freqs[0])
 
 
-def unflushed_templates(freqs, params):
-    """make_harmonic_dictionary's columns before the flush."""
-    weights = np.exp(-params.damping * np.arange(1, params.n_partials + 1))
-    cols = [harmonic_column(freqs, nu, params.kernel_width, weights)
+def unflushed_templates(freqs):
+    """make_harmonic_dictionary's columns, at its default damping and
+    partial count, before the flush."""
+    weights = np.exp(-DEFAULT_DAMPING * np.arange(1, DEFAULT_N_PARTIALS + 1))
+    cols = [harmonic_column(freqs, nu, kernel_width(freqs), weights)
             for nu in FUNDAMENTALS]
     return np.stack([c / c.sum() for c in cols], axis=1)
 
@@ -58,9 +59,8 @@ def unflushed_kernel(values, lambda_e):
 
 def test_harmonic_dictionary_has_no_subnormal_entries():
     freqs = grid()
-    params = template_params(freqs)
-    w = make_harmonic_dictionary(freqs, FUNDAMENTALS, params).templates
-    raw = unflushed_templates(freqs, params)
+    w = make_harmonic_dictionary(freqs, FUNDAMENTALS, kernel_width(freqs))
+    raw = unflushed_templates(freqs)
     assert w.shape == (1024, 88)
     assert subnormal_count(raw) > 0  # the grid does produce some
     assert subnormal_count(w) == 0
@@ -117,14 +117,13 @@ def piece_frames():
 
 
 def test_plca_matches_unflushed_templates(piece_frames):
-    params = template_params(piece_frames.freqs)
-    flushed = make_harmonic_dictionary(piece_frames.freqs, FUNDAMENTALS, params)
-    raw = Dictionary(fundamentals=FUNDAMENTALS,
-                     templates=unflushed_templates(piece_frames.freqs, params))
+    freqs = piece_frames.freqs
+    flushed = make_harmonic_dictionary(freqs, FUNDAMENTALS, kernel_width(freqs))
+    raw = unflushed_templates(freqs)
     acts, state = plca_unmix(piece_frames, flushed)
     ref_acts, ref_state = plca_unmix(piece_frames, raw)
     np.testing.assert_array_equal(state.iterations, ref_state.iterations)
-    np.testing.assert_allclose(acts.values, ref_acts.values, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(acts, ref_acts, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("variant", ["ost_e", "ost_eg"])
@@ -133,7 +132,7 @@ def test_entropic_variants_match_unflushed_kernel(piece_frames, variant, monkeyp
     if variant == "ost_e":
         cost = append_noise_column(cost, NOISE)
     config = SolverConfig(lambda_e=LAMBDA_E, lambda_g=LAMBDA_G)
-    acts = unmix(piece_frames, cost, config, variant=variant).values
+    acts = unmix(piece_frames, cost, config, variant=variant)
     monkeypatch.setattr(solvers, "_gibbs_kernel", unflushed_kernel)
-    ref = unmix(piece_frames, cost, config, variant=variant).values
+    ref = unmix(piece_frames, cost, config, variant=variant)
     np.testing.assert_allclose(acts, ref, rtol=0, atol=1e-12)
