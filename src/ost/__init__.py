@@ -6,9 +6,7 @@ cost, in closed form per frame, with entropic and group-sparse variants,
 plus PLCA and exact-LP baselines and a transcription evaluation harness.
 """
 
-from .errors import (OstError, DecodeError, UnsupportedEncodingError,
-                     DataError, LpInfeasibleError, LpUnboundedError,
-                     LpGuardError, NumericError)
+from .errors import OstError, DataError, NumericError
 from .frontend import (AudioBuffer, Spectrogram, NormalizedFrames,
                        decode_wav, stft_magnitude, normalize_frames)
 from .dictionary import (midi_to_freq, midi_range_fundamentals, harmonic_column,
@@ -25,8 +23,7 @@ from .evaluation import (NoteEvent, EvalReport, ToyScenario,
 from .synth import render_notes
 
 __all__ = [
-    "OstError", "DecodeError", "UnsupportedEncodingError", "DataError",
-    "LpInfeasibleError", "LpUnboundedError", "LpGuardError", "NumericError",
+    "OstError", "DataError", "NumericError",
     "AudioBuffer", "Spectrogram", "NormalizedFrames", "decode_wav",
     "stft_magnitude", "normalize_frames",
     "midi_to_freq", "midi_range_fundamentals", "harmonic_column",

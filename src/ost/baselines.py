@@ -13,7 +13,7 @@ import numpy as np
 
 from .costs import CostMatrix
 from .dictionary import _check_templates
-from .errors import LpGuardError, LpInfeasibleError, LpUnboundedError, NumericError
+from .errors import NumericError
 from .frontend import NormalizedFrames
 from .solvers import MM_BLOCK_FRAMES
 
@@ -139,10 +139,10 @@ def solve_lp(objective, eq_matrix, eq_rhs):
     matching shapes (ValueError otherwise).
 
     Returns (x, objective); LP_TOL is HiGHS' primal and dual feasibility
-    tolerance. Raises LpGuardError above LP_GUARD variables (before any
-    solve), LpInfeasibleError / LpUnboundedError on those outcomes, and
-    NumericError on any other solver failure or when the returned point
-    misses a constraint by more than 1e-9 relative to the largest |b|.
+    tolerance. Raises NumericError above LP_GUARD variables (before any
+    solve), on an infeasible or unbounded problem (HiGHS' message), on any
+    other solver failure, and when the returned point misses a constraint
+    by more than 1e-9 relative to the largest |b|.
     """
     objective, eq_matrix, eq_rhs = (np.asarray(a, dtype=np.float64)
                                     for a in (objective, eq_matrix, eq_rhs))
@@ -154,17 +154,15 @@ def solve_lp(objective, eq_matrix, eq_rhs):
         raise ValueError("LP data must be finite")
     n = objective.size
     if n > LP_GUARD:
-        raise LpGuardError(f"{n} variables exceed the desk-scale guard ({LP_GUARD})")
+        raise NumericError(f"{n} variables exceed the desk-scale guard ({LP_GUARD})")
     from scipy.optimize import linprog  # ~0.17 s to import; keep it off start-up
 
     res = linprog(objective, A_eq=eq_matrix, b_eq=eq_rhs,
                   bounds=(0, None), method="highs",
                   options={"primal_feasibility_tolerance": LP_TOL,
                            "dual_feasibility_tolerance": LP_TOL})
-    if res.status == 2:
-        raise LpInfeasibleError(res.message)
-    if res.status == 3:
-        raise LpUnboundedError(res.message)
+    if res.status in (2, 3):  # infeasible, unbounded
+        raise NumericError(res.message)
     if res.status != 0:
         raise NumericError(f"LP solver failed: {res.message}")
     x = np.maximum(res.x, 0.0)  # HiGHS keeps bounds only to within LP_TOL
@@ -215,7 +213,7 @@ def ot_unmix_lp(frames: NormalizedFrames, templates, cost: CostMatrix):
     """
     m = frames.columns.shape[0]
     if m > OT_LP_MAX_BINS:
-        raise LpGuardError(f"M={m} exceeds the LP unmixing guard ({OT_LP_MAX_BINS})")
+        raise NumericError(f"M={m} exceeds the LP unmixing guard ({OT_LP_MAX_BINS})")
     if cost.values.shape != (m, m):
         raise ValueError("harmonic-dictionary unmixing needs an M x M cost")
     w = _check_templates(templates, m)

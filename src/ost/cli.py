@@ -224,8 +224,10 @@ def decompose(frames: NormalizedFrames, config: RunConfig):
 def load_frames(path, config: RunConfig):
     """Decode a WAV file, take its STFT and normalize the frames.
 
-    Returns (frames, sample rate, {"decode": s, "stft": s}), the STFT time
-    including normalization. Each input is released once consumed: the
+    Returns (frames, times, {"decode": s, "stft": s}), the STFT time
+    including normalization: frame n is centered at times[n] = (window_len
+    / 2 + n * hop) / sample_rate seconds, the only place transcribe and
+    sweep place frames in time. Each input is released once consumed: the
     samples before normalizing, the raw spectrogram after. So the call
     holds at most the samples and one M x N matrix, or two M x N matrices
     while normalizing, never the samples and both.
@@ -239,16 +241,9 @@ def load_frames(path, config: RunConfig):
     frames = normalize_frames(spec)
     del spec
     timings = {"decode": decoded - start, "stft": time.perf_counter() - decoded}
-    return frames, sample_rate, timings
-
-
-def frame_times(frames: NormalizedFrames, config: RunConfig,
-                sample_rate: int) -> np.ndarray:
-    """The center time in seconds of each frame from load_frames: frame n
-    is centered at (window_len / 2 + n * hop) / sample_rate. The only place
-    transcribe and sweep place frames in time."""
     t0 = config.window_len / (2.0 * sample_rate)
-    return t0 + np.arange(frames.n_frames) * (config.hop / sample_rate)
+    times = t0 + np.arange(frames.n_frames) * (config.hop / sample_rate)
+    return frames, times, timings
 
 
 # ---------------------------------------------------------------------------
@@ -262,13 +257,12 @@ def cmd_transcribe(args) -> int:
     events = None
     if args.ground_truth is not None:
         events = parse_ground_truth(args.ground_truth)
-    frames, sample_rate, timings = load_frames(args.wav, config)
+    frames, times, timings = load_frames(args.wav, config)
 
     start = time.perf_counter()
     acts, labels = decompose(frames, config)
     timings["decompose"] = time.perf_counter() - start
 
-    times = frame_times(frames, config, sample_rate)
     base = os.path.splitext(os.path.basename(args.wav))[0] + "." + config.method
     outdir = args.output_dir
     os.makedirs(outdir, exist_ok=True)
@@ -416,10 +410,9 @@ def cmd_sweep(args) -> int:
     for cfg in configs:
         _check_ranges(cfg)
 
-    frames, sample_rate, _ = load_frames(args.wav, config)
+    frames, times, _ = load_frames(args.wav, config)
     truth = load_ground_truth(args.ground_truth,
-                              (config.midi_low, config.midi_high),
-                              frame_times(frames, config, sample_rate))
+                              (config.midi_low, config.midi_high), times)
     half = frames.n_frames // 2
     val_slice, test_slice = slice(0, half), slice(half, frames.n_frames)
 
@@ -509,7 +502,7 @@ def cmd_eval(args) -> int:
     except ValueError as exc:
         raise DataError(f"activation rows must be MIDI numbers or 'noise', "
                         f"got {labels!r}") from exc
-    if not midi or midi != list(range(midi[0], midi[-1] + 1)):
+    if not midi or midi != list(range(midi[0], midi[0] + len(midi))):
         raise DataError("activation rows must cover a contiguous MIDI range")
     if midi[0] < 0 or midi[-1] > 127:
         raise DataError(f"activation rows must be MIDI numbers 0-127, "
@@ -653,7 +646,7 @@ def _expand_config_file(argv):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path!r}: {exc}") from None
     tokens = []
     for lineno, line in enumerate(lines, start=1):
@@ -662,6 +655,8 @@ def _expand_config_file(argv):
             continue
         if "=" not in line:
             raise UsageError(f"config line {lineno} is not key=value: {line!r}")
+        if "\0" in line:  # no command-line argument can hold one
+            raise UsageError(f"config line {lineno} holds a NUL character")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         flag = "--" + key.replace("_", "-")

@@ -13,32 +13,21 @@ import numpy as np
 from .frontend import _check_finite_non_negative
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class CostMatrix:
     """Dense non-negative transport cost: rows are spectral bins, columns
     transport targets (bins, or note fundamentals for the reduced M x K
-    cost). It keeps no frequency axes; the cost functions take them.
-
-    noise_cost is set when the last column is a flat noise column, every
-    entry equal to it; append_noise_column refuses to add a second one.
+    cost, then possibly a flat noise column). It keeps no frequency axes;
+    the cost functions take them.
     """
 
     values: np.ndarray
-    noise_cost: float = None
 
     def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
+        self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2:
             raise ValueError("cost values must be a matrix")
         _check_finite_non_negative(self.values, "cost values")
-        if self.noise_cost is not None and not (
-                self.values.shape[1] and np.all(self.values[:, -1] == self.noise_cost)):
-            raise ValueError("noise_cost must equal every entry of the last column")
-
-    @property
-    def n_targets(self) -> int:
-        """Number of columns including the noise column if present."""
-        return self.values.shape[1]
 
 
 def quadratic_cost(row_freqs, col_freqs) -> CostMatrix:
@@ -102,7 +91,5 @@ def append_noise_column(cost: CostMatrix, amplitude: float) -> CostMatrix:
     """Add a flat catch-all column with every entry equal to `amplitude`."""
     if not np.isfinite(amplitude) or amplitude < 0:
         raise ValueError("noise amplitude must be finite and non-negative")
-    if cost.noise_cost is not None:
-        raise ValueError("cost matrix already has a noise column")
     values = np.hstack([cost.values, np.full((cost.values.shape[0], 1), amplitude)])
-    return CostMatrix(values=values, noise_cost=float(amplitude))
+    return CostMatrix(values=values)

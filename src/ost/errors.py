@@ -1,33 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, one per exit code of `ost`."""
 
 
 class OstError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DecodeError(OstError):
-    """Audio file could not be read or parsed."""
-
-
-class UnsupportedEncodingError(OstError):
-    """Audio file uses an encoding outside 16-bit PCM / 32-bit float."""
-
-
 class DataError(OstError):
-    """Malformed input data (ground truth, activations, dictionaries)."""
+    """Malformed or unreadable input: audio (a bad file or an unsupported
+    encoding), ground truth, activation tables, templates. Exit code 2."""
 
 
 class NumericError(OstError):
-    """Numerical failure: solver blow-up, NaN, or an LP failure (below)."""
-
-
-class LpInfeasibleError(NumericError):
-    """Linear program has no feasible point."""
-
-
-class LpUnboundedError(NumericError):
-    """Linear program objective is unbounded below."""
-
-
-class LpGuardError(NumericError):
-    """Problem size exceeds the desk-scale guard."""
+    """Numerical failure: solver blow-up, non-finite output, or an LP that
+    is infeasible, unbounded, over its size guard or off its constraints.
+    Exit code 3."""

@@ -9,6 +9,7 @@ from .dictionary import (DEFAULT_DAMPING, DEFAULT_KERNEL_WIDTH_BINS,
                          DEFAULT_N_PARTIALS, _check_comb, damped_weights,
                          harmonic_column, midi_to_freq)
 from .errors import DataError
+from .tsvio import read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -49,6 +50,8 @@ class NoteEvent:
             raise ValueError("onset must precede offset")
         if self.onset_seconds < 0:
             raise ValueError("onset must be non-negative")
+        if not np.isfinite(self.offset_seconds):  # only +inf is left
+            raise ValueError("offset must be finite")
         if not 0 <= self.midi_pitch <= 127:
             raise ValueError("midi_pitch out of range [0, 127]")
 
@@ -89,8 +92,7 @@ def events_to_roll(events, midi_range, times) -> np.ndarray:
 def parse_ground_truth(path) -> list:
     """Read a MAPS-style annotation file: TSV with a header line naming
     OnsetTime, OffsetTime and MidiPitch columns."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
+    lines = read_lines(path)
     if not lines:
         raise DataError(f"empty ground-truth file {path!r}")
     header = lines[0].split("\t")
@@ -128,12 +130,10 @@ def threshold_activations(values, truth) -> np.ndarray:
     values, truth = np.asarray(values), np.asarray(truth, dtype=bool)
     if values.shape != truth.shape:
         raise ValueError("activations shape must match the truth roll")
-    active = np.zeros_like(truth)
-    polyphony = truth.sum(axis=0)
-    order = np.argsort(-values, axis=0, kind="stable")
-    for n in np.flatnonzero(polyphony):
-        active[order[:polyphony[n], n], n] = True
-    return active
+    rank = np.empty(values.shape, dtype=np.intp)  # of each entry in its column
+    np.put_along_axis(rank, np.argsort(-values, axis=0, kind="stable"),
+                      np.arange(len(values))[:, None], axis=0)
+    return rank < truth.sum(axis=0)
 
 
 def f_measure(estimate, truth) -> EvalReport:

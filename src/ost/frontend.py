@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, DecodeError, UnsupportedEncodingError
+from .errors import DataError
 
 DEFAULT_WINDOW_LEN = 4096
 DEFAULT_HOP = 2048
@@ -80,7 +80,7 @@ class NormalizedFrames:
     `freqs` is the bin frequency axis of the source spectrogram, from which
     the costs and templates are built. The frames carry no time axis: the
     caller that chose the STFT hop places them in time (cli's
-    frame_times).
+    load_frames).
     """
 
     columns: np.ndarray
@@ -129,22 +129,22 @@ def decode_wav(path) -> AudioBuffer:
     the file yields the whole frames present.
 
     A missing or unreadable file, a non-WAVE file, an invalid header, a
-    missing `fmt ` or `data` chunk, or non-finite samples raise DecodeError;
-    any other sample encoding (8-bit, 24/32-bit integer, 64-bit float,
-    compressed) or more than two channels raise UnsupportedEncodingError.
+    missing `fmt ` or `data` chunk, non-finite samples, any other sample
+    encoding (8-bit, 24/32-bit integer, 64-bit float, compressed) or more
+    than two channels raise DataError.
     """
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
         sample_rate, channels, data = _wav_data(raw, path)
     except (OSError, struct.error) as exc:
-        raise DecodeError(f"cannot read WAV file {path!r}: {exc}") from exc
+        raise DataError(f"cannot read WAV file {path!r}: {exc}") from exc
 
     # 16-bit PCM holds no NaN or inf: only float data can fail this check,
     # made on the float32 samples before the float64 copy
     if data.dtype.kind == "f" and data.size and not (
             np.isfinite(data.min()) and np.isfinite(data.max())):
-        raise DecodeError(f"non-finite samples in {path!r}")
+        raise DataError(f"non-finite samples in {path!r}")
     samples = data.astype(np.float64)
     if data.dtype.kind == "i":
         samples /= 32768.0
@@ -158,12 +158,12 @@ def _wav_data(raw: bytes, path):
     a WAV file's bytes."""
     container = raw[:4]
     if container not in (b"RIFF", b"RIFX", b"RF64") or raw[8:12] != b"WAVE":
-        raise DecodeError(f"{path!r} is not a RIFF/RIFX/RF64 WAVE file")
+        raise DataError(f"{path!r} is not a RIFF/RIFX/RF64 WAVE file")
     order = ">" if container == b"RIFX" else "<"
     pos, rf64_data_size, fmt = 12, None, None
     if container == b"RF64":
         if raw[12:16] != b"ds64":
-            raise DecodeError(f"RF64 file {path!r} has no ds64 chunk")
+            raise DataError(f"RF64 file {path!r} has no ds64 chunk")
         ds64_size, _, rf64_data_size = struct.unpack_from("<IQQ", raw, 16)
         pos = 20 + ds64_size
     while pos + 8 <= len(raw):
@@ -182,38 +182,37 @@ def _wav_data(raw: bytes, path):
             return sample_rate, channels, np.frombuffer(
                 raw, dtype=dtype, count=n_frames * channels, offset=body)
         pos = body + size + size % 2
-    raise DecodeError(f"no fmt chunk before the data in {path!r}" if fmt is None
-                      else f"no data chunk in {path!r}")
+    raise DataError(f"no fmt chunk before the data in {path!r}" if fmt is None
+                    else f"no data chunk in {path!r}")
 
 
 def _wav_format(chunk: bytes, order: str, path):
     """(sample rate, channels, sample dtype) from a `fmt ` chunk body."""
     if len(chunk) < 16:
-        raise DecodeError(f"fmt chunk of {path!r} is shorter than 16 bytes")
+        raise DataError(f"fmt chunk of {path!r} is shorter than 16 bytes")
     tag, channels, rate, byte_rate, block_align, bits = struct.unpack_from(
         order + "HHIIHH", chunk)
     if tag == WAVE_FORMAT_EXTENSIBLE:
         if len(chunk) < 40 or struct.unpack_from(order + "H", chunk, 16)[0] < 22:
-            raise DecodeError(f"truncated WAVE_FORMAT_EXTENSIBLE header in {path!r}")
+            raise DataError(f"truncated WAVE_FORMAT_EXTENSIBLE header in {path!r}")
         if chunk[28:40] == struct.pack(order + "HH", 0, 0x10) + _GUID_TAIL:
             tag = struct.unpack_from(order + "I", chunk, 24)[0]
     if tag == WAVE_FORMAT_PCM and byte_rate != rate * block_align:
-        raise DecodeError(f"invalid WAV header in {path!r}: byte rate {byte_rate}"
-                          f" != {rate} Hz x {block_align}-byte frames")
+        raise DataError(f"invalid WAV header in {path!r}: byte rate {byte_rate}"
+                        f" != {rate} Hz x {block_align}-byte frames")
     if channels == 0 or rate == 0:
-        raise DecodeError(f"WAV header of {path!r}: {channels} channels at {rate} Hz")
+        raise DataError(f"WAV header of {path!r}: {channels} channels at {rate} Hz")
     width = block_align // channels
     if tag == WAVE_FORMAT_PCM and width == 2 and 8 < bits <= 16:
         dtype = np.dtype(order + "i2")
     elif tag == WAVE_FORMAT_IEEE_FLOAT and width == 4 and bits == 32:
         dtype = np.dtype(order + "f4")
     else:
-        raise UnsupportedEncodingError(
-            f"unsupported WAV encoding (format {tag:#x}, {bits}-bit in "
-            f"{width}-byte samples) in {path!r}: expected 16-bit PCM or 32-bit float")
+        raise DataError(f"unsupported WAV encoding (format {tag:#x}, {bits}-bit in "
+                        f"{width}-byte samples) in {path!r}: expected 16-bit PCM "
+                        "or 32-bit float")
     if channels > 2:
-        raise UnsupportedEncodingError(
-            f"{channels}-channel WAV not supported (mono or stereo only)")
+        raise DataError(f"{channels}-channel WAV not supported (mono or stereo only)")
     return rate, channels, dtype
 
 

@@ -73,10 +73,19 @@ def write_matrix(path, values, row_labels, col_labels, corner: str):
     atomic_write_text(path, matrix_text(values, row_labels, col_labels, corner))
 
 
+def read_lines(path) -> list:
+    """The non-blank lines of a UTF-8 text file, without their newlines;
+    DataError naming the file if it is not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return [line.rstrip("\n") for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path!r} is not UTF-8 text: {exc}") from exc
+
+
 def read_matrix(path):
     """Inverse of write_matrix: returns (values, row_labels, col_labels)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
+    lines = read_lines(path)
     if not lines:
         raise DataError(f"empty table {path!r}")
     header = lines[0].split("\t")

@@ -14,11 +14,10 @@ import pytest
 import ost
 from ost import baselines, cli
 from ost.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, RunConfig,
-                     decompose, frame_times, main)
+                     decompose, load_frames, main)
 from ost.evaluation import (NoteEvent, f_measure, load_ground_truth,
                             threshold_activations)
-from ost.frontend import (AudioBuffer, decode_wav, normalize_frames,
-                          stft_magnitude)
+from ost.frontend import AudioBuffer, decode_wav
 from ost.synth import render_notes
 from ost.tsvio import read_activations, read_matrix
 
@@ -340,24 +339,58 @@ class TestDataErrors:
         assert code == EXIT_DATA
         assert "data error" in capsys.readouterr().err
 
+    @staticmethod
+    def scored_argv(command, note50, tmp_path, truth_bytes):
+        """eval of a three-frame table (0.1, 0.7 and 5.0 s), or transcribe
+        of note50, against a ground-truth file holding truth_bytes."""
+        truth = tmp_path / "truth.tsv"
+        truth.write_bytes(truth_bytes)
+        if command == "eval":
+            acts = tmp_path / "acts.tsv"
+            acts.write_text("component\\time_s\t0.1\t0.7\t5\n60\t0.5\t0.5\t0.5\n")
+            argv = ["eval", str(acts)]
+        else:
+            argv = ["transcribe", str(note50 / "note50.wav"), "--method", "ost",
+                    "--output-dir", str(tmp_path / "out")]
+        return argv + ["--ground-truth", str(truth)]
+
     @pytest.mark.parametrize("command", ["eval", "transcribe"])
     @pytest.mark.parametrize("pitch", ["inf", "-inf", "1e400"])
     def test_infinite_pitch_in_ground_truth(self, capsys, note50, tmp_path,
                                             command, pitch):
         # the pitch is rounded to an integer, which an infinity cannot be
-        truth = tmp_path / "truth.tsv"
-        truth.write_text(f"OnsetTime\tOffsetTime\tMidiPitch\n0.0\t1.0\t{pitch}\n")
-        if command == "eval":
-            acts = tmp_path / "acts.tsv"
-            acts.write_text("component\\time_s\t0.5\n60\t0.5\n")
-            argv = ["eval", str(acts)]
-        else:
-            argv = ["transcribe", str(note50 / "note50.wav"), "--method", "ost",
-                    "--output-dir", str(tmp_path / "out")]
-        assert main(argv + ["--ground-truth", str(truth)]) == EXIT_DATA
+        argv = self.scored_argv(command, note50, tmp_path, (
+            f"OnsetTime\tOffsetTime\tMidiPitch\n0.0\t1.0\t{pitch}\n").encode())
+        assert main(argv) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error: malformed row 2")
         assert "infinity" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "transcribe"])
+    @pytest.mark.parametrize("offset", ["inf", "1e400"])
+    def test_infinite_offset_in_ground_truth(self, capsys, note50, tmp_path,
+                                             command, offset):
+        # a note without an end would sound in every frame from its onset on
+        argv = self.scored_argv(command, note50, tmp_path, (
+            f"OnsetTime\tOffsetTime\tMidiPitch\n0.0\t{offset}\t60\n").encode())
+        assert main(argv) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: malformed row 2 in {str(tmp_path / 'truth.tsv')!r}: "
+            "offset must be finite\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, table", [
+        ("eval", "truth.tsv"), ("transcribe", "truth.tsv"), ("eval", "acts.tsv")])
+    def test_table_not_utf8(self, capsys, note50, tmp_path, command, table):
+        argv = self.scored_argv(command, note50, tmp_path,
+                                b"OnsetTime\tOffsetTime\tMidiPitch\n0.0\t1.0\t60\n")
+        path = tmp_path / table
+        path.write_bytes(path.read_bytes().replace(b"0.", b"0.\xff", 1))
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {str(path)!r} is not UTF-8 text: ")
+        assert len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
 
     def test_templates_above_the_wav_top_bin(self, capsys, note50, tmp_path):
@@ -408,12 +441,80 @@ class TestDataErrors:
                   "--output-dir", str(tmp_path / "out")])
 
 
+def mutate(data: bytes, rng) -> bytes:
+    """data with 1-3 edits at random places: a byte flipped, deleted or
+    inserted, any of the 256 values."""
+    data = bytearray(data)
+    for _ in range(rng.integers(1, 4)):
+        edit, at = rng.integers(3), int(rng.integers(len(data)))
+        if edit == 0:
+            data[at] ^= int(rng.integers(1, 256))
+        elif edit == 1:
+            del data[at]
+        else:
+            data.insert(at, int(rng.integers(256)))
+    return bytes(data)
+
+
+class TestTextMutationFuzz:
+    """Damaged text inputs of `ost eval` end as an exit code and at most one
+    stderr line, never as a traceback."""
+
+    INPUTS = {
+        "acts.tsv": b"component\\time_s\t0.1\t0.7\t5\n60\t0.9\t0.1\t0.2\n"
+                    b"61\t0.05\t0.8\t0.5\n62\t0\t0.1\t0.3\nnoise\t0.05\t0\t0\n",
+        "truth.tsv": b"OnsetTime\tOffsetTime\tMidiPitch\n0\t0.5\t60\n0.6\t6\t61\n",
+        "eval.cfg": b"# scoring input\nground_truth=truth.tsv\n",
+    }
+    ARGV = ["eval", "acts.tsv", "--config", "eval.cfg"]
+
+    @pytest.mark.parametrize("seed, target", enumerate(INPUTS), ids=list(INPUTS))
+    def test_mutated_input_ends_as_an_exit_code(self, capsys, tmp_path,
+                                                monkeypatch, seed, target):
+        monkeypatch.chdir(tmp_path)
+        for name, data in self.INPUTS.items():
+            Path(name).write_bytes(data)
+        assert main(self.ARGV) == EXIT_OK
+        assert "tp=3 fp=0 fn=0" in capsys.readouterr().out
+        rng = np.random.default_rng(seed)
+        failures = []
+        for case in range(150):
+            damaged = mutate(self.INPUTS[target], rng)
+            Path(target).write_bytes(damaged)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    code = main(self.ARGV)
+                except Exception as exc:  # recorded, so every case runs
+                    code = repr(exc)
+            err = capsys.readouterr().err
+            if code not in (EXIT_OK, EXIT_USAGE, EXIT_DATA) or caught \
+                    or len(err.splitlines()) > 1:
+                failures.append((case, damaged, code, err, caught))
+        assert failures == []
+
+
 class TestNumericExit:
-    @pytest.mark.parametrize("error", [ost.LpInfeasibleError,
-                                       ost.LpUnboundedError, ost.LpGuardError])
-    def test_lp_errors_are_numeric_errors(self, error):
-        # main maps every NumericError to exit 3
-        assert issubclass(error, ost.NumericError)
+    # the ids name the classes these three LP failures once raised
+    @pytest.mark.parametrize("problem, message", [
+        ((np.ones(1), np.ones((2, 1)), np.array([1.0, 2.0])),
+         "The problem is infeasible."),
+        ((np.array([-1.0, 0.0]), np.array([[1.0, -1.0]]), np.zeros(1)),
+         "The problem is unbounded."),
+        ((np.zeros(5001), np.zeros((1, 5001)), np.zeros(1)),
+         "5001 variables exceed the desk-scale guard (5000)"),
+    ], ids=["LpInfeasibleError", "LpUnboundedError", "LpGuardError"])
+    def test_lp_errors_are_numeric_errors(self, problem, message, capsys,
+                                          note50, tmp_path, monkeypatch):
+        # an LP failure is a NumericError, which main maps to exit 3
+        monkeypatch.setattr(cli, "solve",
+                            lambda *args: baselines.solve_lp(*problem))
+        outdir = tmp_path / "out"
+        code = main(["transcribe", str(note50 / "note50.wav"), "--method", "ost",
+                     "--output-dir", str(outdir)])
+        assert code == EXIT_NUMERIC
+        assert capsys.readouterr().err.startswith("numeric error: " + message)
+        assert not outdir.exists()
 
     def test_lp_guard_maps_to_numeric_code(self, capsys, note50, tmp_path):
         # 256-sample windows give 128 bins, past what the dense LP accepts.
@@ -526,6 +627,22 @@ class TestConfigFile:
         code = main(["toy", "a", "--config", str(tmp_path / "none.cfg")])
         assert code == EXIT_USAGE
 
+    def test_file_not_utf8(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"seed=7\xff\n")
+        assert main(["toy", "a", "--config", str(cfg)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config file {str(cfg)!r}: ")
+        assert len(err.splitlines()) == 1
+
+    def test_nul_character(self, capsys, tmp_path):
+        # open() refuses a path holding one with a ValueError, no OSError
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"seed=7\noutput=ta\0ble.tsv\n")
+        assert main(["toy", "a", "--config", str(cfg)]) == EXIT_USAGE
+        assert capsys.readouterr().err \
+            == "error: config line 2 holds a NUL character\n"
+
     def test_config_without_subcommand(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed=7\n")
@@ -634,7 +751,7 @@ class TestTranscribe:
     def test_activations_table_reads_back(self, capsys, duet, tmp_path):
         # the written table holds decompose's activations, noise row
         # included, to the 12 significant digits the writer keeps, at
-        # frame_times; the piano roll has the same time header
+        # load_frames' times; the piano roll has the same time header
         outdir = tmp_path / "out"
         code = main(["transcribe", str(duet / "duet.wav"), "--method", "ost_e",
                      "--lambda-e", "100", "--noise-amplitude", "50",
@@ -648,12 +765,10 @@ class TestTranscribe:
         assert roll_header == act_header
         assert roll_rows == [str(m) for m in range(55, 68)]
 
-        audio = decode_wav(duet / "duet.wav")
-        frames = normalize_frames(stft_magnitude(audio, 512, 256))
         cfg = RunConfig(method="ost_e", lambda_e=100.0, noise_amplitude=50.0,
                         midi_low=55, midi_high=67, window_len=512, hop=256)
+        frames, expected_times, _ = load_frames(duet / "duet.wav", cfg)
         acts, expected_labels = decompose(frames, cfg)
-        expected_times = frame_times(frames, cfg, audio.sample_rate)
         assert labels == expected_labels
         assert values.shape == acts.shape
         assert np.count_nonzero(values) > values.size // 2
@@ -734,14 +849,12 @@ class TestSweep:
         printed = re.search(r"test_f_measure=([0-9.]+)",
                             capsys.readouterr().out)
 
-        audio = decode_wav(duet / "duet.wav")
-        frames = normalize_frames(stft_magnitude(audio, 512, 256))
         cfg = RunConfig(method="ost_e", epsilon0=2.0, lambda_e=100.0,
                         lambda_g=300.0, midi_low=55, midi_high=67,
                         window_len=512, hop=256)
+        frames, times, _ = load_frames(duet / "duet.wav", cfg)
         pitch = decompose(frames, cfg)[0]
-        truth = load_ground_truth(duet / "truth.tsv", (55, 67),
-                                  frame_times(frames, cfg, audio.sample_rate))
+        truth = load_ground_truth(duet / "truth.tsv", (55, 67), times)
         half = frames.n_frames // 2
         ref = truth[:, half:]
         expected = f_measure(threshold_activations(pitch[:, half:], ref),

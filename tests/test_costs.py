@@ -140,23 +140,6 @@ class TestNoiseColumn:
         assert noisy.values.shape == (2, 2)
         np.testing.assert_array_equal(noisy.values[:, -1], [42.0, 42.0])
         np.testing.assert_array_equal(noisy.values[:, 0], base.values[:, 0])
-        assert noisy.noise_cost == 42.0
-        assert noisy.n_targets == 2
-
-    def test_noise_cost_must_match_the_last_column(self):
-        with pytest.raises(ValueError, match="noise_cost"):
-            CostMatrix(np.ones((2, 3)), noise_cost=7.0)
-        with pytest.raises(ValueError, match="noise_cost"):
-            CostMatrix(np.array([[1.0, 7.0], [2.0, 7.5]]), noise_cost=7.0)
-        with pytest.raises(ValueError, match="noise_cost"):
-            CostMatrix(np.zeros((2, 0)), noise_cost=0.0)
-        assert CostMatrix(np.array([[1.0, 7.0], [2.0, 7.0]]), noise_cost=7.0).n_targets == 2
-
-    def test_refuses_double_append(self):
-        base = quadratic_cost([100.0], [100.0])
-        noisy = append_noise_column(base, 1.0)
-        with pytest.raises(ValueError):
-            append_noise_column(noisy, 1.0)
 
     def test_rejects_bad_amplitude(self):
         base = quadratic_cost([100.0], [100.0])

@@ -29,6 +29,8 @@ class TestNoteEvent:
             NoteEvent(-0.5, 1.0, 60)      # negative onset
         with pytest.raises(ValueError):
             NoteEvent(0.0, 1.0, 128)      # pitch out of range
+        with pytest.raises(ValueError, match="offset must be finite"):
+            NoteEvent(0.5, np.inf, 60)    # a note without an end
 
 
 class TestEventsToRoll:
@@ -112,6 +114,15 @@ class TestParseGroundTruth:
                 parse_ground_truth(self.write(
                     tmp_path, "OnsetTime\tOffsetTime\tMidiPitch\n"
                               f"0.0\t1.0\t60\n0.0\t1.0\t{pitch}\n"))
+        for offset in ("inf", "1e400"):
+            with pytest.raises(DataError, match="row 3 .*offset must be finite"):
+                parse_ground_truth(self.write(
+                    tmp_path, "OnsetTime\tOffsetTime\tMidiPitch\n"
+                              f"0.0\t1.0\t60\n0.0\t{offset}\t60\n"))
+        latin1 = tmp_path / "latin1.tsv"
+        latin1.write_bytes(b"OnsetTime\tOffsetTime\tMidiPitch\n0.0\t1.0\t\xe960\n")
+        with pytest.raises(DataError, match="latin1.tsv' is not UTF-8 text"):
+            parse_ground_truth(str(latin1))
 
     def test_roundtrip_with_writer(self, tmp_path):
         # frame-aligned events survive write -> parse -> rasterize intact
@@ -167,6 +178,21 @@ class TestThresholdActivations:
         acts = np.ones((2, 2))
         with pytest.raises(ValueError):
             threshold_activations(acts, truth)
+
+    @pytest.mark.parametrize("shape", [(88, 647), (5, 40), (1, 3), (0, 4), (6, 0)])
+    def test_matches_a_per_frame_loop(self, shape):
+        # ties at 0 and among values rounded to one decimal go to the
+        # lowest index, as a stable sort of each frame gives them
+        rng = np.random.default_rng(shape[1])
+        acts = np.round(rng.random(shape), 1) * (rng.random(shape) < 0.7)
+        truth = rng.random(shape) < 0.1
+        truth[:, ::5] = True
+        expected = np.zeros(shape, dtype=bool)
+        for n in range(shape[1]):
+            order = np.argsort(-acts[:, n], kind="stable")
+            expected[order[:truth[:, n].sum()], n] = True
+        np.testing.assert_array_equal(threshold_activations(acts, truth),
+                                      expected)
 
 
 class TestFMeasure:

@@ -13,15 +13,15 @@ import pytest
 import scipy.io.wavfile
 
 from ost.baselines import plca_unmix
-from ost.cli import RunConfig, frame_times
+from ost.cli import RunConfig, load_frames
 from ost.costs import CostMatrix
-from ost.errors import DataError, DecodeError, UnsupportedEncodingError
+from ost.errors import DataError
 from ost.frontend import (SILENCE_THRESHOLD, SIMPLEX_TOL,
                           STFT_BLOCK_FRAMES, AudioBuffer, NormalizedFrames,
                           Spectrogram, decode_wav, normalize_frames,
                           stft_magnitude)
 
-from helpers import traced_peak
+from helpers import traced_peak, write_wav
 
 
 def dft_magnitudes(frame, window):
@@ -72,37 +72,37 @@ class TestDecodeWav:
     def test_uint8_rejected(self, tmp_path):
         path = tmp_path / "mono8.wav"
         scipy.io.wavfile.write(path, 8000, np.array([0, 128, 255], dtype=np.uint8))
-        with pytest.raises(UnsupportedEncodingError):
+        with pytest.raises(DataError, match="unsupported WAV encoding"):
             decode_wav(path)
 
     def test_int32_rejected(self, tmp_path):
         path = tmp_path / "mono32i.wav"
         scipy.io.wavfile.write(path, 8000, np.array([0, 1 << 20], dtype=np.int32))
-        with pytest.raises(UnsupportedEncodingError):
+        with pytest.raises(DataError, match="unsupported WAV encoding"):
             decode_wav(path)
 
     def test_more_than_two_channels_rejected(self, tmp_path):
         path = tmp_path / "quad.wav"
         data = np.zeros((16, 4), dtype=np.int16)
         scipy.io.wavfile.write(path, 8000, data)
-        with pytest.raises(UnsupportedEncodingError):
+        with pytest.raises(DataError, match="4-channel WAV not supported"):
             decode_wav(path)
 
     def test_garbage_file_raises_decode_error(self, tmp_path):
         path = tmp_path / "not_audio.wav"
         path.write_text("certainly not RIFF data")
-        with pytest.raises(DecodeError):
+        with pytest.raises(DataError, match="is not a RIFF/RIFX/RF64 WAVE file"):
             decode_wav(path)
 
     def test_missing_file_raises_decode_error(self, tmp_path):
-        with pytest.raises(DecodeError):
+        with pytest.raises(DataError, match="cannot read WAV file"):
             decode_wav(tmp_path / "never_written.wav")
 
     def test_non_finite_samples_raise_decode_error(self, tmp_path):
         path = tmp_path / "nan.wav"
         data = np.array([0.0, np.nan, 0.5], dtype=np.float32)
         scipy.io.wavfile.write(path, 8000, data)
-        with pytest.raises(DecodeError):
+        with pytest.raises(DataError, match="non-finite samples"):
             decode_wav(path)
 
 
@@ -229,14 +229,14 @@ class TestWavParity:
         path = tmp_path / "nofmt.wav"
         body = b"WAVE" + chunk(b"data", signal(np.int16, 1).tobytes())
         path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
-        with pytest.raises(DecodeError, match="fmt"):
+        with pytest.raises(DataError, match="no fmt chunk"):
             decode_wav(path)
 
     def test_missing_data_chunk_raises_decode_error(self, tmp_path):
         path = tmp_path / "nodata.wav"
         raw = wav_bytes(signal(np.int16, 1), 8000)
         path.write_bytes(raw[:raw.index(b"data")])
-        with pytest.raises(DecodeError, match="data chunk"):
+        with pytest.raises(DataError, match="data chunk"):
             decode_wav(path)
 
     @pytest.mark.parametrize("container", [b"RIFF", b"RIFX"])
@@ -246,13 +246,13 @@ class TestWavParity:
         body = b"WAVE" + chunk(b"fmt ", fmt, order) + chunk(b"data", bytes(30), order)
         path = tmp_path / "pcm24.wav"
         path.write_bytes(container + struct.pack(order + "I", len(body)) + body)
-        with pytest.raises(UnsupportedEncodingError):
+        with pytest.raises(DataError, match="unsupported WAV encoding"):
             decode_wav(path)
 
     def test_float64_rejected(self, tmp_path):
         path = tmp_path / "mono64f.wav"
         scipy.io.wavfile.write(path, 8000, np.array([0.5, -0.5]))
-        with pytest.raises(UnsupportedEncodingError):
+        with pytest.raises(DataError, match="unsupported WAV encoding"):
             decode_wav(path)
 
 
@@ -284,13 +284,13 @@ class TestStftMagnitude:
         assert spec.freqs[0] == pytest.approx(10.7666015625)
         assert spec.freqs[-1] == pytest.approx(22050.0)  # Nyquist stays
 
-    def test_transcription_clock_hop_and_t0(self):
+    def test_transcription_clock_hop_and_t0(self, tmp_path):
         # frame n of stft_magnitude covers samples [n*hop, n*hop + window_len),
-        # so transcribe places it at (window_len / 2 + n * hop) / fs seconds
-        buf = AudioBuffer(samples=np.zeros(8192), sample_rate=44100)
-        frames = normalize_frames(stft_magnitude(buf, window_len=4096, hop=2048))
+        # so load_frames places it at (window_len / 2 + n * hop) / fs seconds
+        write_wav(tmp_path / "silence.wav",
+                  AudioBuffer(samples=np.zeros(8192), sample_rate=44100))
         config = RunConfig(method="ost", window_len=4096, hop=2048)
-        times = frame_times(frames, config, buf.sample_rate)
+        frames, times, _ = load_frames(tmp_path / "silence.wav", config)
         assert times.shape == (frames.n_frames,) == (3,)
         assert times[1] - times[0] == pytest.approx(2048.0 / 44100.0)
         assert times[1] - times[0] == pytest.approx(0.04644, abs=5e-6)

@@ -149,6 +149,10 @@ class TestMatrixRoundTrip:
         alpha.write_text("c\ta\nrow\tx\n")
         with pytest.raises(DataError):
             read_matrix(alpha)
+        latin1 = tmp_path / "latin1.tsv"
+        latin1.write_bytes(b"c\ta\n\xe9t\xe9\t1.0\n")
+        with pytest.raises(DataError, match="latin1.tsv' is not UTF-8 text"):
+            read_matrix(str(latin1))
 
 
 class TestActivationsRoundTrip:
