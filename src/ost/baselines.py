@@ -1,10 +1,10 @@
 """Baseline methods: PLCA, exact-LP transport, and divergence evaluators.
 
 PLCA unmixes onto harmonic templates by EM (plca_unmix). ot_unmix_lp
-solves the joint exact LP over a full bin-to-bin plan and the template
-activations (the `ot_h` method), and wasserstein_divergence the transport
-LP between two spectra. LPs are solved by HiGHS' dual revised simplex
-(scipy's linprog), imported on the first solve.
+solves the exact joint LP over a bin-to-bin plan and the template
+activations (`ot_h`) on a candidate support certified by reduced costs;
+wasserstein_divergence solves the transport LP between two spectra. Both
+use HiGHS' dual revised simplex (scipy's linprog), imported on first use.
 """
 
 from dataclasses import dataclass
@@ -19,6 +19,7 @@ from .solvers import MM_BLOCK_FRAMES
 
 KL_FLOOR = 1e-300
 LP_TOL = 1e-9
+LP_CANDIDATES = 16
 LP_GUARD = 5000
 OT_LP_MAX_BINS = 64
 PLCA_MAX_ITER = 1000
@@ -133,33 +134,38 @@ def plca_unmix(frames: NormalizedFrames, templates,
     return out, PlcaState(iterations=iters)
 
 
-def solve_lp(objective, eq_matrix, eq_rhs):
+def solve_lp(objective, eq_matrix, eq_rhs, duals=False):
     """Solve min c.x s.t. Ax = b, x >= 0 with HiGHS' dual revised simplex,
-    for c = objective, A = eq_matrix and b = eq_rhs, finite and of
-    matching shapes (ValueError otherwise).
+    for c = objective, A = eq_matrix (dense or scipy.sparse) and
+    b = eq_rhs, finite and of matching shapes (ValueError otherwise).
 
-    Returns (x, objective); LP_TOL is HiGHS' primal and dual feasibility
-    tolerance. Raises NumericError above LP_GUARD variables (before any
-    solve), on an infeasible or unbounded problem (HiGHS' message), on any
-    other solver failure, and when the returned point misses a constraint
-    by more than 1e-9 relative to the largest |b|.
+    Returns (x, objective), plus the equality duals y (reduced costs
+    c - A^T y) if `duals`. HiGHS runs without presolve, with LP_TOL as its
+    primal and dual feasibility tolerance. Raises NumericError above
+    LP_GUARD variables (before any solve), on an infeasible or unbounded
+    problem (HiGHS' message), on any other solver failure, and when the
+    point misses a constraint by more than 1e-9 relative to the largest |b|.
     """
-    objective, eq_matrix, eq_rhs = (np.asarray(a, dtype=np.float64)
-                                    for a in (objective, eq_matrix, eq_rhs))
+    from scipy.optimize import linprog  # ~0.17 s to import; keep it off start-up
+    from scipy.sparse import issparse
+
+    objective, eq_rhs = (np.asarray(a, dtype=np.float64) for a in (objective, eq_rhs))
+    sparse = issparse(eq_matrix)
+    eq_matrix = eq_matrix if sparse else np.asarray(eq_matrix, dtype=np.float64)
     if eq_matrix.ndim != 2:
         raise ValueError("eq_matrix must be a matrix")
     if eq_matrix.shape != (eq_rhs.size, objective.size):
         raise ValueError("constraint matrix shape must match rhs and objective")
-    if not all(np.all(np.isfinite(a)) for a in (eq_rhs, eq_matrix, objective)):
+    if not all(np.all(np.isfinite(a)) for a in
+               (eq_rhs, eq_matrix.data if sparse else eq_matrix, objective)):
         raise ValueError("LP data must be finite")
     n = objective.size
     if n > LP_GUARD:
         raise NumericError(f"{n} variables exceed the desk-scale guard ({LP_GUARD})")
-    from scipy.optimize import linprog  # ~0.17 s to import; keep it off start-up
-
     res = linprog(objective, A_eq=eq_matrix, b_eq=eq_rhs,
                   bounds=(0, None), method="highs",
-                  options={"primal_feasibility_tolerance": LP_TOL,
+                  options={"presolve": False,
+                           "primal_feasibility_tolerance": LP_TOL,
                            "dual_feasibility_tolerance": LP_TOL})
     if res.status in (2, 3):  # infeasible, unbounded
         raise NumericError(res.message)
@@ -169,14 +175,20 @@ def solve_lp(objective, eq_matrix, eq_rhs):
     residual = np.abs(eq_matrix @ x - eq_rhs).max(initial=0.0)
     if residual > 1e-9 * max(1.0, np.abs(eq_rhs).max(initial=0.0)):
         raise NumericError(f"constraint residual {residual:.3e} exceeds tolerance")
-    return x, float(objective @ x)
+    return (x, float(objective @ x)) + ((res.eqlin.marginals,) if duals else ())
 
 
-def _marginal_constraints(r, s):
-    """(r + s) x rs equality rows over a row-major r x s plan: the first r
-    sum its rows, the last s its columns."""
-    return np.vstack([np.kron(np.eye(r), np.ones((1, s))),
-                      np.kron(np.ones((1, r)), np.eye(s))])
+def _marginal_constraints(rows, cols, r, w):
+    """Sparse equality matrix over the entries (rows[p], cols[p]) of an
+    r x s plan, then k more variables: its first r rows sum the plan's rows,
+    the last s its columns minus w (s x k) times the k variables."""
+    from scipy.sparse import csc_array
+
+    n, (j, k) = rows.size, np.nonzero(w)
+    return csc_array((np.concatenate([np.ones(2 * n), -w[j, k]]),
+                      (np.concatenate([rows, r + cols, r + j]),
+                       np.concatenate([np.arange(n), np.arange(n), n + k]))),
+                     shape=(r + w.shape[0], n + w.shape[1]))
 
 
 def wasserstein_divergence(v, vhat, cost: CostMatrix) -> float:
@@ -187,29 +199,56 @@ def wasserstein_divergence(v, vhat, cost: CostMatrix) -> float:
     r, s = cost.values.shape
     if v.size != r or vhat.size != s:
         raise ValueError("marginal lengths must match the cost shape")
-    _, objective = solve_lp(cost.values.ravel(), _marginal_constraints(r, s),
-                            np.concatenate([v, vhat]))
+    eq = _marginal_constraints(*np.indices((r, s)).reshape(2, -1), r, np.zeros((s, 0)))
+    _, objective = solve_lp(cost.values.ravel(), eq, np.concatenate([v, vhat]))
     return objective
 
 
+def _north_west_corner(v, u):
+    """(rows, cols) holding the north-west-corner plan from v to u (of equal
+    mass): the pair at the start of each interval their cumulative sums cut."""
+    cums = np.cumsum(v), np.cumsum(u)
+    starts = np.concatenate([[0.0], cums[0][:-1], cums[1][:-1]])
+    return tuple(np.minimum(np.searchsorted(c, starts, side="right"), c.size - 1)
+                 for c in cums)
+
+
 def _unmix_lp_frame(v, w, cost_values):
-    """Joint LP over (vec T, h): min <T,C> s.t. T 1 = v, T^T 1 = W h."""
-    m = v.size
-    k = w.shape[1]
-    # row sums of T = v; column sums of T minus W h = 0
-    eq = np.hstack([_marginal_constraints(m, m), np.vstack([np.zeros((m, k)), -w])])
-    rhs = np.concatenate([v, np.zeros(m)])
-    x, objective = solve_lp(np.concatenate([cost_values.ravel(), np.zeros(k)]),
-                            eq, rhs)
-    return x[m * m:], x[:m * m].reshape(m, m), objective
+    """Joint LP over (vec T, h): min <T,C> s.t. T 1 = v, T^T 1 = W h; returns
+    (h, objective). T starts on each row's LP_CANDIDATES cheapest columns,
+    each column's cheapest rows and the north-west-corner plan to W h0 (h0
+    flat: feasible). Pairs with reduced cost C_ij - y_i - y_{M+j} below
+    -LP_TOL max(1, max C) under the equality duals y join until none is left,
+    the full LP's optimum. A failed restricted LP is redone on full support."""
+    (m, k), near = w.shape, min(LP_CANDIDATES, v.size)
+    support = np.zeros((m, m), dtype=bool)
+    for axis in (0, 1):  # each column's cheapest rows, each row's cheapest columns
+        order = np.argpartition(cost_values, near - 1, axis=axis)
+        np.put_along_axis(support, order.take(range(near), axis=axis), True, axis=axis)
+    support[_north_west_corner(v, w.sum(axis=1) * (v.sum() / w.sum()))] = True
+    bound = -LP_TOL * max(1.0, cost_values.max())
+    while True:
+        rows, cols = np.nonzero(support)
+        try:
+            x, objective, y = solve_lp(np.append(cost_values[rows, cols], np.zeros(k)),
+                                       _marginal_constraints(rows, cols, m, w),
+                                       np.append(v, np.zeros(m)), duals=True)
+        except NumericError:
+            if support.all():
+                raise
+            support[:] = True
+            continue
+        priced = (cost_values - y[:m, None] - y[m:] < bound) & ~support
+        if not priced.any():
+            return x[rows.size:], objective
+        support |= priced
 
 
 def ot_unmix_lp(frames: NormalizedFrames, templates, cost: CostMatrix):
-    """Exact LP unmixing onto the M x K template matrix `templates`: for
-    every active frame, the joint problem over the full M x M plan and h
-    (M^2 + K variables, both marginal constraint families) under an M x M
-    cost. Masked frames yield zero columns. Returns the K x N activations;
-    raises NumericError if they are not finite.
+    """Exact LP unmixing onto the M x K template matrix `templates`: the
+    joint LP of _unmix_lp_frame over an M x M plan and h, per active frame,
+    under an M x M cost. Masked frames yield zero columns. Returns the K x N
+    activations; raises NumericError if they are not finite.
     """
     m = frames.columns.shape[0]
     if m > OT_LP_MAX_BINS:

@@ -332,7 +332,7 @@ def cmd_toy(args) -> int:
     if args.bins < 1:
         raise UsageError("--bins must be at least 1")
     if "ot_h" in methods and args.bins > OT_LP_MAX_BINS:
-        raise UsageError(f"ot_h solves a dense LP and needs --bins <= "
+        raise UsageError(f"ot_h solves an exact bin-to-bin LP and needs --bins <= "
                          f"{OT_LP_MAX_BINS}; drop ot_h or lower --bins")
     try:  # every input of a toy problem is a flag
         toy = make_toy_scenario(args.scenario, seed=config.seed, bins=args.bins,

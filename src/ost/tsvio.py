@@ -63,7 +63,7 @@ def matrix_text(values, row_labels, col_labels, corner: str) -> str:
     values = np.asarray(values)
     if values.shape != (len(row_labels), len(col_labels)):
         raise ValueError("label counts must match the matrix shape")
-    lines = ["\t".join([corner] + [_format(c) for c in col_labels])]
+    lines = [corner + _row_cells(np.asarray(col_labels)[None])[0]]  # frame times: one template
     lines += [_format(label) + cells
               for label, cells in zip(row_labels, _row_cells(values))]
     return "\n".join(lines) + "\n"

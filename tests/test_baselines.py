@@ -8,15 +8,18 @@ Two independent oracles drive the LP checks:
   computes the exact Wasserstein value without touching any LP machinery.
 """
 
+import re
 from itertools import combinations
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.sparse import csc_array
 
 from ost import baselines
-from ost.baselines import (OT_LP_MAX_BINS, PLCA_MAX_ITER,
-                           PLCA_REL_TOL, _unmix_lp_frame, kl_divergence,
+from ost.baselines import (LP_CANDIDATES, OT_LP_MAX_BINS, PLCA_MAX_ITER,
+                           PLCA_REL_TOL, _marginal_constraints,
+                           _north_west_corner, _unmix_lp_frame, kl_divergence,
                            ot_unmix_lp, plca_unmix, solve_lp,
                            wasserstein_divergence)
 from ost.costs import (CostMatrix, append_noise_column, harmonic_cost,
@@ -513,6 +516,56 @@ class TestSolveLp:
                 solve_lp(**data)
 
 
+class TestSolveLpSparse:
+    """solve_lp on a scipy.sparse matrix keeps every check of the dense form."""
+
+    def test_matches_dense(self):
+        rng = np.random.default_rng(14)
+        c, eq, rhs = transport_lp_arrays(rng.dirichlet(np.ones(5)),
+                                         rng.dirichlet(np.ones(5)),
+                                         rng.uniform(0.0, 10.0, size=(5, 5)))
+        x, obj = solve_lp(objective=c, eq_matrix=csc_array(eq), eq_rhs=rhs)
+        x_dense, obj_dense = solve_lp(objective=c, eq_matrix=eq, eq_rhs=rhs)
+        np.testing.assert_allclose(x, x_dense, atol=1e-12)
+        assert obj == pytest.approx(obj_dense, rel=1e-12)
+
+    def test_duals_certify_the_optimum(self):
+        # reduced costs c - A^T y are non-negative, vanish where x > 0, and
+        # b . y equals the objective (strong duality)
+        rng = np.random.default_rng(15)
+        c, eq, rhs = transport_lp_arrays(rng.dirichlet(np.ones(6)),
+                                         rng.dirichlet(np.ones(6)),
+                                         rng.uniform(0.0, 10.0, size=(6, 6)))
+        x, obj, y = solve_lp(objective=c, eq_matrix=eq, eq_rhs=rhs, duals=True)
+        reduced = c - eq.T @ y
+        assert reduced.min() > -1e-9
+        assert np.abs(x * reduced).max() < 1e-9
+        assert rhs @ y == pytest.approx(obj, abs=1e-9)
+
+    def test_nan_entry_raises(self):
+        eq = csc_array(np.array([[1.0, 2.0]]))
+        eq.data[1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            solve_lp(objective=np.ones(2), eq_matrix=eq, eq_rhs=np.ones(1))
+
+    def test_shape_checked(self):
+        with pytest.raises(ValueError, match="shape"):
+            solve_lp(objective=np.ones(2), eq_matrix=csc_array(np.ones((1, 3))),
+                     eq_rhs=np.ones(1))
+
+    @pytest.mark.parametrize("problem, message", [
+        ((np.ones(1), [[1.0], [1.0]], [1.0, 2.0]), "The problem is infeasible."),
+        ((np.array([-1.0, 0.0]), [[1.0, -1.0]], [0.0]), "The problem is unbounded."),
+        ((np.zeros(5001), np.zeros((1, 5001)), [0.0]),
+         "5001 variables exceed the desk-scale guard (5000)"),
+    ], ids=["infeasible", "unbounded", "guard"])
+    def test_numeric_errors(self, problem, message):
+        objective, eq, rhs = problem
+        with pytest.raises(NumericError, match=re.escape(message)):
+            solve_lp(objective=objective, eq_matrix=csc_array(np.array(eq)),
+                     eq_rhs=np.array(rhs))
+
+
 class TestWassersteinDivergence:
     def test_identity_costs_nothing(self):
         freqs = np.array([100.0, 200.0, 300.0])
@@ -612,8 +665,7 @@ class TestOtUnmixLp:
         acts = ot_unmix_lp(single_frame(d[:, 1]), d, cost)
         np.testing.assert_allclose(acts[:, 0], [0.0, 1.0, 0.0],
                                    atol=1e-9)
-        _, _, objective = _unmix_lp_frame(d[:, 1], d,
-                                          cost.values)
+        _, objective = _unmix_lp_frame(d[:, 1], d, cost.values)
         assert objective == pytest.approx(0.0, abs=1e-12)
 
     def test_harmonic_route_recovers_disjoint_mixture(self):
@@ -679,6 +731,160 @@ class TestOtUnmixLp:
         freqs = np.arange(1.0, 13.0)
         with pytest.raises(NumericError, match="non-finite"):
             ot_unmix_lp(single_frame(d[:, 0]), d, quadratic_cost(freqs, freqs))
+
+
+def full_lp(v, w, cost_values):
+    """The joint (vec T, h) LP on the full support, with dense constraints
+    built independently of baselines: returns (h, objective)."""
+    m, k = w.shape
+    eq = np.zeros((2 * m, m * m + k))
+    for i in range(m):
+        eq[i, i * m:(i + 1) * m] = 1.0
+        eq[m + i, i:m * m:m] = 1.0
+    eq[m:, m * m:] = -w
+    x, objective = solve_lp(np.concatenate([cost_values.ravel(), np.zeros(k)]),
+                            eq, np.concatenate([v, np.zeros(m)]))
+    return x[m * m:], objective
+
+
+def priced_lp_problem(m, seed, kind):
+    """A seeded (v, W, C) with zero-mass bins in v and zero rows in W; C is
+    the harmonic cost of a harmonic grid at eps0 = `kind` (at 0, every bin
+    reaches each bin it is a multiple of at cost 0, an exact tie), or small
+    integers (ties everywhere) for kind "integer_ties"."""
+    rng = np.random.default_rng(seed)
+    k = max(1, m // 4)
+    freqs = 25.0 * np.arange(1, m + 1)
+    if kind == "integer_ties":
+        values = rng.integers(0, 3, size=(m, m)).astype(float)
+    else:
+        values = harmonic_cost(freqs, freqs, eps0=kind, octave_scaling=False).values
+    w = rng.uniform(0.0, 1.0, size=(m, k)) ** 2
+    w[0] += 0.1  # no column is all zero
+    w[1 + rng.choice(m - 1, size=m // 3, replace=False)] = 0.0
+    w /= w.sum(axis=0)
+    v = rng.dirichlet(np.ones(m))
+    v[rng.choice(m, size=m // 4, replace=False)] = 0.0
+    return v / v.sum(), w, values
+
+
+def count_solves(monkeypatch, fail_first=False):
+    """Spy on baselines.solve_lp: the variable count of every solve, in
+    order. With fail_first, the first solve raises NumericError."""
+    sizes = []
+    real = baselines.solve_lp
+
+    def spy(objective, *args, **kwargs):
+        sizes.append(len(objective))
+        if fail_first and len(sizes) == 1:
+            raise NumericError("stub failure")
+        return real(objective, *args, **kwargs)
+
+    monkeypatch.setattr(baselines, "solve_lp", spy)
+    return sizes
+
+
+class TestPricedLp:
+    """_unmix_lp_frame solves on a candidate support and prices the rest;
+    its result is the full-support LP's."""
+
+    @pytest.mark.parametrize("m", [2, 5, 17, 64])
+    @pytest.mark.parametrize("eps0", [0.0, 1.0])
+    def test_equals_full_support_lp(self, m, eps0):
+        for seed in range(3):
+            v, w, values = priced_lp_problem(m, seed, eps0)
+            if m > 2 and eps0 == 0.0:
+                assert np.sum(values == 0.0) > m  # exact ties off the diagonal
+            h, objective = _unmix_lp_frame(v, w, values)
+            h_full, objective_full = full_lp(v, w, values)
+            np.testing.assert_allclose(h, h_full, rtol=0, atol=1e-9)
+            assert objective == pytest.approx(objective_full, rel=1e-9, abs=1e-15)
+
+    @pytest.mark.parametrize("m", [2, 5, 17, 64])
+    def test_integer_ties_reach_the_full_optimum(self, m):
+        # with costs in {0, 1, 2} many activations are optimal, so h is
+        # checked by what it costs: the transport from v to W h must cost
+        # the full LP's optimum
+        for seed in range(3):
+            v, w, values = priced_lp_problem(m, seed, "integer_ties")
+            h, objective = _unmix_lp_frame(v, w, values)
+            _, objective_full = full_lp(v, w, values)
+            assert objective == pytest.approx(objective_full, rel=1e-9, abs=1e-12)
+            assert h.min() >= 0.0
+            assert wasserstein_divergence(v, w @ h, CostMatrix(values)) \
+                == pytest.approx(objective_full, rel=1e-9, abs=1e-9)
+
+    def test_pricing_adds_pairs_outside_the_initial_support(self, monkeypatch):
+        # rows 0 and 1 hold the mass; templates 0 and 1 sit on bins 18 and
+        # 19. The north-west corner pairs (0, 18) and (1, 19), at cost 10 + 2;
+        # the optimum sends both rows to bin 19, and (0, 19) is neither
+        # among row 0's cheapest columns nor among column 19's cheapest rows
+        m = LP_CANDIDATES + 4
+        values = np.zeros((m, m))
+        values[:2, LP_CANDIDATES:] = [[5.0, 5.0, 10.0, 1.0], [5.0, 5.0, 10.0, 2.0]]
+        w = np.zeros((m, 2))
+        w[m - 2, 0] = w[m - 1, 1] = 1.0
+        v = np.zeros(m)
+        v[:2] = 0.5
+        sizes = count_solves(monkeypatch)
+        h, objective = _unmix_lp_frame(v, w, values)
+        assert len(sizes) >= 2
+        assert max(sizes) < m * m + 2  # feasible from the start: no full-support fallback
+        np.testing.assert_allclose(h, [0.0, 1.0], atol=1e-12)
+        assert objective == pytest.approx(1.5, rel=1e-12)
+        h_full, objective_full = full_lp(v, w, values)
+        np.testing.assert_allclose(h, h_full, atol=1e-9)
+        assert objective == pytest.approx(objective_full, rel=1e-9)
+
+    @pytest.mark.parametrize("m", [2, 9, LP_CANDIDATES])
+    def test_small_grids_solve_once_on_the_full_support(self, monkeypatch, m):
+        v, w, values = priced_lp_problem(m, 16, 1.0)
+        sizes = count_solves(monkeypatch)
+        _unmix_lp_frame(v, w, values)
+        assert sizes == [m * m + w.shape[1]]
+
+    def test_toy_problem_solves_once_on_a_restricted_support(self, monkeypatch):
+        sc = make_toy_scenario("a", seed=0, bins=64, f_max=700.0)
+        templates = toy_templates(sc)
+        sizes = count_solves(monkeypatch)
+        _unmix_lp_frame(sc.frame, templates, harmonic_cost(sc.freqs, sc.freqs, eps0=1.0).values)
+        assert len(sizes) == 1
+        assert sizes[0] < 64 * 64 // 2
+
+    def test_failed_restricted_lp_falls_back_to_the_full_support(self, monkeypatch):
+        v, w, values = priced_lp_problem(64, 17, 1.0)
+        sizes = count_solves(monkeypatch, fail_first=True)
+        h, objective = _unmix_lp_frame(v, w, values)
+        assert sizes[0] < sizes[1] == 64 * 64 + w.shape[1]
+        assert len(sizes) == 2
+        h_full, objective_full = full_lp(v, w, values)
+        np.testing.assert_allclose(h, h_full, atol=1e-9)
+        assert objective == pytest.approx(objective_full, rel=1e-9)
+
+    def test_only_the_full_lp_reports_a_failure(self, monkeypatch):
+        def failing(objective, *args, **kwargs):
+            sizes.append(len(objective))
+            raise NumericError("The problem is infeasible.")
+
+        sizes = []
+        monkeypatch.setattr(baselines, "solve_lp", failing)
+        v, w, values = priced_lp_problem(64, 18, 1.0)
+        with pytest.raises(NumericError, match="The problem is infeasible."):
+            _unmix_lp_frame(v, w, values)
+        assert sizes[1:] == [64 * 64 + w.shape[1]]
+
+    @pytest.mark.parametrize("m", [2, 5, 17, 64])
+    def test_north_west_corner_alone_is_feasible(self, m):
+        for seed in range(5):
+            v, w, values = priced_lp_problem(m, 20 + seed, 1.0)
+            u = w.sum(axis=1) * (v.sum() / w.sum())  # W h0, h0 flat
+            rows, cols = _north_west_corner(v, u)
+            assert rows.size <= 2 * m + 1
+            x, _ = solve_lp(np.concatenate([values[rows, cols], np.zeros(w.shape[1])]),
+                            _marginal_constraints(rows, cols, m, w),
+                            np.concatenate([v, np.zeros(m)]))
+            np.testing.assert_allclose(np.bincount(rows, x[:rows.size], minlength=m),
+                                       v, atol=1e-12)
 
 
 def tied_costs(name):

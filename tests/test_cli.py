@@ -517,7 +517,7 @@ class TestNumericExit:
         assert not outdir.exists()
 
     def test_lp_guard_maps_to_numeric_code(self, capsys, note50, tmp_path):
-        # 256-sample windows give 128 bins, past what the dense LP accepts.
+        # 256-sample windows give 128 bins, past what the exact LP accepts.
         outdir = tmp_path / "out"
         code = main(["transcribe", str(note50 / "note50.wav"),
                      "--method", "ot_h", "--window-len", "256", "--hop", "128",
@@ -958,7 +958,7 @@ EXTREME_VALUES = ("1e300", "1e-300", "1e308")
 def extreme_cases():
     """(command, setting, method or None, value): every real-valued setting
     of every command that decomposes, at each extreme value; transcribe and
-    sweep once per method the setting applies to, bar ot_h, whose dense LP
+    sweep once per method the setting applies to, bar ot_h, whose exact LP
     refuses their 257-bin grids (toy runs it at 64 bins)."""
     cases = []
     for command in ("transcribe", "sweep"):

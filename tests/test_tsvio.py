@@ -109,6 +109,23 @@ class TestMatrixRoundTrip:
         with pytest.raises(ValueError):
             matrix_text(np.ones((2, 2)), ["a"], ["x", "y"], "c")
 
+    @pytest.mark.parametrize("n", [0, 1, 647, 6461])
+    def test_time_header_matches_per_label_format(self, n):
+        # the header of float frame times is written by one %.12g template
+        rng = np.random.default_rng(n)
+        times = np.sort(rng.uniform(0.0, 400.0, size=n))
+        times[:min(n, len(EDGE_FLOATS))] = EDGE_FLOATS[:n]  # 1e-5, 1e16, nan, ...
+        header = matrix_text(np.zeros((0, n)), [], times, "midi\\time_s").split("\n")[0]
+        assert header == "midi\\time_s" + "".join("\t" + _format(t) for t in times)
+        listed = matrix_text(np.zeros((0, n)), [], times.tolist(), "c").split("\n")[0]
+        assert listed == "c" + "".join("\t" + _format(t) for t in times)
+
+    @pytest.mark.parametrize("labels", [[3, -(2**62)], [True, False], ["a", "0.30"],
+                                        [np.float32(0.1), np.float32(1e-5)], [None, "x"]])
+    def test_other_header_labels_match_per_label_format(self, labels):
+        header = matrix_text(np.zeros((0, len(labels))), [], labels, "c").split("\n")[0]
+        assert header == "c" + "".join("\t" + _format(x) for x in labels)
+
     def test_bool_and_int_formatting(self):
         text = matrix_text(np.array([[True, False]]), ["row"], [1, 2], "c")
         assert text == "c\t1\t2\nrow\t1\t0\n"
