@@ -16,10 +16,9 @@ from .costs import (CostMatrix, quadratic_cost, harmonic_cost,
 from .solvers import SolverConfig, unmix
 from .baselines import (PlcaState, kl_divergence, plca_unmix, solve_lp,
                         wasserstein_divergence, ot_unmix_lp)
-from .evaluation import (NoteEvent, EvalReport, ToyScenario,
-                         parse_ground_truth, load_ground_truth, events_to_roll,
-                         threshold_activations, f_measure, l1_activation_error,
-                         make_toy_scenario)
+from .evaluation import (NoteEvent, EvalReport, parse_ground_truth,
+                         load_ground_truth, events_to_roll, threshold_activations,
+                         f_measure, l1_activation_error, make_toy_scenario)
 from .synth import render_notes
 
 __all__ = [
@@ -32,7 +31,7 @@ __all__ = [
     "SolverConfig", "unmix",
     "PlcaState", "kl_divergence", "plca_unmix", "solve_lp",
     "wasserstein_divergence", "ot_unmix_lp",
-    "NoteEvent", "EvalReport", "ToyScenario",
+    "NoteEvent", "EvalReport",
     "parse_ground_truth", "load_ground_truth", "events_to_roll",
     "threshold_activations", "f_measure", "l1_activation_error",
     "make_toy_scenario",

@@ -24,13 +24,13 @@ import numpy as np
 from .baselines import OT_LP_MAX_BINS, ot_unmix_lp, plca_unmix
 from .costs import append_noise_column, harmonic_cost
 from .dictionary import (DEFAULT_DAMPING, DEFAULT_KERNEL_WIDTH_BINS,
-                         DEFAULT_N_PARTIALS, make_harmonic_dictionary,
-                         midi_range_fundamentals)
+                         DEFAULT_N_PARTIALS, MAX_PARTIALS,
+                         make_harmonic_dictionary, midi_range_fundamentals)
 from .errors import DataError, NumericError, OstError
 from .evaluation import (SCENARIO_ALIASES, TOY_BINS, TOY_F_MAX, events_to_roll,
                          f_measure, l1_activation_error, load_ground_truth,
                          make_toy_scenario, parse_ground_truth,
-                         threshold_activations)
+                         threshold_activations, toy_fundamentals)
 from .frontend import (DEFAULT_HOP, DEFAULT_WINDOW_LEN, NormalizedFrames,
                        decode_wav, normalize_frames, stft_magnitude)
 from .solvers import DEFAULT_MM_ITERATIONS, MAX_LAMBDA_G, SolverConfig, unmix
@@ -58,7 +58,9 @@ BENCH_MIDI_LOW = 36
 # "--flag must be <text>".
 FINITE_POSITIVE = (lambda v: 0 < v < np.inf, "finite and positive")
 FINITE_NON_NEGATIVE = (lambda v: 0 <= v < np.inf, "finite and non-negative")
+NON_NEGATIVE = (lambda v: v >= 0, "non-negative")
 AT_LEAST_ONE = (lambda v: v >= 1, "at least 1")
+PARTIAL_CAP = (lambda v: v <= MAX_PARTIALS, f"at most {MAX_PARTIALS}")
 EVEN_WINDOW = (lambda v: v >= 2 and v % 2 == 0, "a positive even integer")
 GROUP_WEIGHT = (lambda v: 0 < v <= MAX_LAMBDA_G,
                 f"finite, positive and at most {MAX_LAMBDA_G:.4g}")
@@ -68,12 +70,13 @@ class UsageError(Exception):
     """Bad flags or an inconsistent configuration."""
 
 
-def _setting(default, text, methods=METHODS, rule=None):
+def _setting(default, text, methods=METHODS, *rules):
     """A RunConfig field that is also the flag of the same name: its
     default, its help text, the methods it applies to (passing it with no
-    method of that set is a usage error) and its range rule."""
+    method of that set is a usage error) and its range rules, checked in
+    order."""
     return field(default=default,
-                 metadata={"help": text, "methods": set(methods), "rule": rule})
+                 metadata={"help": text, "methods": set(methods), "rules": rules})
 
 
 @dataclass
@@ -86,7 +89,7 @@ class RunConfig:
     midi_low: int = _setting(21, "lowest MIDI pitch of the dictionary")
     midi_high: int = _setting(108, "highest MIDI pitch of the dictionary")
     window_len: int = _setting(DEFAULT_WINDOW_LEN, "STFT window length in samples",
-                               rule=EVEN_WINDOW)
+                               METHODS, EVEN_WINDOW)
     hop: int = _setting(DEFAULT_HOP, "STFT hop in samples")
     epsilon0: float = _setting(1.0, "harmonic-cost octave penalty scale, Hz^2",
                                ("ot_h", "ost", "ost_e", "ost_g", "ost_eg"),
@@ -109,8 +112,8 @@ class RunConfig:
                               "exponential partial-amplitude damping rate",
                               TEMPLATE_METHODS, FINITE_NON_NEGATIVE)
     n_partials: int = _setting(DEFAULT_N_PARTIALS, "partials per synthesized template",
-                               TEMPLATE_METHODS, AT_LEAST_ONE)
-    seed: int = _setting(0, "RNG seed for synthetic inputs")
+                               TEMPLATE_METHODS, AT_LEAST_ONE, PARTIAL_CAP)
+    seed: int = _setting(0, "RNG seed for synthetic inputs", METHODS, NON_NEGATIVE)
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(lambda_e=self.lambda_e, lambda_g=self.lambda_g,
@@ -164,11 +167,12 @@ def build_run_config(args, methods=None) -> RunConfig:
 
 
 def _check_ranges(config: RunConfig):
-    """Each setting's own rule in help order, then the rules on two settings."""
+    """Each setting's own rules in help order, then the rules on two settings."""
     for name, setting in SETTINGS.items():
-        value, rule = getattr(config, name), setting.metadata["rule"]
-        if rule is not None and value is not None and not rule[0](value):
-            raise UsageError(f"{_flag(name)} must be {rule[1]}")
+        value = getattr(config, name)
+        for test, text in setting.metadata["rules"]:
+            if value is not None and not test(value):
+                raise UsageError(f"{_flag(name)} must be {text}")
     if not 0 <= config.midi_low <= config.midi_high <= 127:
         raise UsageError("--midi-low/--midi-high must satisfy 0 <= low <= high <= 127")
     if not 0 < config.hop <= config.window_len:
@@ -179,10 +183,12 @@ def _check_ranges(config: RunConfig):
 # decomposition shared by transcribe, toy and sweep
 
 
-def solve(method: str, frames: NormalizedFrames, fundamentals: np.ndarray,
-          templates, config: RunConfig) -> np.ndarray:
-    """Run one method: the only place a method name picks a solver. Returns
-    its K x N activations.
+def solve(method: str, frames: NormalizedFrames, freqs: np.ndarray,
+          fundamentals: np.ndarray, templates, config: RunConfig) -> np.ndarray:
+    """Run one method on frames over the bin grid `freqs`: the one place a
+    method name picks a solver for transcribe, sweep and toy (bench calls
+    plca_unmix with rel_tol=0.0, and unmix on one prebuilt cost, itself).
+    Returns its K x N activations.
 
     plca and ot_h unmix onto `templates`, the M x K harmonic template
     matrix (ot_h over the full bin-to-bin cost). The OST variants ignore
@@ -193,16 +199,16 @@ def solve(method: str, frames: NormalizedFrames, fundamentals: np.ndarray,
     if method == "plca":
         return plca_unmix(frames, templates)[0]
     if method == "ot_h":
-        cost = harmonic_cost(frames.freqs, frames.freqs, config.epsilon0)
+        cost = harmonic_cost(freqs, freqs, config.epsilon0)
         return ot_unmix_lp(frames, templates, cost)
-    cost = harmonic_cost(frames.freqs, fundamentals, config.epsilon0)
+    cost = harmonic_cost(freqs, fundamentals, config.epsilon0)
     if config.noise_amplitude is not None:
         cost = append_noise_column(cost, config.noise_amplitude)
     return unmix(frames, cost, config.solver_config(), variant=method)
 
 
-def decompose(frames: NormalizedFrames, config: RunConfig):
-    """Run one method over normalized frames.
+def decompose(frames: NormalizedFrames, freqs: np.ndarray, config: RunConfig):
+    """Run one method over normalized frames on the bin grid `freqs`.
 
     Returns (the activations, their row labels: the MIDI pitches, then
     "noise" for a possible trailing noise row). Every method needs at least
@@ -210,27 +216,28 @@ def decompose(frames: NormalizedFrames, config: RunConfig):
     """
     labels = [str(m) for m in range(config.midi_low, config.midi_high + 1)]
     fundamentals = midi_range_fundamentals(config.midi_low, config.midi_high)
-    if not fundamentals[0] <= frames.freqs[-1]:
+    if not fundamentals[0] <= freqs[-1]:
         raise DataError(f"no note of MIDI {config.midi_low}-{config.midi_high} "
                         f"lies on the bin grid, whose top bin is at "
-                        f"{frames.freqs[-1]:g} Hz")
+                        f"{freqs[-1]:g} Hz")
     templates = None
     if config.method in TEMPLATE_METHODS:
-        templates = config.harmonic_dictionary(frames.freqs, fundamentals)
-    acts = solve(config.method, frames, fundamentals, templates, config)
+        templates = config.harmonic_dictionary(freqs, fundamentals)
+    acts = solve(config.method, frames, freqs, fundamentals, templates, config)
     return acts, labels + ["noise"] * (len(acts) - len(labels))
 
 
 def load_frames(path, config: RunConfig):
     """Decode a WAV file, take its STFT and normalize the frames.
 
-    Returns (frames, times, {"decode": s, "stft": s}), the STFT time
-    including normalization: frame n is centered at times[n] = (window_len
-    / 2 + n * hop) / sample_rate seconds, the only place transcribe and
-    sweep place frames in time. Each input is released once consumed: the
-    samples before normalizing, the raw spectrogram after. So the call
-    holds at most the samples and one M x N matrix, or two M x N matrices
-    while normalizing, never the samples and both.
+    Returns (frames, freqs, times, {"decode": s, "stft": s}): freqs is the
+    spectrogram's bin grid, the STFT time includes normalization, and frame
+    n is centered at times[n] = (window_len / 2 + n * hop) / sample_rate
+    seconds, the only place transcribe and sweep place frames in time. Each
+    input is released once consumed: the samples before normalizing, the
+    raw spectrogram after. So the call holds at most the samples and one
+    M x N matrix, or two M x N matrices while normalizing, never the samples
+    and both.
     """
     start = time.perf_counter()
     audio = decode_wav(path)
@@ -238,12 +245,12 @@ def load_frames(path, config: RunConfig):
     sample_rate = audio.sample_rate
     spec = stft_magnitude(audio, config.window_len, config.hop)
     del audio
-    frames = normalize_frames(spec)
+    frames, freqs = normalize_frames(spec), spec.freqs
     del spec
     timings = {"decode": decoded - start, "stft": time.perf_counter() - decoded}
     t0 = config.window_len / (2.0 * sample_rate)
     times = t0 + np.arange(frames.n_frames) * (config.hop / sample_rate)
-    return frames, times, timings
+    return frames, freqs, times, timings
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +264,10 @@ def cmd_transcribe(args) -> int:
     events = None
     if args.ground_truth is not None:
         events = parse_ground_truth(args.ground_truth)
-    frames, times, timings = load_frames(args.wav, config)
+    frames, freqs, times, timings = load_frames(args.wav, config)
 
     start = time.perf_counter()
-    acts, labels = decompose(frames, config)
+    acts, labels = decompose(frames, freqs, config)
     timings["decompose"] = time.perf_counter() - start
 
     base = os.path.splitext(os.path.basename(args.wav))[0] + "." + config.method
@@ -335,26 +342,25 @@ def cmd_toy(args) -> int:
         raise UsageError(f"ot_h solves an exact bin-to-bin LP and needs --bins <= "
                          f"{OT_LP_MAX_BINS}; drop ot_h or lower --bins")
     try:  # every input of a toy problem is a flag
-        toy = make_toy_scenario(args.scenario, seed=config.seed, bins=args.bins,
-                                f_max=args.f_max,
-                                kernel_width_bins=config.kernel_width_bins,
-                                damping=config.damping,
-                                n_partials=config.n_partials)
+        freqs, frame, h_true = make_toy_scenario(
+            args.scenario, seed=config.seed, bins=args.bins, f_max=args.f_max,
+            kernel_width_bins=config.kernel_width_bins, damping=config.damping,
+            n_partials=config.n_partials)
+        fundamentals = toy_fundamentals()
         templates = None
         if TEMPLATE_METHODS.intersection(methods):  # built once, before any clock starts
-            templates = config.harmonic_dictionary(toy.freqs, toy.fundamentals)
+            templates = config.harmonic_dictionary(freqs, fundamentals)
     except (ValueError, DataError) as exc:
         raise UsageError(f"no toy problem at these settings: {exc}") from exc
-    frames = NormalizedFrames(columns=toy.frame[:, None],
-                              active_mask=np.array([True]),
-                              freqs=toy.freqs)
+    frames = NormalizedFrames(columns=frame[:, None], active_mask=np.array([True]))
     rows = []
     for method in methods:
         start = time.perf_counter()
-        h = solve(method, frames, toy.fundamentals, templates, config)[:, 0]
+        h = solve(method, frames, freqs, fundamentals, templates, config)[:, 0]
         seconds = time.perf_counter() - start
-        rows.append((method, l1_activation_error(h, toy.h_true), seconds))
-    print(f"scenario={toy.which} seed={config.seed} bins={args.bins}")
+        rows.append((method, l1_activation_error(h, h_true), seconds))
+    print(f"scenario={SCENARIO_ALIASES[args.scenario]} seed={config.seed} "
+          f"bins={args.bins}")
     _print_table(("method", "l1_error", "seconds"), rows, args.output)
     return EXIT_OK
 
@@ -410,7 +416,7 @@ def cmd_sweep(args) -> int:
     for cfg in configs:
         _check_ranges(cfg)
 
-    frames, times, _ = load_frames(args.wav, config)
+    frames, freqs, times, _ = load_frames(args.wav, config)
     truth = load_ground_truth(args.ground_truth,
                               (config.midi_low, config.midi_high), times)
     half = frames.n_frames // 2
@@ -423,7 +429,7 @@ def cmd_sweep(args) -> int:
 
     rows, best = [], None
     for values, cfg in zip(points, configs):
-        acts = decompose(frames, cfg)[0]
+        acts = decompose(frames, freqs, cfg)[0]
         val_f = score(acts, val_slice)
         rows.append(values + (val_f,))
         if best is None or val_f > best[1]:
@@ -462,8 +468,7 @@ def cmd_bench(args) -> int:
     rng = np.random.default_rng(config.seed)
     columns = rng.dirichlet(np.ones(m), size=n).T
     freqs = (np.arange(m) + 1) * (BENCH_SAMPLE_RATE / 2.0 / m)
-    frames = NormalizedFrames(columns=columns, active_mask=np.ones(n, bool),
-                              freqs=freqs)
+    frames = NormalizedFrames(columns=columns, active_mask=np.ones(n, bool))
     fundamentals = midi_range_fundamentals(BENCH_MIDI_LOW, BENCH_MIDI_LOW + k - 1)
     try:  # the bin grid comes from --bins, so a grid without templates is a flag fault
         templates = config.harmonic_dictionary(freqs, fundamentals)

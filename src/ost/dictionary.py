@@ -12,6 +12,10 @@ from .frontend import _check_finite_non_negative
 DEFAULT_KERNEL_WIDTH_BINS = 2.0  # Gaussian std in bins of the grid spacing
 DEFAULT_DAMPING = 0.3
 DEFAULT_N_PARTIALS = 8
+# More partials than MIDI 0 has below a 192 kHz file's Nyquist frequency
+# (about 11,700); the weights of every requested partial are allocated before
+# those above the top bin are dropped.
+MAX_PARTIALS = 2 ** 16
 MAX_KERNEL_WIDTH = np.sqrt(np.finfo(np.float64).max)  # a wider one's variance overflows
 SMALLEST_NORMAL = np.finfo(np.float64).tiny  # smaller template/kernel entries are 0
 
@@ -25,8 +29,9 @@ def _check_comb(kernel_width: float, damping: float, n_partials: int):
                          f"{MAX_KERNEL_WIDTH:.4g} Hz, got {kernel_width:g} Hz")
     if not 0 <= damping < np.inf:
         raise ValueError("damping must be finite and non-negative")
-    if n_partials < 1:
-        raise ValueError("n_partials must be >= 1")
+    if not 1 <= n_partials <= MAX_PARTIALS:
+        raise ValueError(f"n_partials must be >= 1 and <= {MAX_PARTIALS}, "
+                         f"got {n_partials}")
 
 
 def _check_templates(templates, m: int) -> np.ndarray:

@@ -158,20 +158,6 @@ def l1_activation_error(h_est, h_true) -> float:
     return float(np.abs(h_est - h_true).sum())
 
 
-@dataclass(eq=False)
-class ToyScenario:
-    """One synthesized unmixing problem: a frame, its true activations, the
-    note fundamentals, and the bin grid everything lives on. The OST methods
-    need only the fundamentals; the baselines' clean templates come from
-    `RunConfig.harmonic_dictionary(freqs, fundamentals)` in `ost.cli`."""
-
-    freqs: np.ndarray
-    frame: np.ndarray
-    h_true: np.ndarray
-    fundamentals: np.ndarray
-    which: str
-
-
 def toy_fundamentals() -> np.ndarray:
     return np.array([midi_to_freq(m) for m in TOY_PITCHES])
 
@@ -180,8 +166,9 @@ def make_toy_scenario(which: str, seed: int, bins: int = TOY_BINS,
                       f_max: float = TOY_F_MAX,
                       kernel_width_bins: float = DEFAULT_KERNEL_WIDTH_BINS,
                       damping: float = DEFAULT_DAMPING,
-                      n_partials: int = DEFAULT_N_PARTIALS) -> ToyScenario:
-    """Build one misspecified-unmixing draw.
+                      n_partials: int = DEFAULT_N_PARTIALS) -> tuple:
+    """Build one misspecified-unmixing draw: (freqs, frame, h_true), the bin
+    grid, the frame on it and the true activations of the toy_fundamentals().
 
     shifted_fundamentals ("a"): mix templates 1 and 4 with each note's
     fundamental moved by a seeded random sign times TOY_SHIFT_PCT percent,
@@ -195,12 +182,17 @@ def make_toy_scenario(which: str, seed: int, bins: int = TOY_BINS,
 
     The comb settings are checked as those of the baselines' clean,
     unshifted templates: ValueError, as from make_harmonic_dictionary, if
-    they are out of range.
+    they are out of range. So is a grid of no bins or of a top frequency
+    that is not finite and positive.
     """
     try:
         which = SCENARIO_ALIASES[which]
     except KeyError:
         raise ValueError(f"unknown scenario {which!r}") from None
+    if bins < 1:
+        raise ValueError(f"bins must be at least 1, got {bins}")
+    if not 0 < f_max < np.inf:
+        raise ValueError(f"f_max must be finite and positive, got {f_max:g} Hz")
     delta = f_max / bins
     freqs = delta * np.arange(1, bins + 1)
     kernel_width = kernel_width_bins * delta
@@ -227,5 +219,4 @@ def make_toy_scenario(which: str, seed: int, bins: int = TOY_BINS,
         v += weight * (col / col.sum())
     h_true = np.zeros(len(fundamentals))
     h_true[list(pair)] = TOY_WEIGHTS
-    return ToyScenario(freqs=freqs, frame=v, h_true=h_true,
-                       fundamentals=fundamentals, which=which)
+    return freqs, v, h_true

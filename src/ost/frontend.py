@@ -5,7 +5,7 @@ whose active columns are probability distributions over frequency bins.
 """
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,15 +77,12 @@ class Spectrogram:
 class NormalizedFrames:
     """Frame matrix whose active columns sum to one, to within SIMPLEX_TOL.
 
-    `freqs` is the bin frequency axis of the source spectrogram, from which
-    the costs and templates are built. The frames carry no time axis: the
-    caller that chose the STFT hop places them in time (cli's
-    load_frames).
+    The solvers read only the mass per bin, so the frames carry neither the
+    bin grid nor a time axis: cli's load_frames returns both beside them.
     """
 
     columns: np.ndarray
     active_mask: np.ndarray
-    freqs: np.ndarray = field(default=None)
 
     def __post_init__(self):
         self.columns = np.asarray(self.columns, dtype=np.float64)
@@ -98,12 +95,6 @@ class NormalizedFrames:
         sums = self.columns.sum(axis=0)[self.active_mask]
         if np.any(np.abs(sums - 1.0) > SIMPLEX_TOL):
             raise ValueError("active columns must sum to one")
-        if self.freqs is None:
-            self.freqs = np.arange(1, self.columns.shape[0] + 1, dtype=np.float64)
-        else:
-            self.freqs = np.asarray(self.freqs, dtype=np.float64)
-            if self.freqs.shape != (self.columns.shape[0],):
-                raise ValueError("freqs length must match the number of rows")
 
     @property
     def n_frames(self) -> int:
@@ -262,5 +253,4 @@ def normalize_frames(spec: Spectrogram) -> NormalizedFrames:
     # zeros_like keeps the F order, on which later column sums' bits depend
     columns = np.divide(spec.values, sums, out=np.zeros_like(spec.values),
                         where=active)
-    return NormalizedFrames(columns=columns, active_mask=active,
-                            freqs=spec.freqs.copy())
+    return NormalizedFrames(columns=columns, active_mask=active)

@@ -6,6 +6,7 @@ import wave
 import numpy as np
 
 from ost.dictionary import DEFAULT_KERNEL_WIDTH_BINS, make_harmonic_dictionary
+from ost.evaluation import toy_fundamentals
 from ost.frontend import NormalizedFrames
 from ost.solvers import MM_BLOCK_FRAMES
 from ost.tsvio import atomic_write_text, table_text
@@ -30,11 +31,12 @@ def write_ground_truth(path, events):
                                        rows))
 
 
-def toy_templates(sc, kernel_width_bins=DEFAULT_KERNEL_WIDTH_BINS):
-    """The clean harmonic template matrix of toy scenario `sc`, built at the
-    kernel width (in bins) the scenario was built with."""
-    bin_hz = sc.freqs[1] - sc.freqs[0]
-    return make_harmonic_dictionary(sc.freqs, sc.fundamentals,
+def toy_templates(freqs, kernel_width_bins=DEFAULT_KERNEL_WIDTH_BINS):
+    """The clean harmonic template matrix of a toy scenario on the bin grid
+    `freqs`, built at the kernel width (in bins) the scenario was built
+    with."""
+    bin_hz = freqs[1] - freqs[0]
+    return make_harmonic_dictionary(freqs, toy_fundamentals(),
                                     kernel_width_bins * bin_hz)
 
 

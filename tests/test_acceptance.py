@@ -19,7 +19,7 @@ from ost.costs import (CostMatrix, append_noise_column, harmonic_cost,
 from ost.dictionary import make_harmonic_dictionary, midi_to_freq
 from ost.evaluation import (NoteEvent, events_to_roll, f_measure,
                             l1_activation_error, make_toy_scenario,
-                            threshold_activations)
+                            threshold_activations, toy_fundamentals)
 from ost.frontend import NormalizedFrames, normalize_frames, stft_magnitude
 from ost.solvers import SolverConfig, unmix
 from ost.synth import render_notes
@@ -129,17 +129,16 @@ def test_criterion_4_toy_error_orderings():
         errors = {name: [] for name, _ in solver_configs}
         errors["plca"] = []
         for seed in range(50):
-            toy = make_toy_scenario(which, seed=seed)
-            frames = NormalizedFrames(columns=toy.frame[:, None],
-                                      active_mask=np.array([True]),
-                                      freqs=toy.freqs)
-            cost = harmonic_cost(toy.freqs, toy.fundamentals, 1.0)
-            acts, _ = plca_unmix(frames, toy_templates(toy))
+            freqs, frame, h_true = make_toy_scenario(which, seed=seed)
+            frames = NormalizedFrames(columns=frame[:, None],
+                                      active_mask=np.array([True]))
+            cost = harmonic_cost(freqs, toy_fundamentals(), 1.0)
+            acts, _ = plca_unmix(frames, toy_templates(freqs))
             errors["plca"].append(
-                l1_activation_error(acts[:, 0], toy.h_true))
+                l1_activation_error(acts[:, 0], h_true))
             for name, cfg in solver_configs:
                 h = unmix(frames, cost, cfg, variant=name)[:, 0]
-                errors[name].append(l1_activation_error(h, toy.h_true))
+                errors[name].append(l1_activation_error(h, h_true))
         medians[which] = {name: float(np.median(errs))
                           for name, errs in errors.items()}
     elapsed = time.perf_counter() - start
@@ -222,12 +221,13 @@ def test_criterion_7_synthetic_transcription():
 
     events = _make_piece(seed=0)
     audio = render_notes(events, sample_rate=fs, inharmonicity=0.01, seed=0)
-    frames = normalize_frames(stft_magnitude(audio, window_len, hop))
+    spec = stft_magnitude(audio, window_len, hop)
+    frames = normalize_frames(spec)
     fundamentals = np.array([midi_to_freq(p) for p in
                              range(midi_range[0], midi_range[1] + 1)])
     times = window_len / (2 * fs) + np.arange(frames.n_frames) * (hop / fs)
     truth = events_to_roll(events, midi_range, times)
-    cost = harmonic_cost(frames.freqs, fundamentals, eps0)
+    cost = harmonic_cost(spec.freqs, fundamentals, eps0)
 
     def score(values):
         return f_measure(threshold_activations(values, truth), truth).f_measure

@@ -125,3 +125,25 @@ def test_traced_transcribe_feeds_every_counter(method, tmp_path):
     counted = {s.name: set(s.counts) for s in tracer.spans if s.name in expected}
     assert counted == expected
     assert not hasattr(cli.main, "__wrapped__")  # the originals are back
+
+
+def test_traced_toy_feeds_every_solver_counter(capsys):
+    # the benchmark's toy workload runs all six methods on one frame: unmix
+    # counts cells per variant, plca_unmix its iterations
+    tracer = benchmark_spans().Tracer()
+    tracer.install()
+    try:
+        tracer.context = ("pass", "all")
+        code = cli.main(["toy", "a", "--methods", "all", "--bins", "64",
+                         "--f-max", "700"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert [s.name for s in tracer.spans if s.error] == []
+    unmix_counts = {s.tag: set(s.counts) for s in tracer.spans
+                    if s.name == "solvers.unmix"}
+    assert unmix_counts == {v: {"cells"} for v in benchmark_spans().VARIANTS}
+    plca_counts = [set(s.counts) for s in tracer.spans
+                   if s.name == "baselines.plca_unmix"]
+    assert plca_counts == [{"iterations", "capped", "active_frames"}]
+    assert not hasattr(cli.main, "__wrapped__")

@@ -844,10 +844,10 @@ class TestPricedLp:
         assert sizes == [m * m + w.shape[1]]
 
     def test_toy_problem_solves_once_on_a_restricted_support(self, monkeypatch):
-        sc = make_toy_scenario("a", seed=0, bins=64, f_max=700.0)
-        templates = toy_templates(sc)
+        freqs, frame, _ = make_toy_scenario("a", seed=0, bins=64, f_max=700.0)
+        templates = toy_templates(freqs)
         sizes = count_solves(monkeypatch)
-        _unmix_lp_frame(sc.frame, templates, harmonic_cost(sc.freqs, sc.freqs, eps0=1.0).values)
+        _unmix_lp_frame(frame, templates, harmonic_cost(freqs, freqs, eps0=1.0).values)
         assert len(sizes) == 1
         assert sizes[0] < 64 * 64 // 2
 
@@ -940,14 +940,14 @@ class TestJointLpOnToyScenario:
     def test_exact_lp_beats_plca_under_fundamental_shift(self):
         # small grid keeps the joint LP (M^2 + K vars) tractable; narrow
         # kernel keeps the coarse-grid templates well separated
-        sc = make_toy_scenario("a", seed=1, bins=64, f_max=700.0,
-                               kernel_width_bins=0.5)
-        frames = NormalizedFrames(columns=sc.frame[:, None],
+        freqs, frame, h_true = make_toy_scenario("a", seed=1, bins=64, f_max=700.0,
+                                                 kernel_width_bins=0.5)
+        frames = NormalizedFrames(columns=frame[:, None],
                                   active_mask=np.array([True]))
-        cost = harmonic_cost(sc.freqs, sc.freqs, eps0=1.0)
-        templates = toy_templates(sc, kernel_width_bins=0.5)
+        cost = harmonic_cost(freqs, freqs, eps0=1.0)
+        templates = toy_templates(freqs, kernel_width_bins=0.5)
         acts_lp = ot_unmix_lp(frames, templates, cost)
         acts_plca, _ = plca_unmix(frames, templates)
-        err_lp = l1_activation_error(acts_lp[:, 0], sc.h_true)
-        err_plca = l1_activation_error(acts_plca[:, 0], sc.h_true)
+        err_lp = l1_activation_error(acts_lp[:, 0], h_true)
+        err_plca = l1_activation_error(acts_plca[:, 0], h_true)
         assert err_lp < err_plca

@@ -106,6 +106,39 @@ class TestUsageErrors:
         assert main(["toy", "a", "--f-max", f_max]) == EXIT_USAGE
         assert "toy problem" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("f_max", ["0", "-5", "nan", "inf"])
+    def test_toy_top_frequency_is_named(self, capsys, f_max):
+        # once reported as a kernel width out of range
+        assert main(["toy", "a", "--f-max", f_max]) == EXIT_USAGE
+        assert capsys.readouterr() == (
+            "", f"error: no toy problem at these settings: f_max must be finite "
+                f"and positive, got {float(f_max):g} Hz\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["toy", "a", "--bins", "64", "--f-max", "700"],
+        ["bench", "--bins", "64", "--notes", "4", "--frames", "2"]])
+    def test_negative_seed_refused_before_any_work(self, capsys, tmp_path, argv):
+        # np.random.default_rng raised on it: a traceback from bench, a
+        # toy-problem fault from toy
+        assert main(argv + ["--seed", "-1"]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: --seed must be non-negative\n")
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("seed=-1\n")
+        assert main(argv + ["--config", str(cfg)]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: --seed must be non-negative\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["transcribe", "missing.wav", "--method", "plca"],
+        ["toy", "a", "--bins", "64", "--f-max", "700"],
+        ["bench", "--bins", "64", "--notes", "4", "--frames", "2"]])
+    def test_partial_count_is_capped(self, capsys, argv):
+        # one weight per requested partial is allocated before the partials
+        # above the top bin are dropped: 1e9 of them took 8 GB
+        code, peak = traced_peak(main, argv + ["--n-partials", "65537"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: --n-partials must be at most 65536\n"
+        assert peak < 2 ** 20
+
     def test_unknown_flag(self, capsys):
         assert main(["toy", "a", "--frobnicate"]) == EXIT_USAGE
 
@@ -767,8 +800,8 @@ class TestTranscribe:
 
         cfg = RunConfig(method="ost_e", lambda_e=100.0, noise_amplitude=50.0,
                         midi_low=55, midi_high=67, window_len=512, hop=256)
-        frames, expected_times, _ = load_frames(duet / "duet.wav", cfg)
-        acts, expected_labels = decompose(frames, cfg)
+        frames, freqs, expected_times, _ = load_frames(duet / "duet.wav", cfg)
+        acts, expected_labels = decompose(frames, freqs, cfg)
         assert labels == expected_labels
         assert values.shape == acts.shape
         assert np.count_nonzero(values) > values.size // 2
@@ -852,8 +885,8 @@ class TestSweep:
         cfg = RunConfig(method="ost_e", epsilon0=2.0, lambda_e=100.0,
                         lambda_g=300.0, midi_low=55, midi_high=67,
                         window_len=512, hop=256)
-        frames, times, _ = load_frames(duet / "duet.wav", cfg)
-        pitch = decompose(frames, cfg)[0]
+        frames, freqs, times, _ = load_frames(duet / "duet.wav", cfg)
+        pitch = decompose(frames, freqs, cfg)[0]
         truth = load_ground_truth(duet / "truth.tsv", (55, 67), times)
         half = frames.n_frames // 2
         ref = truth[:, half:]
@@ -866,9 +899,9 @@ class TestSweep:
                                                 monkeypatch):
         calls = []
 
-        def counted(frames, config):
+        def counted(frames, freqs, config):
             calls.append(config.epsilon0)
-            return decompose(frames, config)
+            return decompose(frames, freqs, config)
 
         monkeypatch.setattr(cli, "decompose", counted)
         code = main(["sweep", str(duet / "duet.wav"),

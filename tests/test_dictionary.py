@@ -8,11 +8,13 @@ import pytest
 
 from ost.baselines import ot_unmix_lp, plca_unmix
 from ost.costs import quadratic_cost
-from ost.dictionary import (damped_weights, harmonic_column,
+from ost.dictionary import (MAX_PARTIALS, damped_weights, harmonic_column,
                             make_harmonic_dictionary, midi_range_fundamentals,
                             midi_to_freq)
 from ost.evaluation import make_toy_scenario
 from ost.frontend import NormalizedFrames
+
+from helpers import traced_peak
 
 
 class TestMidiToFreq:
@@ -172,7 +174,8 @@ class TestDictionaryValidation:
         # make_harmonic_dictionary and make_toy_scenario check the comb
         # settings by one function: same checks, same messages
         freqs = np.linspace(5.0, 2000.0, 400)
-        bad_settings = [(0.0, 0.3, 8), (1.0, -0.1, 8), (1.0, 0.3, 0)]
+        bad_settings = [(0.0, 0.3, 8), (1.0, -0.1, 8), (1.0, 0.3, 0),
+                        (1.0, 0.3, MAX_PARTIALS + 1)]
         # inf width gave identical flat templates; NaN failed only later
         for bad in (np.nan, np.inf, -np.inf):
             bad_settings += [(bad, 0.3, 8), (1.0, bad, 8)]
@@ -188,3 +191,22 @@ class TestDictionaryValidation:
             name = ("kernel_width" if not 0 < width < np.inf else
                     "damping" if not 0 <= damping < np.inf else "n_partials")
             assert str(built.value).startswith(name)
+
+    @pytest.mark.parametrize("build", [
+        lambda n: make_harmonic_dictionary(np.linspace(5.0, 2000.0, 400), [100.0],
+                                           10.0, 0.3, n),
+        lambda n: make_toy_scenario("a", seed=0, bins=64, f_max=700.0, n_partials=n),
+        lambda n: make_toy_scenario("b", seed=0, bins=64, f_max=700.0, n_partials=n),
+    ], ids=["dictionary", "toy_a", "toy_b"])
+    def test_partial_count_refused_before_its_weights(self, build):
+        # one weight per requested partial is allocated before the partials
+        # above the top bin are dropped, so a count past MAX_PARTIALS is
+        # refused first: 1e9 of them took 8 GB
+        def refused():
+            with pytest.raises(ValueError, match=f"^n_partials must be >= 1 and "
+                                                 f"<= {MAX_PARTIALS}, got 65537$"):
+                build(MAX_PARTIALS + 1)
+
+        _, peak = traced_peak(refused)
+        assert peak < 2 ** 20
+        build(MAX_PARTIALS)  # the cap itself is accepted

@@ -9,8 +9,8 @@ from ost import evaluation
 from ost.baselines import plca_unmix
 from ost.costs import harmonic_cost
 from ost.errors import DataError
-from ost.evaluation import (NoteEvent, TOY_PAIR_A, TOY_PAIR_B, TOY_PITCHES,
-                            events_to_roll, f_measure,
+from ost.evaluation import (NoteEvent, SCENARIO_ALIASES, TOY_PAIR_A, TOY_PAIR_B,
+                            TOY_PITCHES, events_to_roll, f_measure,
                             l1_activation_error, load_ground_truth,
                             make_toy_scenario, parse_ground_truth,
                             threshold_activations, toy_fundamentals)
@@ -252,16 +252,14 @@ class TestL1ActivationError:
 
 class TestMakeToyScenario:
     def test_deterministic_and_alias_equivalent(self):
-        one = make_toy_scenario("a", seed=5)
-        two = make_toy_scenario("shifted_fundamentals", seed=5)
-        np.testing.assert_array_equal(one.frame, two.frame)
-        np.testing.assert_array_equal(one.h_true, two.h_true)
-        assert one.which == "shifted_fundamentals"
-        again = make_toy_scenario("b", seed=3)
-        np.testing.assert_array_equal(again.frame,
-                                      make_toy_scenario("b", seed=3).frame)
-        assert not np.array_equal(again.frame,
-                                  make_toy_scenario("b", seed=4).frame)
+        _, one_frame, one_h = make_toy_scenario("a", seed=5)
+        _, two_frame, two_h = make_toy_scenario("shifted_fundamentals", seed=5)
+        np.testing.assert_array_equal(one_frame, two_frame)
+        np.testing.assert_array_equal(one_h, two_h)
+        assert SCENARIO_ALIASES["a"] == "shifted_fundamentals"
+        again = make_toy_scenario("b", seed=3)[1]
+        np.testing.assert_array_equal(again, make_toy_scenario("b", seed=3)[1])
+        assert not np.array_equal(again, make_toy_scenario("b", seed=4)[1])
 
     def test_unknown_scenario(self):
         with pytest.raises(ValueError):
@@ -277,76 +275,88 @@ class TestMakeToyScenario:
             make_toy_scenario("a", seed=0, bins=64, f_max=700.0,
                               **{setting: value})
 
+    @pytest.mark.parametrize("setting, value, message", [
+        ("bins", 0, "bins must be at least 1, got 0"),
+        ("bins", -3, "bins must be at least 1, got -3"),
+        ("f_max", 0.0, "f_max must be finite and positive, got 0 Hz"),
+        ("f_max", -5.0, "f_max must be finite and positive, got -5 Hz"),
+        ("f_max", np.nan, "f_max must be finite and positive, got nan Hz"),
+        ("f_max", np.inf, "f_max must be finite and positive, got inf Hz")])
+    def test_grid_settings_are_checked(self, setting, value, message):
+        # checked before the grid spacing f_max / bins is taken: bins=0
+        # divided by zero, and a bad f_max was reported as a kernel width
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_toy_scenario("a", seed=0, **{setting: value})
+
     def test_true_activations(self):
-        a = make_toy_scenario("a", seed=0)
-        b = make_toy_scenario("b", seed=0)
-        for sc, pair in ((a, TOY_PAIR_A), (b, TOY_PAIR_B)):
+        for which, pair in (("a", TOY_PAIR_A), ("b", TOY_PAIR_B)):
+            _, frame, h_true = make_toy_scenario(which, seed=0)
             expected = np.zeros(len(TOY_PITCHES))
             expected[list(pair)] = 0.5
-            np.testing.assert_array_equal(sc.h_true, expected)
-            assert sc.frame.sum() == pytest.approx(1.0)
-            assert np.all(sc.frame >= 0)
+            np.testing.assert_array_equal(h_true, expected)
+            assert frame.sum() == pytest.approx(1.0)
+            assert np.all(frame >= 0)
 
     def test_octave_structure_of_dictionary(self):
         fundamentals = toy_fundamentals()
         assert fundamentals[7] == pytest.approx(2.0 * fundamentals[0])
-        sc = make_toy_scenario("a", seed=0)
-        np.testing.assert_allclose(sc.fundamentals, fundamentals)
-        np.testing.assert_allclose(toy_templates(sc).sum(axis=0), 1.0,
+        freqs, _, h_true = make_toy_scenario("a", seed=0)
+        assert h_true.shape == fundamentals.shape  # one activation per note
+        np.testing.assert_allclose(toy_templates(freqs).sum(axis=0), 1.0,
                                    atol=1e-12)
 
     def test_zero_shift_lies_in_column_span(self, monkeypatch):
         monkeypatch.setattr(evaluation, "TOY_SHIFT_PCT", 0.0)
-        sc = make_toy_scenario("a", seed=0)
-        w = toy_templates(sc)
+        freqs, frame, _ = make_toy_scenario("a", seed=0)
+        w = toy_templates(freqs)
         recon = 0.5 * w[:, TOY_PAIR_A[0]] + 0.5 * w[:, TOY_PAIR_A[1]]
-        np.testing.assert_allclose(sc.frame, recon, atol=1e-15)
+        np.testing.assert_allclose(frame, recon, atol=1e-15)
 
     def test_zero_shift_recovered_exactly(self, monkeypatch):
         # no misspecification: the group solver reads the mixture straight
         # off (kernel of one bin keeps bump tails clear of the nearest
         # equal-temperament partial collisions)
         monkeypatch.setattr(evaluation, "TOY_SHIFT_PCT", 0.0)
-        sc = make_toy_scenario("a", seed=0, kernel_width_bins=1.0)
-        cost = harmonic_cost(sc.freqs, sc.fundamentals, eps0=1.0)
+        freqs, frame, h_true = make_toy_scenario("a", seed=0, kernel_width_bins=1.0)
+        cost = harmonic_cost(freqs, toy_fundamentals(), eps0=1.0)
         config = SolverConfig(lambda_g=300.0, mm_iterations=10)
-        _, h, _ = ost_group_frame(sc.frame, cost, config)
-        assert l1_activation_error(h, sc.h_true) < 1e-6
+        _, h, _ = ost_group_frame(frame, cost, config)
+        assert l1_activation_error(h, h_true) < 1e-6
 
     def test_zero_shift_default_kernel_stays_tiny(self, monkeypatch):
         # at the default kernel the bump tails just graze one boundary
         monkeypatch.setattr(evaluation, "TOY_SHIFT_PCT", 0.0)
-        sc = make_toy_scenario("a", seed=0)
-        cost = harmonic_cost(sc.freqs, sc.fundamentals, eps0=1.0)
+        freqs, frame, h_true = make_toy_scenario("a", seed=0)
+        cost = harmonic_cost(freqs, toy_fundamentals(), eps0=1.0)
         config = SolverConfig(lambda_g=300.0, mm_iterations=10)
-        _, h, _ = ost_group_frame(sc.frame, cost, config)
-        assert l1_activation_error(h, sc.h_true) < 1e-4
+        _, h, _ = ost_group_frame(frame, cost, config)
+        assert l1_activation_error(h, h_true) < 1e-4
 
     def test_shifted_scenario_breaks_plain_transport_not_grouped(self):
-        sc = make_toy_scenario("a", seed=0)
-        cost = harmonic_cost(sc.freqs, sc.fundamentals, eps0=1.0)
+        freqs, frame, h_true = make_toy_scenario("a", seed=0)
+        cost = harmonic_cost(freqs, toy_fundamentals(), eps0=1.0)
         config = SolverConfig(lambda_g=300.0, mm_iterations=10)
-        _, h_plain, _ = ost_frame(sc.frame, cost)
-        _, h_group, _ = ost_group_frame(sc.frame, cost, config)
-        assert l1_activation_error(h_group, sc.h_true) < 0.1
-        assert l1_activation_error(h_plain, sc.h_true) > 0.3
+        _, h_plain, _ = ost_frame(frame, cost)
+        _, h_group, _ = ost_group_frame(frame, cost, config)
+        assert l1_activation_error(h_group, h_true) < 0.1
+        assert l1_activation_error(h_plain, h_true) > 0.3
 
     def test_group_transport_beats_plca_under_shift(self):
-        sc = make_toy_scenario("a", seed=0)
-        cost = harmonic_cost(sc.freqs, sc.fundamentals, eps0=1.0)
+        freqs, frame, h_true = make_toy_scenario("a", seed=0)
+        cost = harmonic_cost(freqs, toy_fundamentals(), eps0=1.0)
         config = SolverConfig(lambda_g=300.0, mm_iterations=10)
-        _, h_group, _ = ost_group_frame(sc.frame, cost, config)
-        frames = NormalizedFrames(columns=sc.frame[:, None],
+        _, h_group, _ = ost_group_frame(frame, cost, config)
+        frames = NormalizedFrames(columns=frame[:, None],
                                   active_mask=np.array([True]))
-        acts, _ = plca_unmix(frames, toy_templates(sc))
-        err_group = l1_activation_error(h_group, sc.h_true)
-        err_plca = l1_activation_error(acts[:, 0], sc.h_true)
+        acts, _ = plca_unmix(frames, toy_templates(freqs))
+        err_group = l1_activation_error(h_group, h_true)
+        err_plca = l1_activation_error(acts[:, 0], h_true)
         assert err_group < err_plca
 
     def test_wrong_amplitude_frame_leaves_span(self):
         # scenario b redraws partial weights, so the frame is (generically)
         # not the clean half-half mixture any more
-        sc = make_toy_scenario("b", seed=0)
-        w = toy_templates(sc)
+        freqs, frame, _ = make_toy_scenario("b", seed=0)
+        w = toy_templates(freqs)
         recon = 0.5 * w[:, TOY_PAIR_B[0]] + 0.5 * w[:, TOY_PAIR_B[1]]
-        assert np.abs(sc.frame - recon).sum() > 0.05
+        assert np.abs(frame - recon).sum() > 0.05

@@ -290,7 +290,8 @@ class TestStftMagnitude:
         write_wav(tmp_path / "silence.wav",
                   AudioBuffer(samples=np.zeros(8192), sample_rate=44100))
         config = RunConfig(method="ost", window_len=4096, hop=2048)
-        frames, times, _ = load_frames(tmp_path / "silence.wav", config)
+        frames, freqs, times, _ = load_frames(tmp_path / "silence.wav", config)
+        np.testing.assert_array_equal(freqs, (np.arange(2048) + 1) * 44100.0 / 4096.0)
         assert times.shape == (frames.n_frames,) == (3,)
         assert times[1] - times[0] == pytest.approx(2048.0 / 44100.0)
         assert times[1] - times[0] == pytest.approx(0.04644, abs=5e-6)
@@ -373,7 +374,7 @@ class TestNormalizeFrames:
         frames = normalize_frames(spec)
         assert frames.active_mask.all()
         np.testing.assert_allclose(frames.columns.sum(axis=0), 1.0, atol=1e-12)
-        np.testing.assert_array_equal(frames.freqs, spec.freqs)
+        assert frames.columns.shape == spec.values.shape  # row i is bin spec.freqs[i]
 
     def test_silent_column_zeroed_and_masked(self):
         values = np.array([[0.3, 0.0, 0.1],
@@ -466,20 +467,6 @@ class TestContainers:
         frames = NormalizedFrames(columns=spec.values,
                                   active_mask=np.zeros(0, dtype=bool))
         assert frames.n_frames == 0
-
-    def test_normalized_frames_default_freqs(self):
-        frames = NormalizedFrames(columns=np.ones((3, 2)) / 3.0,
-                                  active_mask=np.array([True, True]))
-        np.testing.assert_array_equal(frames.freqs, [1.0, 2.0, 3.0])
-        assert frames.n_frames == 2
-
-    def test_normalized_frames_reject_freqs_of_another_length(self):
-        # rejected where the frames are made, not later as a row mismatch
-        # against a cost or a dictionary
-        for freqs in ([1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [[1.0, 2.0, 3.0]]):
-            with pytest.raises(ValueError, match="freqs length"):
-                NormalizedFrames(columns=np.ones((3, 2)) / 3.0,
-                                 active_mask=np.array([True, True]), freqs=freqs)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5])
     def test_normalized_frames_reject_non_finite_and_negative(self, bad):

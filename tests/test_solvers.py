@@ -379,8 +379,9 @@ def rendered_piece(noise=False):
     events = [NoteEvent(0.5 * c, 0.5 * (c + 1), int(p)) for c in range(4)
               for p in rng.choice(np.arange(45, 81), size=3, replace=False)]
     audio = render_notes(events, sample_rate=22050, inharmonicity=0.01, seed=80)
-    frames = normalize_frames(stft_magnitude(audio, 2048, 1024))
-    cost = harmonic_cost(frames.freqs, midi_range_fundamentals(21, 108), eps0=10.0)
+    spec = stft_magnitude(audio, 2048, 1024)
+    frames = normalize_frames(spec)
+    cost = harmonic_cost(spec.freqs, midi_range_fundamentals(21, 108), eps0=10.0)
     return frames, append_noise_column(cost, 30.0) if noise else cost
 
 
@@ -471,10 +472,11 @@ class TestBatchedMM:
                   for c in range(4)
                   for p in rng.choice(np.arange(40, 80), size=3, replace=False)]
         audio = render_notes(events, sample_rate=16000, seed=65)
-        frames = normalize_frames(stft_magnitude(audio, 512, 256))
+        spec = stft_magnitude(audio, 512, 256)
+        frames = normalize_frames(spec)
         assert frames.columns.shape[0] >= 256
         assert 16 <= frames.active_mask.sum() <= 24
-        cost = harmonic_cost(frames.freqs, midi_range_fundamentals(21, 108),
+        cost = harmonic_cost(spec.freqs, midi_range_fundamentals(21, 108),
                              eps0=10.0)
         config = SolverConfig(lambda_g=300.0)
         assert_matches_oracle(frames, cost, config, "ost_g")

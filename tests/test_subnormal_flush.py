@@ -111,13 +111,13 @@ def piece_frames():
             events.append(NoteEvent(t, t + length, int(pitch)))
         t += length
     audio = render_notes(events, sample_rate=FS, inharmonicity=0.01, seed=0)
-    frames = normalize_frames(stft_magnitude(audio, WINDOW_LEN, HOP))
-    np.testing.assert_array_equal(frames.freqs, grid())
-    return frames
+    spec = stft_magnitude(audio, WINDOW_LEN, HOP)
+    np.testing.assert_array_equal(spec.freqs, grid())
+    return normalize_frames(spec)
 
 
 def test_plca_matches_unflushed_templates(piece_frames):
-    freqs = piece_frames.freqs
+    freqs = grid()
     flushed = make_harmonic_dictionary(freqs, FUNDAMENTALS, kernel_width(freqs))
     raw = unflushed_templates(freqs)
     acts, state = plca_unmix(piece_frames, flushed)
@@ -128,7 +128,7 @@ def test_plca_matches_unflushed_templates(piece_frames):
 
 @pytest.mark.parametrize("variant", ["ost_e", "ost_eg"])
 def test_entropic_variants_match_unflushed_kernel(piece_frames, variant, monkeypatch):
-    cost = harmonic_cost(piece_frames.freqs, FUNDAMENTALS, EPS0)
+    cost = harmonic_cost(grid(), FUNDAMENTALS, EPS0)
     if variant == "ost_e":
         cost = append_noise_column(cost, NOISE)
     config = SolverConfig(lambda_e=LAMBDA_E, lambda_g=LAMBDA_G)
