@@ -36,8 +36,11 @@ frame (the scaling step of Sinkhorn's algorithm). The products run over the
 block's support, the columns whose weight is nonzero in some frame: the
 penalty leaves a frame a few notes, so on piece30 the support falls from a
 mean of 86 of 88 columns at the first step to 42 at the third and 29 at
-the tenth. The (row, frame) pairs where E W underflows are solved by the
-per-frame softmax, all pairs of a block-step at once.
+the tenth. Blocks are gathered in F order and E is kept transposed, so
+that E W comes out in the block's layout (a divide of mixed layouts costs
+over twice as much). The (row, frame) pairs where E W underflows are solved
+by the per-frame softmax over the columns it gives a normal share, all
+pairs of a block-step at once.
 Entries of E below the smallest normal double are stored as 0, as in the
 harmonic templates: subnormal operands slow BLAS products 2x or more. For
 the same reason exp is evaluated only where its result can be normal (in
@@ -103,14 +106,6 @@ def _gibbs_kernel(values: np.ndarray, lambda_e: float) -> np.ndarray:
     return kernel
 
 
-def _softmax_labels(values: np.ndarray, lambda_e: float) -> np.ndarray:
-    """Row-softmax labelling matrix exp(-c/lambda_e), rows normalized,
-    computed with per-row max subtraction."""
-    labels = _gibbs_kernel(values, lambda_e)
-    labels /= labels.sum(axis=1, keepdims=True)
-    return labels
-
-
 def _group_penalty_row(h: np.ndarray) -> np.ndarray:
     """Per-column MM penalty 0.5 * ||t_k||_1^(-1/2); empty columns use the
     value at the mass floor instead of the infinite limit."""
@@ -133,13 +128,14 @@ def _mm_blocks(v: np.ndarray, active: np.ndarray, k: int, iterations: int,
                start, step) -> np.ndarray:
     """K x N masses of an MM kernel for the columns `active` of v (M x N),
     zero in the others, per block of MM_BLOCK_FRAMES active columns, each
-    gathered from v as it starts. start(block) gives a block's first masses
-    (K x n); step(block, h) the next ones and the mask of frames at their
-    fixed point (None: none), which leave the live set."""
+    gathered from v in F order, whatever v's layout, as it starts (fastest
+    from F-ordered frames, as load_frames returns). start(block) gives a
+    block's first masses (K x n); step(block, h) the next ones and the mask
+    of frames at their fixed point (None: none), which leave the live set."""
     out = np.zeros((k, v.shape[1]))
     for lo in range(0, active.size, MM_BLOCK_FRAMES):
         live = active[lo:lo + MM_BLOCK_FRAMES]
-        block = v[:, live]
+        block = np.asfortranarray(v[:, live])
         h = start(block)
         for _ in range(iterations):
             h, done = step(block, h)
@@ -252,6 +248,7 @@ def _combined_mm(values: np.ndarray, v: np.ndarray, active: np.ndarray,
     k = values.shape[1]
     kernel = _gibbs_kernel(values, lam_e)
     labels = kernel / kernel.sum(axis=1, keepdims=True)
+    kernel_t = np.ascontiguousarray(kernel.T) if iterations else None
 
     def step(block, h):
         pen = lam_g * _group_penalty_row(h)
@@ -259,13 +256,13 @@ def _combined_mm(values: np.ndarray, v: np.ndarray, active: np.ndarray,
         w = np.exp(z, out=np.zeros_like(z), where=z >= EXP_ZERO_FLOOR)
         support = np.flatnonzero(w.any(axis=1))
         full = support.size == k
-        e = kernel if full else kernel[:, support]
+        e_t = kernel_t if full else kernel_t[support]
         w_s = w if full else w[support]
-        s = e @ w_s
+        s = (w_s.T @ e_t).T  # E W in the F order of block
         low = s < UNDERFLOW_FLOOR
-        ratio = block / s
+        ratio = np.divide(block, s, out=s)
         ratio[low] = 0.0
-        h_s = w_s * (e.T @ ratio)
+        h_s = w_s * (e_t @ ratio)
         if full:
             h = h_s
         else:
@@ -284,17 +281,28 @@ def _combined_mm(values: np.ndarray, v: np.ndarray, active: np.ndarray,
 
 def _add_underflowed_rows(h, values, block, pen, under, lam_e):
     """Add to h the mass of the (row, frame) pairs flagged in `under`, each
-    row solved by the softmax that tests/oracles.py's ost_combined_frame
-    evaluates. All pairs are solved together, M at a time, so the
-    temporaries stay within one M x K matrix."""
+    row solved by tests/oracles.py's softmax over the columns within
+    -EXP_NORMAL_FLOOR * lam_e of its least c + p, the only ones whose share
+    is normal (Schmitzer's kernel truncation). One pass over all K columns
+    finds them; the exp, sums and scatter run over those cells alone, M
+    pairs at a time, so the temporaries stay within a few M x K matrices."""
     m, n = under.shape
-    rows, cols = np.divmod(np.flatnonzero(under), n)
+    k = values.shape[1]
+    cols, rows = np.divmod(np.flatnonzero(under.T), m)  # frame by frame
     for lo in range(0, rows.size, m):
         r, c = rows[lo:lo + m], cols[lo:lo + m]
-        labels = _softmax_labels(values[r] + pen.T[c], lam_e)
-        weights = np.zeros((n, r.size))
-        weights[c, np.arange(r.size)] = block[r, c]
-        h += (weights @ labels).T
+        x = values[r] + pen.T[c]
+        least = x.min(axis=1)
+        edge = (least - EXP_NORMAL_FLOOR * lam_e)[:, None]
+        pair, col = np.divmod(np.flatnonzero(x <= edge), k)
+        z = x[pair, col] / -lam_e
+        z -= (least / -lam_e)[pair]  # the softmax's per-row max subtraction
+        share = np.exp(z)
+        share[share < SMALLEST_NORMAL] = 0.0
+        share /= np.bincount(pair, weights=share, minlength=r.size)[pair]
+        share *= block[r, c][pair]
+        h += np.bincount(col * n + c[pair], weights=share,
+                         minlength=k * n).reshape(k, n)
 
 
 def unmix(frames: NormalizedFrames, cost: CostMatrix,

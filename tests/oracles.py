@@ -13,9 +13,9 @@ M) under a reduced M x K cost is solved by:
 
 Each builds the dense M x K plan and returns (plan, h, trace): the column
 masses h and the penalized objective after the first solve and after every
-MM step. They share the softmax and the penalty with `ost.solvers`, so the
-batched kernels of `unmix` match them bit for bit (ost, ost_g) or to
-rounding (ost_e, ost_eg).
+MM step. They share the penalty with `ost.solvers` and compute the softmax
+themselves, so the batched kernels of `unmix` match them bit for bit (ost,
+ost_g) or to rounding (ost_e, ost_eg).
 
 reduced_lp solves the same frame as an exact LP (HiGHS' dual revised
 simplex) over every plan with row marginal v. It shares nothing with the
@@ -28,7 +28,9 @@ plca_frame is the per-frame EM loop that `plca_unmix` batches.
 import numpy as np
 
 from ost.baselines import KL_FLOOR, kl_divergence, solve_lp
-from ost.solvers import _group_penalty_row, _softmax_labels
+from ost.solvers import _group_penalty_row
+
+SMALLEST_NORMAL = np.finfo(float).tiny
 
 
 def transport_objective(plan, values):
@@ -54,6 +56,19 @@ def _assign(values, v):
     plan = np.zeros_like(values)
     plan[np.arange(v.size), labels] = v
     return plan, np.bincount(labels, weights=v, minlength=values.shape[1])
+
+
+def _softmax_labels(values, lambda_e):
+    """Row-softmax labelling matrix exp(-c/lambda_e), rows normalized,
+    computed with per-row max subtraction; shares below the smallest normal
+    double are stored as 0. exp is evaluated only where z >= -708.5, below
+    which its result is subnormal (same bits, without exp's slow path)."""
+    z = -values / lambda_e
+    z -= z.max(axis=1, keepdims=True)
+    labels = np.exp(z, out=np.zeros_like(z), where=z >= -708.5)
+    labels[labels < SMALLEST_NORMAL] = 0.0
+    labels /= labels.sum(axis=1, keepdims=True)
+    return labels
 
 
 def _entropic(values, v, lambda_e):

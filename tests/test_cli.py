@@ -809,6 +809,15 @@ class TestTranscribe:
         np.testing.assert_allclose(times, expected_times, rtol=1e-11, atol=0)
         assert roll_header == [format(t, ".12g") for t in expected_times]
 
+    def test_load_frames_returns_f_ordered_columns(self, duet):
+        # the MM kernels gather their blocks in F order, a copy-free gather
+        # only for F-ordered frames
+        cfg = RunConfig(method="ost_eg", midi_low=55, midi_high=67,
+                        window_len=512, hop=256)
+        frames = load_frames(duet / "duet.wav", cfg)[0]
+        assert frames.columns.flags.f_contiguous
+        assert not frames.columns.flags.c_contiguous
+
     def test_peak_is_the_samples_and_two_frame_matrices(self, capsys, tmp_path):
         # 30 s of notes with silent gaps (masked frames). Holding the STFT's
         # windowed frames and complex spectra at once, or the samples, the

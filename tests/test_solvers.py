@@ -11,6 +11,8 @@ Oracles used here:
   (their products sum in another order).
 - the row minima of the penalised cost for the ost_g step's column bound:
   every column that is some row's minimum, or ties it, must be kept.
+- full_softmax_guard, the ost_eg underflow guard over all K columns, for
+  the guard that keeps only the columns with a normal share: within 1e-12.
 """
 
 import warnings
@@ -28,9 +30,9 @@ from ost.solvers import MM_BLOCK_FRAMES, SolverConfig, unmix
 from ost.synth import render_notes
 
 from helpers import active_copy, partly_masked_frames, traced_peak
-from oracles import (entropy_term, group_term, ost_combined_frame,
-                     ost_entropic_frame, ost_frame, ost_group_frame,
-                     transport_objective)
+from oracles import (_softmax_labels, entropy_term, group_term,
+                     ost_combined_frame, ost_entropic_frame, ost_frame,
+                     ost_group_frame, transport_objective)
 
 
 FULL_ARGMIN_CELLS = solvers._FULL_ARGMIN_CELLS  # before any test patches it
@@ -328,6 +330,34 @@ class TestUnmix:
         frames.columns.flags.writeable = False
         cost = toy_cost(rng.uniform(0, 3, size=(12, 4)))
         unmix(frames, cost, SolverConfig(lambda_e=0.6, lambda_g=1.2), variant=variant)
+
+    @pytest.mark.parametrize("variant", ["ost", "ost_e", "ost_g", "ost_eg"])
+    def test_frame_layout_does_not_change_the_masses(self, variant, monkeypatch):
+        # the kernels gather every block in F order, so C-ordered frames give
+        # the bits of F-ordered ones; ost_g reaches its bound and ost_eg its
+        # underflow guard on this problem
+        layouts = []
+        mm_blocks = solvers._mm_blocks
+
+        def spy(v, active, k, iterations, start, step):
+            def spied_start(block):
+                layouts.append(block.flags.f_contiguous)
+                return start(block)
+            return mm_blocks(v, active, k, iterations, spied_start, step)
+
+        monkeypatch.setattr(solvers, "_mm_blocks", spy)
+        rng = np.random.default_rng(56)
+        frames = make_frames(rng, 64, MM_BLOCK_FRAMES + 5, inactive=(3, 130),
+                             zero_bins=4)
+        c_frames = NormalizedFrames(columns=np.ascontiguousarray(frames.columns),
+                                    active_mask=frames.active_mask)
+        assert frames.columns.flags.f_contiguous
+        assert not c_frames.columns.flags.f_contiguous
+        cost = toy_cost(rng.uniform(0, 30, size=(64, 8)))
+        config = SolverConfig(lambda_e=0.01, lambda_g=10.0)
+        np.testing.assert_array_equal(unmix(c_frames, cost, config, variant=variant),
+                                      unmix(frames, cost, config, variant=variant))
+        assert layouts == [True] * 4
 
     def test_validation(self):
         rng = np.random.default_rng(53)
@@ -777,6 +807,102 @@ class TestBatchedMM:
         with pytest.raises(NumericError):
             unmix(frames, cost, SolverConfig(lambda_e=1.0, lambda_g=1.0),
                   variant=variant)
+
+
+def full_softmax_guard(h, values, block, pen, under, lam_e):
+    """The underflow guard with no truncation: every flagged (row, frame)
+    pair's softmax over all K columns, scattered into h by a frames x pairs
+    product, M pairs at a time."""
+    m, n = under.shape
+    rows, cols = np.divmod(np.flatnonzero(under), n)
+    for lo in range(0, rows.size, m):
+        r, c = rows[lo:lo + m], cols[lo:lo + m]
+        labels = _softmax_labels(values[r] + pen.T[c], lam_e)
+        weights = np.zeros((n, r.size))
+        weights[c, np.arange(r.size)] = block[r, c]
+        h += (weights @ labels).T
+
+
+class TestUnderflowGuard:
+    """solvers._add_underflowed_rows, which takes each flagged pair's softmax
+    only over the columns within -EXP_NORMAL_FLOOR * lambda_e of its least
+    c + p, against full_softmax_guard: within 1e-12, and zero in the same
+    cells."""
+
+    @staticmethod
+    def guarded(values, block, pen, under, lam_e):
+        """The guard's masses, added to zeros, once checked against the
+        full softmax's."""
+        values, block = np.asarray(values, dtype=float), np.asarray(block, dtype=float)
+        got = np.zeros((values.shape[1], block.shape[1]))
+        ref = got.copy()
+        solvers._add_underflowed_rows(got, values, block, pen, under, lam_e)
+        full_softmax_guard(ref, values, block, pen, under, lam_e)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(got != 0, ref != 0)
+        return got
+
+    def test_ties_at_the_row_minimum(self):
+        # frame 0's row ties three columns at its minimum; with frame 1's
+        # penalty its first row ties two and its constant row four, and
+        # column 2, 700 lambda_e above, keeps a normal share: tied columns
+        # get equal shares, the others less by their distance
+        values = [[1.0, 1.0, 1.05, 9.0, 1.0],
+                  [2.0, 3.0, 2.0, 2.0, 2.02],
+                  [4.0, 4.0, 4.0, 4.0, 4.0]]
+        pen = np.array([[0.5, 0.0], [0.5, 0.0], [0.5, 7.0], [0.5, 0.0], [0.5, 0.0]])
+        block = [[0.3, 0.2], [0.5, 0.6], [0.2, 0.2]]
+        under = np.array([[True, False], [False, True], [False, True]])
+        got = self.guarded(values, block, pen, under, 0.01)
+        assert got[0, 0] == got[1, 0] == got[4, 0] > got[2, 0] > got[3, 0] == 0.0
+        assert got[0, 1] == got[3, 1] > got[4, 1] > got[1, 1] > got[2, 1] > 0.0
+
+    def test_one_hot_pairs(self):
+        # every other column costs more than 746 lambda_e extra: the whole
+        # mass of a pair goes to its row minimum, exactly
+        lam_e = 0.01
+        values = np.array([[0.0, 8.0, 9.0], [10.0, 2.0, 30.0], [50.0, 60.0, 40.0]])
+        block = np.array([[0.25, 0.0], [0.5, 0.125], [0.25, 0.875]])
+        under = np.array([[True, False], [True, True], [True, True]])
+        got = self.guarded(values, block, np.zeros((3, 2)), under, lam_e)
+        np.testing.assert_array_equal(got, [[0.25, 0.0], [0.5, 0.125], [0.25, 0.875]])
+
+    @pytest.mark.parametrize("lam_e", [1.0, 0.01])
+    def test_column_at_the_normal_edge(self, lam_e):
+        # exp(z) is normal for z >= -708.396: the columns 708.3 and 708.39
+        # lambda_e above a row's minimum keep a share, the one at 708.4 (a
+        # subnormal share) and those past the guard's cut at 708.5 get
+        # exactly 0 in both; the second row is the first shifted
+        offsets = np.array([0.0, 300.0, 708.3, 708.39, 708.4, 708.5, 708.6, 746.0])
+        values = np.stack([offsets, offsets + 1000.0]) * lam_e
+        got = self.guarded(values, [[0.5], [0.5]], np.zeros((8, 1)),
+                           np.ones((2, 1), dtype=bool), lam_e)
+        assert np.all(got[:4, 0] > 0)
+        np.testing.assert_array_equal(got[4:, 0], 0.0)
+
+    def test_zero_mass_bins(self):
+        # flagged pairs with no mass add nothing, and a frame whose flagged
+        # bins are all empty keeps its masses
+        rng = np.random.default_rng(91)
+        values = rng.uniform(0, 30, size=(6, 4))
+        block = rng.dirichlet(np.ones(6), size=3).T
+        block[[0, 3], 0] = 0.0
+        block[:, 2] = 0.0
+        got = self.guarded(values, block, rng.uniform(0, 5, size=(4, 3)),
+                           np.ones((6, 3), dtype=bool), 0.01)
+        np.testing.assert_array_equal(got[:, 2], 0.0)
+        np.testing.assert_allclose(got.sum(axis=0), block.sum(axis=0), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("lam_e", [0.01, 0.3, 100.0])
+    def test_random_pairs_over_several_chunks(self, lam_e):
+        # more than 2M flagged pairs, so three chunks of M, from one-hot
+        # rows (small lambda_e) to rows that keep every column (large)
+        rng = np.random.default_rng(92)
+        m, n = 20, 12
+        under = rng.uniform(size=(m, n)) < 0.8
+        assert under.sum() > 2 * m
+        self.guarded(rng.uniform(0, 30, size=(m, 7)), rng.dirichlet(np.ones(m), size=n).T,
+                     rng.uniform(0, 50, size=(7, n)), under, lam_e)
 
 
 class TestUfuncBuffer:
