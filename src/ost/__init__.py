@@ -13,7 +13,7 @@ from .dictionary import (midi_to_freq, midi_range_fundamentals, harmonic_column,
                          make_harmonic_dictionary)
 from .costs import (CostMatrix, quadratic_cost, harmonic_cost,
                     append_noise_column)
-from .solvers import SolverConfig, unmix
+from .solvers import unmix
 from .baselines import (PlcaState, kl_divergence, plca_unmix, solve_lp,
                         wasserstein_divergence, ot_unmix_lp)
 from .evaluation import (NoteEvent, EvalReport, parse_ground_truth,
@@ -28,7 +28,7 @@ __all__ = [
     "midi_to_freq", "midi_range_fundamentals", "harmonic_column",
     "make_harmonic_dictionary",
     "CostMatrix", "quadratic_cost", "harmonic_cost", "append_noise_column",
-    "SolverConfig", "unmix",
+    "unmix",
     "PlcaState", "kl_divergence", "plca_unmix", "solve_lp",
     "wasserstein_divergence", "ot_unmix_lp",
     "NoteEvent", "EvalReport",

@@ -121,7 +121,7 @@ def plca_unmix(frames: NormalizedFrames, templates,
     w = _check_templates(templates, frames.columns.shape[0])
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    if rel_tol < 0:
+    if not rel_tol >= 0:
         raise ValueError("rel_tol must be non-negative")
     n = frames.columns.shape[1]
     out = np.zeros((w.shape[1], n))

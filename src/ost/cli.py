@@ -33,7 +33,7 @@ from .evaluation import (SCENARIO_ALIASES, TOY_BINS, TOY_F_MAX, events_to_roll,
                          threshold_activations, toy_fundamentals)
 from .frontend import (DEFAULT_HOP, DEFAULT_WINDOW_LEN, NormalizedFrames,
                        decode_wav, normalize_frames, stft_magnitude)
-from .solvers import DEFAULT_MM_ITERATIONS, MAX_LAMBDA_G, SolverConfig, unmix
+from .solvers import DEFAULT_MM_ITERATIONS, MAX_LAMBDA_G, unmix
 from . import tsvio
 
 EXIT_OK = 0
@@ -114,10 +114,6 @@ class RunConfig:
     n_partials: int = _setting(DEFAULT_N_PARTIALS, "partials per synthesized template",
                                TEMPLATE_METHODS, AT_LEAST_ONE, PARTIAL_CAP)
     seed: int = _setting(0, "RNG seed for synthetic inputs", METHODS, NON_NEGATIVE)
-
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(lambda_e=self.lambda_e, lambda_g=self.lambda_g,
-                            mm_iterations=self.mm_iterations)
 
     def harmonic_dictionary(self, freqs, fundamentals) -> np.ndarray:
         """The M x K harmonic template matrix on the bin grid `freqs`, with
@@ -204,7 +200,8 @@ def solve(method: str, frames: NormalizedFrames, freqs: np.ndarray,
     cost = harmonic_cost(freqs, fundamentals, config.epsilon0)
     if config.noise_amplitude is not None:
         cost = append_noise_column(cost, config.noise_amplitude)
-    return unmix(frames, cost, config.solver_config(), variant=method)
+    return unmix(frames, cost, method, lambda_e=config.lambda_e,
+                 lambda_g=config.lambda_g, mm_iterations=config.mm_iterations)
 
 
 def decompose(frames: NormalizedFrames, freqs: np.ndarray, config: RunConfig):
@@ -475,16 +472,15 @@ def cmd_bench(args) -> int:
     except DataError as exc:
         raise UsageError(str(exc)) from exc
     cost = harmonic_cost(freqs, fundamentals, config.epsilon0)
-    solver = config.solver_config()
 
     start = time.perf_counter()
     plca_unmix(frames, templates, rel_tol=0.0)
     t_plca = time.perf_counter() - start
     start = time.perf_counter()
-    unmix(frames, cost, solver, variant="ost")
+    unmix(frames, cost, "ost")
     t_ost = time.perf_counter() - start
     start = time.perf_counter()
-    unmix(frames, cost, solver, variant="ost_e")
+    unmix(frames, cost, "ost_e", lambda_e=config.lambda_e)
     t_ost_e = time.perf_counter() - start
 
     rows = [("plca", t_plca, t_plca / n, 1.0),

@@ -7,7 +7,7 @@ column k is the l1-normalized harmonic comb of note k on an M-bin grid.
 
 import numpy as np
 
-from .frontend import _check_finite_non_negative
+from .frontend import _check_finite, _check_finite_non_negative
 
 DEFAULT_KERNEL_WIDTH_BINS = 2.0  # Gaussian std in bins of the grid spacing
 DEFAULT_DAMPING = 0.3
@@ -103,10 +103,11 @@ def make_harmonic_dictionary(freqs: np.ndarray, fundamentals, kernel_width: floa
     """
     _check_comb(kernel_width, damping, n_partials)
     freqs = np.asarray(freqs, dtype=np.float64)
+    _check_finite(freqs, "freqs")
     fundamentals = np.atleast_1d(np.asarray(fundamentals, dtype=np.float64))
     if fundamentals.ndim != 1 or fundamentals.size == 0:
         raise ValueError("fundamentals must be a non-empty vector")
-    if np.any(fundamentals <= 0) or np.any(fundamentals > freqs[-1]):
+    if not (np.all(fundamentals > 0) and np.all(fundamentals <= freqs[-1])):
         raise ValueError("fundamentals must lie within (0, max(freqs)]")
 
     weights = damped_weights(damping, n_partials)

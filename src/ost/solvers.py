@@ -11,7 +11,7 @@ reduced M x K cost. Transporting onto Dirac targets decouples row-wise, so:
 - ost_eg runs the same MM loop with the entropic inner solve.
 
 So the four variants are two kernels, hard (_group_mm) and entropic
-(_combined_mm), each run for config.mm_iterations MM steps or none: ost is
+(_combined_mm), each run for mm_iterations MM steps or none: ost is
 ost_g's start alone and ost_e is ost_eg's. Both kernels run on one driver
 over blocks of MM_BLOCK_FRAMES active frames (_mm_blocks). They return the
 column masses only, never a plan. Their per-frame references, which build
@@ -47,7 +47,7 @@ the same reason exp is evaluated only where its result can be normal (in
 E) or nonzero (in W): numpy's exp is ~100x slower on subnormal results.
 """
 
-from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -76,24 +76,6 @@ EXP_NORMAL_FLOOR = -708.5
 EXP_ZERO_FLOOR = -746.0
 
 VARIANTS = ("ost", "ost_e", "ost_g", "ost_eg")
-
-
-@dataclass
-class SolverConfig:
-    """Regularization weights and iteration counts for the solver family."""
-
-    lambda_e: float = 0.0
-    lambda_g: float = 0.0
-    mm_iterations: int = DEFAULT_MM_ITERATIONS
-
-    def __post_init__(self):
-        if not 0 <= self.lambda_e < np.inf:
-            raise ValueError("lambda_e must be finite and non-negative")
-        if not 0 <= self.lambda_g <= MAX_LAMBDA_G:
-            raise ValueError(f"lambda_g must be finite, non-negative and at "
-                             f"most {MAX_LAMBDA_G!r}")
-        if self.mm_iterations < 1:
-            raise ValueError("mm_iterations must be >= 1")
 
 
 def _gibbs_kernel(values: np.ndarray, lambda_e: float) -> np.ndarray:
@@ -159,7 +141,7 @@ def _kept_columns(col_min, col_max, pen):
 
 
 def _group_mm(values: np.ndarray, v: np.ndarray, active: np.ndarray,
-              config: SolverConfig, iterations: int) -> np.ndarray:
+              lambda_g: float, iterations: int) -> np.ndarray:
     """The masses of tests/oracles.py's ost_group_frame with `iterations`
     MM steps (ost_frame's at 0) for the columns `active` of v (M x N), bit
     for bit, each step taking a frame's argmin only over the columns
@@ -172,7 +154,6 @@ def _group_mm(values: np.ndarray, v: np.ndarray, active: np.ndarray,
     fewer than _FULL_ARGMIN_CELLS cost cells (M x K x live frames), where
     the bound costs more than it saves, takes the full argmin for all."""
     m, k = values.shape
-    lambda_g = config.lambda_g
     by_column = np.ascontiguousarray(values.T)  # gathered columns are rows
     col_min, col_max = by_column.min(axis=1), by_column.max(axis=1)
     caps = [w for w in (2, 4, 8, 16, 32) if w < k // 2] + [k // 2] * (k > 1)
@@ -234,7 +215,7 @@ def _gathered_labels(by_column, pen_rows, cols, frames):
 
 
 def _combined_mm(values: np.ndarray, v: np.ndarray, active: np.ndarray,
-                 config: SolverConfig, iterations: int) -> np.ndarray:
+                 lambda_e: float, lambda_g: float, iterations: int) -> np.ndarray:
     """The masses of tests/oracles.py's ost_combined_frame with `iterations`
     MM steps (ost_entropic_frame's at 0) for the columns `active` of v
     (M x N), by the factorised step H = W * E^T (V / E W) over blocks of
@@ -244,15 +225,14 @@ def _combined_mm(values: np.ndarray, v: np.ndarray, active: np.ndarray,
     Both products run over the support, the columns whose weight is nonzero
     in some frame of the block; the others get mass exactly 0, as in the
     full products. The penalty empties most columns within a few steps."""
-    lam_e, lam_g = config.lambda_e, config.lambda_g
     k = values.shape[1]
-    kernel = _gibbs_kernel(values, lam_e)
+    kernel = _gibbs_kernel(values, lambda_e)
     labels = kernel / kernel.sum(axis=1, keepdims=True)
     kernel_t = np.ascontiguousarray(kernel.T) if iterations else None
 
     def step(block, h):
-        pen = lam_g * _group_penalty_row(h)
-        z = (pen.min(axis=0) - pen) / lam_e
+        pen = lambda_g * _group_penalty_row(h)
+        z = (pen.min(axis=0) - pen) / lambda_e
         w = np.exp(z, out=np.zeros_like(z), where=z >= EXP_ZERO_FLOOR)
         support = np.flatnonzero(w.any(axis=1))
         full = support.size == k
@@ -269,7 +249,7 @@ def _combined_mm(values: np.ndarray, v: np.ndarray, active: np.ndarray,
             h = np.zeros_like(w)
             h[support] = h_s
         if low.any():
-            _add_underflowed_rows(h, values, block, pen, low & (block > 0), lam_e)
+            _add_underflowed_rows(h, values, block, pen, low & (block > 0), lambda_e)
         return h, None
 
     # block / s may overflow or be 0 / 0 where s underflows; those entries
@@ -305,32 +285,43 @@ def _add_underflowed_rows(h, values, block, pen, under, lam_e):
                          minlength=k * n).reshape(k, n)
 
 
-def unmix(frames: NormalizedFrames, cost: CostMatrix,
-          config: SolverConfig = None, variant: str = "ost") -> np.ndarray:
+def unmix(frames: NormalizedFrames, cost: CostMatrix, variant: str = "ost", *,
+          lambda_e: float = 0.0, lambda_g: float = 0.0,
+          mm_iterations: int = DEFAULT_MM_ITERATIONS) -> np.ndarray:
     """The K x N activations of the frames: column n holds the column
     masses of frame n, zero for a masked frame. The entropic variants run
-    _combined_mm, the others _group_mm, with config.mm_iterations MM steps
-    for ost_g and ost_eg and none for ost and ost_e: ost is ost_g's start,
-    ost_e is ost_eg's. ost and ost_g match tests/oracles.py's ost_frame and
+    _combined_mm, the others _group_mm, with mm_iterations MM steps for
+    ost_g and ost_eg and none for ost and ost_e: ost is ost_g's start, ost_e
+    is ost_eg's. ost and ost_g match tests/oracles.py's ost_frame and
     ost_group_frame bit for bit, ost_e and ost_eg match its
-    ost_entropic_frame and ost_combined_frame to rounding. Raises
-    NumericError if the activations are not finite.
+    ost_entropic_frame and ost_combined_frame to rounding. Every argument
+    is checked before any frame is read. Raises NumericError if the
+    activations are not finite.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    if config is None:
-        config = SolverConfig()
+    if not 0 <= lambda_e < np.inf:
+        raise ValueError("lambda_e must be finite and non-negative")
+    if not 0 <= lambda_g <= MAX_LAMBDA_G:
+        raise ValueError(f"lambda_g must be finite, non-negative and at "
+                         f"most {MAX_LAMBDA_G!r}")
+    if not isinstance(mm_iterations, Integral):
+        raise ValueError(f"mm_iterations must be an integer, got {mm_iterations!r}")
+    if mm_iterations < 1:
+        raise ValueError("mm_iterations must be >= 1")
     entropic = variant in ("ost_e", "ost_eg")
-    if entropic and config.lambda_e <= 0:
+    if entropic and lambda_e <= 0:
         raise ValueError(f"variant {variant} requires lambda_e > 0")
     if frames.columns.shape[0] != cost.values.shape[0]:
         raise ValueError("frame rows must match cost rows")
-    kernel = _combined_mm if entropic else _group_mm
-    iterations = config.mm_iterations if variant in ("ost_g", "ost_eg") else 0
+    iterations = mm_iterations if variant in ("ost_g", "ost_eg") else 0
     # The kernels gather the active columns block by block (no kernel writes
     # into its frame argument), so no M x N copy of the frames is made.
-    out = kernel(cost.values, frames.columns, np.flatnonzero(frames.active_mask),
-                 config, iterations)
+    v, active = frames.columns, np.flatnonzero(frames.active_mask)
+    if entropic:
+        out = _combined_mm(cost.values, v, active, lambda_e, lambda_g, iterations)
+    else:
+        out = _group_mm(cost.values, v, active, lambda_g, iterations)
     if not np.all(np.isfinite(out)):
         raise NumericError(f"variant {variant} produced non-finite activations")
     return out

@@ -118,10 +118,10 @@ def read_activations(path):
         times = np.array([float(c) for c in col_labels])
     except ValueError as exc:
         raise DataError(f"non-numeric frame times in {path!r}") from exc
-    if not np.all(np.diff(times) > 0):
-        raise DataError(f"frame times in {path!r} must increase")
     if not np.all(np.isfinite(times)):
         raise DataError(f"frame times in {path!r} must be finite")
+    if not np.all(np.diff(times) > 0):
+        raise DataError(f"frame times in {path!r} must increase")
     if not np.all(np.isfinite(values)) or np.any(values < 0):
         raise DataError(f"activations in {path!r} must be finite and non-negative")
     return values, row_labels, times

@@ -101,26 +101,30 @@ def ost_entropic_frame(v, cost, lambda_e):
     return plan, h, np.array([objective])
 
 
-def ost_group_frame(v, cost, config):
-    """Group-sparse transport by MM from the plain assignment. The penalized
-    objective <T, C> + lambda_g * sum_k sqrt(h_k) never increases."""
-    values, lam = cost.values, config.lambda_g
-    return _mm(values, lam, config.mm_iterations, lambda c: _assign(c, v),
-               lambda plan, h: transport_objective(plan, values) + lam * group_term(h))
+def ost_group_frame(v, cost, lambda_g, mm_iterations):
+    """Group-sparse transport by `mm_iterations` MM steps from the plain
+    assignment. The penalized objective <T, C> + lambda_g * sum_k sqrt(h_k)
+    never increases."""
+    values = cost.values
+
+    def objective(plan, h):
+        return transport_objective(plan, values) + lambda_g * group_term(h)
+
+    return _mm(values, lambda_g, mm_iterations, lambda c: _assign(c, v), objective)
 
 
-def ost_combined_frame(v, cost, config):
+def ost_combined_frame(v, cost, lambda_e, lambda_g, mm_iterations):
     """The MM loop of ost_group_frame with the entropic solve as its inner
     step, lambda_e > 0. <T, C> + lambda_e * sum t log t + lambda_g * sum
     sqrt(h_k) is non-increasing across outer iterations."""
-    values, lam_e, lam_g = cost.values, config.lambda_e, config.lambda_g
+    values = cost.values
 
     def objective(plan, h):
         return (transport_objective(plan, values)
-                + lam_e * entropy_term(plan) + lam_g * group_term(h))
+                + lambda_e * entropy_term(plan) + lambda_g * group_term(h))
 
-    return _mm(values, lam_g, config.mm_iterations,
-               lambda c: _entropic(c, v, lam_e), objective)
+    return _mm(values, lambda_g, mm_iterations,
+               lambda c: _entropic(c, v, lambda_e), objective)
 
 
 def reduced_lp(v, cost_values):

@@ -21,7 +21,7 @@ from ost.evaluation import (NoteEvent, events_to_roll, f_measure,
                             l1_activation_error, make_toy_scenario,
                             threshold_activations, toy_fundamentals)
 from ost.frontend import NormalizedFrames, normalize_frames, stft_magnitude
-from ost.solvers import SolverConfig, unmix
+from ost.solvers import unmix
 from ost.synth import render_notes
 from ost.tsvio import atomic_write_text
 
@@ -97,11 +97,8 @@ def test_criterion_3_mm_objective_monotone():
         v = rng.dirichlet(np.ones(m))
         lam_g = float(rng.uniform(0.5, 1000.0))
         lam_e = float(rng.uniform(0.5, 1000.0))
-        group_cfg = SolverConfig(lambda_g=lam_g, mm_iterations=10)
-        _, _, trace_g = ost_group_frame(v, cost, group_cfg)
-        both_cfg = SolverConfig(lambda_e=lam_e, lambda_g=lam_g,
-                                mm_iterations=10)
-        _, _, trace_eg = ost_combined_frame(v, cost, both_cfg)
+        _, _, trace_g = ost_group_frame(v, cost, lam_g, 10)
+        _, _, trace_eg = ost_combined_frame(v, cost, lam_e, lam_g, 10)
         for trace in (trace_g, trace_eg):
             rises = np.diff(trace)
             # slack covers float accumulation only, not algorithmic increase
@@ -117,16 +114,15 @@ def test_criterion_3_mm_objective_monotone():
 
 def test_criterion_4_toy_error_orderings():
     start = time.perf_counter()
-    solver_configs = (
-        ("ost", SolverConfig()),
-        ("ost_e", SolverConfig(lambda_e=300.0)),
-        ("ost_g", SolverConfig(lambda_g=300.0, mm_iterations=10)),
-        ("ost_eg", SolverConfig(lambda_e=300.0, lambda_g=300.0,
-                                mm_iterations=10)),
+    solver_params = (
+        ("ost", {}),
+        ("ost_e", dict(lambda_e=300.0)),
+        ("ost_g", dict(lambda_g=300.0, mm_iterations=10)),
+        ("ost_eg", dict(lambda_e=300.0, lambda_g=300.0, mm_iterations=10)),
     )
     medians = {}
     for which in ("a", "b"):
-        errors = {name: [] for name, _ in solver_configs}
+        errors = {name: [] for name, _ in solver_params}
         errors["plca"] = []
         for seed in range(50):
             freqs, frame, h_true = make_toy_scenario(which, seed=seed)
@@ -136,8 +132,8 @@ def test_criterion_4_toy_error_orderings():
             acts, _ = plca_unmix(frames, toy_templates(freqs))
             errors["plca"].append(
                 l1_activation_error(acts[:, 0], h_true))
-            for name, cfg in solver_configs:
-                h = unmix(frames, cost, cfg, variant=name)[:, 0]
+            for name, params in solver_params:
+                h = unmix(frames, cost, name, **params)[:, 0]
                 errors[name].append(l1_activation_error(h, h_true))
         medians[which] = {name: float(np.median(errs))
                           for name, errs in errors.items()}
@@ -232,12 +228,10 @@ def test_criterion_7_synthetic_transcription():
     def score(values):
         return f_measure(threshold_activations(values, truth), truth).f_measure
 
-    f_ost = score(unmix(frames, cost, SolverConfig(), variant="ost"))
-    f_entropic = score(unmix(frames, cost, SolverConfig(lambda_e=lam_e),
-                             variant="ost_e"))
+    f_ost = score(unmix(frames, cost, "ost"))
+    f_entropic = score(unmix(frames, cost, "ost_e", lambda_e=lam_e))
     noisy = append_noise_column(cost, noise_amp)
-    with_noise = unmix(frames, noisy, SolverConfig(lambda_e=lam_e),
-                       variant="ost_e")
+    with_noise = unmix(frames, noisy, "ost_e", lambda_e=lam_e)
     f_noise = score(with_noise[:-1])
     elapsed = time.perf_counter() - start
     assert f_noise >= 0.90
@@ -281,7 +275,7 @@ def test_criterion_9_support_preservation_report(tmp_path):
     templates = make_harmonic_dictionary(freqs, fundamentals, 2.0 * (f_max / m),
                                          damping=0.3, n_partials=8)
     cost = harmonic_cost(freqs, fundamentals, 1.0)
-    config = SolverConfig(lambda_e=300.0, lambda_g=300.0, mm_iterations=10)
+    lam_e = lam_g = 300.0
 
     counterexamples = []
     preserved = {"ost_g": 0, "ost_eg": 0}
@@ -296,9 +290,9 @@ def test_criterion_9_support_preservation_report(tmp_path):
             return set(np.argsort(-h, kind="stable")[:polyphony])
 
         _, h_plain, _ = ost_frame(frame, cost)
-        _, h_group, _ = ost_group_frame(frame, cost, config)
-        _, h_entropic, _ = ost_entropic_frame(frame, cost, config.lambda_e)
-        _, h_both, _ = ost_combined_frame(frame, cost, config)
+        _, h_group, _ = ost_group_frame(frame, cost, lam_g, 10)
+        _, h_entropic, _ = ost_entropic_frame(frame, cost, lam_e)
+        _, h_both, _ = ost_combined_frame(frame, cost, lam_e, lam_g, 10)
         for pair, base, refined in (("ost_g", h_plain, h_group),
                                     ("ost_eg", h_entropic, h_both)):
             base_top, refined_top = top(base), top(refined)

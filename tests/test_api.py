@@ -10,6 +10,7 @@ the result attributes it reads."""
 import dataclasses
 import importlib
 import inspect
+import re
 import types
 from pathlib import Path
 
@@ -20,6 +21,7 @@ import ost
 from ost import cli
 from ost.evaluation import NoteEvent
 from ost.synth import render_notes
+from ost.tsvio import read_activations
 
 from helpers import write_ground_truth, write_wav
 
@@ -57,6 +59,20 @@ def api_signatures() -> str:
 def test_api_signatures_are_unchanged():
     golden = (Path(__file__).parent / "api_signatures.txt").read_text()
     assert api_signatures() == golden
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    # the README's Library example, run as written on a rendered piece.wav
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    library = readme[readme.index("## Library"):]
+    example = re.search(r"```python\n(.*?)```", library, re.DOTALL).group(1)
+    events = [NoteEvent(0.0, 0.8, 60), NoteEvent(0.4, 1.2, 67)]
+    monkeypatch.chdir(tmp_path)
+    write_wav(tmp_path / "piece.wav", render_notes(events, seed=2))
+    exec(compile(example, "README.md", "exec"), {})
+    values, labels, times = read_activations(tmp_path / "piece.activations.tsv")
+    assert labels == [str(m) for m in range(21, 109)]
+    assert values.shape == (88, times.size) and times.size > 0
 
 
 def benchmark_spans() -> types.ModuleType:

@@ -201,8 +201,9 @@ class TestPlcaUnmix:
         frames = single_frame(np.full(12, 1.0 / 12))
         with pytest.raises(ValueError):
             plca_unmix(frames, d, max_iter=0)
-        with pytest.raises(ValueError):
-            plca_unmix(frames, d, rel_tol=-1e-3)
+        for bad in (-1e-3, np.nan):  # NaN ran every frame to max_iter
+            with pytest.raises(ValueError, match="rel_tol"):
+                plca_unmix(frames, d, rel_tol=bad)
 
     def test_non_finite_output_raises(self, monkeypatch):
         # simplex frames cannot make EM overflow, so the kernel is replaced by

@@ -354,15 +354,22 @@ class TestDataErrors:
         assert code == EXIT_DATA
         assert "0 Hz" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("table", [
-        "component\\time_s\t0.2\t0.1\n60\t0.5\t0.5\n",  # times fall
-        "component\\time_s\t0.2\t0.2\n60\t0.5\t0.5\n",  # times repeat
-        "component\\time_s\t0.1\t0.2\n60\t-1\t0.5\n",   # negative activation
-        "component\\time_s\t0.1\t0.2\n60\tnan\t0.5\n",  # non-finite activation
-        "component\\time_s\t0.1\t0.2\nnoise\t1\t1\n",   # no pitch rows
-        "component\\time_s\t0.1\tinf\n60\t0.5\t0.5\n",  # an infinite time
-        "component\\time_s\t-inf\t0.1\n60\t0.5\t0.5\n",  # and at the start
-    ])
+    # each malformed table and the fault its message names
+    MALFORMED_TABLES = {
+        "component\\time_s\t0.2\t0.1\n60\t0.5\t0.5\n": "must increase",  # times fall
+        "component\\time_s\t0.2\t0.2\n60\t0.5\t0.5\n": "must increase",  # times repeat
+        "component\\time_s\t0.1\t0.2\n60\t-1\t0.5\n":  # negative activation
+            "must be finite and non-negative",
+        "component\\time_s\t0.1\t0.2\n60\tnan\t0.5\n":  # non-finite activation
+            "must be finite and non-negative",
+        "component\\time_s\t0.1\t0.2\nnoise\t1\t1\n":  # no pitch rows
+            "contiguous MIDI range",
+        "component\\time_s\t0.1\tinf\n60\t0.5\t0.5\n": "must be finite",  # infinite time
+        "component\\time_s\t-inf\t0.1\n60\t0.5\t0.5\n": "must be finite",  # at the start
+        "component\\time_s\tnan\t0.1\n60\t0.5\t0.5\n": "must be finite",  # a NaN time
+    }
+
+    @pytest.mark.parametrize("table", MALFORMED_TABLES)
     def test_eval_rejects_malformed_activations(self, capsys, tmp_path, table):
         acts = tmp_path / "acts.tsv"
         acts.write_text(table)
@@ -370,7 +377,9 @@ class TestDataErrors:
         write_ground_truth(truth, [NoteEvent(0.0, 1.0, 60)])
         code = main(["eval", str(acts), "--ground-truth", str(truth)])
         assert code == EXIT_DATA
-        assert "data error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "data error" in err
+        assert self.MALFORMED_TABLES[table] in err
 
     @staticmethod
     def scored_argv(command, note50, tmp_path, truth_bytes):

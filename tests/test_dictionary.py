@@ -138,14 +138,23 @@ def template_consumers(m=2):
 
 
 class TestDictionaryValidation:
-    """make_harmonic_dictionary checks its fundamentals; plca_unmix and
-    ot_unmix_lp check the template matrix they are given."""
+    """make_harmonic_dictionary checks its fundamentals and bin grid;
+    plca_unmix and ot_unmix_lp check the template matrix they are given."""
 
-    @pytest.mark.parametrize("fundamentals", [[], [-100.0, 200.0]])
+    @pytest.mark.parametrize("fundamentals", [[], [-100.0, 200.0], [np.nan, 100.0]])
     def test_fundamentals_checked(self, fundamentals):
-        # empty and non-positive fundamentals
+        # empty, non-positive and NaN fundamentals (NaN compares false both
+        # ways, so a range check for any value out of range let it through)
         with pytest.raises(ValueError, match="fundamentals"):
             make_harmonic_dictionary(np.linspace(5.0, 2000.0, 400), fundamentals, 10.0)
+
+    @pytest.mark.parametrize("where", [0, -1])
+    def test_grid_checked(self, where):
+        # a NaN bin frequency gave NaN templates, at the top bin as elsewhere
+        freqs = np.linspace(5.0, 2000.0, 400)
+        freqs[where] = np.nan
+        with pytest.raises(ValueError, match="^freqs must be finite$"):
+            make_harmonic_dictionary(freqs, [100.0], 10.0)
 
     def test_harmonic_requires_templates(self):
         # no matrix, no column, or a row count other than the frames' bins

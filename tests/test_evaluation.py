@@ -15,7 +15,6 @@ from ost.evaluation import (NoteEvent, SCENARIO_ALIASES, TOY_PAIR_A, TOY_PAIR_B,
                             make_toy_scenario, parse_ground_truth,
                             threshold_activations, toy_fundamentals)
 from ost.frontend import NormalizedFrames
-from ost.solvers import SolverConfig
 
 from helpers import toy_templates, write_ground_truth
 from oracles import ost_frame, ost_group_frame
@@ -319,8 +318,7 @@ class TestMakeToyScenario:
         monkeypatch.setattr(evaluation, "TOY_SHIFT_PCT", 0.0)
         freqs, frame, h_true = make_toy_scenario("a", seed=0, kernel_width_bins=1.0)
         cost = harmonic_cost(freqs, toy_fundamentals(), eps0=1.0)
-        config = SolverConfig(lambda_g=300.0, mm_iterations=10)
-        _, h, _ = ost_group_frame(frame, cost, config)
+        _, h, _ = ost_group_frame(frame, cost, 300.0, 10)
         assert l1_activation_error(h, h_true) < 1e-6
 
     def test_zero_shift_default_kernel_stays_tiny(self, monkeypatch):
@@ -328,24 +326,21 @@ class TestMakeToyScenario:
         monkeypatch.setattr(evaluation, "TOY_SHIFT_PCT", 0.0)
         freqs, frame, h_true = make_toy_scenario("a", seed=0)
         cost = harmonic_cost(freqs, toy_fundamentals(), eps0=1.0)
-        config = SolverConfig(lambda_g=300.0, mm_iterations=10)
-        _, h, _ = ost_group_frame(frame, cost, config)
+        _, h, _ = ost_group_frame(frame, cost, 300.0, 10)
         assert l1_activation_error(h, h_true) < 1e-4
 
     def test_shifted_scenario_breaks_plain_transport_not_grouped(self):
         freqs, frame, h_true = make_toy_scenario("a", seed=0)
         cost = harmonic_cost(freqs, toy_fundamentals(), eps0=1.0)
-        config = SolverConfig(lambda_g=300.0, mm_iterations=10)
         _, h_plain, _ = ost_frame(frame, cost)
-        _, h_group, _ = ost_group_frame(frame, cost, config)
+        _, h_group, _ = ost_group_frame(frame, cost, 300.0, 10)
         assert l1_activation_error(h_group, h_true) < 0.1
         assert l1_activation_error(h_plain, h_true) > 0.3
 
     def test_group_transport_beats_plca_under_shift(self):
         freqs, frame, h_true = make_toy_scenario("a", seed=0)
         cost = harmonic_cost(freqs, toy_fundamentals(), eps0=1.0)
-        config = SolverConfig(lambda_g=300.0, mm_iterations=10)
-        _, h_group, _ = ost_group_frame(frame, cost, config)
+        _, h_group, _ = ost_group_frame(frame, cost, 300.0, 10)
         frames = NormalizedFrames(columns=frame[:, None],
                                   active_mask=np.array([True]))
         acts, _ = plca_unmix(frames, toy_templates(freqs))

@@ -15,6 +15,7 @@ Oracles used here:
   the guard that keeps only the columns with a normal share: within 1e-12.
 """
 
+import re
 import warnings
 
 import numpy as np
@@ -26,7 +27,7 @@ from ost.dictionary import midi_range_fundamentals
 from ost.errors import NumericError
 from ost.evaluation import NoteEvent
 from ost.frontend import NormalizedFrames, normalize_frames, stft_magnitude
-from ost.solvers import MM_BLOCK_FRAMES, SolverConfig, unmix
+from ost.solvers import DEFAULT_MM_ITERATIONS, MM_BLOCK_FRAMES, unmix
 from ost.synth import render_notes
 
 from helpers import active_copy, partly_masked_frames, traced_peak
@@ -158,8 +159,7 @@ class TestGroupFrame:
             m, k = rng.integers(2, 24), rng.integers(2, 8)
             v, cost = random_instance(rng, m, k)
             lam = 10.0 ** rng.uniform(-2, 2)
-            config = SolverConfig(lambda_g=lam, mm_iterations=12)
-            _, _, trace = ost_group_frame(v, cost, config)
+            _, _, trace = ost_group_frame(v, cost, lam, 12)
             assert trace.size == 13
             assert np.all(np.diff(trace) <= 1e-12)
 
@@ -171,21 +171,20 @@ class TestGroupFrame:
         v = np.array([0.6, 0.4])
         _, h_plain, _ = ost_frame(v, cost)
         np.testing.assert_allclose(h_plain, [0.6, 0.4])
-        config = SolverConfig(lambda_g=1.0, mm_iterations=10)
-        _, h, _ = ost_group_frame(v, cost, config)
+        _, h, _ = ost_group_frame(v, cost, 1.0, 10)
         np.testing.assert_allclose(h, [1.0, 0.0], atol=0)
 
     def test_zero_lambda_reduces_to_plain(self):
         rng = np.random.default_rng(21)
         v, cost = random_instance(rng, 15, 5)
         _, h_plain, _ = ost_frame(v, cost)
-        _, h, _ = ost_group_frame(v, cost, SolverConfig(lambda_g=0.0))
+        _, h, _ = ost_group_frame(v, cost, 0.0, DEFAULT_MM_ITERATIONS)
         np.testing.assert_array_equal(h, h_plain)
 
     def test_mass_conserved(self):
         rng = np.random.default_rng(22)
         v, cost = random_instance(rng, 18, 6)
-        plan, h, _ = ost_group_frame(v, cost, SolverConfig(lambda_g=5.0))
+        plan, h, _ = ost_group_frame(v, cost, 5.0, DEFAULT_MM_ITERATIONS)
         np.testing.assert_allclose(plan.sum(axis=1), v, atol=1e-15)
         assert h.sum() == pytest.approx(1.0)
 
@@ -196,17 +195,14 @@ class TestCombinedFrame:
         for _ in range(20):
             m, k = rng.integers(2, 24), rng.integers(2, 8)
             v, cost = random_instance(rng, m, k)
-            config = SolverConfig(lambda_e=10.0 ** rng.uniform(-1.5, 1.5),
-                                  lambda_g=10.0 ** rng.uniform(-2, 2),
-                                  mm_iterations=12)
-            _, _, trace = ost_combined_frame(v, cost, config)
+            lam_e, lam_g = 10.0 ** rng.uniform(-1.5, 1.5), 10.0 ** rng.uniform(-2, 2)
+            _, _, trace = ost_combined_frame(v, cost, lam_e, lam_g, 12)
             assert np.all(np.diff(trace) <= 1e-10)
 
     def test_zero_group_weight_matches_entropic(self):
         rng = np.random.default_rng(31)
         v, cost = random_instance(rng, 12, 5)
-        config = SolverConfig(lambda_e=0.8, lambda_g=0.0)
-        _, h_combined, _ = ost_combined_frame(v, cost, config)
+        _, h_combined, _ = ost_combined_frame(v, cost, 0.8, 0.0, DEFAULT_MM_ITERATIONS)
         _, h_entropic, _ = ost_entropic_frame(v, cost, 0.8)
         np.testing.assert_allclose(h_combined, h_entropic, atol=1e-15)
 
@@ -235,12 +231,12 @@ class TestColumnPermutationEquivariance:
         cost = toy_cost(cost.values + rng.uniform(0, 1e-6, cost.values.shape))
         perm = rng.permutation(6)
         permuted = toy_cost(cost.values[:, perm])
-        config = SolverConfig(lambda_e=0.5, lambda_g=0.5)
+        its = DEFAULT_MM_ITERATIONS
         solvers = {
             "ost": lambda vv, cc: ost_frame(vv, cc)[1],
             "ost_e": lambda vv, cc: ost_entropic_frame(vv, cc, 0.5)[1],
-            "ost_g": lambda vv, cc: ost_group_frame(vv, cc, config)[1],
-            "ost_eg": lambda vv, cc: ost_combined_frame(vv, cc, config)[1],
+            "ost_g": lambda vv, cc: ost_group_frame(vv, cc, 0.5, its)[1],
+            "ost_eg": lambda vv, cc: ost_combined_frame(vv, cc, 0.5, 0.5, its)[1],
         }
         h = solvers[variant](v, cost)
         h_perm = solvers[variant](v, permuted)
@@ -267,8 +263,8 @@ class TestUnmix:
         rng = np.random.default_rng(50)
         frames = make_frames(rng, 12, 7, inactive=(2,))
         cost = toy_cost(rng.uniform(0, 3, size=(12, 4)))
-        config = SolverConfig(lambda_e=0.6, lambda_g=1.2)
-        acts = unmix(frames, cost, config, variant=variant)
+        params = dict(lambda_e=0.6, lambda_g=1.2)
+        acts = unmix(frames, cost, variant, **params)
         assert acts.shape == (4, 7)
         np.testing.assert_array_equal(acts[:, 2], 0.0)
         for n in range(7):
@@ -280,9 +276,9 @@ class TestUnmix:
             elif variant == "ost_e":
                 _, h, _ = ost_entropic_frame(v, cost, 0.6)
             elif variant == "ost_g":
-                _, h, _ = ost_group_frame(v, cost, config)
+                _, h, _ = ost_group_frame(v, cost, 1.2, DEFAULT_MM_ITERATIONS)
             else:
-                _, h, _ = ost_combined_frame(v, cost, config)
+                _, h, _ = ost_combined_frame(v, cost, 0.6, 1.2, DEFAULT_MM_ITERATIONS)
             np.testing.assert_allclose(acts[:, n], h, atol=1e-12)
 
     def test_all_frames_masked(self):
@@ -313,10 +309,10 @@ class TestUnmix:
         m, n = 512, 16 * MM_BLOCK_FRAMES
         frames = partly_masked_frames(rng, m, n)
         cost = toy_cost(rng.uniform(0, 3, size=(m, 8)))
-        config = SolverConfig(lambda_e=0.6, lambda_g=1.2)
-        acts, peak = traced_peak(unmix, frames, cost, config, variant=variant)
+        params = dict(lambda_e=0.6, lambda_g=1.2)
+        acts, peak = traced_peak(unmix, frames, cost, variant, **params)
         active = frames.active_mask
-        expected = unmix(active_copy(frames), cost, config, variant=variant)
+        expected = unmix(active_copy(frames), cost, variant, **params)
         np.testing.assert_array_equal(acts[:, ~active], 0.0)
         assert_same_masses(acts[:, active], expected, variant)
         assert peak < m * active.sum() * 8
@@ -329,7 +325,7 @@ class TestUnmix:
         frames = make_frames(rng, 12, MM_BLOCK_FRAMES + 3)
         frames.columns.flags.writeable = False
         cost = toy_cost(rng.uniform(0, 3, size=(12, 4)))
-        unmix(frames, cost, SolverConfig(lambda_e=0.6, lambda_g=1.2), variant=variant)
+        unmix(frames, cost, variant, lambda_e=0.6, lambda_g=1.2)
 
     @pytest.mark.parametrize("variant", ["ost", "ost_e", "ost_g", "ost_eg"])
     def test_frame_layout_does_not_change_the_masses(self, variant, monkeypatch):
@@ -354,9 +350,9 @@ class TestUnmix:
         assert frames.columns.flags.f_contiguous
         assert not c_frames.columns.flags.f_contiguous
         cost = toy_cost(rng.uniform(0, 30, size=(64, 8)))
-        config = SolverConfig(lambda_e=0.01, lambda_g=10.0)
-        np.testing.assert_array_equal(unmix(c_frames, cost, config, variant=variant),
-                                      unmix(frames, cost, config, variant=variant))
+        params = dict(lambda_e=0.01, lambda_g=10.0)
+        np.testing.assert_array_equal(unmix(c_frames, cost, variant, **params),
+                                      unmix(frames, cost, variant, **params))
         assert layouts == [True] * 4
 
     def test_validation(self):
@@ -366,35 +362,38 @@ class TestUnmix:
         with pytest.raises(ValueError):
             unmix(frames, cost, variant="sinkhorn")
         with pytest.raises(ValueError):
-            unmix(frames, cost, SolverConfig(lambda_e=0.0), variant="ost_e")
+            unmix(frames, cost, "ost_e", lambda_e=0.0)
         with pytest.raises(ValueError):
-            unmix(frames, cost, SolverConfig(lambda_e=0.0), variant="ost_eg")
+            unmix(frames, cost, "ost_eg", lambda_e=0.0)
         masked = make_frames(rng, 6, 3, inactive=(0, 1, 2))
         for variant in ("ost_e", "ost_eg"):  # checked before any frame is read
             with pytest.raises(ValueError, match="lambda_e"):
-                unmix(masked, cost, SolverConfig(lambda_e=0.0), variant=variant)
+                unmix(masked, cost, variant, lambda_e=0.0)
         bad_cost = toy_cost(rng.uniform(0, 3, size=(5, 2)))
         with pytest.raises(ValueError):
             unmix(frames, bad_cost)
 
 
-def oracle_masses(frames, cost, config, variant):
-    per_frame = {"ost": lambda v, c, _: ost_frame(v, c),
-                 "ost_e": lambda v, c, cfg: ost_entropic_frame(v, c, cfg.lambda_e),
-                 "ost_g": ost_group_frame, "ost_eg": ost_combined_frame}
+def oracle_masses(frames, cost, variant, lambda_e=0.0, lambda_g=0.0,
+                  mm_iterations=DEFAULT_MM_ITERATIONS):
+    """The per-frame solvers' masses, with unmix's defaults."""
+    per_frame = {"ost": lambda v: ost_frame(v, cost),
+                 "ost_e": lambda v: ost_entropic_frame(v, cost, lambda_e),
+                 "ost_g": lambda v: ost_group_frame(v, cost, lambda_g, mm_iterations),
+                 "ost_eg": lambda v: ost_combined_frame(v, cost, lambda_e, lambda_g,
+                                                        mm_iterations)}
     out = np.zeros((cost.values.shape[1], frames.n_frames))
     for n in np.flatnonzero(frames.active_mask):
-        _, out[:, n], _ = per_frame[variant](frames.columns[:, n], cost, config)
+        _, out[:, n], _ = per_frame[variant](frames.columns[:, n])
     return out
 
 
-def fixed_point_step(v, cost, config):
+def fixed_point_step(v, cost, lambda_g, mm_iterations):
     """The first MM step of ost_group_frame whose masses repeat the previous
-    step's, or None if there is none within config.mm_iterations."""
+    step's, or None if there is none within mm_iterations."""
     previous = ost_frame(v, cost)[1]
-    for t in range(1, config.mm_iterations + 1):
-        _, h, _ = ost_group_frame(v, cost, SolverConfig(lambda_g=config.lambda_g,
-                                                        mm_iterations=t))
+    for t in range(1, mm_iterations + 1):
+        _, h, _ = ost_group_frame(v, cost, lambda_g, t)
         if np.array_equal(h, previous):
             return t
         previous = h
@@ -423,9 +422,9 @@ def assert_same_masses(got, expected, variant):
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
-def assert_matches_oracle(frames, cost, config, variant):
-    assert_same_masses(unmix(frames, cost, config, variant=variant),
-                       oracle_masses(frames, cost, config, variant), variant)
+def assert_matches_oracle(frames, cost, variant, **params):
+    assert_same_masses(unmix(frames, cost, variant, **params),
+                       oracle_masses(frames, cost, variant, **params), variant)
 
 
 class TestBatchedMM:
@@ -445,8 +444,8 @@ class TestBatchedMM:
         inactive = (0, 5, MM_BLOCK_FRAMES - 1, MM_BLOCK_FRAMES, 200, n - 1)
         frames = make_frames(rng, 10, n, inactive=inactive)
         cost = toy_cost(rng.uniform(0, 3, size=(10, 4)))
-        config = SolverConfig(lambda_e=0.4, lambda_g=2.0)
-        assert_matches_oracle(frames, cost, config, variant)
+        params = dict(lambda_e=0.4, lambda_g=2.0)
+        assert_matches_oracle(frames, cost, variant, **params)
 
     @pytest.mark.parametrize("variant", ["ost", "ost_e", "ost_g", "ost_eg"])
     def test_noise_column(self, variant):
@@ -455,9 +454,9 @@ class TestBatchedMM:
         cost = append_noise_column(harmonic_cost(freqs, [100.0, 150.0, 220.0],
                                                  eps0=10.0), 400.0)
         frames = make_frames(rng, 40, 9, inactive=(3,))
-        config = SolverConfig(lambda_e=200.0, lambda_g=300.0)
-        assert_matches_oracle(frames, cost, config, variant)
-        masses = unmix(frames, cost, config, variant=variant)
+        params = dict(lambda_e=200.0, lambda_g=300.0)
+        assert_matches_oracle(frames, cost, variant, **params)
+        masses = unmix(frames, cost, variant, **params)
         assert masses[-1].sum() > 0  # the noise column takes part
 
     @staticmethod
@@ -469,12 +468,12 @@ class TestBatchedMM:
         values = rng.integers(0, 3, size=(12, 4)).astype(float)
         values[:, 3] = values[:, 1]
         frames = make_frames(rng, 12, 20)
-        return frames, toy_cost(values), SolverConfig(lambda_e=0.5, lambda_g=0.3)
+        return frames, toy_cost(values), dict(lambda_e=0.5, lambda_g=0.3)
 
     @pytest.mark.parametrize("variant", ["ost", "ost_e", "ost_g", "ost_eg"])
     def test_exact_cost_ties(self, variant):
-        frames, cost, config = self.exact_ties_problem()
-        assert_matches_oracle(frames, cost, config, variant)
+        frames, cost, params = self.exact_ties_problem()
+        assert_matches_oracle(frames, cost, variant, **params)
 
     @pytest.mark.parametrize("variant", ["ost_g", "ost_eg"])
     def test_many_iterations(self, variant):
@@ -484,13 +483,13 @@ class TestBatchedMM:
         rng = np.random.default_rng(63)
         frames = make_frames(rng, 16, 25, inactive=(7,), concentration=0.3)
         cost = toy_cost(rng.uniform(0, 3, size=(16, 5)))
-        config = SolverConfig(lambda_e=0.4, lambda_g=1.5, mm_iterations=50)
-        assert_matches_oracle(frames, cost, config, variant)
+        params = dict(lambda_e=0.4, lambda_g=1.5, mm_iterations=50)
+        assert_matches_oracle(frames, cost, variant, **params)
         if variant == "ost_g":
             # every frame reaches its fixed point well before 50 iterations,
             # so the batched loop takes its early exit on all of them
             for n in np.flatnonzero(frames.active_mask):
-                _, _, trace = ost_group_frame(frames.columns[:, n], cost, config)
+                _, _, trace = ost_group_frame(frames.columns[:, n], cost, 1.5, 50)
                 assert trace[-1] == trace[-25]
 
     def test_group_mm_on_rendered_chords(self):
@@ -508,9 +507,9 @@ class TestBatchedMM:
         assert 16 <= frames.active_mask.sum() <= 24
         cost = harmonic_cost(spec.freqs, midi_range_fundamentals(21, 108),
                              eps0=10.0)
-        config = SolverConfig(lambda_g=300.0)
-        assert_matches_oracle(frames, cost, config, "ost_g")
-        masses = unmix(frames, cost, config, variant="ost_g")
+        params = dict(lambda_g=300.0)
+        assert_matches_oracle(frames, cost, "ost_g", **params)
+        masses = unmix(frames, cost, "ost_g", **params)
         support = (masses[:, frames.active_mask] > 0).sum(axis=0)
         assert np.mean(support <= 88 // 2) > 0.5
 
@@ -532,12 +531,12 @@ class TestBatchedMM:
                            [big, c_tie, 0.0, big, big, big]])
         frames = NormalizedFrames(columns=np.array([[v_r], [0.25], [0.75]]),
                                   active_mask=np.array([True]))
-        return frames, toy_cost(values), SolverConfig(lambda_g=1.0, mm_iterations=2)
+        return frames, toy_cost(values), dict(lambda_g=1.0, mm_iterations=2)
 
     def test_group_mm_keeps_an_empty_column_at_the_bound(self):
-        frames, cost, config = self.empty_column_problem()
-        assert_matches_oracle(frames, cost, config, "ost_g")
-        masses = unmix(frames, cost, config, variant="ost_g")
+        frames, cost, params = self.empty_column_problem()
+        assert_matches_oracle(frames, cost, "ost_g", **params)
+        masses = unmix(frames, cost, "ost_g", **params)
         v_r = frames.columns[0, 0]
         assert masses[0, 0] == v_r and masses[1, 0] == 0.0
 
@@ -556,12 +555,12 @@ class TestBatchedMM:
             cost = append_noise_column(harmonic_cost(freqs, notes, eps0=10.0),
                                        400.0)
         frames = make_frames(rng, 60, 12, inactive=(4,), concentration=0.2)
-        return frames, cost, SolverConfig(lambda_g=300.0)
+        return frames, cost, dict(lambda_g=300.0)
 
     @pytest.mark.parametrize("case", ["one_column", "eps0_zero", "noise_column"])
     def test_group_mm_edge_costs(self, case):
-        frames, cost, config = self.edge_cost_problem(case)
-        assert_matches_oracle(frames, cost, config, "ost_g")
+        frames, cost, params = self.edge_cost_problem(case)
+        assert_matches_oracle(frames, cost, "ost_g", **params)
 
     @staticmethod
     def spy_on_routes(monkeypatch):
@@ -599,13 +598,13 @@ class TestBatchedMM:
         # frames of empty_column and eps0_zero hold mass in at most half of
         # the columns from the first step on
         if problem == "exact_ties":
-            frames, cost, config = self.exact_ties_problem()
+            frames, cost, params = self.exact_ties_problem()
         elif problem == "empty_column":
-            frames, cost, config = self.empty_column_problem()
+            frames, cost, params = self.empty_column_problem()
         else:
-            frames, cost, config = self.edge_cost_problem(problem)
+            frames, cost, params = self.edge_cost_problem(problem)
         steps = self.spy_on_routes(monkeypatch)
-        unmix(frames, cost, config, variant="ost_g")
+        unmix(frames, cost, "ost_g", **params)
         assert any(full_frames for full_frames, _ in steps) == full
         assert any(widths for _, widths in steps) == gathered
 
@@ -620,11 +619,11 @@ class TestBatchedMM:
         columns = rng.dirichlet(np.ones(m), size=n).T
         columns[:, 0] = np.eye(m)[5]
         frames = NormalizedFrames(columns=columns, active_mask=np.ones(n, dtype=bool))
-        config = SolverConfig(lambda_g=2.0, mm_iterations=10)
-        reached = {fixed_point_step(columns[:, j], cost, config) for j in range(n)}
-        assert reached == set(range(1, config.mm_iterations + 1)) | {None}
+        params = dict(lambda_g=2.0, mm_iterations=10)
+        reached = {fixed_point_step(columns[:, j], cost, **params) for j in range(n)}
+        assert reached == set(range(1, params["mm_iterations"] + 1)) | {None}
         steps = self.spy_on_routes(monkeypatch)
-        assert_matches_oracle(frames, cost, config, "ost_g")
+        assert_matches_oracle(frames, cost, "ost_g", **params)
         assert any(full and widths for full, widths in steps)
 
     def test_toy_size_block_takes_only_the_full_argmin(self, monkeypatch):
@@ -635,15 +634,15 @@ class TestBatchedMM:
         rng = np.random.default_rng(79)
         frames = make_frames(rng, 64, 4)
         cost = toy_cost(rng.uniform(0, 3, size=(64, 8)))
-        config = SolverConfig(lambda_g=3.0)
+        params = dict(lambda_g=3.0)
         assert 64 * 8 * 4 < FULL_ARGMIN_CELLS
         steps = self.spy_on_routes(monkeypatch)
-        unmix(frames, cost, config, variant="ost_g")
+        unmix(frames, cost, "ost_g", **params)
         assert any(widths for _, widths in steps)
         steps.clear()
         monkeypatch.setattr(solvers, "_FULL_ARGMIN_CELLS", FULL_ARGMIN_CELLS)
         monkeypatch.setattr(solvers, "_kept_columns", None)  # fails if called
-        assert_matches_oracle(frames, cost, config, "ost_g")
+        assert_matches_oracle(frames, cost, "ost_g", **params)
         assert steps and not any(widths for _, widths in steps)
 
     @pytest.mark.parametrize("lambda_g", [0.0, 30.0, 300.0, 3000.0])
@@ -654,7 +653,7 @@ class TestBatchedMM:
         assert cost.values.shape == (1024, 88)
         assert frames.active_mask.sum() <= MM_BLOCK_FRAMES  # one block
         steps = self.spy_on_routes(monkeypatch)
-        assert_matches_oracle(frames, cost, SolverConfig(lambda_g=lambda_g), "ost_g")
+        assert_matches_oracle(frames, cost, "ost_g", lambda_g=lambda_g)
         _, first_widths = steps[0]
         assert bool(first_widths) == (lambda_g >= 300.0)
 
@@ -662,7 +661,7 @@ class TestBatchedMM:
         rng = np.random.default_rng(71)
         frames = make_frames(rng, 16, MM_BLOCK_FRAMES + 1)
         cost = toy_cost(rng.uniform(0, 3, size=(16, 8)))
-        assert_matches_oracle(frames, cost, SolverConfig(lambda_g=1.5), "ost_g")
+        assert_matches_oracle(frames, cost, "ost_g", lambda_g=1.5)
 
     @pytest.mark.parametrize("lambda_g", [0.0, 1.0])
     def test_kept_width_one_next_to_a_duplicate_column(self, lambda_g, monkeypatch):
@@ -677,9 +676,9 @@ class TestBatchedMM:
         values = rng.uniform(1, 2, size=(10, 6))
         values[:, :2] = 0.0
         frames = make_frames(rng, 10, 9, inactive=(3,))
-        config = SolverConfig(lambda_g=lambda_g)
+        params = dict(lambda_g=lambda_g)
         steps = self.spy_on_routes(monkeypatch)
-        assert_matches_oracle(frames, toy_cost(values), config, "ost_g")
+        assert_matches_oracle(frames, toy_cost(values), "ost_g", **params)
         assert steps == [([], [2])]
 
     def test_widths_in_every_bucket(self, monkeypatch):
@@ -701,10 +700,10 @@ class TestBatchedMM:
         columns /= columns.sum(axis=0)
         frames = NormalizedFrames(columns=columns,
                                   active_mask=np.ones(len(heavy), dtype=bool))
-        config = SolverConfig(lambda_g=0.01)
+        params = dict(lambda_g=0.01)
         steps = self.spy_on_routes(monkeypatch)
-        assert_matches_oracle(frames, toy_cost(values), config, "ost_g")
-        masses = unmix(frames, toy_cost(values), config, variant="ost_g")
+        assert_matches_oracle(frames, toy_cost(values), "ost_g", **params)
+        masses = unmix(frames, toy_cost(values), "ost_g", **params)
         np.testing.assert_array_equal((masses > 0).sum(axis=0), heavy)
         full, widths = steps[1]
         assert sorted(set(widths)) == [2, 4, 8, 16, 32, 35]
@@ -719,7 +718,7 @@ class TestBatchedMM:
         rng = np.random.default_rng(64)
         frames = make_frames(rng, 30, 40, inactive=(11,), zero_bins=5)
         cost = toy_cost(rng.uniform(0, 30, size=(30, 6)))
-        return frames, cost, SolverConfig(lambda_e=0.01, lambda_g=10.0)
+        return frames, cost, dict(lambda_e=0.01, lambda_g=10.0)
 
     @staticmethod
     def spy_on_guard(monkeypatch):
@@ -735,19 +734,19 @@ class TestBatchedMM:
         return masks
 
     def test_underflow_rows_use_the_per_frame_softmax(self, monkeypatch):
-        frames, cost, config = self.underflow_problem()
+        frames, cost, params = self.underflow_problem()
         masks = self.spy_on_guard(monkeypatch)
-        assert_matches_oracle(frames, cost, config, "ost_eg")
+        assert_matches_oracle(frames, cost, "ost_eg", **params)
         guarded = [int(under.sum()) for under in masks]
         assert sum(guarded) > 0
 
     def test_underflow_raises_no_warning(self):
         # the guarded rows divide by an underflowed E @ W: 0 / 0 and
         # overflowing quotients are replaced, never reported
-        frames, cost, config = self.underflow_problem()
+        frames, cost, params = self.underflow_problem()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            unmix(frames, cost, config, variant="ost_eg")
+            unmix(frames, cost, "ost_eg", **params)
 
     def test_several_frames_underflow_in_one_step(self, monkeypatch):
         # the regime of underflow_problem on other data: the guard solves
@@ -757,9 +756,9 @@ class TestBatchedMM:
         m, n = 20, 12
         frames = make_frames(rng, m, n, inactive=(4,), zero_bins=3)
         cost = toy_cost(rng.uniform(0, 30, size=(m, 5)))
-        config = SolverConfig(lambda_e=0.01, lambda_g=20.0)
+        params = dict(lambda_e=0.01, lambda_g=20.0)
         masks = self.spy_on_guard(monkeypatch)
-        assert_matches_oracle(frames, cost, config, "ost_eg")
+        assert_matches_oracle(frames, cost, "ost_eg", **params)
         assert max(int(under.any(axis=0).sum()) for under in masks) >= n - 2
         assert max(int(under.sum()) for under in masks) > 2 * m
 
@@ -770,11 +769,11 @@ class TestBatchedMM:
         rng = np.random.default_rng(68)
         frames = make_frames(rng, 16, 12, inactive=(5,), concentration=0.3)
         cost = toy_cost(rng.uniform(0, 3, size=(16, 5)))
-        config = SolverConfig(lambda_e=1000.0, lambda_g=1.0)
-        spread = 0.5 * config.lambda_g / np.sqrt(solvers.EMPTY_COLUMN_MASS)
-        assert spread / config.lambda_e < -solvers.EXP_ZERO_FLOOR
-        assert_matches_oracle(frames, cost, config, "ost_eg")
-        masses = unmix(frames, cost, config, variant="ost_eg")
+        params = dict(lambda_e=1000.0, lambda_g=1.0)
+        spread = 0.5 * params["lambda_g"] / np.sqrt(solvers.EMPTY_COLUMN_MASS)
+        assert spread / params["lambda_e"] < -solvers.EXP_ZERO_FLOOR
+        assert_matches_oracle(frames, cost, "ost_eg", **params)
+        masses = unmix(frames, cost, "ost_eg", **params)
         assert np.all(masses[:, frames.active_mask] > 0)
 
     def test_support_shrinks_to_one_column(self):
@@ -786,9 +785,9 @@ class TestBatchedMM:
         values = rng.uniform(400.0, 500.0, size=(14, 6))
         values[:, 0] = 0.0
         frames = make_frames(rng, 14, 10, inactive=(0,))
-        config = SolverConfig(lambda_e=1.0, lambda_g=1.0)
-        assert_matches_oracle(frames, toy_cost(values), config, "ost_eg")
-        masses = unmix(frames, toy_cost(values), config, variant="ost_eg")
+        params = dict(lambda_e=1.0, lambda_g=1.0)
+        assert_matches_oracle(frames, toy_cost(values), "ost_eg", **params)
+        masses = unmix(frames, toy_cost(values), "ost_eg", **params)
         active = frames.active_mask
         assert np.all(masses[1:] == 0.0)
         np.testing.assert_allclose(masses[0, active],
@@ -805,8 +804,7 @@ class TestBatchedMM:
         frames = make_frames(np.random.default_rng(72), 3, 2)
         cost = toy_cost([[0.0, 5.0]] * 3)
         with pytest.raises(NumericError):
-            unmix(frames, cost, SolverConfig(lambda_e=1.0, lambda_g=1.0),
-                  variant=variant)
+            unmix(frames, cost, variant, lambda_e=1.0, lambda_g=1.0)
 
 
 def full_softmax_guard(h, values, block, pen, under, lam_e):
@@ -910,6 +908,7 @@ class TestUfuncBuffer:
     of 16, at least 16) and gives the caller's size back however it ends."""
 
     CALLER_SIZE = 4096  # not numpy's default
+    PARAMS = dict(lambda_e=0.5, lambda_g=1.0)
 
     @pytest.fixture(autouse=True)
     def caller_size(self):
@@ -921,12 +920,11 @@ class TestUfuncBuffer:
     def problem(m):
         rng = np.random.default_rng(74)
         return (make_frames(rng, m, 5, inactive=(2,)),
-                toy_cost(rng.uniform(0, 3, size=(m, 4))),
-                SolverConfig(lambda_e=0.5, lambda_g=1.0))
+                toy_cost(rng.uniform(0, 3, size=(m, 4))))
 
     @pytest.mark.parametrize("variant", ["ost", "ost_e", "ost_g", "ost_eg"])
     def test_size_restored_after_a_return(self, variant):
-        unmix(*self.problem(10), variant=variant)
+        unmix(*self.problem(10), variant, **self.PARAMS)
         assert np.getbufsize() == self.CALLER_SIZE
 
     @pytest.mark.parametrize("variant", ["ost", "ost_g"])
@@ -935,7 +933,7 @@ class TestUfuncBuffer:
             raise RuntimeError("inside the kernel")
         monkeypatch.setattr(solvers, "_column_masses", fail)
         with pytest.raises(RuntimeError, match="inside the kernel"):
-            unmix(*self.problem(10), variant=variant)
+            unmix(*self.problem(10), variant, **self.PARAMS)
         assert np.getbufsize() == self.CALLER_SIZE
 
     @pytest.mark.parametrize("m, size", [(10, 16), (40, 32), (1024, 1024)])
@@ -946,7 +944,7 @@ class TestUfuncBuffer:
             seen.append(np.getbufsize())
             return column_masses(*args)
         monkeypatch.setattr(solvers, "_column_masses", spy)
-        unmix(*self.problem(m), variant="ost_g")
+        unmix(*self.problem(m), "ost_g", **self.PARAMS)
         assert seen and set(seen) == {size}
 
 
@@ -959,12 +957,11 @@ class TestVariantCollapse:
     @pytest.mark.parametrize("noise", [False, True])
     def test_zero_group_weight(self, noise):
         frames, cost = rendered_piece(noise)
-        hard = SolverConfig(lambda_g=0.0)
-        np.testing.assert_array_equal(unmix(frames, cost, hard, "ost_g"),
-                                      unmix(frames, cost, hard, "ost"))
-        soft = SolverConfig(lambda_e=30.0, lambda_g=0.0, mm_iterations=1)
-        np.testing.assert_allclose(unmix(frames, cost, soft, "ost_eg"),
-                                   unmix(frames, cost, soft, "ost_e"),
+        np.testing.assert_array_equal(unmix(frames, cost, "ost_g", lambda_g=0.0),
+                                      unmix(frames, cost, "ost"))
+        soft = dict(lambda_e=30.0, lambda_g=0.0, mm_iterations=1)
+        np.testing.assert_allclose(unmix(frames, cost, "ost_eg", **soft),
+                                   unmix(frames, cost, "ost_e", **soft),
                                    rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("noise", [False, True])
@@ -974,9 +971,9 @@ class TestVariantCollapse:
         perm = np.random.default_rng(81).permutation(frames.n_frames)
         permuted = NormalizedFrames(columns=frames.columns[:, perm],
                                     active_mask=frames.active_mask[perm])
-        config = SolverConfig(lambda_e=30.0, lambda_g=300.0)
-        assert_same_masses(unmix(permuted, cost, config, variant),
-                           unmix(frames, cost, config, variant)[:, perm],
+        params = dict(lambda_e=30.0, lambda_g=300.0)
+        assert_same_masses(unmix(permuted, cost, variant, **params),
+                           unmix(frames, cost, variant, **params)[:, perm],
                            variant)
 
 
@@ -1069,26 +1066,33 @@ class TestContainersAndConfig:
             unmix(frames, toy_cost([[0.0, 5.0]] * 3))
 
     def test_solver_config_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(lambda_e=-1.0)
-        with pytest.raises(ValueError):
-            SolverConfig(lambda_g=-0.5)
+        # every variant checks all three values, with these messages, before
+        # any frame is read
+        masked = make_frames(np.random.default_rng(75), 3, 2, inactive=(0, 1))
+        cost = toy_cost([[0.0, 5.0]] * 3)
+        lambda_e = "lambda_e must be finite and non-negative"
+        lambda_g = ("lambda_g must be finite, non-negative and at most "
+                    f"{solvers.MAX_LAMBDA_G!r}")
+        cases = [(dict(lambda_e=-1.0), lambda_e), (dict(lambda_g=-0.5), lambda_g),
+                 (dict(mm_iterations=0), "mm_iterations must be >= 1"),
+                 (dict(mm_iterations=2.5), "mm_iterations must be an integer, got 2.5")]
         for bad in (np.nan, np.inf, -np.inf):
-            with pytest.raises(ValueError, match="lambda_e must be finite"):
-                SolverConfig(lambda_e=bad)
-            with pytest.raises(ValueError, match="lambda_g must be finite"):
-                SolverConfig(lambda_g=bad)
-        with pytest.raises(ValueError):
-            SolverConfig(mm_iterations=0)
+            cases += [(dict(lambda_e=bad), lambda_e), (dict(lambda_g=bad), lambda_g)]
+        for variant in solvers.VARIANTS:
+            for params, message in cases:
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    unmix(masked, cost, variant, **{"lambda_e": 1.0, **params})
 
     def test_lambda_g_bound_keeps_the_empty_column_penalty_finite(self):
         # past MAX_LAMBDA_G the penalty of an empty column overflows and
         # ost_g would send every frame to column 0
         empty = solvers._group_penalty_row(np.zeros(1))
         assert np.isfinite(solvers.MAX_LAMBDA_G * empty).all()
-        SolverConfig(lambda_g=solvers.MAX_LAMBDA_G)
+        frames = make_frames(np.random.default_rng(76), 3, 2)
+        cost = toy_cost([[0.0, 5.0]] * 3)
+        unmix(frames, cost, "ost_g", lambda_g=solvers.MAX_LAMBDA_G)
         above = np.nextafter(solvers.MAX_LAMBDA_G, np.inf)
         with np.errstate(over="ignore"):
             assert np.isinf(above * empty).all()
         with pytest.raises(ValueError, match="at most"):
-            SolverConfig(lambda_g=above)
+            unmix(frames, cost, "ost_g", lambda_g=above)

@@ -20,7 +20,7 @@ from ost.dictionary import (DEFAULT_DAMPING, DEFAULT_N_PARTIALS, SMALLEST_NORMAL
                             midi_range_fundamentals)
 from ost.evaluation import NoteEvent
 from ost.frontend import normalize_frames, stft_magnitude
-from ost.solvers import SolverConfig, unmix
+from ost.solvers import unmix
 from ost.synth import render_notes
 
 FS, WINDOW_LEN, HOP = 22050, 2048, 1024  # M = 1024 bins of 10.77 Hz
@@ -131,8 +131,7 @@ def test_entropic_variants_match_unflushed_kernel(piece_frames, variant, monkeyp
     cost = harmonic_cost(grid(), FUNDAMENTALS, EPS0)
     if variant == "ost_e":
         cost = append_noise_column(cost, NOISE)
-    config = SolverConfig(lambda_e=LAMBDA_E, lambda_g=LAMBDA_G)
-    acts = unmix(piece_frames, cost, config, variant=variant)
+    acts = unmix(piece_frames, cost, variant, lambda_e=LAMBDA_E, lambda_g=LAMBDA_G)
     monkeypatch.setattr(solvers, "_gibbs_kernel", unflushed_kernel)
-    ref = unmix(piece_frames, cost, config, variant=variant)
+    ref = unmix(piece_frames, cost, variant, lambda_e=LAMBDA_E, lambda_g=LAMBDA_G)
     np.testing.assert_allclose(acts, ref, rtol=0, atol=1e-12)
