@@ -14,7 +14,7 @@ from .dictionary import (midi_to_freq, midi_range_fundamentals, harmonic_column,
 from .costs import (CostMatrix, quadratic_cost, harmonic_cost,
                     append_noise_column)
 from .solvers import unmix
-from .baselines import (PlcaState, kl_divergence, plca_unmix, solve_lp,
+from .baselines import (PlcaState, plca_unmix, solve_lp,
                         wasserstein_divergence, ot_unmix_lp)
 from .evaluation import (NoteEvent, EvalReport, parse_ground_truth,
                          load_ground_truth, events_to_roll, threshold_activations,
@@ -29,7 +29,7 @@ __all__ = [
     "make_harmonic_dictionary",
     "CostMatrix", "quadratic_cost", "harmonic_cost", "append_noise_column",
     "unmix",
-    "PlcaState", "kl_divergence", "plca_unmix", "solve_lp",
+    "PlcaState", "plca_unmix", "solve_lp",
     "wasserstein_divergence", "ot_unmix_lp",
     "NoteEvent", "EvalReport",
     "parse_ground_truth", "load_ground_truth", "events_to_roll",

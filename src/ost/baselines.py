@@ -1,4 +1,4 @@
-"""Baseline methods: PLCA, exact-LP transport, and divergence evaluators.
+"""Baseline methods: PLCA, exact-LP transport and the Wasserstein divergence.
 
 PLCA unmixes onto harmonic templates by EM (plca_unmix). ot_unmix_lp
 solves the exact joint LP over a bin-to-bin plan and the template
@@ -31,19 +31,6 @@ class PlcaState:
     """Per-frame iteration counts of a PLCA run."""
 
     iterations: np.ndarray
-
-
-def kl_divergence(v, vhat) -> float:
-    """Sum of v_i log(v_i / vhat_i) with 0 log 0 = 0; +inf when some
-    v_i > 0 sits on vhat_i = 0."""
-    v = np.asarray(v, dtype=np.float64)
-    vhat = np.asarray(vhat, dtype=np.float64)
-    if v.shape != vhat.shape:
-        raise ValueError("length mismatch")
-    support = v > 0
-    if np.any(vhat[support] == 0):
-        return float("inf")
-    return float(np.sum(v[support] * np.log(v[support] / vhat[support])))
 
 
 def _plca_block(w, v, active, max_iter, rel_tol):

@@ -76,6 +76,8 @@ def harmonic_column(freqs: np.ndarray, fundamental: float, kernel_width: float,
     gives each bump's limit: 1 on a bin at its center, 0 elsewhere. An
     exponent that overflows to -inf gives 0."""
     freqs = np.asarray(freqs, dtype=np.float64)
+    if freqs.size == 0:
+        raise ValueError("freqs must be a non-empty grid")
     col = np.zeros_like(freqs)
     two_var = 2.0 * kernel_width ** 2
     with np.errstate(over="ignore"):
@@ -103,6 +105,8 @@ def make_harmonic_dictionary(freqs: np.ndarray, fundamentals, kernel_width: floa
     """
     _check_comb(kernel_width, damping, n_partials)
     freqs = np.asarray(freqs, dtype=np.float64)
+    if freqs.size == 0:
+        raise ValueError("freqs must be a non-empty grid")
     _check_finite(freqs, "freqs")
     fundamentals = np.atleast_1d(np.asarray(fundamentals, dtype=np.float64))
     if fundamentals.ndim != 1 or fundamentals.size == 0:

@@ -20,27 +20,28 @@ ost and ost_g match them bit for bit, ost_e and ost_eg to rounding (their
 products sum in another order).
 
 An ost_g frame leaves its block's live set once its masses repeat, an
-ost_eg frame runs every iteration. Every ost_g step takes each frame's
+ost_eg frame runs every iteration. An ost_g step takes its labels by one
+of two routes: a small block-step the full argmin, any other each frame's
 argmin only over the columns that can still win one of its rows, by a
 bound from each column's smallest and largest cost, exact as float
 addition rounds monotonically (see _kept_columns); the penalty leaves a
 frame a few notes within a few steps, and frames that keep about as many
-columns share one gather. The hard kernel runs with numpy's ufunc buffer
-at one cost row, so that operands broadcast along the rows are not copied
-across rows, and gives the caller's buffer size back. The ost_eg step uses
-that the group penalty p only rescales columns:
+columns, up to all K, share one gather. The hard kernel runs with numpy's
+ufunc buffer at one cost row, so that operands broadcast along the rows
+are not copied across rows, and gives the caller's buffer size back. The
+ost_eg step uses that the group penalty p only rescales columns:
 softmax_k(-(c_ik + p_k)/lambda_e) = E_ik w_k / sum_k E_ik w_k, with
 E = exp(-C/lambda_e) computed once. For a block of frames V one MM step is
 H = W * E^T (V / E W), two matrix products in place of an M x K exp per
 frame (the scaling step of Sinkhorn's algorithm). The products run over the
-block's support, the columns whose weight is nonzero in some frame: the
-penalty leaves a frame a few notes, so on piece30 the support falls from a
-mean of 86 of 88 columns at the first step to 42 at the third and 29 at
-the tenth. Blocks are gathered in F order and E is kept transposed, so
-that E W comes out in the block's layout (a divide of mixed layouts costs
-over twice as much). The (row, frame) pairs where E W underflows are solved
-by the per-frame softmax over the columns it gives a normal share, all
-pairs of a block-step at once.
+block's support, gathered at every step: the columns whose weight is
+nonzero in some frame. The penalty leaves a frame a few notes, so on
+piece30 the support falls from a mean of 86 of 88 columns at the first
+step to 42 at the third and 29 at the tenth. Blocks are gathered in F
+order and E is kept transposed, so that E W comes out in the block's
+layout (a divide of mixed layouts costs over twice as much). The (row,
+frame) pairs where E W underflows are solved by the per-frame softmax over
+the columns it gives a normal share, all pairs of a block-step at once.
 Entries of E below the smallest normal double are stored as 0, as in the
 harmonic templates: subnormal operands slow BLAS products 2x or more. For
 the same reason exp is evaluated only where its result can be normal (in
@@ -144,33 +145,30 @@ def _group_mm(values: np.ndarray, v: np.ndarray, active: np.ndarray,
               lambda_g: float, iterations: int) -> np.ndarray:
     """The masses of tests/oracles.py's ost_group_frame with `iterations`
     MM steps (ost_frame's at 0) for the columns `active` of v (M x N), bit
-    for bit, each step taking a frame's argmin only over the columns
-    _kept_columns keeps for its penalty.
-
-    A frame that keeps more than half of K takes the full argmin, as the
-    oracle does: gathering would save less than half of its cells. The
-    other frames go to buckets of at most 2, 4, 8, 16, 32 or K/2 kept
-    columns, gathered _GATHER_CELLS cost cells at a time. A block-step of
-    fewer than _FULL_ARGMIN_CELLS cost cells (M x K x live frames), where
-    the bound costs more than it saves, takes the full argmin for all."""
+    for bit. A block-step of fewer than _FULL_ARGMIN_CELLS cost cells
+    (M x K x live frames), where the bound costs more than it saves, takes
+    the full argmin, as the oracle does. Any other takes a frame's argmin
+    only over the columns _kept_columns keeps for its penalty: the frames
+    go to buckets of at most 2, 4, 8, 16, 32, K/2 or K kept columns,
+    gathered _GATHER_CELLS cost cells at a time."""
     m, k = values.shape
     by_column = np.ascontiguousarray(values.T)  # gathered columns are rows
     col_min, col_max = by_column.min(axis=1), by_column.max(axis=1)
-    caps = [w for w in (2, 4, 8, 16, 32) if w < k // 2] + [k // 2] * (k > 1)
-    full_step = np.empty((m, k))
+    caps = [w for w in (2, 4, 8, 16, 32) if w < k // 2] + [k // 2] * (k > 1) + [k]
     first = values.argmin(axis=1)
 
     def step(block, h):
         n = block.shape[1]
         pen = lambda_g * _group_penalty_row(h)
         pen_rows = np.ascontiguousarray(pen.T)  # a frame's penalty, read per row
-        labels = np.empty((n, m), dtype=np.intp)
-        full = range(n)
-        if m * k * n >= _FULL_ARGMIN_CELLS:
+        if m * k * n < _FULL_ARGMIN_CELLS:  # the oracle's argmin
+            labels = (values + pen_rows[:, None]).argmin(axis=2)
+        else:
+            labels = np.empty((n, m), dtype=np.intp)
             keep = _kept_columns(col_min, col_max, pen)
             bucket = np.searchsorted(caps, np.count_nonzero(keep, axis=0))
             order = np.argsort(bucket, kind="stable")
-            ends = [0] + np.cumsum(np.bincount(bucket, minlength=len(caps) + 1)).tolist()
+            ends = [0] + np.cumsum(np.bincount(bucket, minlength=len(caps))).tolist()
             # each frame's kept columns, then the others, which pad a bucket's
             # rows and, costing more than the bound, change no minimum
             ranked = np.argsort(~keep, axis=0, kind="stable")
@@ -179,10 +177,6 @@ def _group_mm(values: np.ndarray, v: np.ndarray, active: np.ndarray,
                 for c in range(lo, hi, chunk):
                     sel = order[c:min(c + chunk, hi)]
                     labels[sel] = _gathered_labels(by_column, pen_rows, ranked[:w, sel].T, sel)
-            full = order[ends[len(caps)]:].tolist()
-        for f in full:  # the oracle's argmin
-            np.add(values, pen_rows[f], out=full_step)
-            labels[f] = full_step.argmin(axis=1)
         new = _column_masses(labels, block, k)
         return new, (new == h).all(axis=0)
 
@@ -223,8 +217,9 @@ def _combined_mm(values: np.ndarray, v: np.ndarray, active: np.ndarray,
     point.
 
     Both products run over the support, the columns whose weight is nonzero
-    in some frame of the block; the others get mass exactly 0, as in the
-    full products. The penalty empties most columns within a few steps."""
+    in some frame of the block, gathered at every step, even when it holds
+    all K; the others get mass exactly 0, as in the full products. The
+    penalty empties most columns within a few steps."""
     k = values.shape[1]
     kernel = _gibbs_kernel(values, lambda_e)
     labels = kernel / kernel.sum(axis=1, keepdims=True)
@@ -235,19 +230,13 @@ def _combined_mm(values: np.ndarray, v: np.ndarray, active: np.ndarray,
         z = (pen.min(axis=0) - pen) / lambda_e
         w = np.exp(z, out=np.zeros_like(z), where=z >= EXP_ZERO_FLOOR)
         support = np.flatnonzero(w.any(axis=1))
-        full = support.size == k
-        e_t = kernel_t if full else kernel_t[support]
-        w_s = w if full else w[support]
+        e_t, w_s = kernel_t[support], w[support]
         s = (w_s.T @ e_t).T  # E W in the F order of block
         low = s < UNDERFLOW_FLOOR
         ratio = np.divide(block, s, out=s)
         ratio[low] = 0.0
-        h_s = w_s * (e_t @ ratio)
-        if full:
-            h = h_s
-        else:
-            h = np.zeros_like(w)
-            h[support] = h_s
+        h = np.zeros_like(w)
+        h[support] = w_s * (e_t @ ratio)
         if low.any():
             _add_underflowed_rows(h, values, block, pen, low & (block > 0), lambda_e)
         return h, None

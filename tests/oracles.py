@@ -22,12 +22,13 @@ simplex) over every plan with row marginal v. It shares nothing with the
 closed forms: it never uses the row-by-row split that Dirac targets allow,
 so agreement checks that split rather than restating it.
 
-plca_frame is the per-frame EM loop that `plca_unmix` batches.
+plca_frame is the per-frame EM loop that `plca_unmix` batches, scored by
+kl_divergence.
 """
 
 import numpy as np
 
-from ost.baselines import KL_FLOOR, kl_divergence, solve_lp
+from ost.baselines import KL_FLOOR, solve_lp
 from ost.solvers import _group_penalty_row
 
 SMALLEST_NORMAL = np.finfo(float).tiny
@@ -137,6 +138,19 @@ def reduced_lp(v, cost_values):
     x, objective = solve_lp(cost_values.ravel(), eq, v)
     plan = x.reshape(m, k)
     return plan.sum(axis=0), plan, objective
+
+
+def kl_divergence(v, vhat) -> float:
+    """Sum of v_i log(v_i / vhat_i) with 0 log 0 = 0; +inf when some
+    v_i > 0 sits on vhat_i = 0."""
+    v = np.asarray(v, dtype=np.float64)
+    vhat = np.asarray(vhat, dtype=np.float64)
+    if v.shape != vhat.shape:
+        raise ValueError("length mismatch")
+    support = v > 0
+    if np.any(vhat[support] == 0):
+        return float("inf")
+    return float(np.sum(v[support] * np.log(v[support] / vhat[support])))
 
 
 def plca_frame(v, w, max_iter, rel_tol):

@@ -19,9 +19,8 @@ from scipy.sparse import csc_array
 from ost import baselines
 from ost.baselines import (LP_CANDIDATES, OT_LP_MAX_BINS, PLCA_MAX_ITER,
                            PLCA_REL_TOL, _marginal_constraints,
-                           _north_west_corner, _unmix_lp_frame, kl_divergence,
-                           ot_unmix_lp, plca_unmix, solve_lp,
-                           wasserstein_divergence)
+                           _north_west_corner, _unmix_lp_frame, ot_unmix_lp,
+                           plca_unmix, solve_lp, wasserstein_divergence)
 from ost.costs import (CostMatrix, append_noise_column, harmonic_cost,
                        quadratic_cost)
 from ost.errors import NumericError
@@ -31,7 +30,8 @@ from ost.solvers import MM_BLOCK_FRAMES
 
 from helpers import (active_copy, partly_masked_frames, toy_templates,
                      traced_peak)
-from oracles import ost_frame, plca_frame, reduced_lp, transport_objective
+from oracles import (kl_divergence, ost_frame, plca_frame, reduced_lp,
+                     transport_objective)
 
 
 def enumerate_lp_vertices(objective, eq_matrix, eq_rhs):

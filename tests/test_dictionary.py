@@ -118,6 +118,13 @@ class TestMakeHarmonicDictionary:
         with pytest.raises(ValueError):
             make_harmonic_dictionary(self.freqs, [], 10.0)
 
+    def test_empty_grid_rejected(self):
+        # the grid's top bin bounds the fundamentals and the partials
+        with pytest.raises(ValueError, match="^freqs must be a non-empty grid$"):
+            make_harmonic_dictionary(np.array([]), [100.0], 10.0)
+        with pytest.raises(ValueError, match="^freqs must be a non-empty grid$"):
+            harmonic_column(np.array([]), 100.0, 1.0, np.ones(3))
+
     def test_massless_template_rejected(self):
         # kernel so narrow that no grid point catches any bump mass
         coarse = np.array([1000.0, 2000.0, 3000.0])

@@ -564,37 +564,39 @@ class TestBatchedMM:
 
     @staticmethod
     def spy_on_routes(monkeypatch):
-        """Record every ost_g step as (the frames that take the full argmin,
-        the width of every gathered chunk). A step ends with the masses of
-        its labels, one per live frame; a block's start has one label row."""
-        steps, widths, gathered = [], [], set()
+        """Record every ost_g step as (the frames gathered at the full
+        width K, the width of every gathered chunk); a step below the
+        small-cost floor gathers nothing. A step ends with the masses of its
+        labels, one per live frame; a block's start has one label row."""
+        steps, widths, wide = [], [], set()
         gather, masses = solvers._gathered_labels, solvers._column_masses
 
         def gather_spy(by_column, pen_rows, cols, frames):
             widths.append(cols.shape[1])
-            gathered.update(frames.tolist())
+            if cols.shape[1] == by_column.shape[0]:
+                wide.update(frames.tolist())
             return gather(by_column, pen_rows, cols, frames)
 
         def masses_spy(labels, frames, k):
             if labels.ndim == 2:
-                full = sorted(set(range(frames.shape[1])) - gathered)
-                steps.append((full, widths[:]))
+                steps.append((sorted(wide), widths[:]))
             widths.clear()
-            gathered.clear()
+            wide.clear()
             return masses(labels, frames, k)
 
         monkeypatch.setattr(solvers, "_gathered_labels", gather_spy)
         monkeypatch.setattr(solvers, "_column_masses", masses_spy)
         return steps
 
-    @pytest.mark.parametrize("problem, full, gathered", [
+    @pytest.mark.parametrize("problem, wide, narrow", [
         ("exact_ties", True, True), ("empty_column", False, True),
         ("one_column", True, False), ("eps0_zero", False, True),
         ("noise_column", True, True)])
-    def test_hand_built_costs_reach_both_routes(self, problem, full, gathered,
+    def test_hand_built_costs_reach_both_routes(self, problem, wide, narrow,
                                                 monkeypatch):
-        # the small costs above, together, take both the full argmin and
-        # the gathered buckets: one_column has a single column, and the
+        # the small costs above, together, gather frames both at the full
+        # width K, where they keep more than half of the columns, and in
+        # the narrower buckets: one_column has a single column, and the
         # frames of empty_column and eps0_zero hold mass in at most half of
         # the columns from the first step on
         if problem == "exact_ties":
@@ -605,14 +607,15 @@ class TestBatchedMM:
             frames, cost, params = self.edge_cost_problem(problem)
         steps = self.spy_on_routes(monkeypatch)
         unmix(frames, cost, "ost_g", **params)
-        assert any(full_frames for full_frames, _ in steps) == full
-        assert any(widths for _, widths in steps) == gathered
+        k = cost.values.shape[1]
+        assert any(wide_frames for wide_frames, _ in steps) == wide
+        assert any(w < k for _, widths in steps for w in widths) == narrow
 
     def test_frames_reach_fixed_points_at_every_step(self, monkeypatch):
         # one block whose frames reach their fixed points at every step from
         # 1 to mm_iterations (frame 0, a single bin, at step 1), and some
-        # never: frames that leave the live set early and frames that take
-        # the full argmin and the gathered buckets share block-steps
+        # never: frames that leave the live set early and frames gathered
+        # at the full width K and in narrower buckets share block-steps
         rng = np.random.default_rng(78)
         m, k, n = 24, 12, 60
         cost = toy_cost(rng.uniform(0, 3, size=(m, k)))
@@ -624,7 +627,7 @@ class TestBatchedMM:
         assert reached == set(range(1, params["mm_iterations"] + 1)) | {None}
         steps = self.spy_on_routes(monkeypatch)
         assert_matches_oracle(frames, cost, "ost_g", **params)
-        assert any(full and widths for full, widths in steps)
+        assert any(wide and min(widths) < k for wide, widths in steps)
 
     def test_toy_size_block_takes_only_the_full_argmin(self, monkeypatch):
         # `ost toy`'s size, a 64 x 8 cost, here with four frames: below the
@@ -648,14 +651,14 @@ class TestBatchedMM:
     @pytest.mark.parametrize("lambda_g", [0.0, 30.0, 300.0, 3000.0])
     def test_group_mm_on_a_rendered_piece(self, lambda_g, monkeypatch):
         # bit for bit the oracle, and from lambda_g = 300 on the first step
-        # already leaves the full argmin
+        # already gathers some frames in buckets narrower than K
         frames, cost = rendered_piece()
         assert cost.values.shape == (1024, 88)
         assert frames.active_mask.sum() <= MM_BLOCK_FRAMES  # one block
         steps = self.spy_on_routes(monkeypatch)
         assert_matches_oracle(frames, cost, "ost_g", lambda_g=lambda_g)
         _, first_widths = steps[0]
-        assert bool(first_widths) == (lambda_g >= 300.0)
+        assert (set(first_widths) == {88}) == (lambda_g < 300.0)
 
     def test_group_mm_one_frame_past_a_block(self):
         rng = np.random.default_rng(71)
@@ -689,7 +692,7 @@ class TestBatchedMM:
         # the frame holds mass in s columns and keeps exactly those: the
         # bound is 100 + p_0, and every empty column costs at least 5000.
         # So step 2 gathers s columns, padded up to their bucket, for s up
-        # to K/2 = 35, and takes the full argmin for s = 36 and 38.
+        # to K/2 = 35, and all K columns for s = 36 and 38.
         k = 70
         values = np.full((2 * k, k), 100.0)
         values[np.arange(2 * k), np.arange(2 * k) // 2] = 0.0
@@ -705,9 +708,40 @@ class TestBatchedMM:
         assert_matches_oracle(frames, toy_cost(values), "ost_g", **params)
         masses = unmix(frames, toy_cost(values), "ost_g", **params)
         np.testing.assert_array_equal((masses > 0).sum(axis=0), heavy)
-        full, widths = steps[1]
-        assert sorted(set(widths)) == [2, 4, 8, 16, 32, 35]
-        assert full == [j for j, s in enumerate(heavy) if s > k // 2]
+        wide, widths = steps[1]
+        assert sorted(set(widths)) == [2, 4, 8, 16, 32, 35, k]
+        assert wide == [j for j, s in enumerate(heavy) if s > k // 2]
+
+    def test_frame_keeping_most_columns_is_gathered_at_full_width(self, monkeypatch):
+        # A block above the small-cost floor. Row i costs 0 on its owner
+        # column i % K and 2 elsewhere; in its first half it also costs 0 on
+        # the next column, an exact tie that the owner, the lower index,
+        # wins. Frame 0 spreads its mass evenly, so every column holds
+        # exactly 1/K and all penalties are equal: the ties stay ties under
+        # the penalty, every column is kept, and the frame is gathered at
+        # width K. The other frames sit on a few owners' rows.
+        m, k, n = 128, 16, 8
+        assert m * k * n >= FULL_ARGMIN_CELLS
+        monkeypatch.setattr(solvers, "_FULL_ARGMIN_CELLS", FULL_ARGMIN_CELLS)
+        rows = np.arange(m)
+        values = np.full((m, k), 2.0)
+        values[rows, rows % k] = 0.0
+        tied = rows[(rows < m // 2) & (rows % k < k - 1)]
+        values[tied, tied % k + 1] = 0.0
+        rng = np.random.default_rng(80)
+        columns = np.full((m, n), 1.0 / m)
+        for j in range(1, n):
+            owners = rng.choice(k, size=3, replace=False)
+            columns[:, j] = np.isin(rows % k, owners) + 1e-3
+            columns[:, j] /= columns[:, j].sum()
+        frames = NormalizedFrames(columns=columns, active_mask=np.ones(n, dtype=bool))
+        params = dict(lambda_g=1.0)
+        steps = self.spy_on_routes(monkeypatch)
+        assert_matches_oracle(frames, toy_cost(values), "ost_g", **params)
+        wide, widths = steps[0]
+        assert wide == [0] and min(widths) < k
+        masses = unmix(frames, toy_cost(values), "ost_g", **params)
+        np.testing.assert_array_equal(masses[:, 0], np.full(k, 1.0 / k))
 
     @staticmethod
     def underflow_problem():
