@@ -17,8 +17,8 @@ from .solvers import unmix
 from .baselines import (PlcaState, plca_unmix, solve_lp,
                         wasserstein_divergence, ot_unmix_lp)
 from .evaluation import (NoteEvent, EvalReport, parse_ground_truth,
-                         load_ground_truth, events_to_roll, threshold_activations,
-                         f_measure, l1_activation_error, make_toy_scenario)
+                         events_to_roll, threshold_activations, f_measure,
+                         l1_activation_error, make_toy_scenario)
 from .synth import render_notes
 
 __all__ = [
@@ -32,7 +32,7 @@ __all__ = [
     "PlcaState", "plca_unmix", "solve_lp",
     "wasserstein_divergence", "ot_unmix_lp",
     "NoteEvent", "EvalReport",
-    "parse_ground_truth", "load_ground_truth", "events_to_roll",
+    "parse_ground_truth", "events_to_roll",
     "threshold_activations", "f_measure", "l1_activation_error",
     "make_toy_scenario",
     "render_notes",

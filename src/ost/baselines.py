@@ -14,7 +14,7 @@ import numpy as np
 from .costs import CostMatrix
 from .dictionary import _check_templates
 from .errors import NumericError
-from .frontend import NormalizedFrames
+from .frontend import NormalizedFrames, _check_integer
 from .solvers import MM_BLOCK_FRAMES
 
 KL_FLOOR = 1e-300
@@ -106,6 +106,7 @@ def plca_unmix(frames: NormalizedFrames, templates,
     on non-finite activations.
     """
     w = _check_templates(templates, frames.columns.shape[0])
+    _check_integer(max_iter, "max_iter")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     if not rel_tol >= 0:

@@ -13,7 +13,6 @@ partial artifacts behind.
 
 import argparse
 import itertools
-import logging
 import os
 import sys
 import time
@@ -28,9 +27,9 @@ from .dictionary import (DEFAULT_DAMPING, DEFAULT_KERNEL_WIDTH_BINS,
                          make_harmonic_dictionary, midi_range_fundamentals)
 from .errors import DataError, NumericError, OstError
 from .evaluation import (SCENARIO_ALIASES, TOY_BINS, TOY_F_MAX, events_to_roll,
-                         f_measure, l1_activation_error, load_ground_truth,
-                         make_toy_scenario, parse_ground_truth,
-                         threshold_activations, toy_fundamentals)
+                         f_measure, l1_activation_error, make_toy_scenario,
+                         parse_ground_truth, threshold_activations,
+                         toy_fundamentals)
 from .frontend import (DEFAULT_HOP, DEFAULT_WINDOW_LEN, NormalizedFrames,
                        decode_wav, normalize_frames, stft_magnitude)
 from .solvers import DEFAULT_MM_ITERATIONS, MAX_LAMBDA_G, unmix
@@ -47,7 +46,6 @@ DEFAULT_TOY_METHODS = "plca,ost,ost_e,ost_g,ost_eg"
 
 SWEEP_EPSILON0 = (1e0, 1e1, 1e2, 1e3, 1e4)
 SWEEP_LAMBDA_E = (1e1, 1e2, 1e3, 1e4)
-SWEEP_NOISE = (1e1, 1e2, 1e3)
 SWEEP_KERNEL = (1.0, 2.0, 3.0, 4.0)
 SWEEP_DAMPING = (0.1, 0.3, 0.5)
 
@@ -404,9 +402,6 @@ def _parse_grid(entries, method):
 def cmd_sweep(args) -> int:
     config = build_run_config(args)
     axes = _parse_grid(args.grid, config.method)
-    if args.sweep_noise:
-        _check_applies(["noise_amplitude"], {config.method})
-        axes.setdefault("noise_amplitude", list(SWEEP_NOISE))
     names = sorted(axes)
     points = list(itertools.product(*(axes[n] for n in names)))
     configs = [replace(config, **dict(zip(names, values))) for values in points]
@@ -414,8 +409,8 @@ def cmd_sweep(args) -> int:
         _check_ranges(cfg)
 
     frames, freqs, times, _ = load_frames(args.wav, config)
-    truth = load_ground_truth(args.ground_truth,
-                              (config.midi_low, config.midi_high), times)
+    truth = events_to_roll(parse_ground_truth(args.ground_truth),
+                           (config.midi_low, config.midi_high), times)
     half = frames.n_frames // 2
     val_slice, test_slice = slice(0, half), slice(half, frames.n_frames)
 
@@ -508,7 +503,8 @@ def cmd_eval(args) -> int:
     if midi[0] < 0 or midi[-1] > 127:
         raise DataError(f"activation rows must be MIDI numbers 0-127, "
                         f"got {midi[0]}-{midi[-1]}")
-    truth = load_ground_truth(args.ground_truth, (midi[0], midi[-1]), times)
+    truth = events_to_roll(parse_ground_truth(args.ground_truth),
+                           (midi[0], midi[-1]), times)
     report = f_measure(threshold_activations(values[pitch_rows], truth), truth)
     print(f"precision={report.precision:.4f} recall={report.recall:.4f} "
           f"f_measure={report.f_measure:.4f} tp={report.tp} fp={report.fp} "
@@ -569,8 +565,6 @@ def _sweep_arguments(p):
                    metavar="NAME=V1,V2,...",
                    help="sweep axis; repeatable; default mirrors the "
                         "published decades")
-    p.add_argument("--sweep-noise", action="store_true", dest="sweep_noise",
-                   help="add the default noise-amplitude axis")
     p.add_argument("--output", default=None)
     _add_flags(p, SETTINGS.keys() - {"seed"})
     p.set_defaults(func=cmd_sweep)
@@ -664,18 +658,13 @@ def _expand_config_file(argv):
         if flag == "--config":
             raise UsageError(f"config line {lineno}: a config file cannot name "
                              "another")
-        if flag == "--sweep-noise" and value.lower() in ("true", "false"):
-            if value.lower() == "true":
-                tokens.append(flag)
-        else:
-            tokens.extend((flag, value))
+        tokens.extend((flag, value))
     return [rest[0]] + tokens + rest[1:]
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    logging.basicConfig(level=logging.WARNING, format="%(message)s")
     try:
         expanded = _expand_config_file(list(argv))
         command = next((t for t in expanded if not t.startswith("-")), None)

@@ -70,11 +70,12 @@ def harmonic_cost(row_freqs, col_freqs, eps0: float,
     best = (f - nu) ** 2  # q = 1, no penalty
 
     # q >= 2 branch: minimize (f - q*nu)^2 + pen(q) over integers 2..q_max.
-    # A huge eps0 may overflow the vertex shift or the penalty: +-inf is the
-    # exact limit there, and the branch then never wins.
-    has_branch = qmax >= 2
+    # Where q_max = 1 the candidates clip to q = 2, which costs at least
+    # (f - nu)^2 there, so q = 1 is kept. A huge eps0 may overflow the
+    # vertex shift or the penalty: +-inf is the exact limit there, and the
+    # branch then never wins.
     with np.errstate(over="ignore"):
-        if octave_scaling:
+        if octave_scaling and eps0 > 0:  # 0 / (2 nu^2) is NaN if nu^2 underflows
             q_vertex = ratio - eps0 / (2.0 * nu ** 2)
         else:
             q_vertex = ratio
@@ -82,7 +83,7 @@ def harmonic_cost(row_freqs, col_freqs, eps0: float,
             q = np.clip(q_int, 2.0, np.maximum(qmax, 2.0))
             pen = q * eps0 if octave_scaling else eps0
             cand = (f - q * nu) ** 2 + pen
-            np.minimum(best, np.where(has_branch, cand, np.inf), out=best)
+            np.minimum(best, cand, out=best)
 
     return CostMatrix(values=best)
 

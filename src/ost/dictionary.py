@@ -7,7 +7,7 @@ column k is the l1-normalized harmonic comb of note k on an M-bin grid.
 
 import numpy as np
 
-from .frontend import _check_finite, _check_finite_non_negative
+from .frontend import _check_finite, _check_finite_non_negative, _check_integer
 
 DEFAULT_KERNEL_WIDTH_BINS = 2.0  # Gaussian std in bins of the grid spacing
 DEFAULT_DAMPING = 0.3
@@ -29,6 +29,7 @@ def _check_comb(kernel_width: float, damping: float, n_partials: int):
                          f"{MAX_KERNEL_WIDTH:.4g} Hz, got {kernel_width:g} Hz")
     if not 0 <= damping < np.inf:
         raise ValueError("damping must be finite and non-negative")
+    _check_integer(n_partials, "n_partials")
     if not 1 <= n_partials <= MAX_PARTIALS:
         raise ValueError(f"n_partials must be >= 1 and <= {MAX_PARTIALS}, "
                          f"got {n_partials}")

@@ -9,6 +9,7 @@ from .dictionary import (DEFAULT_DAMPING, DEFAULT_KERNEL_WIDTH_BINS,
                          DEFAULT_N_PARTIALS, _check_comb, damped_weights,
                          harmonic_column, midi_to_freq)
 from .errors import DataError
+from .frontend import _check_integer
 from .tsvio import read_lines
 
 logger = logging.getLogger(__name__)
@@ -116,12 +117,6 @@ def parse_ground_truth(path) -> list:
     return events
 
 
-def load_ground_truth(path, midi_range, times) -> np.ndarray:
-    """Parse a MAPS-style TSV and rasterize it onto frames centered at
-    `times`."""
-    return events_to_roll(parse_ground_truth(path), midi_range, times)
-
-
 def threshold_activations(values, truth) -> np.ndarray:
     """Keep, per frame, the support of the P_n largest activation entries,
     where P_n is the ground-truth polyphony of frame n (ties resolve to the
@@ -189,6 +184,7 @@ def make_toy_scenario(which: str, seed: int, bins: int = TOY_BINS,
         which = SCENARIO_ALIASES[which]
     except KeyError:
         raise ValueError(f"unknown scenario {which!r}") from None
+    _check_integer(bins, "bins")
     if bins < 1:
         raise ValueError(f"bins must be at least 1, got {bins}")
     if not 0 < f_max < np.inf:

@@ -6,6 +6,7 @@ whose active columns are probability distributions over frequency bins.
 
 import struct
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -46,6 +47,13 @@ def _check_finite(values: np.ndarray, name: str) -> float:
     if not (np.isfinite(low) and np.isfinite(high)):
         raise ValueError(f"{name} must be finite")
     return low
+
+
+def _check_integer(value, name: str):
+    """Raise ValueError naming `name` unless `value` is an integer: a float
+    count was rounded, truncated or taken as no bound at all."""
+    if not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_finite_non_negative(values: np.ndarray, name: str):
@@ -222,6 +230,8 @@ def stft_magnitude(audio: AudioBuffer, window_len: int = DEFAULT_WINDOW_LEN,
     frame's rfft is computed alone, so the values are those of one rfft over
     every frame, bit for bit.
     """
+    _check_integer(window_len, "window_len")
+    _check_integer(hop, "hop")
     x = audio.samples
     if x.size == 0:
         raise DataError("empty audio")

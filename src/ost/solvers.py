@@ -48,14 +48,12 @@ the same reason exp is evaluated only where its result can be normal (in
 E) or nonzero (in W): numpy's exp is ~100x slower on subnormal results.
 """
 
-from numbers import Integral
-
 import numpy as np
 
 from .costs import CostMatrix
 from .dictionary import SMALLEST_NORMAL
 from .errors import NumericError
-from .frontend import NormalizedFrames
+from .frontend import NormalizedFrames, _check_integer
 
 DEFAULT_MM_ITERATIONS = 10
 EMPTY_COLUMN_MASS = 1e-12  # mass floor used when linearizing sqrt at an empty column
@@ -294,8 +292,7 @@ def unmix(frames: NormalizedFrames, cost: CostMatrix, variant: str = "ost", *,
     if not 0 <= lambda_g <= MAX_LAMBDA_G:
         raise ValueError(f"lambda_g must be finite, non-negative and at "
                          f"most {MAX_LAMBDA_G!r}")
-    if not isinstance(mm_iterations, Integral):
-        raise ValueError(f"mm_iterations must be an integer, got {mm_iterations!r}")
+    _check_integer(mm_iterations, "mm_iterations")
     if mm_iterations < 1:
         raise ValueError("mm_iterations must be >= 1")
     entropic = variant in ("ost_e", "ost_eg")

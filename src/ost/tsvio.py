@@ -69,10 +69,6 @@ def matrix_text(values, row_labels, col_labels, corner: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_matrix(path, values, row_labels, col_labels, corner: str):
-    atomic_write_text(path, matrix_text(values, row_labels, col_labels, corner))
-
-
 def read_lines(path) -> list:
     """The non-blank lines of a UTF-8 text file, without their newlines;
     DataError naming the file if it is not UTF-8."""
@@ -84,7 +80,7 @@ def read_lines(path) -> list:
 
 
 def read_matrix(path):
-    """Inverse of write_matrix: returns (values, row_labels, col_labels)."""
+    """Inverse of matrix_text: returns (values, row_labels, col_labels)."""
     lines = read_lines(path)
     if not lines:
         raise DataError(f"empty table {path!r}")
@@ -108,7 +104,8 @@ def write_activations(path, values, row_labels, times):
     """A K x N activation matrix with one column per frame, headed by the
     frame's center time in seconds; `times` of another length raises
     ValueError."""
-    write_matrix(path, values, row_labels, times, "component\\time_s")
+    atomic_write_text(path, matrix_text(values, row_labels, times,
+                                        "component\\time_s"))
 
 
 def read_activations(path):
@@ -131,7 +128,7 @@ def write_pianoroll(path, roll, midi_low: int, times):
     """A bool piano roll as write_activations writes activations, row k
     labelled by MIDI pitch midi_low + k."""
     labels = list(range(midi_low, midi_low + len(roll)))
-    write_matrix(path, roll, labels, times, "midi\\time_s")
+    atomic_write_text(path, matrix_text(roll, labels, times, "midi\\time_s"))
 
 
 def write_report(path, pairs):

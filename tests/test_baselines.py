@@ -201,6 +201,9 @@ class TestPlcaUnmix:
         frames = single_frame(np.full(12, 1.0 / 12))
         with pytest.raises(ValueError):
             plca_unmix(frames, d, max_iter=0)
+        for bad in (2.5, np.nan):  # each turned the iteration cap off
+            with pytest.raises(ValueError, match="^max_iter must be an integer"):
+                plca_unmix(frames, d, max_iter=bad)
         for bad in (-1e-3, np.nan):  # NaN ran every frame to max_iter
             with pytest.raises(ValueError, match="rel_tol"):
                 plca_unmix(frames, d, rel_tol=bad)

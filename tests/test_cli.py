@@ -15,8 +15,8 @@ import ost
 from ost import baselines, cli
 from ost.cli import (EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, RunConfig,
                      decompose, load_frames, main)
-from ost.evaluation import (NoteEvent, f_measure, load_ground_truth,
-                            threshold_activations)
+from ost.evaluation import (NoteEvent, events_to_roll, f_measure,
+                            parse_ground_truth, threshold_activations)
 from ost.frontend import AudioBuffer, decode_wav
 from ost.synth import render_notes
 from ost.tsvio import read_activations, read_matrix
@@ -260,6 +260,8 @@ class TestUsageErrors:
         ["bench", "--frames", "0", "--mm-iterations", "5"],
         ["transcribe", "missing.wav", "--seed", "3"],
         ["eval", "a.tsv", "--ground-truth", "t.tsv", "--epsilon0", "1"],
+        # the noise axis is --grid noise_amplitude=...
+        ["sweep", "a.wav", "--ground-truth", "t.tsv", "--sweep-noise", "1"],
     ])
     def test_flag_a_command_ignores_is_unknown(self, capsys, argv):
         assert main(argv) == EXIT_USAGE
@@ -697,23 +699,24 @@ class TestConfigFile:
         out = capsys.readouterr().out
         assert out.startswith("scenario=shifted_fundamentals seed=7 bins=64")
 
-    def test_true_false_apply_only_to_the_switch(self, capsys, duet,
-                                                 tmp_path):
-        # lambda_e=false was once dropped, leaving the default weight
+    def test_true_false_are_plain_values(self, capsys, duet, tmp_path):
+        # lambda_e=false was once dropped, leaving the default weight; true
+        # and false are values like any other, so sweep_noise= is an
+        # unknown flag
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bins=64\nf_max=700\nmethods=ost_e\nlambda_e=false\n")
         assert main(["toy", "a", "--config", str(cfg)]) == EXIT_USAGE
         assert "--lambda-e" in capsys.readouterr().err
-        for value, header in (("true", "epsilon0\tnoise_amplitude"),
-                              ("False", "epsilon0\tval_f_measure")):
+        for value in ("true", "False"):
             cfg.write_text(f"sweep_noise={value}\n")
             target = tmp_path / f"{value}.tsv"
             code = main(["sweep", str(duet / "duet.wav"), "--config", str(cfg),
                          "--ground-truth", str(duet / "truth.tsv"),
                          "--method", "ost", "--grid", "epsilon0=1",
                          "--output", str(target)] + DUET_FLAGS)
-            assert code == EXIT_OK
-            assert target.read_text().startswith(header)
+            assert code == EXIT_USAGE
+            assert "--sweep-noise" in capsys.readouterr().err
+            assert not target.exists()
 
     def test_file_cannot_name_another(self, capsys, tmp_path):
         # a nested file's lines were once spliced in and then ignored
@@ -905,7 +908,8 @@ class TestSweep:
                         window_len=512, hop=256)
         frames, freqs, times, _ = load_frames(duet / "duet.wav", cfg)
         pitch = decompose(frames, freqs, cfg)[0]
-        truth = load_ground_truth(duet / "truth.tsv", (55, 67), times)
+        truth = events_to_roll(parse_ground_truth(duet / "truth.tsv"), (55, 67),
+                               times)
         half = frames.n_frames // 2
         ref = truth[:, half:]
         expected = f_measure(threshold_activations(pitch[:, half:], ref),
@@ -952,7 +956,8 @@ class TestSweep:
         code = main(["sweep", str(duet / "duet.wav"),
                      "--ground-truth", str(duet / "truth.tsv"),
                      "--method", "ost", "--grid", "epsilon0=1,10,100",
-                     "--sweep-noise", "--output", str(target)] + DUET_FLAGS)
+                     "--grid", "noise_amplitude=10,100,1000",
+                     "--output", str(target)] + DUET_FLAGS)
         assert code == EXIT_OK
         rows = "".join(f"{eps}\t{noise}\t{f}\n" for eps in (1, 10, 100)
                        for noise, f in ((10, "0.304347826087"), (100, 1),
@@ -1118,3 +1123,24 @@ class TestStartup:
                  + LOADED_SCIPY)
         assert run_probe(probe, tmp_path).splitlines()[-1] == "[]"
         assert (tmp_path / "out" / "note50.ost.pianoroll.tsv").exists()
+
+
+class TestWarnings:
+    def test_each_call_warns_on_its_own_stderr(self, note50, tmp_path):
+        # a root handler from logging.basicConfig kept the first call's
+        # stderr, so a second in-process call's warning landed in the first
+        # call's buffer; pytest installs root handlers of its own, so the
+        # calls run in a fresh interpreter
+        argv = ["transcribe", str(note50 / "note50.wav"), "--method", "ost",
+                "--window-len", "1024", "--hop", "512",
+                "--midi-low", "55", "--midi-high", "67",
+                "--ground-truth", str(note50 / "truth.tsv"),
+                "--output-dir", str(tmp_path / "out")]
+        probe = ("import contextlib, io\nfrom ost.cli import main\n"
+                 "errs = [io.StringIO(), io.StringIO()]\n"
+                 "for err in errs:\n"
+                 "    with contextlib.redirect_stderr(err):\n"
+                 f"        assert main({argv!r}) == 0\n"
+                 "print([err.getvalue() for err in errs])")
+        line = "dropped 1 ground-truth events outside MIDI range [55, 67]\n"
+        assert run_probe(probe, tmp_path).splitlines()[-1] == repr([line, line])

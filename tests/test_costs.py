@@ -95,10 +95,14 @@ class TestHarmonicCost:
         np.testing.assert_array_equal(huge.values, quadratic_cost(rows, cols).values)
 
     def test_zero_eps0_free_harmonics(self):
-        # with no penalty every exact partial costs nothing
-        cost = harmonic_cost([100.0, 200.0, 300.0, 700.0], [100.0], eps0=0.0,
-                             octave_scaling=True)
-        np.testing.assert_array_equal(cost.values[:, 0], 0.0)
+        # with no penalty every exact partial costs nothing, also at a column
+        # whose square underflows, where the vertex shift 0 / 0 was NaN
+        for hz in (1.0, 1e-170):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                cost = harmonic_cost(hz * np.array([100.0, 200.0, 300.0, 700.0]),
+                                     [hz * 100.0], eps0=0.0, octave_scaling=True)
+            np.testing.assert_array_equal(cost.values[:, 0], 0.0)
 
     def test_monotone_in_eps0_and_nonnegative(self):
         rng = np.random.default_rng(5)

@@ -191,7 +191,8 @@ class TestDictionaryValidation:
         # settings by one function: same checks, same messages
         freqs = np.linspace(5.0, 2000.0, 400)
         bad_settings = [(0.0, 0.3, 8), (1.0, -0.1, 8), (1.0, 0.3, 0),
-                        (1.0, 0.3, MAX_PARTIALS + 1)]
+                        (1.0, 0.3, MAX_PARTIALS + 1),
+                        (1.0, 0.3, 2.5)]  # 2.5 built 3 partials
         # inf width gave identical flat templates; NaN failed only later
         for bad in (np.nan, np.inf, -np.inf):
             bad_settings += [(bad, 0.3, 8), (1.0, bad, 8)]

@@ -11,9 +11,9 @@ from ost.costs import harmonic_cost
 from ost.errors import DataError
 from ost.evaluation import (NoteEvent, SCENARIO_ALIASES, TOY_PAIR_A, TOY_PAIR_B,
                             TOY_PITCHES, events_to_roll, f_measure,
-                            l1_activation_error, load_ground_truth,
-                            make_toy_scenario, parse_ground_truth,
-                            threshold_activations, toy_fundamentals)
+                            l1_activation_error, make_toy_scenario,
+                            parse_ground_truth, threshold_activations,
+                            toy_fundamentals)
 from ost.frontend import NormalizedFrames
 
 from helpers import toy_templates, write_ground_truth
@@ -73,7 +73,7 @@ class TestParseGroundTruth:
                           "0.5\t1.5\t62\n")
         events = parse_ground_truth(path)
         assert events == [NoteEvent(0.0, 1.0, 50), NoteEvent(0.5, 1.5, 62)]
-        roll = load_ground_truth(path, (36, 95), [0.0, 0.5, 1.0, 1.5])
+        roll = events_to_roll(events, (36, 95), [0.0, 0.5, 1.0, 1.5])
         np.testing.assert_array_equal(roll[50 - 36],
                                       [True, True, False, False])
         np.testing.assert_array_equal(roll[62 - 36],
@@ -132,7 +132,7 @@ class TestParseGroundTruth:
         assert parse_ground_truth(path) == events
         times = 0.5 * np.arange(5)
         direct = events_to_roll(events, (36, 95), times)
-        loaded = load_ground_truth(path, (36, 95), times)
+        loaded = events_to_roll(parse_ground_truth(path), (36, 95), times)
         np.testing.assert_array_equal(direct, loaded)
 
 
@@ -277,6 +277,7 @@ class TestMakeToyScenario:
     @pytest.mark.parametrize("setting, value, message", [
         ("bins", 0, "bins must be at least 1, got 0"),
         ("bins", -3, "bins must be at least 1, got -3"),
+        ("bins", 64.5, "bins must be an integer, got 64.5"),  # built 65 bins
         ("f_max", 0.0, "f_max must be finite and positive, got 0 Hz"),
         ("f_max", -5.0, "f_max must be finite and positive, got -5 Hz"),
         ("f_max", np.nan, "f_max must be finite and positive, got nan Hz"),

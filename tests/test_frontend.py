@@ -356,6 +356,9 @@ class TestStftMagnitude:
         (np.zeros(256), 64, 0),          # hop must be positive
         (np.zeros(256), 64, 65),         # hop cannot exceed the window
         (np.zeros(256), 63, 21),         # odd window has no clean Nyquist bin
+        (np.zeros(1024), 512, 1.5),      # counts are integers: each of these
+        (np.zeros(1024), 512.0, 256),    # was a TypeError from numpy
+        (np.zeros(1024), 512, 256.0),
     ])
     def test_rejects_bad_framing(self, samples, window_len, hop):
         # a signal shorter than the window is bad input data; bad framing

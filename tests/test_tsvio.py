@@ -10,7 +10,7 @@ from ost.errors import DataError
 from ost.evaluation import EvalReport, NoteEvent, parse_ground_truth
 from ost.tsvio import (_format, atomic_write_text, format_table, matrix_text,
                        read_activations, read_matrix, write_activations,
-                       write_matrix, write_pianoroll, write_report)
+                       write_pianoroll, write_report)
 
 from helpers import write_ground_truth
 
@@ -99,7 +99,8 @@ class TestMatrixRoundTrip:
     def test_values_and_labels_survive(self, tmp_path):
         path = tmp_path / "m.tsv"
         values = np.array([[1.5, -2.0], [0.0, 1e-11]])
-        write_matrix(path, values, ["r0", "r1"], [0.0, 0.5], "corner\\t")
+        atomic_write_text(path, matrix_text(values, ["r0", "r1"], [0.0, 0.5],
+                                            "corner\\t"))
         got, rows, cols = read_matrix(path)
         np.testing.assert_allclose(got, values, rtol=1e-12)
         assert rows == ["r0", "r1"]
